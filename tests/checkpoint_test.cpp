@@ -80,6 +80,53 @@ TEST(CampaignScope, FingerprintsEveryRelevantKnob) {
   EXPECT_NE(base, sim::campaign_scope(changed, config));
 }
 
+TEST(CampaignScope, PinnedFingerprintValues) {
+  // Literal fingerprints: a refactor of the scope serializer must keep
+  // every existing journal resumable, so these values never change without
+  // a checkpoint format version bump.
+  sim::campaign_config config;
+  EXPECT_EQ(sim::campaign_scope(sim::campaign_grid{}, config),
+            0x49d3c1cfca19a2b4ULL);
+
+  // Every axis, the outage plan and every shared setting off default.
+  sim::campaign_grid grid;
+  grid.node_counts = {16, 24};
+  grid.compromised_counts = {2, 3};
+  grid.lengths = {path_length_distribution::uniform(1, 4),
+                  path_length_distribution::geometric(0.7, 1, 5)};
+  grid.modes = {routing_mode::hop_by_hop, routing_mode::source_routed};
+  grid.drop_probabilities = {0.05, 0.1};
+  grid.arrival_rates = {20.0, 75.5};
+  grid.adversaries = {
+      sim::adversary_config{sim::adversary_kind::partial_coverage, 0.3, false},
+      sim::adversary_config{sim::adversary_kind::timing_correlator, 1.0,
+                            true}};
+  grid.topologies = {
+      net::topology_config{net::topology_kind::ring, 2, 4, 1, 3, 0.5},
+      net::topology_config{net::topology_kind::random_regular, 1, 4, 9, 3,
+                           0.5}};
+  grid.routings = {net::routing_config{net::route_select::kpaths, 3}};
+  grid.churns = {net::churn_config{0.5, 2.0}};
+  grid.mix_failures = {sim::mix_failure_config{2, 4.0, 1.5}};
+  grid.retries = {sim::retry_policy{2, 0.25, 1.5, 4.0}};
+  grid.populations = {0, 12};
+  grid.session_rounds = {0, 20};
+  grid.attacks = {attack::attack_kind::none, attack::attack_kind::sda};
+  grid.streams = {workload::stream_backend::exact,
+                  workload::stream_backend::sketch};
+  grid.fault_outages = {{3, 0.5, 2.0}, {5, 1.0, 0.25}};
+  grid.message_count = 321;
+  grid.forward_prob = 0.6;
+  grid.latency = sim::latency_params{0.03, 0.02, 0.004};
+  grid.identified_threshold = 0.95;
+  grid.session_receiver_law =
+      workload::popularity_law{workload::popularity_kind::zipf, 1.25};
+  config.replicas = 5;
+  config.master_seed = 42;
+  config.via_trace = true;
+  EXPECT_EQ(sim::campaign_scope(grid, config), 0x84785cfbd8cd3114ULL);
+}
+
 TEST(Checkpoint, CellRecordsRoundTripBitExactly) {
   sim::campaign_cell cell;
   cell.replicas = 4;
