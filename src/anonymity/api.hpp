@@ -126,7 +126,8 @@
 /// On top sits the scenario-campaign engine (src/sim/campaign.hpp) — a
 /// declarative grid over (N, C, strategy, routing mode, drop rate, arrival
 /// rate, adversary model, topology, churn, mix failures, retry policy,
-/// session population/rounds/attack) whose cells fan out over a
+/// session population/rounds/attack, stream backend; each axis declared
+/// once in the table of src/sim/campaign_axes.hpp) whose cells fan out over a
 /// stats::thread_pool with deterministic per-run rng streams and aggregate
 /// into per-cell summaries, bit-identical for every thread count under a
 /// fixed master seed (the same contract as mc_config). A cell that throws

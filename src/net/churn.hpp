@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,8 +21,10 @@ struct churn_config {
   double mean_downtime = 1.0;  ///< mean seconds a node stays down
 
   [[nodiscard]] bool enabled() const noexcept { return down_rate > 0.0; }
+  /// Finite parameters, down_rate >= 0, and mean_downtime > 0 when enabled.
   [[nodiscard]] bool valid() const noexcept {
-    return down_rate >= 0.0 && (down_rate == 0.0 || mean_downtime > 0.0);
+    return std::isfinite(down_rate) && std::isfinite(mean_downtime) &&
+           down_rate >= 0.0 && (down_rate == 0.0 || mean_downtime > 0.0);
   }
 
   /// "static", or "churn(<rate>/<mean_downtime>)".

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "src/sim/campaign_axes.hpp"
 #include "src/sim/checkpoint.hpp"
 #include "src/sim/trace.hpp"
 #include "src/stats/contract.hpp"
@@ -20,48 +21,6 @@
 namespace anonpath::sim {
 
 namespace {
-
-/// A cell is runnable iff run_simulation's preconditions hold for it:
-/// beyond the clique rules, the topology parameters must fit N and a
-/// restricted graph cannot face the timing correlator (no exact
-/// restricted-path likelihood for gapped observations).
-bool feasible(const campaign_grid& grid, std::uint32_t n, std::uint32_t c,
-              const path_length_distribution& lengths, routing_mode mode,
-              const adversary_config& adv, const net::topology_config& topo,
-              const net::routing_config& routing,
-              const net::churn_config& churn, const mix_failure_config& mf,
-              const retry_policy& retry, std::uint32_t population,
-              std::uint32_t rounds, attack::attack_kind atk,
-              workload::stream_backend stream) {
-  const system_params sys{n, c};
-  // Session coordinates must be coherent: population and rounds are both
-  // off or both on, attacks need rounds, enabled sessions need a population
-  // of at least two, at least one message per round, and source routing
-  // (run_core's own precondition).
-  const bool session_ok =
-      (population == 0) == (rounds == 0) &&
-      (atk == attack::attack_kind::none || rounds > 0) &&
-      (rounds == 0 ||
-       (population >= 2 && rounds <= grid.message_count &&
-        mode == routing_mode::source_routed)) &&
-      // Sketch-backed state exists for the counting attack only.
-      (stream == workload::stream_backend::exact ||
-       atk == attack::attack_kind::sda);
-  // Planned (kpaths) routing mirrors run_core's preconditions: whole-path
-  // planning only exists for source routing, and its observations have no
-  // gapped (timing-correlator) likelihood.
-  const bool routing_ok =
-      routing.valid() &&
-      (!routing.planned() ||
-       (mode == routing_mode::source_routed &&
-        adv.kind != adversary_kind::timing_correlator));
-  return sys.valid() && c < n && lengths.max_length() <= n - 1 &&
-         grid.message_count > 0 && adv.valid() && topo.valid_for(n) &&
-         routing_ok && churn.valid() && mf.valid() && retry.valid() &&
-         session_ok &&
-         (topo.kind == net::topology_kind::complete ||
-          adv.kind != adversary_kind::timing_correlator);
-}
 
 const char* mode_label(routing_mode mode) {
   return mode == routing_mode::source_routed ? "source_routed" : "hop_by_hop";
@@ -145,35 +104,78 @@ campaign_cell reduce_cell(const scenario& s, std::uint32_t replicas,
 
 }  // namespace
 
+std::uint64_t campaign_grid::cell_count() const noexcept {
+  std::uint64_t cells = 1;
+  for_each_axis(
+      [&](const auto& axis) { cells *= (this->*axis.values).size(); });
+  return cells;
+}
+
+scenario grid_cell(const campaign_grid& grid, std::uint64_t index) {
+  ANONPATH_EXPECTS(index < grid.cell_count());
+  scenario s;
+  std::uint64_t stride = grid.cell_count();
+  for_each_axis([&](const auto& axis) {
+    const auto& values = grid.*axis.values;
+    stride /= values.size();
+    s.*axis.coordinate = values[(index / stride) % values.size()];
+  });
+  return s;
+}
+
+const char* infeasible_reason(const campaign_grid& grid, const scenario& s) {
+  const std::uint32_t n = s.node_count;
+  if (!system_params{n, s.compromised_count}.valid() ||
+      s.compromised_count >= n)
+    return "--c must be below --n, and --n at least 2";
+  if (s.lengths.max_length() > n - 1)
+    return "--dist lengths must fit a simple path (at most --n minus 1)";
+  if (grid.message_count == 0) return "--messages must be > 0";
+  if (!s.adversary.valid()) return "--adversary coverage out of range";
+  if (!s.topology.valid_for(n))
+    return "--topology parameters out of range for --n";
+  if (s.topology.kind != net::topology_kind::complete &&
+      s.adversary.kind == adversary_kind::timing_correlator)
+    return "--adversary timing is not supported on a restricted --topology";
+  // Planned (kpaths) routing mirrors run_core's preconditions: whole-path
+  // planning only exists for source routing, and its observations have no
+  // gapped (timing-correlator) likelihood.
+  if (!s.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";
+  if (s.routing.planned() && s.mode != routing_mode::source_routed)
+    return "--routing kpaths requires onion (source-routed) mode";
+  if (s.routing.planned() &&
+      s.adversary.kind == adversary_kind::timing_correlator)
+    return "--adversary timing is not supported with --routing kpaths";
+  if (!s.churn.valid()) return "--churn parameters out of range";
+  if (!s.mix_failure.valid()) return "--mix-failures parameters out of range";
+  if (!s.retry.valid()) return "--retry parameters out of range";
+  // Session coordinates must be coherent: population and rounds are both
+  // off or both on, attacks need rounds, enabled sessions need a population
+  // of at least two, at least one message per round, and source routing
+  // (run_core's own precondition).
+  if ((s.population == 0) != (s.rounds == 0))
+    return "session mode wants both --population and --rounds (or neither)";
+  if (s.attack != attack::attack_kind::none && s.rounds == 0)
+    return "--attack needs session mode (--population and --rounds)";
+  if (s.rounds > 0 && s.population < 2) return "--population must be >= 2";
+  if (s.rounds > grid.message_count)
+    return "--rounds must be <= --messages (one message per mix round)";
+  if (s.rounds > 0 && s.mode != routing_mode::source_routed)
+    return "session mode requires onion (source-routed) routing";
+  // Sketch-backed state exists for the counting attack only.
+  if (s.stream != workload::stream_backend::exact &&
+      s.attack != attack::attack_kind::sda)
+    return "--stream sketch requires --attack sda";
+  return nullptr;
+}
+
 std::vector<scenario> expand_grid(const campaign_grid& grid) {
   std::vector<scenario> out;
-  for (std::uint32_t n : grid.node_counts)
-    for (std::uint32_t c : grid.compromised_counts)
-      for (const auto& lengths : grid.lengths)
-        for (routing_mode mode : grid.modes)
-          for (double drop : grid.drop_probabilities)
-            for (double rate : grid.arrival_rates)
-              for (const adversary_config& adv : grid.adversaries)
-                for (const net::topology_config& topo : grid.topologies)
-                  for (const net::routing_config& routing : grid.routings)
-                    for (const net::churn_config& churn : grid.churns)
-                      for (const mix_failure_config& mf : grid.mix_failures)
-                        for (const retry_policy& retry : grid.retries)
-                          for (std::uint32_t population : grid.populations)
-                            for (std::uint32_t rounds : grid.session_rounds)
-                              for (attack::attack_kind atk : grid.attacks)
-                                for (workload::stream_backend stream :
-                                     grid.streams) {
-                                  if (!feasible(grid, n, c, lengths, mode,
-                                                adv, topo, routing, churn,
-                                                mf, retry, population,
-                                                rounds, atk, stream))
-                                    continue;
-                                  out.push_back(scenario{
-                                      n, c, lengths, mode, drop, rate, adv,
-                                      topo, routing, churn, mf, retry,
-                                      population, rounds, atk, stream});
-                                }
+  const std::uint64_t cells = grid.cell_count();
+  for (std::uint64_t i = 0; i < cells; ++i) {
+    scenario s = grid_cell(grid, i);
+    if (infeasible_reason(grid, s) == nullptr) out.push_back(std::move(s));
+  }
   return out;
 }
 

@@ -26,6 +26,11 @@ namespace anonpath::sim {
 /// distribution whose support cannot fit a simple path in an N-node
 /// system) are skipped during expansion, deterministically — the same
 /// grid always yields the same cell list in the same order.
+///
+/// Each axis is declared once in the axis table (src/sim/campaign_axes.hpp),
+/// which pairs its vector here with its scenario coordinate, CLI flag,
+/// checked parser and fingerprint serializer. Adding an axis is one field
+/// here, one in `scenario`, and one table entry.
 struct campaign_grid {
   std::vector<std::uint32_t> node_counts{100};        ///< N axis
   std::vector<std::uint32_t> compromised_counts{1};   ///< C axis (spread_compromised placement)
@@ -81,15 +86,7 @@ struct campaign_grid {
   std::vector<net::outage> fault_outages{};
 
   /// Cells in the full cartesian product, before feasibility filtering.
-  [[nodiscard]] std::uint64_t cell_count() const noexcept {
-    return static_cast<std::uint64_t>(node_counts.size()) *
-           compromised_counts.size() * lengths.size() * modes.size() *
-           drop_probabilities.size() * arrival_rates.size() *
-           adversaries.size() * topologies.size() * routings.size() *
-           churns.size() *
-           mix_failures.size() * retries.size() * populations.size() *
-           session_rounds.size() * attacks.size() * streams.size();
-  }
+  [[nodiscard]] std::uint64_t cell_count() const noexcept;
 };
 
 /// Execution knobs for a campaign.
@@ -216,6 +213,22 @@ struct campaign_result {
   std::uint64_t skipped_cells = 0;     ///< infeasible combinations dropped
   std::uint64_t runs = 0;              ///< feasible cells * replicas
 };
+
+/// Cell `index` of the full cartesian product (feasible or not), decoded
+/// as a mixed-radix number over the axis table: node_counts is the most
+/// significant digit, streams the least. Precondition: index <
+/// grid.cell_count().
+[[nodiscard]] scenario grid_cell(const campaign_grid& grid,
+                                 std::uint64_t index);
+
+/// Every cross-axis rule in one place: nullptr when run_simulation's
+/// preconditions hold for the cell, else the reason it cannot run (phrased
+/// in CLI flag terms, which is where it surfaces). Beyond the clique rules,
+/// topology parameters must fit N, a restricted graph or planned routes
+/// cannot face the timing correlator, planned routes and sessions need
+/// source routing, and session coordinates must be coherent.
+[[nodiscard]] const char* infeasible_reason(const campaign_grid& grid,
+                                            const scenario& s);
 
 /// Expands the grid into its feasible scenarios, in the deterministic
 /// order documented on campaign_result. Exposed separately so tests and

@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "src/sim/campaign_axes.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 
@@ -22,22 +23,9 @@ constexpr char magic[] = "anonpath-checkpoint";
 /// Doubles travel as IEEE-754 bit patterns, exactly as in trace v1: bit
 /// round-trips and deterministic rendering are what make a resumed CSV
 /// byte-identical to an uninterrupted one.
-void put_double(std::ostream& os, double x) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64,
-                std::bit_cast<std::uint64_t>(x));
-  os << buf;
-}
-
 void put_summary(std::ostream& os, const stats::running_summary& s) {
-  os << ' ' << s.count() << ' ';
-  put_double(os, s.mean());
-  os << ' ';
-  put_double(os, s.m2());
-  os << ' ';
-  put_double(os, s.min());
-  os << ' ';
-  put_double(os, s.max());
+  os << ' ' << s.count();
+  for (double x : {s.mean(), s.m2(), s.min(), s.max()}) put_hex_double(os, x);
 }
 
 [[noreturn]] void bad(parse_error_kind kind, const std::string& what) {
@@ -169,11 +157,6 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-void scope_double(std::ostream& os, double x) {
-  os << ' ';
-  put_double(os, x);
-}
-
 }  // namespace
 
 std::uint64_t campaign_scope(const campaign_grid& grid,
@@ -182,79 +165,23 @@ std::uint64_t campaign_scope(const campaign_grid& grid,
   // run's seed. Field order is fixed; doubles are bit patterns; every axis
   // element is fully expanded (labels alone could collide).
   std::ostringstream ss;
-  ss << "grid-v1 n";
-  for (std::uint32_t n : grid.node_counts) ss << ' ' << n;
-  ss << " c";
-  for (std::uint32_t c : grid.compromised_counts) ss << ' ' << c;
-  ss << " dist";
-  for (const auto& d : grid.lengths) {
-    ss << " [" << d.label();
-    for (double p : d.dense_pmf()) scope_double(ss, p);
-    ss << ']';
-  }
-  ss << " mode";
-  for (routing_mode m : grid.modes)
-    ss << ' ' << (m == routing_mode::source_routed ? "s" : "h");
-  ss << " drop";
-  for (double d : grid.drop_probabilities) scope_double(ss, d);
-  ss << " rate";
-  for (double r : grid.arrival_rates) scope_double(ss, r);
-  ss << " adv";
-  for (const adversary_config& a : grid.adversaries) {
-    ss << ' ' << static_cast<int>(a.kind);
-    scope_double(ss, a.coverage_fraction);
-    ss << ' ' << (a.receiver_compromised ? 1 : 0);
-  }
-  ss << " topo";
-  for (const net::topology_config& t : grid.topologies) {
-    ss << ' ' << static_cast<int>(t.kind) << ' ' << t.ring_k << ' '
-       << t.degree << ' ' << t.graph_seed << ' ' << t.tiers;
-    scope_double(ss, t.trust_decay);
-  }
-  ss << " routing";
-  for (const net::routing_config& r : grid.routings)
-    ss << ' ' << static_cast<int>(r.kind) << ' ' << r.k;
-  ss << " churn";
-  for (const net::churn_config& ch : grid.churns) {
-    scope_double(ss, ch.down_rate);
-    scope_double(ss, ch.mean_downtime);
-  }
-  ss << " mixfail";
-  for (const mix_failure_config& mf : grid.mix_failures) {
-    ss << ' ' << mf.count;
-    scope_double(ss, mf.horizon);
-    scope_double(ss, mf.mean_duration);
-  }
-  ss << " retry";
-  for (const retry_policy& r : grid.retries) {
-    ss << ' ' << r.max_retries;
-    scope_double(ss, r.timeout);
-    scope_double(ss, r.backoff);
-    scope_double(ss, r.max_timeout);
-  }
-  ss << " pop";
-  for (std::uint32_t p : grid.populations) ss << ' ' << p;
-  ss << " rounds";
-  for (std::uint32_t r : grid.session_rounds) ss << ' ' << r;
-  ss << " attack";
-  for (attack::attack_kind a : grid.attacks) ss << ' ' << static_cast<int>(a);
-  ss << " stream";
-  for (workload::stream_backend s : grid.streams)
-    ss << ' ' << static_cast<int>(s);
+  ss << "grid-v1";
+  for_each_axis([&](const auto& axis) {
+    ss << ' ' << axis.scope_tag;
+    for (const auto& value : grid.*axis.values) axis.put_scope(ss, value);
+  });
   ss << " outages";
   for (const net::outage& o : grid.fault_outages) {
     ss << ' ' << o.node;
-    scope_double(ss, o.start);
-    scope_double(ss, o.duration);
+    put_hex_double(ss, o.start);
+    put_hex_double(ss, o.duration);
   }
   ss << " shared " << grid.message_count;
-  scope_double(ss, grid.forward_prob);
-  scope_double(ss, grid.latency.base);
-  scope_double(ss, grid.latency.jitter);
-  scope_double(ss, grid.latency.processing);
-  scope_double(ss, grid.identified_threshold);
+  for (double x : {grid.forward_prob, grid.latency.base, grid.latency.jitter,
+                   grid.latency.processing, grid.identified_threshold})
+    put_hex_double(ss, x);
   ss << ' ' << static_cast<int>(grid.session_receiver_law.kind);
-  scope_double(ss, grid.session_receiver_law.exponent);
+  put_hex_double(ss, grid.session_receiver_law.exponent);
   ss << " run " << config.replicas << ' ' << config.master_seed << ' '
      << (config.via_trace ? 1 : 0);
   return fnv1a(ss.str());

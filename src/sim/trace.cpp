@@ -460,9 +460,7 @@ sim_trace read_trace(std::istream& is) {
     } else if (section == "churn") {
       c.faults.churn.down_rate = get_double(is, "churn down rate");
       c.faults.churn.mean_downtime = get_double(is, "churn mean downtime");
-      if (!std::isfinite(c.faults.churn.down_rate) ||
-          !std::isfinite(c.faults.churn.mean_downtime) ||
-          !c.faults.churn.valid() || !c.faults.churn.enabled())
+      if (!c.faults.churn.valid() || !c.faults.churn.enabled())
         bad(parse_error_kind::out_of_range, "churn parameters out of range");
     } else if (section == "outages") {
       const std::uint32_t outage_count = get_u32(is, "outage count");

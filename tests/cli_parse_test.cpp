@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,6 +53,34 @@ run_result run_cli(const std::string& args) {
   r.stderr_text = text.str();
   std::remove(err_path.c_str());
   return r;
+}
+
+/// Runs the CLI and returns its stdout (stderr discarded); the exit code
+/// lands in *exit_code.
+std::string cli_stdout(const std::string& args, int* exit_code) {
+  static int serial = 0;
+  const std::string out_path = ::testing::TempDir() + "anonpath_cli_stdout." +
+                               std::to_string(::getpid()) + "." +
+                               std::to_string(serial++) + ".txt";
+  const std::string cmd = "'" + cli_binary() + "' " + args + " >'" +
+                          out_path + "' 2>/dev/null";
+  const int status = std::system(cmd.c_str());
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream in(out_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(out_path.c_str());
+  return text.str();
+}
+
+/// Every case must be a usage error: exit status 2 and a diagnostic.
+void expect_usage_errors(const std::vector<std::string>& cases) {
+  for (const std::string& args : cases) {
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args << "\n" << r.stderr_text;
+    EXPECT_FALSE(r.stderr_text.empty())
+        << "no stderr diagnostic: anonpath " << args;
+  }
 }
 
 class CliParse : public ::testing::Test {
@@ -110,12 +139,106 @@ TEST_F(CliParse, FloatFlagsRejectJunkTails) {
     EXPECT_NE(r.exit_code, 0) << "--mean accepted '" << value << "'";
     EXPECT_FALSE(r.stderr_text.empty());
   }
-  // --rate is a comma-list axis with its own per-element end check.
-  for (const char* value : {"foo", "50x", "50,"}) {
+  // --rate is a comma-list axis; each element goes through the same
+  // checked parser, which also refuses non-finite and hex spellings.
+  for (const char* value :
+       {"foo", "50x", "50,", "inf", "1e999", "0x1p3", "nan", "20,inf"}) {
     const run_result r = run_cli(
         std::string("simulate --n 20 --c 2 --rate '") + value + "'");
     EXPECT_NE(r.exit_code, 0) << "--rate accepted '" << value << "'";
     EXPECT_FALSE(r.stderr_text.empty());
+  }
+  expect_usage_errors({
+      "campaign --n 16 --c 1 --messages 20 --replicas 1 --rate inf",
+      "campaign --n 16 --c 1 --messages 20 --replicas 1 --drop 1e999",
+      "simulate --n 16 --c 1 --messages 20 --threshold nan",
+      "simulate --n 16 --c 1 --messages 20 --threshold inf",
+      "capture --n 16 --c 1 --messages 20 --churn inf",
+      "capture --n 16 --c 1 --messages 20 --churn 0.5:inf",
+      "simulate --n 16 --c 1 --messages 20 --retry 2:nan",
+      "simulate --n 16 --c 1 --messages 20 --adversary partial:nan",
+      "simulate --n 16 --c 1 --messages 20 --topology trust:inf",
+      "attack --users 200 --rounds 30 --attack sda --send-rate nan",
+  });
+}
+
+TEST_F(CliParse, DistSpecsAreChecked) {
+  // Malformed, non-integral, out-of-order or oversized specs are usage
+  // errors: never a silent reinterpretation (F:2.7 as F(2)) and never a
+  // contract_violation escaping the distribution factories.
+  std::vector<std::string> cases;
+  for (const char* spec :
+       {"F:foo", "F:2.7", "U:5,2", "U:1,nan", "F:-1", "F:", "F:3,4", "X:3",
+        "F3", "G:1,1,4", "G:0.5,4,2", "G:nan,1,4", "P:0,5", "P:inf,5",
+        "P:1e6,5", "F:4000000000"})
+    for (const char* command : {"degree --n 50", "simulate --n 20 --c 2"})
+      cases.push_back(std::string(command) + " --dist '" + spec + "'");
+  expect_usage_errors(cases);
+  EXPECT_EQ(run_cli("degree --n 50 --dist G:0.5,1,6").exit_code, 0);
+  EXPECT_EQ(run_cli("degree --n 50 --dist P:2.5,8").exit_code, 0);
+}
+
+TEST_F(CliParse, ScalarCommandsTakeOneValuePerAxis) {
+  // A comma list on a one-scenario command must not run just its first
+  // value.
+  expect_usage_errors({
+      "simulate --n 10,20 --messages 20",
+      "capture --n 10,20 --messages 20",
+      "degree --n 10,20",
+      "estimate --n 10,20 --samples 100",
+      "estimate --n 20 --c 1,2 --samples 100",
+      "degree --n 50 --dist F:3 --dist F:4",
+      "simulate --n 20 --messages 20 --rate 5,500",
+      "attack --users 200 --rounds 30 --attack sda,bayes",
+      "plan --n 100 --routing walk,kpaths",
+  });
+}
+
+TEST_F(CliParse, SimulateHonoursRate) {
+  // simulate is a one-cell campaign, so --rate reaches the run: the report
+  // names it, and under churn the traffic span changes what gets through.
+  for (const char* flags : {"", " --churn 0.5:0.5"}) {
+    int rc5 = -1, rc500 = -1;
+    const std::string base =
+        std::string("simulate --n 20 --c 2 --messages 200 --seed 3") + flags;
+    const std::string slow = cli_stdout(base + " --rate 5", &rc5);
+    const std::string fast = cli_stdout(base + " --rate 500", &rc500);
+    EXPECT_EQ(rc5, 0);
+    EXPECT_EQ(rc500, 0);
+    EXPECT_NE(slow, fast) << flags;
+    if (*flags != '\0')  // beyond the header: the metrics move too
+      EXPECT_NE(slow.substr(slow.find('\n')), fast.substr(fast.find('\n')));
+  }
+}
+
+TEST_F(CliParse, CampaignAxisSmokesAreThreadAndTraceInvariant) {
+  // Stream axis: sketch cells ride next to exact cells, thread-invariant,
+  // and the CSV grows the stream column only when the axis is swept.
+  const std::string stream =
+      "campaign --n 20 --c 2 --dist U:1,4 --population 40 --rounds 30 "
+      "--attack sda --stream exact,sketch --messages 300 --replicas 2 "
+      "--seed 7";
+  // kpaths routing axis: thread- and trace-pipeline invariant like every
+  // other axis; the routing CSV column appears only here.
+  const std::string routed =
+      "campaign --n 24 --c 2 --dist U:1,5 --topology regular:4 "
+      "--routing walk,kpaths:3 --messages 150 --replicas 4 --seed 7";
+  const struct {
+    std::string reference, variant, column;
+  } cases[] = {
+      {stream + " --threads 8", stream + " --threads 1", ",stream"},
+      {routed + " --threads 8", routed + " --threads 1 --via-trace",
+       ",routing"},
+  };
+  for (const auto& c : cases) {
+    int rc_ref = -1, rc_var = -1;
+    const std::string ref = cli_stdout(c.reference, &rc_ref);
+    const std::string var = cli_stdout(c.variant, &rc_var);
+    ASSERT_EQ(rc_ref, 0) << c.reference;
+    ASSERT_EQ(rc_var, 0) << c.variant;
+    EXPECT_EQ(std::count(ref.begin(), ref.end(), '\n'), 3) << ref;
+    EXPECT_NE(ref.find(c.column), std::string::npos) << ref;
+    EXPECT_EQ(ref, var) << c.variant;
   }
 }
 

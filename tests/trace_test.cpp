@@ -19,6 +19,7 @@
 #include <sstream>
 
 #include "src/anonymity/entropy.hpp"
+#include "src/stats/error.hpp"
 
 namespace anonpath::sim {
 namespace {
@@ -185,6 +186,33 @@ TEST(TraceFormat, RejectsGarbageAndTruncation) {
   bombed.replace(ev_pos, ev_end - ev_pos, "events 4000000000");
   std::istringstream bomb(bombed);
   EXPECT_THROW((void)read_trace(bomb), std::invalid_argument);
+}
+
+TEST(TraceFormat, RejectsNonFiniteChurn) {
+  // churn_config::valid() refuses non-finite parameters, which is the only
+  // finiteness check the reader's churn section needs.
+  EXPECT_FALSE((net::churn_config{HUGE_VAL, 0.5}.valid()));
+  EXPECT_FALSE((net::churn_config{0.5, std::nan("")}.valid()));
+  sim_config cfg = preset_configs()[0];
+  cfg.faults.churn = {0.5, 0.5};
+  std::ostringstream os;
+  write_trace(capture_trace(cfg), os);
+  const std::string text = os.str();
+  const auto at = text.find("\nchurn ");
+  ASSERT_NE(at, std::string::npos);
+  const auto end = text.find('\n', at + 1);
+  for (const char* forged : {"\nchurn 7ff0000000000000 3fe0000000000000",
+                             "\nchurn 3fe0000000000000 7ff8000000000000"}) {
+    std::string bad = text;
+    bad.replace(at, end - at, forged);
+    std::istringstream in(bad);
+    try {
+      (void)read_trace(in);
+      FAIL() << "accepted " << forged + 1;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+    }
+  }
 }
 
 TEST(TraceFormat, WhitespaceLabelsStayParseable) {

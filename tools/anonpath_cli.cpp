@@ -41,14 +41,15 @@
 // Attack syntax: none | intersection | sda | bayes (sequential_bayes).
 // Stream-backend syntax: exact | sketch (sketched sda accumulator state:
 // count-min counts plus a bottom-k candidate reservoir; sda cells only).
-// Campaign axes (--n, --c, --drop, --rate, --mode, --adversary,
-// --topology, --routing, --churn, --population, --rounds, --attack) take
-// comma-separated lists and --dist may repeat; the campaign runs their
-// cartesian product. Out-of-range or unknown values exit loudly (status 2),
-// never silently fall back.
+// Campaign axes (the table in src/sim/campaign_axes.cpp: --n, --c, --dist,
+// --mode, --drop, --rate, --adversary, --topology, --routing, --churn,
+// --mix-failures, --retry, --population, --rounds, --attack, --stream)
+// take comma-separated lists and --dist may repeat; the campaign runs their
+// cartesian product, and every other command takes one value per axis.
+// Out-of-range or unknown values exit loudly (status 2), never silently
+// fall back.
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -57,9 +58,9 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <chrono>
@@ -83,6 +84,7 @@
 #include "src/obs/span.hpp"
 #include "src/repro/figures.hpp"
 #include "src/sim/campaign.hpp"
+#include "src/sim/campaign_axes.hpp"
 #include "src/sim/checkpoint.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
@@ -119,15 +121,15 @@ using namespace anonpath;
       "            [--shards k] [--no-dedup]   Monte-Carlo H* for any C\n"
       "            (a restricted --topology uses the walk-model engine)\n"
       "  optimize: --mean <target expected length>\n"
-      "  simulate: [--messages k] [--seed s] [--drop p] [--threshold x]\n"
-      "            [--population P --rounds R --attack a] session mode\n"
+      "  simulate: a one-cell campaign: every campaign axis flag, one value\n"
+      "            each, plus [--messages k] [--seed s] [--threshold x];\n"
+      "            session mode: --population P --rounds R [--attack a]\n"
       "            [--stream exact|sketch]  sda accumulator backend\n"
       "  campaign: scenario-grid sweep on the simulator; CSV to stdout.\n"
       "            axes (comma lists): --n --c --drop --rate --adversary\n"
       "            --topology --routing --churn --mix-failures --retry\n"
-      "            --population\n"
-      "            --rounds --attack --stream; --mode onion,crowds; --dist\n"
-      "            may repeat (one spec each)\n"
+      "            --population --rounds --attack --stream; --mode\n"
+      "            onion,crowds; --dist may repeat (one spec each)\n"
       "            [--replicas r (default 8)] [--messages k (default 500)]\n"
       "            [--seed s] [--threads t (0=all cores)] [--via-trace]\n"
       "            [--receiver-law uniform|zipf:<s>]\n"
@@ -166,71 +168,29 @@ using namespace anonpath;
   std::exit(2);
 }
 
-path_length_distribution parse_dist(const std::string& spec) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos) usage("bad --dist (missing ':')");
-  const std::string kind = spec.substr(0, colon);
-  const std::string args = spec.substr(colon + 1);
-  auto split = [&args]() {
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos <= args.size()) {
-      const auto comma = args.find(',', pos);
-      const std::string tok =
-          args.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (tok.empty()) usage("bad --dist arguments");
-      out.push_back(std::strtod(tok.c_str(), nullptr));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    return out;
-  };
-  const auto v = split();
-  if (kind == "F" && v.size() == 1)
-    return path_length_distribution::fixed(static_cast<path_length>(v[0]));
-  if (kind == "U" && v.size() == 2)
-    return path_length_distribution::uniform(static_cast<path_length>(v[0]),
-                                             static_cast<path_length>(v[1]));
-  if (kind == "G" && v.size() == 3)
-    return path_length_distribution::geometric(
-        v[0], static_cast<path_length>(v[1]), static_cast<path_length>(v[2]));
-  if (kind == "P" && v.size() == 2)
-    return path_length_distribution::poisson(v[0],
-                                             static_cast<path_length>(v[1]));
-  usage("unrecognized --dist form");
-}
+[[noreturn]] void usage(const std::string& msg) { usage(msg.c_str()); }
 
 struct options {
   std::string command;
-  std::uint32_t n = 100;
-  std::uint32_t c = 1;
-  std::optional<path_length_distribution> dist;
+  /// Every campaign axis flag parses into this grid through the axis table
+  /// (src/sim/campaign_axes.hpp), and --crash into its fault_outages.
+  /// `axes_given` records which axis flags appeared: a flag's first use
+  /// replaces the axis default, later uses append. Scalar commands read the
+  /// one value of each axis (require_one_value_per_axis).
+  sim::campaign_grid grid;
+  std::set<std::string> axes_given;
+  [[nodiscard]] bool given(const char* flag) const {
+    return axes_given.count(flag) > 0;
+  }
   double mean = 5.0;
   std::uint32_t messages = 2000;
   bool messages_set = false;
   std::uint64_t seed = 1;
-  double drop = 0.0;
   bool breakdown = false;
   std::uint64_t samples = 100000;
   unsigned threads = 0;
   std::uint64_t shards = 0;
   bool dedup = true;
-  // Campaign axes: every --n/--c/--drop/--rate value seen (comma lists),
-  // every --dist spec, every --mode. Scalar commands read the fields above,
-  // which track the first value of each list.
-  std::vector<std::uint32_t> n_list;
-  std::vector<std::uint32_t> c_list;
-  std::vector<path_length_distribution> dist_list;
-  std::vector<double> drop_list;
-  std::vector<double> rate_list;
-  std::vector<routing_mode> mode_list;
-  std::vector<sim::adversary_config> adversary_list;
-  std::vector<net::topology_config> topology_list;
-  std::vector<net::routing_config> routing_list;
-  std::vector<net::churn_config> churn_list;
-  std::vector<sim::mix_failure_config> mixfail_list;
-  std::vector<sim::retry_policy> retry_list;
-  std::vector<net::outage> crash_list;
   std::string checkpoint_path;   ///< campaign: journal file ("" = off)
   bool resume = false;           ///< campaign: adopt the journal's prefix
   std::uint32_t shard_index = 0; ///< campaign: this process's shard
@@ -243,11 +203,7 @@ struct options {
   bool via_trace = false;
   std::string out_path;  ///< capture: trace destination ("" = stdout)
   std::string in_path;   ///< replay: trace source
-  // Session / longitudinal-attack surface.
-  std::vector<std::uint32_t> population_list;
-  std::vector<std::uint32_t> rounds_list;
-  std::vector<attack::attack_kind> attack_list;
-  std::vector<workload::stream_backend> stream_list;
+  // Longitudinal-attack workload surface (the 'attack' command).
   std::uint32_t users = 1000;         ///< attack: sender population
   std::uint32_t pairs = 1;            ///< attack: persistent pairs
   std::uint32_t round_size = 32;      ///< attack: threshold batch size
@@ -270,162 +226,16 @@ struct options {
   bool progress = false;     ///< --progress: stderr heartbeat with ETA
 };
 
-sim::adversary_config parse_adversary(const std::string& spec) {
-  sim::adversary_config cfg;
-  if (spec == "full") return cfg;
-  if (spec == "timing") {
-    cfg.kind = sim::adversary_kind::timing_correlator;
-    return cfg;
-  }
-  if (spec.rfind("partial", 0) == 0) {
-    cfg.kind = sim::adversary_kind::partial_coverage;
-    if (spec.size() == 7) return cfg;  // bare "partial": f = 1
-    if (spec[7] != ':') usage("bad --adversary (want partial:<f>[:honest])");
-    const auto honest = spec.find(":honest");
-    const std::string f = spec.substr(8, honest == std::string::npos
-                                             ? honest
-                                             : honest - 8);
-    char* end = nullptr;
-    cfg.coverage_fraction = std::strtod(f.c_str(), &end);
-    if (end == f.c_str() || *end != '\0' || !cfg.valid())
-      usage("bad --adversary coverage fraction");
-    cfg.receiver_compromised = honest == std::string::npos;
-    return cfg;
-  }
-  usage("--adversary values are full|partial:<f>[:honest]|timing");
-}
-
-std::vector<std::string> split_on(const std::string& s, char delim);
-
-net::topology_config parse_topology(const std::string& spec) {
-  net::topology_config cfg;
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  std::vector<std::string> args;
-  if (colon != std::string::npos)
-    args = split_on(spec.substr(colon + 1), ':');
-  auto as_u32 = [](const std::string& tok) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-        v > 0xFFFFFFFFull)
-      usage("bad --topology parameter (want an unsigned integer)");
-    return static_cast<std::uint32_t>(v);
-  };
-  if (kind == "complete" && args.empty()) return cfg;
-  if (kind == "ring" && args.size() == 1) {
-    cfg.kind = net::topology_kind::ring;
-    cfg.ring_k = as_u32(args[0]);
-    if (cfg.ring_k < 1) usage("--topology ring:<k> needs k >= 1");
-    return cfg;
-  }
-  if (kind == "regular" && (args.size() == 1 || args.size() == 2)) {
-    cfg.kind = net::topology_kind::random_regular;
-    cfg.degree = as_u32(args[0]);
-    if (args.size() == 2) {
-      // The wiring seed is a full 64-bit value (matches graph_seed and the
-      // trace format), unlike the 32-bit structural parameters.
-      char* end = nullptr;
-      const std::string& tok = args[1];
-      errno = 0;
-      cfg.graph_seed = std::strtoull(tok.c_str(), &end, 10);
-      if (tok.empty() || tok[0] == '-' || end == tok.c_str() ||
-          *end != '\0' || errno == ERANGE)
-        usage("bad --topology regular seed (want a 64-bit unsigned integer)");
-    }
-    if (cfg.degree < 2) usage("--topology regular:<d> needs d >= 2");
-    return cfg;
-  }
-  if (kind == "tiered" && args.size() == 1) {
-    cfg.kind = net::topology_kind::tiered;
-    cfg.tiers = as_u32(args[0]);
-    if (cfg.tiers < 2) usage("--topology tiered:<t> needs t >= 2");
-    return cfg;
-  }
-  if (kind == "trust" && args.size() == 1) {
-    cfg.kind = net::topology_kind::trust_weighted;
-    char* end = nullptr;
-    cfg.trust_decay = std::strtod(args[0].c_str(), &end);
-    if (end == args[0].c_str() || *end != '\0' || cfg.trust_decay <= 0.0 ||
-        cfg.trust_decay > 1.0)
-      usage("--topology trust:<decay> needs decay in (0, 1]");
-    return cfg;
-  }
-  usage(
-      "--topology values are "
-      "complete|ring:<k>|regular:<d>[:<seed>]|tiered:<t>|trust:<decay>");
-}
-
 workload::popularity_law parse_law(const std::string& spec) {
   workload::popularity_law law;
   if (spec == "uniform") return law;
   if (spec.rfind("zipf:", 0) == 0) {
     law.kind = workload::popularity_kind::zipf;
-    const std::string s = spec.substr(5);
-    char* end = nullptr;
-    law.exponent = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || !law.valid())
-      usage("bad popularity law (want zipf:<s> with s > 0)");
+    law.exponent = sim::parse_finite_token(spec.substr(5), "zipf exponent");
+    if (!law.valid()) usage("bad popularity law (want zipf:<s> with s > 0)");
     return law;
   }
   usage("popularity-law values are uniform|zipf:<s>");
-}
-
-attack::attack_kind parse_attack(const std::string& spec) {
-  const auto kind = attack::parse_attack_kind(spec);
-  if (!kind) usage("--attack values are none|intersection|sda|bayes");
-  return *kind;
-}
-
-net::churn_config parse_churn(const std::string& spec) {
-  net::churn_config cfg;
-  const auto colon = spec.find(':');
-  const std::string rate = spec.substr(0, colon);
-  char* end = nullptr;
-  cfg.down_rate = std::strtod(rate.c_str(), &end);
-  if (end == rate.c_str() || *end != '\0' || cfg.down_rate < 0.0)
-    usage("bad --churn (want 0 or <down_rate>[:<mean_downtime>])");
-  if (colon != std::string::npos) {
-    const std::string mean = spec.substr(colon + 1);
-    cfg.mean_downtime = std::strtod(mean.c_str(), &end);
-    if (end == mean.c_str() || *end != '\0' || cfg.mean_downtime <= 0.0)
-      usage("--churn mean downtime must be > 0");
-  }
-  if (!cfg.valid()) usage("--churn parameters out of range");
-  return cfg;
-}
-
-double parse_double_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(tok.c_str(), &end);
-  // Finite only: overflow ("1e999" -> HUGE_VAL with ERANGE) and explicit
-  // inf/nan spellings are never meaningful values for these flags.
-  if (tok.empty() || end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v))
-    usage((std::string("bad ") + what + " (want a finite number)").c_str());
-  return v;
-}
-
-std::uint32_t parse_u32_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-      v > 0xFFFFFFFFull)
-    usage((std::string("bad ") + what +
-           " (want an unsigned 32-bit integer)").c_str());
-  return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t parse_u64_or_die(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-      errno == ERANGE)
-    usage((std::string("bad ") + what +
-           " (want an unsigned 64-bit integer)").c_str());
-  return static_cast<std::uint64_t>(v);
 }
 
 /// "--shard i/n": i in [0, n), n >= 1. Everything else exits loudly.
@@ -433,396 +243,248 @@ void parse_shard(const std::string& spec, options& opt) {
   const auto slash = spec.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size())
     usage("bad --shard (want i/n, e.g. --shard 0/4)");
-  opt.shard_index = parse_u32_or_die(spec.substr(0, slash), "--shard index");
-  opt.shard_count = parse_u32_or_die(spec.substr(slash + 1), "--shard count");
+  opt.shard_index =
+      sim::parse_u32_token(spec.substr(0, slash), "--shard index");
+  opt.shard_count =
+      sim::parse_u32_token(spec.substr(slash + 1), "--shard count");
   if (opt.shard_count == 0 || opt.shard_index >= opt.shard_count)
     usage("--shard index must be in [0, count) with count >= 1");
   opt.shard_set = true;
 }
 
-net::routing_config parse_routing(const std::string& spec) {
-  net::routing_config cfg;
-  if (spec == "walk") return cfg;
-  if (spec == "kpaths" || spec.rfind("kpaths:", 0) == 0) {
-    cfg.kind = net::route_select::kpaths;
-    if (spec.size() > 6)
-      cfg.k = parse_u32_or_die(spec.substr(7), "--routing kpaths k");
-    if (!cfg.valid()) usage("--routing kpaths:<k> needs k in [1, 64]");
-    return cfg;
-  }
-  usage("--routing values are walk|kpaths[:<k>]");
-}
-
-sim::retry_policy parse_retry(const std::string& spec) {
-  sim::retry_policy p;
-  const auto args = split_on(spec, ':');
-  if (args.empty() || args.size() > 4)
-    usage("bad --retry (want <max>[:<timeout>[:<backoff>[:<max_timeout>]]])");
-  p.max_retries = parse_u32_or_die(args[0], "--retry max");
-  if (args.size() > 1) p.timeout = parse_double_or_die(args[1], "--retry timeout");
-  if (args.size() > 2) p.backoff = parse_double_or_die(args[2], "--retry backoff");
-  if (args.size() > 3)
-    p.max_timeout = parse_double_or_die(args[3], "--retry max_timeout");
-  else if (p.max_timeout < p.timeout)
-    p.max_timeout = p.timeout;  // an explicit long timeout caps itself
-  if (!p.valid())
-    usage("--retry parameters out of range (timeout > 0, backoff >= 1, "
-          "max_timeout >= timeout)");
-  return p;
-}
-
-sim::mix_failure_config parse_mixfail(const std::string& spec) {
-  sim::mix_failure_config mf;
-  const auto args = split_on(spec, ':');
-  if (args.empty() || args.size() > 3)
-    usage("bad --mix-failures (want <count>[:<horizon>[:<mean_duration>]])");
-  mf.count = parse_u32_or_die(args[0], "--mix-failures count");
-  if (args.size() > 1)
-    mf.horizon = parse_double_or_die(args[1], "--mix-failures horizon");
-  if (args.size() > 2)
-    mf.mean_duration = parse_double_or_die(args[2], "--mix-failures mean");
-  if (!mf.valid())
-    usage("--mix-failures parameters out of range (horizon >= 0, "
-          "mean_duration > 0)");
-  return mf;
-}
-
 net::outage parse_crash(const std::string& spec) {
-  const auto args = split_on(spec, ':');
+  const auto args = sim::split_tokens(spec, ':', "--crash");
   if (args.size() != 3) usage("bad --crash (want <node>:<start>:<duration>)");
   net::outage o;
-  o.node = parse_u32_or_die(args[0], "--crash node");
-  o.start = parse_double_or_die(args[1], "--crash start");
-  o.duration = parse_double_or_die(args[2], "--crash duration");
+  o.node = sim::parse_u32_token(args[0], "--crash node");
+  o.start = sim::parse_finite_token(args[1], "--crash start");
+  o.duration = sim::parse_finite_token(args[2], "--crash duration");
   if (!o.valid())
     usage("--crash parameters out of range (start >= 0, duration > 0, "
           "both finite)");
   return o;
 }
 
-std::vector<std::string> split_on(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto at = s.find(delim, pos);
-    const std::string tok =
-        s.substr(pos, at == std::string::npos ? at : at - pos);
-    if (tok.empty()) usage("empty element in delimited list");
-    out.push_back(tok);
-    if (at == std::string::npos) break;
-    pos = at + 1;
-  }
-  return out;
+/// A u32 flag value of at least `min`.
+std::uint32_t parse_u32_at_least(const std::string& tok, const char* what,
+                                 std::uint32_t min) {
+  const std::uint32_t v = sim::parse_u32_token(tok, what);
+  if (v < min)
+    usage(std::string(what) + " must be >= " + std::to_string(min));
+  return v;
 }
 
-std::vector<std::string> split_commas(const std::string& s) {
-  return split_on(s, ',');
-}
-
-std::vector<double> parse_double_list(const char* spec) {
-  std::vector<double> out;
-  for (const std::string& tok : split_commas(spec)) {
-    char* end = nullptr;
-    out.push_back(std::strtod(tok.c_str(), &end));
-    if (end == tok.c_str() || *end != '\0')
-      usage("expected a number in comma list");
+/// Parses one flag (argv[i], consuming its value). Every numeric token goes
+/// through the checked sim::parse_*_token parsers, so "--messages foo",
+/// "--threads 4x" or "--rate inf" exit loudly instead of becoming 0, 4 or
+/// an infinite rate; their parse_error becomes a usage error in parse().
+void parse_flag(options& opt, int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  auto next = [&]() -> std::string {
+    if (i + 1 >= argc) usage("missing value for flag");
+    return argv[++i];
+  };
+  bool axis_flag = false;
+  sim::for_each_axis([&](const auto& axis) {
+    if (axis_flag || flag != axis.flag) return;
+    axis_flag = true;
+    auto& values = opt.grid.*axis.values;
+    if (opt.axes_given.insert(flag).second) values.clear();
+    const std::string spec = next();
+    for (const std::string& tok :
+         axis.comma_list ? sim::split_tokens(spec, ',', axis.flag)
+                         : std::vector<std::string>{spec})
+      values.push_back(axis.parse(tok, axis.flag));
+  });
+  if (axis_flag) return;
+  if (flag == "--crash") {
+    for (const std::string& tok : sim::split_tokens(next(), ',', "--crash"))
+      opt.grid.fault_outages.push_back(parse_crash(tok));
   }
-  return out;
-}
-
-std::vector<std::uint32_t> parse_u32_list(const char* spec) {
-  std::vector<std::uint32_t> out;
-  for (const std::string& tok : split_commas(spec)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok[0] == '-' || end == tok.c_str() || *end != '\0' ||
-        v > 0xFFFFFFFFull)
-      usage("expected a 32-bit unsigned integer in comma list");
-    out.push_back(static_cast<std::uint32_t>(v));
+  else if (flag == "--mean")
+    opt.mean = sim::parse_finite_token(next(), "--mean");
+  else if (flag == "--messages") {
+    opt.messages = parse_u32_at_least(next(), "--messages", 1);
+    opt.messages_set = true;
   }
-  return out;
+  else if (flag == "--seed") opt.seed = sim::parse_u64_token(next(), "--seed");
+  else if (flag == "--checkpoint") opt.checkpoint_path = next();
+  else if (flag == "--resume") opt.resume = true;
+  else if (flag == "--shard") parse_shard(next(), opt);
+  else if (flag == "--input") opt.input_paths.push_back(next());
+  else if (flag == "--users") {
+    opt.users = parse_u32_at_least(next(), "--users", 2);
+    opt.workload_flag_set = true;
+  }
+  else if (flag == "--pairs") {
+    opt.pairs = parse_u32_at_least(next(), "--pairs", 1);
+    opt.workload_flag_set = true;
+  }
+  else if (flag == "--round-size") {
+    opt.round_size = parse_u32_at_least(next(), "--round-size", 1);
+    opt.workload_flag_set = true;
+  }
+  else if (flag == "--send-rate") {
+    opt.send_rate = sim::parse_finite_token(next(), "--send-rate");
+    if (opt.send_rate < 0.0 || opt.send_rate > 1.0)
+      usage("--send-rate must be in [0, 1]");
+    opt.workload_flag_set = true;
+  }
+  else if (flag == "--sender-law") {
+    opt.sender_law = parse_law(next());
+    opt.sender_law_set = true;
+  }
+  else if (flag == "--receiver-law") {
+    opt.receiver_law = parse_law(next());
+    opt.receiver_law_set = true;
+  }
+  else if (flag == "--every") {
+    opt.every = parse_u32_at_least(next(), "--every", 1);
+    opt.workload_flag_set = true;
+  }
+  else if (flag == "--threshold")
+    opt.threshold = sim::parse_finite_token(next(), "--threshold");
+  else if (flag == "--via-trace") opt.via_trace = true;
+  else if (flag == "--out") opt.out_path = next();
+  else if (flag == "--in") opt.in_path = next();
+  else if (flag == "--replicas") {
+    opt.replicas = parse_u32_at_least(next(), "--replicas", 1);
+    opt.replicas_set = true;
+  }
+  else if (flag == "--breakdown") opt.breakdown = true;
+  else if (flag == "--samples") {
+    opt.samples = sim::parse_u64_token(next(), "--samples");
+    if (opt.samples == 0) usage("--samples must be > 0");
+  }
+  else if (flag == "--threads")
+    opt.threads = sim::parse_u32_token(next(), "--threads");
+  else if (flag == "--shards")
+    opt.shards = sim::parse_u64_token(next(), "--shards");
+  else if (flag == "--no-dedup") opt.dedup = false;
+  else if (flag == "--csr") {
+    opt.plan_csr = true;
+    opt.plan_flag_set = true;
+  }
+  else if (flag == "--components") {
+    opt.plan_components = true;
+    opt.plan_flag_set = true;
+  }
+  else if (flag == "--source") {
+    opt.plan_source = sim::parse_u32_token(next(), "--source");
+    opt.plan_flag_set = true;
+  }
+  else if (flag == "--routes") {
+    opt.plan_routes = parse_u32_at_least(next(), "--routes", 1);
+    opt.plan_flag_set = true;
+  }
+  else if (flag == "--metrics" || flag.rfind("--metrics=", 0) == 0) {
+    opt.metrics_path = flag == "--metrics"
+                           ? next()
+                           : flag.substr(std::strlen("--metrics="));
+    if (opt.metrics_path.empty()) usage("--metrics wants a file path");
+  }
+  else if (flag == "--progress") opt.progress = true;
+  else usage("unknown flag " + flag);
 }
 
 options parse(int argc, char** argv) {
   if (argc < 2) usage();
   options opt;
   opt.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage("missing value for flag");
-      return argv[++i];
-    };
-    if (flag == "--n") {
-      opt.n_list = parse_u32_list(next());
-      opt.n = opt.n_list.front();
-    }
-    else if (flag == "--c") {
-      opt.c_list = parse_u32_list(next());
-      opt.c = opt.c_list.front();
-    }
-    else if (flag == "--dist") {
-      opt.dist = parse_dist(next());
-      opt.dist_list.push_back(*opt.dist);
-    }
-    // The scalar numeric flags all go through the checked end-pointer
-    // parsers: "--messages foo" or "--threads 4x" must exit loudly, never
-    // silently become 0 (the historical atoi behavior) or 4.
-    else if (flag == "--mean") opt.mean = parse_double_or_die(next(), "--mean");
-    else if (flag == "--messages") {
-      opt.messages = parse_u32_or_die(next(), "--messages");
-      if (opt.messages == 0) usage("--messages must be > 0");
-      opt.messages_set = true;
-    }
-    else if (flag == "--seed") opt.seed = parse_u64_or_die(next(), "--seed");
-    else if (flag == "--drop") {
-      opt.drop_list = parse_double_list(next());
-      opt.drop = opt.drop_list.front();
-    }
-    else if (flag == "--rate") opt.rate_list = parse_double_list(next());
-    else if (flag == "--mode") {
-      for (const std::string& tok : split_commas(next())) {
-        if (tok == "onion" || tok == "source_routed")
-          opt.mode_list.push_back(routing_mode::source_routed);
-        else if (tok == "crowds" || tok == "hop_by_hop")
-          opt.mode_list.push_back(routing_mode::hop_by_hop);
-        else usage("--mode values are onion|crowds");
-      }
-    }
-    else if (flag == "--adversary") {
-      for (const std::string& tok : split_commas(next()))
-        opt.adversary_list.push_back(parse_adversary(tok));
-    }
-    else if (flag == "--topology") {
-      for (const std::string& tok : split_commas(next()))
-        opt.topology_list.push_back(parse_topology(tok));
-    }
-    else if (flag == "--churn") {
-      for (const std::string& tok : split_commas(next()))
-        opt.churn_list.push_back(parse_churn(tok));
-    }
-    else if (flag == "--retry") {
-      for (const std::string& tok : split_commas(next()))
-        opt.retry_list.push_back(parse_retry(tok));
-    }
-    else if (flag == "--mix-failures") {
-      for (const std::string& tok : split_commas(next()))
-        opt.mixfail_list.push_back(parse_mixfail(tok));
-    }
-    else if (flag == "--crash") {
-      for (const std::string& tok : split_commas(next()))
-        opt.crash_list.push_back(parse_crash(tok));
-    }
-    else if (flag == "--checkpoint") opt.checkpoint_path = next();
-    else if (flag == "--resume") opt.resume = true;
-    else if (flag == "--shard") parse_shard(next(), opt);
-    else if (flag == "--input") opt.input_paths.emplace_back(next());
-    else if (flag == "--population")
-      opt.population_list = parse_u32_list(next());
-    else if (flag == "--rounds") opt.rounds_list = parse_u32_list(next());
-    else if (flag == "--attack") {
-      for (const std::string& tok : split_commas(next()))
-        opt.attack_list.push_back(parse_attack(tok));
-    }
-    else if (flag == "--stream") {
-      for (const std::string& tok : split_commas(next())) {
-        const auto backend = workload::parse_stream_backend(tok);
-        if (!backend) usage("--stream values are exact|sketch");
-        opt.stream_list.push_back(*backend);
-      }
-    }
-    else if (flag == "--users") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 2) usage("--users wants one value >= 2");
-      opt.users = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--pairs") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--pairs wants one value >= 1");
-      opt.pairs = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--round-size") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--round-size wants one value >= 1");
-      opt.round_size = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--send-rate") {
-      char* end = nullptr;
-      const char* v = next();
-      opt.send_rate = std::strtod(v, &end);
-      if (end == v || *end != '\0' || opt.send_rate < 0.0 ||
-          opt.send_rate > 1.0)
-        usage("--send-rate must be in [0, 1]");
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--sender-law") {
-      opt.sender_law = parse_law(next());
-      opt.sender_law_set = true;
-    }
-    else if (flag == "--receiver-law") {
-      opt.receiver_law = parse_law(next());
-      opt.receiver_law_set = true;
-    }
-    else if (flag == "--every") {
-      const auto v = parse_u32_list(next());
-      if (v.size() != 1 || v[0] < 1) usage("--every wants one value >= 1");
-      opt.every = v[0];
-      opt.workload_flag_set = true;
-    }
-    else if (flag == "--threshold") {
-      char* end = nullptr;
-      const char* v = next();
-      opt.threshold = std::strtod(v, &end);
-      if (end == v || *end != '\0') usage("--threshold must be a number");
-    }
-    else if (flag == "--via-trace") opt.via_trace = true;
-    else if (flag == "--out") opt.out_path = next();
-    else if (flag == "--in") opt.in_path = next();
-    else if (flag == "--replicas") {
-      opt.replicas = parse_u32_or_die(next(), "--replicas");
-      if (opt.replicas == 0) usage("--replicas must be > 0");
-      opt.replicas_set = true;
-    }
-    else if (flag == "--breakdown") opt.breakdown = true;
-    else if (flag == "--samples") {
-      opt.samples = parse_u64_or_die(next(), "--samples");
-      if (opt.samples == 0) usage("--samples must be > 0");
-    }
-    else if (flag == "--threads")
-      opt.threads = parse_u32_or_die(next(), "--threads");
-    else if (flag == "--shards")
-      opt.shards = parse_u64_or_die(next(), "--shards");
-    else if (flag == "--no-dedup") opt.dedup = false;
-    else if (flag == "--routing") {
-      for (const std::string& tok : split_commas(next()))
-        opt.routing_list.push_back(parse_routing(tok));
-    }
-    else if (flag == "--csr") {
-      opt.plan_csr = true;
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--components") {
-      opt.plan_components = true;
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--source") {
-      opt.plan_source = parse_u32_or_die(next(), "--source");
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--routes") {
-      opt.plan_routes = parse_u32_or_die(next(), "--routes");
-      if (opt.plan_routes == 0) usage("--routes must be > 0");
-      opt.plan_flag_set = true;
-    }
-    else if (flag == "--metrics") {
-      opt.metrics_path = next();
-      if (opt.metrics_path.empty()) usage("--metrics wants a file path");
-    }
-    else if (flag.rfind("--metrics=", 0) == 0) {
-      opt.metrics_path = flag.substr(std::strlen("--metrics="));
-      if (opt.metrics_path.empty()) usage("--metrics wants a file path");
-    }
-    else if (flag == "--progress") opt.progress = true;
-    else usage(("unknown flag " + flag).c_str());
+  try {
+    for (int i = 2; i < argc; ++i) parse_flag(opt, argc, argv, i);
+  } catch (const parse_error& e) {
+    usage(e.what());
   }
   return opt;
 }
 
-/// The closed-form analytic commands are clique-only; accepting a
-/// restricted graph (or churn) and silently reporting clique numbers is
-/// exactly the fallback the topology surface promises never to do.
-void reject_topology_flags(const options& opt, const char* command) {
-  if (!opt.topology_list.empty() &&
-      opt.topology_list.front().kind != net::topology_kind::complete)
-    usage((std::string("--topology does not apply to '") + command +
-           "' (clique-only closed forms); use estimate/simulate/campaign")
-              .c_str());
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage((std::string("--churn does not apply to '") + command +
-           "'; use simulate/capture/campaign")
-              .c_str());
-  if (!opt.routing_list.empty())
-    usage((std::string("--routing does not apply to '") + command +
-           "'; use simulate/capture/campaign/plan")
-              .c_str());
+/// The one-scenario commands take one value per axis flag: a comma list
+/// would otherwise run only its first value — a silent drop (the axes
+/// belong to 'campaign').
+void require_one_value_per_axis(const options& opt) {
+  sim::for_each_axis([&opt](const auto& axis) {
+    if ((opt.grid.*axis.values).size() > 1)
+      usage(std::string(axis.flag) + " takes one value on '" + opt.command +
+            "' (comma-list axes belong to 'campaign')");
+  });
+}
+
+/// As above, and no axis flag outside `reads`, the ones the command uses:
+/// accepting another would silently report a different scenario than the
+/// one asked for (e.g. clique numbers for a --topology).
+void require_axes_read(const options& opt,
+                       std::initializer_list<std::string_view> reads) {
+  require_one_value_per_axis(opt);
+  for (const std::string& flag : opt.axes_given)
+    if (std::find(reads.begin(), reads.end(), flag) == reads.end())
+      usage(flag + " does not apply to '" + opt.command +
+            "' (every axis flag applies to simulate/capture/campaign)");
+}
+
+/// The --dist value of a scalar command, or its own default.
+path_length_distribution dist_or(const options& opt,
+                                 path_length_distribution fallback) {
+  return opt.given("--dist") ? opt.grid.lengths.front() : fallback;
 }
 
 /// The graph-diagnostics surface belongs to 'plan'; anywhere else these
 /// flags would be silently ignored — the fallback this CLI promises never
 /// to do.
-void reject_plan_flags(const options& opt, const char* command) {
+void reject_plan_flags(const options& opt) {
   if (opt.plan_flag_set)
-    usage((std::string("--csr/--components/--source/--routes do not apply "
-                       "to '") +
-           command + "'; they drive the 'plan' command")
-              .c_str());
+    usage("--csr/--components/--source/--routes do not apply to '" +
+          opt.command + "'; they drive the 'plan' command");
 }
 
-/// Commands with no longitudinal surface must reject the session/attack
-/// flags loudly, mirroring reject_topology_flags — silently dropping a
-/// sweep axis is exactly the fallback this CLI promises never to do.
-void reject_session_flags(const options& opt, const char* command) {
-  if (!opt.population_list.empty() || !opt.rounds_list.empty() ||
-      !opt.attack_list.empty())
-    usage((std::string("--population/--rounds/--attack do not apply to '") +
-           command + "'; use simulate/capture/campaign or the 'attack' "
-                     "command")
-              .c_str());
-  if (!opt.stream_list.empty())
-    usage((std::string("--stream does not apply to '") + command +
-           "'; it selects the disclosure accumulator backend on "
-           "simulate/capture/campaign/attack")
-              .c_str());
+/// The non-axis session and workload flags, likewise.
+void reject_workload_flags(const options& opt) {
   if (opt.sender_law_set)
-    usage((std::string("--sender-law does not apply to '") + command +
-           "'; only the 'attack' workload draws senders from a law")
-              .c_str());
+    usage("--sender-law does not apply to '" + opt.command +
+          "'; only the 'attack' workload draws senders from a law");
   if (opt.receiver_law_set)
-    usage((std::string("--receiver-law does not apply to '") + command +
-           "'; use simulate/capture/campaign or the 'attack' command")
-              .c_str());
+    usage("--receiver-law does not apply to '" + opt.command +
+          "'; use simulate/capture/campaign or the 'attack' command");
   if (opt.workload_flag_set)
-    usage((std::string("--users/--pairs/--round-size/--send-rate/--every do "
-                       "not apply to '") +
-           command + "'; they configure the 'attack' workload")
-              .c_str());
+    usage("--users/--pairs/--round-size/--send-rate/--every do not apply "
+          "to '" + opt.command + "'; they configure the 'attack' workload");
 }
 
-/// The fault/recovery surface belongs to the simulator (and the campaign's
-/// journal); any other command accepting these flags would silently ignore
-/// them — the fallback this CLI promises never to do.
-void reject_fault_flags(const options& opt, const char* command) {
-  if (!opt.retry_list.empty() || !opt.mixfail_list.empty() ||
-      !opt.crash_list.empty())
-    usage((std::string("--retry/--mix-failures/--crash do not apply to '") +
-           command + "'; use simulate/capture/campaign")
-              .c_str());
+/// The crash plan belongs to the simulator and journals to the campaign.
+void reject_fault_flags(const options& opt) {
+  if (!opt.grid.fault_outages.empty())
+    usage("--crash does not apply to '" + opt.command +
+          "'; use simulate/capture/campaign");
   if (!opt.checkpoint_path.empty() || opt.resume)
-    usage((std::string("--checkpoint/--resume do not apply to '") + command +
-           "'; only 'campaign' and 'merge' touch journals")
-              .c_str());
+    usage("--checkpoint/--resume do not apply to '" + opt.command +
+          "'; only 'campaign' and 'merge' touch journals");
   if (opt.shard_set)
-    usage((std::string("--shard does not apply to '") + command +
-           "'; only 'campaign' splits its grid into shards")
-              .c_str());
+    usage("--shard does not apply to '" + opt.command +
+          "'; only 'campaign' splits its grid into shards");
   if (!opt.input_paths.empty())
-    usage((std::string("--input does not apply to '") + command +
-           "'; it names the shard journals 'merge' combines")
-              .c_str());
+    usage("--input does not apply to '" + opt.command +
+          "'; it names the shard journals 'merge' combines");
 }
 
 /// The observability surface instruments the long-running commands
 /// (simulate/campaign/attack/plan/merge); anywhere else --metrics would
 /// write an empty snapshot and --progress would stay silent — accepting
 /// them there is exactly the silent drop this CLI promises never to do.
-void reject_obs_flags(const options& opt, const char* command) {
+void reject_obs_flags(const options& opt) {
   if (!opt.metrics_path.empty() || opt.progress)
-    usage((std::string("--metrics/--progress do not apply to '") + command +
-           "'; they instrument simulate/campaign/attack/plan/merge")
-              .c_str());
+    usage("--metrics/--progress do not apply to '" + opt.command +
+          "'; they instrument simulate/campaign/attack/plan/merge");
+}
+
+/// Prologue of the commands with no simulator, journal, workload, plan or
+/// obs surface, which read only the listed axis flags.
+void require_only_axes(const options& opt,
+                       std::initializer_list<std::string_view> reads) {
+  reject_obs_flags(opt);
+  require_axes_read(opt, reads);
+  reject_workload_flags(opt);
+  reject_fault_flags(opt);
+  reject_plan_flags(opt);
 }
 
 /// Folds one run's deterministic report telemetry into the registry under
@@ -841,16 +503,12 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
 }
 
 int cmd_degree(const options& opt) {
-  reject_topology_flags(opt, "degree");
-  reject_session_flags(opt, "degree");
-  reject_fault_flags(opt, "degree");
-  reject_plan_flags(opt, "degree");
-  reject_obs_flags(opt, "degree");
-  const system_params sys{opt.n, 1};
-  const auto d = opt.dist.value_or(path_length_distribution::fixed(3));
+  require_only_axes(opt, {"--n", "--dist"});
+  const system_params sys{opt.grid.node_counts.front(), 1};
+  const auto d = dist_or(opt, path_length_distribution::fixed(3));
   const double h = anonymity_degree(sys, d);
   std::printf("strategy %s on N=%u, C=1: H* = %.6f bits (ceiling %.6f)\n",
-              d.label().c_str(), opt.n, h, max_anonymity_degree(sys));
+              d.label().c_str(), sys.node_count, h, max_anonymity_degree(sys));
   if (opt.breakdown) {
     const auto b = anonymity_breakdown(sys, d);
     std::printf("  event class            probability   H(X|e) bits\n");
@@ -868,23 +526,16 @@ int cmd_degree(const options& opt) {
 }
 
 int cmd_estimate(const options& opt) {
-  reject_session_flags(opt, "estimate");
-  reject_fault_flags(opt, "estimate");
-  reject_plan_flags(opt, "estimate");
-  reject_obs_flags(opt, "estimate");
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage("--churn does not apply to 'estimate'; use simulate/capture/campaign");
-  if (!opt.routing_list.empty())
-    usage("--routing does not apply to 'estimate' (walk-model engine only); "
-          "use simulate/capture/campaign/plan");
-  const system_params sys{opt.n, opt.c};
-  const auto d = opt.dist.value_or(path_length_distribution::uniform(1, 10));
-  const std::vector<node_id> compromised = spread_compromised(opt.n, opt.c);
-  if (!opt.topology_list.empty() &&
-      opt.topology_list.front().kind != net::topology_kind::complete) {
+  require_only_axes(opt, {"--n", "--c", "--dist", "--topology"});
+  const std::uint32_t n = opt.grid.node_counts.front();
+  const std::uint32_t c = opt.grid.compromised_counts.front();
+  const system_params sys{n, c};
+  const auto d = dist_or(opt, path_length_distribution::uniform(1, 10));
+  const std::vector<node_id> compromised = spread_compromised(n, c);
+  const net::topology_config& topo = opt.grid.topologies.front();
+  if (topo.kind != net::topology_kind::complete) {
     // Restricted graph: walk-model Monte Carlo on the topology engine.
-    const net::topology_config& topo = opt.topology_list.front();
-    if (!topo.valid_for(opt.n))
+    if (!topo.valid_for(n))
       usage("--topology parameters out of range for --n");
     const auto t0 = std::chrono::steady_clock::now();
     const auto est = net::estimate_topology_degree(
@@ -895,7 +546,7 @@ int cmd_estimate(const options& opt) {
         std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
             .count();
     std::printf("MC walk-model estimate for %s on N=%u, C=%u, topology %s:\n",
-                d.label().c_str(), opt.n, opt.c, topo.label().c_str());
+                d.label().c_str(), n, c, topo.label().c_str());
     std::printf("  H* = %.6f +/- %.6f bits (95%% CI)\n", est.degree,
                 est.ci95());
     std::printf("  samples:       %llu in %llu shards (seed %llu)\n",
@@ -917,8 +568,7 @@ int cmd_estimate(const options& opt) {
   const double secs =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
-  std::printf("MC estimate for %s on N=%u, C=%u:\n", d.label().c_str(), opt.n,
-              opt.c);
+  std::printf("MC estimate for %s on N=%u, C=%u:\n", d.label().c_str(), n, c);
   std::printf("  H* = %.6f +/- %.6f bits (95%% CI)\n", est.degree, est.ci95());
   std::printf("  samples:       %llu in %llu shards (seed %llu)\n",
               static_cast<unsigned long long>(est.samples),
@@ -934,23 +584,27 @@ int cmd_estimate(const options& opt) {
 }
 
 int cmd_optimize(const options& opt) {
-  reject_topology_flags(opt, "optimize");
-  reject_session_flags(opt, "optimize");
-  reject_fault_flags(opt, "optimize");
-  reject_plan_flags(opt, "optimize");
-  reject_obs_flags(opt, "optimize");
-  const system_params sys{opt.n, 1};
-  const auto cap = static_cast<path_length>(opt.n - 1);
+  require_only_axes(opt, {"--n"});
+  const system_params sys{opt.grid.node_counts.front(), 1};
+  const auto cap = static_cast<path_length>(sys.node_count - 1);
   const auto r = optimize_for_mean(sys, opt.mean, cap);
   std::printf("optimal distribution for N=%u, E[L]=%.2f: H* = %.6f bits\n",
-              opt.n, opt.mean, r.degree);
+              sys.node_count, opt.mean, r.degree);
   const auto& pmf = r.distribution.dense_pmf();
   for (path_length l = 0; l < pmf.size(); ++l)
     if (pmf[l] > 1e-9) std::printf("  Pr[L=%3u] = %.6f\n", l, pmf[l]);
   return 0;
 }
 
-sim::sim_config simulate_config(const options& opt) {
+/// Builds and validates the scenario grid the axis flags describe, shared
+/// by 'campaign' (which runs it, whole or as one shard), 'merge' (which must
+/// reconstruct the IDENTICAL grid — same flags, same validation — to
+/// recompute the scope fingerprint the shard journals are checked against)
+/// and 'simulate'/'capture' (a one-cell grid). `default_dist` and
+/// `default_messages` are the command's own defaults.
+sim::campaign_grid build_campaign_grid(
+    const options& opt, const path_length_distribution& default_dist,
+    std::uint32_t default_messages) {
   if (opt.sender_law_set)
     usage("--sender-law only applies to the 'attack' command (simulator "
           "senders are the N nodes, drawn uniformly)");
@@ -958,118 +612,81 @@ sim::sim_config simulate_config(const options& opt) {
     usage("--users/--pairs/--round-size/--send-rate/--every configure the "
           "'attack' workload; simulator sessions batch --messages into "
           "--rounds");
-  reject_plan_flags(opt, "simulate/capture");
-  sim::sim_config cfg;
-  cfg.sys = {opt.n, opt.c};
-  cfg.compromised = spread_compromised(opt.n, opt.c);
-  cfg.lengths = opt.dist.value_or(path_length_distribution::uniform(1, 8));
-  if (!opt.mode_list.empty()) {
-    if (opt.mode_list.size() > 1)
-      usage("simulate/capture take a single --mode (the comma-list axis "
-            "belongs to 'campaign')");
-    cfg.mode = opt.mode_list.front();
-  }
+  reject_plan_flags(opt);
+  sim::campaign_grid grid = opt.grid;
+  if (!opt.given("--dist")) grid.lengths = {default_dist};
+  grid.session_receiver_law = opt.receiver_law;
+  grid.message_count = opt.messages_set ? opt.messages : default_messages;
+  grid.identified_threshold = opt.threshold;
+  // Session axes must be swept together: a --population axis with no
+  // --rounds axis (or vice versa) would make every session cell incoherent
+  // and silently filter the sweep the user asked for down to its
+  // session-less cells. The other axis-level rules below likewise beat a
+  // silently shrunken sweep.
+  const auto any_but = [](const auto& values, const auto& off) {
+    return std::any_of(values.begin(), values.end(),
+                       [&off](const auto& v) { return v != off; });
+  };
+  const bool wants_population = any_but(grid.populations, 0u);
+  const bool wants_rounds = any_but(grid.session_rounds, 0u);
+  if (wants_population != wants_rounds)
+    usage("session axes come in pairs: set --population and --rounds "
+          "together (zeros in either list mean 'session off' cells)");
+  if (opt.receiver_law_set && !wants_rounds)
+    usage("--receiver-law on '" + opt.command +
+          "' needs session cells (--population/--rounds); it is the "
+          "session destination law");
+  if (any_but(grid.attacks, attack::attack_kind::none) && !wants_rounds)
+    usage("--attack on '" + opt.command +
+          "' needs the session axes (--population/--rounds)");
+  // A sketch backend only pairs with sda cells.
+  if (any_but(grid.streams, workload::stream_backend::exact) &&
+      std::find(grid.attacks.begin(), grid.attacks.end(),
+                attack::attack_kind::sda) == grid.attacks.end())
+    usage("--stream sketch on '" + opt.command +
+          "' needs sda on the --attack axis (the sketch backend exists for "
+          "the counting attack only)");
+  for (std::uint32_t r : grid.session_rounds)
+    if (r > grid.message_count)
+      usage("--rounds values must be <= --messages (at least one message "
+            "per mix round)");
+
+  // Surface an empty grid as a usage error naming why its first cell
+  // cannot run; run_campaign's internal precondition is not a user-facing
+  // message.
+  if (sim::expand_grid(grid).empty())
+    usage(std::string(grid.cell_count() > 1
+                          ? "no feasible grid cell; the first fails: "
+                          : "infeasible scenario: ") +
+          sim::infeasible_reason(grid, sim::grid_cell(grid, 0)));
+  return grid;
+}
+
+/// simulate/capture run the one-cell campaign their flags describe, so
+/// every flag reaches the run through the same grid, feasibility rules and
+/// scenario_config as a campaign cell.
+sim::sim_config single_run_config(const options& opt) {
+  require_one_value_per_axis(opt);
   if (!opt.checkpoint_path.empty() || opt.resume || opt.shard_set ||
       !opt.input_paths.empty())
     usage("--checkpoint/--resume/--shard/--input do not apply to "
           "simulate/capture; they drive 'campaign' and 'merge'");
-  cfg.message_count = opt.messages;
-  cfg.seed = opt.seed;
-  if (!(opt.drop >= 0.0 && opt.drop < 1.0))
-    usage("--drop must be in [0, 1)");
-  cfg.faults.drop_probability = opt.drop;
-  // Single scalars, like --mode: a comma list here would silently run only
-  // its first value (the axes belong to 'campaign').
-  if (opt.retry_list.size() > 1 || opt.mixfail_list.size() > 1)
-    usage("simulate/capture take single --retry/--mix-failures values "
-          "(comma-list axes belong to 'campaign')");
-  if (!opt.retry_list.empty()) cfg.retry = opt.retry_list.front();
-  if (!opt.mixfail_list.empty())
-    cfg.faults.mix_failures = opt.mixfail_list.front();
-  for (const net::outage& o : opt.crash_list)
-    if (o.node >= opt.n)
+  const sim::campaign_grid grid = build_campaign_grid(
+      opt, path_length_distribution::uniform(1, 8), 2000);
+  // A campaign turns an outage outside some cell's N into that cell's error
+  // column; a single run has no sweep to protect, so refuse it up front.
+  for (const net::outage& o : grid.fault_outages)
+    if (o.node >= grid.node_counts.front())
       usage("--crash node out of range for --n");
-  cfg.faults.outages = opt.crash_list;
-  cfg.identified_threshold = opt.threshold;
-  if (!opt.adversary_list.empty()) cfg.adversary = opt.adversary_list.front();
-  if (!opt.topology_list.empty()) {
-    cfg.topology = opt.topology_list.front();
-    if (!cfg.topology.valid_for(opt.n))
-      usage("--topology parameters out of range for --n");
-    if (cfg.topology.kind != net::topology_kind::complete &&
-        cfg.adversary.kind == sim::adversary_kind::timing_correlator)
-      usage("--adversary timing is not supported on a restricted --topology");
-  }
-  if (!opt.churn_list.empty()) cfg.faults.churn = opt.churn_list.front();
-  if (opt.routing_list.size() > 1)
-    usage("simulate/capture take a single --routing (the comma-list axis "
-          "belongs to 'campaign')");
-  if (!opt.routing_list.empty()) {
-    cfg.routing = opt.routing_list.front();
-    if (cfg.routing.planned()) {
-      if (cfg.mode != routing_mode::source_routed)
-        usage("--routing kpaths requires onion (source-routed) mode; crowds "
-              "forwarding has no planned-path analogue");
-      if (cfg.adversary.kind == sim::adversary_kind::timing_correlator)
-        usage("--adversary timing is not supported with --routing kpaths");
-    }
-  }
-  // Single scalars here; a comma list would otherwise run only its first
-  // value — a silent drop (the axes belong to 'campaign').
-  if (opt.population_list.size() > 1 || opt.rounds_list.size() > 1 ||
-      opt.attack_list.size() > 1 || opt.stream_list.size() > 1)
-    usage("simulate/capture take single values for "
-          "--population/--rounds/--attack/--stream (comma-list axes belong "
-          "to 'campaign')");
-  const std::uint32_t population =
-      opt.population_list.empty() ? 0 : opt.population_list.front();
-  const std::uint32_t rounds =
-      opt.rounds_list.empty() ? 0 : opt.rounds_list.front();
-  if ((population == 0) != (rounds == 0))
-    usage("session mode wants both --population and --rounds (or neither)");
-  if (rounds > 0) {
-    if (cfg.mode != routing_mode::source_routed)
-      usage("session mode (--population/--rounds) requires onion routing; "
-            "crowds mode has no per-message inference to fuse");
-    cfg.session.rounds = rounds;
-    cfg.session.receiver_count = population;
-    cfg.session.partner = sim::canonical_partner(population);
-    cfg.session.receiver_law = opt.receiver_law;
-    if (!opt.attack_list.empty()) cfg.session.attack = opt.attack_list.front();
-    if (!opt.stream_list.empty()) {
-      cfg.session.stream = opt.stream_list.front();
-      if (cfg.session.stream != workload::stream_backend::exact &&
-          cfg.session.attack != attack::attack_kind::sda)
-        usage("--stream sketch requires --attack sda (the sketch backend "
-              "exists for the counting attack only)");
-    }
-    // Honest under the run's *effective* corruption (partial_coverage
-    // draws its own set from the seed, superseding the configured list).
-    cfg.session.target_sender = sim::lowest_honest_node(
-        sim::effective_compromised(cfg.adversary, opt.n, cfg.compromised,
-                                   cfg.seed));
-    if (!cfg.session.valid_for(opt.n, cfg.message_count))
-      usage("session parameters out of range (need --population >= 2 and "
-            "--rounds <= --messages)");
-  } else {
-    if (!opt.attack_list.empty() &&
-        opt.attack_list.front() != attack::attack_kind::none)
-      usage("--attack on 'simulate' needs --population and --rounds");
-    if (opt.receiver_law_set)
-      usage("--receiver-law on 'simulate'/'capture' needs --population and "
-            "--rounds (it is the session destination law)");
-    if (!opt.stream_list.empty())
-      usage("--stream on 'simulate'/'capture' needs --population and "
-            "--rounds (it selects the session attack's accumulator "
-            "backend)");
-  }
-  return cfg;
+  return sim::scenario_config(sim::expand_grid(grid).front(), grid, opt.seed);
 }
 
 void print_sim_report(const sim::sim_config& cfg, const sim::sim_report& r) {
   std::printf(
-      "simulated %llu msgs on N=%u, C=%u, %s, adversary %s, topology %s, %s\n",
-      static_cast<unsigned long long>(r.submitted), cfg.sys.node_count,
+      "simulated %llu msgs at %g/s on N=%u, C=%u, %s, adversary %s, "
+      "topology %s, %s\n",
+      static_cast<unsigned long long>(r.submitted), cfg.arrival_rate,
+      cfg.sys.node_count,
       cfg.sys.compromised_count, cfg.lengths.label().c_str(),
       cfg.adversary.label().c_str(), cfg.topology.label().c_str(),
       cfg.faults.label().c_str());
@@ -1107,7 +724,7 @@ void print_sim_report(const sim::sim_config& cfg, const sim::sim_report& r) {
 }
 
 int cmd_simulate(const options& opt) {
-  sim::sim_config cfg = simulate_config(opt);
+  sim::sim_config cfg = single_run_config(opt);
   obs::tracer tracer;
   if (!opt.metrics_path.empty()) cfg.tracer = &tracer;
   obs::progress_meter progress("simulate", 1, opt.progress);
@@ -1124,8 +741,8 @@ int cmd_simulate(const options& opt) {
 }
 
 int cmd_capture(const options& opt) {
-  reject_obs_flags(opt, "capture");
-  const sim::sim_config cfg = simulate_config(opt);
+  reject_obs_flags(opt);
+  const sim::sim_config cfg = single_run_config(opt);
   const sim::sim_trace trace = sim::capture_trace(cfg);
   if (opt.out_path.empty()) {
     sim::write_trace(trace, std::cout);
@@ -1149,13 +766,7 @@ int cmd_capture(const options& opt) {
 int cmd_replay(const options& opt) {
   // Replay's run (session and fault plan included) is defined entirely by
   // the trace.
-  reject_session_flags(opt, "replay");
-  reject_fault_flags(opt, "replay");
-  reject_plan_flags(opt, "replay");
-  reject_obs_flags(opt, "replay");
-  if (!opt.routing_list.empty())
-    usage("--routing does not apply to 'replay' (the trace defines the "
-          "run's routing)");
+  require_only_axes(opt, {});
   if (opt.in_path.empty()) usage("replay requires --in <trace file>");
   std::ifstream in(opt.in_path, std::ios::binary);
   if (!in.good()) usage("cannot open --in file");
@@ -1163,111 +774,6 @@ int cmd_replay(const options& opt) {
   const auto r = sim::replay_trace(trace);
   print_sim_report(trace.config, r);
   return 0;
-}
-
-/// Builds and validates the scenario grid shared by 'campaign' (which runs
-/// it, whole or as one shard) and 'merge' (which must reconstruct the
-/// IDENTICAL grid — same flags, same validation — to recompute the scope
-/// fingerprint the shard journals are checked against).
-sim::campaign_grid build_campaign_grid(const options& opt,
-                                       const char* command) {
-  if (opt.sender_law_set)
-    usage("--sender-law only applies to the 'attack' command (simulator "
-          "senders are the N nodes, drawn uniformly)");
-  if (opt.receiver_law_set && opt.population_list.empty() &&
-      opt.rounds_list.empty())
-    usage((std::string("--receiver-law on '") + command +
-           "' needs session axes (--population/--rounds); it is the "
-           "session destination law")
-              .c_str());
-  if (opt.workload_flag_set)
-    usage("--users/--pairs/--round-size/--send-rate/--every configure the "
-          "'attack' workload; campaign sessions batch --messages into "
-          "--rounds");
-  reject_plan_flags(opt, command);
-  // Session axes must be swept together: a --population axis with no
-  // --rounds axis (or vice versa) would make every session cell incoherent
-  // and silently filter the sweep the user asked for down to its
-  // session-less cells.
-  const auto has_nonzero = [](const std::vector<std::uint32_t>& v) {
-    for (std::uint32_t x : v)
-      if (x != 0) return true;
-    return false;
-  };
-  const bool wants_population = has_nonzero(opt.population_list);
-  const bool wants_rounds = has_nonzero(opt.rounds_list);
-  if (wants_population != wants_rounds)
-    usage("session axes come in pairs: sweep --population and --rounds "
-          "together (zeros in either list mean 'session off' cells)");
-  const bool wants_attack = [&opt] {
-    for (attack::attack_kind k : opt.attack_list)
-      if (k != attack::attack_kind::none) return true;
-    return false;
-  }();
-  if (wants_attack && !wants_rounds)
-    usage("--attack on 'campaign' needs the session axes "
-          "(--population/--rounds)");
-  // A sketch backend only pairs with sda cells; demanding the sda axis up
-  // front beats silently filtering every sketch cell out as infeasible.
-  const bool wants_sketch = [&opt] {
-    for (workload::stream_backend s : opt.stream_list)
-      if (s != workload::stream_backend::exact) return true;
-    return false;
-  }();
-  if (wants_sketch) {
-    bool has_sda = false;
-    for (attack::attack_kind k : opt.attack_list)
-      if (k == attack::attack_kind::sda) has_sda = true;
-    if (!has_sda)
-      usage("--stream sketch on 'campaign' needs sda on the --attack axis "
-            "(the sketch backend exists for the counting attack only)");
-  }
-  sim::campaign_grid grid;
-  if (!opt.n_list.empty()) grid.node_counts = opt.n_list;
-  if (!opt.c_list.empty()) grid.compromised_counts = opt.c_list;
-  if (!opt.dist_list.empty()) grid.lengths = opt.dist_list;
-  if (!opt.mode_list.empty()) grid.modes = opt.mode_list;
-  if (!opt.drop_list.empty()) grid.drop_probabilities = opt.drop_list;
-  if (!opt.rate_list.empty()) grid.arrival_rates = opt.rate_list;
-  if (!opt.adversary_list.empty()) grid.adversaries = opt.adversary_list;
-  if (!opt.topology_list.empty()) grid.topologies = opt.topology_list;
-  if (!opt.routing_list.empty()) grid.routings = opt.routing_list;
-  if (!opt.churn_list.empty()) grid.churns = opt.churn_list;
-  if (!opt.mixfail_list.empty()) grid.mix_failures = opt.mixfail_list;
-  if (!opt.retry_list.empty()) grid.retries = opt.retry_list;
-  grid.fault_outages = opt.crash_list;
-  if (!opt.population_list.empty()) grid.populations = opt.population_list;
-  if (!opt.rounds_list.empty()) grid.session_rounds = opt.rounds_list;
-  if (!opt.attack_list.empty()) grid.attacks = opt.attack_list;
-  if (!opt.stream_list.empty()) grid.streams = opt.stream_list;
-  grid.session_receiver_law = opt.receiver_law;
-  grid.message_count = opt.messages_set ? opt.messages : 500;
-  grid.identified_threshold = opt.threshold;
-  // Out-of-range axis values are a hard error at parse time, not a silent
-  // feasibility filter: a sweep must never quietly shrink.
-  for (double d : grid.drop_probabilities)
-    if (!(d >= 0.0 && d < 1.0)) usage("--drop values must be in [0, 1)");
-  for (double r : grid.arrival_rates)
-    if (!(r > 0.0)) usage("--rate values must be > 0");
-  for (std::uint32_t p : grid.populations)
-    if (p == 1)
-      usage("--population values must be 0 (session off) or >= 2");
-  for (std::uint32_t r : grid.session_rounds)
-    if (r > grid.message_count)
-      usage("--rounds values must be <= --messages (at least one message "
-            "per mix round)");
-
-  // Surface an empty grid as a usage error here; run_campaign's internal
-  // precondition is not a user-facing message. The usual cause is a
-  // --topology whose parameters fit none of the --n values (or a
-  // timing-adversary x restricted-topology product).
-  if (sim::expand_grid(grid).empty())
-    usage("campaign grid has no feasible cells (check --topology/--churn "
-          "parameters against --n, --adversary timing with restricted "
-          "topologies or --routing kpaths, --routing kpaths with crowds "
-          "mode, and --population/--rounds/--attack coherence: both "
-          "axes on or both off, rounds <= messages, onion mode)");
-  return grid;
 }
 
 /// Execution config shared by 'campaign' and 'merge'; every field below is
@@ -1288,10 +794,12 @@ int cmd_campaign(const options& opt) {
   if (!opt.input_paths.empty())
     usage("--input belongs to 'merge'; 'campaign' writes one journal via "
           "--checkpoint");
-  const sim::campaign_grid grid = build_campaign_grid(opt, "campaign");
+  const sim::campaign_grid grid =
+      build_campaign_grid(opt, path_length_distribution::fixed(3), 500);
   sim::campaign_config cfg = build_campaign_config(opt);
   if (opt.resume && opt.checkpoint_path.empty())
     usage("--resume requires --checkpoint <file>");
+  const std::uint64_t grid_cells = sim::expand_grid(grid).size();
   if (opt.shard_set) {
     // The journal is a shard's only durable output (its CSV covers just
     // its own cells); running one without a checkpoint would leave
@@ -1301,8 +809,7 @@ int cmd_campaign(const options& opt) {
             "what 'merge' combines)");
     cfg.shard_index = opt.shard_index;
     cfg.shard_count = opt.shard_count;
-    const std::uint64_t cells = sim::expand_grid(grid).size();
-    if (opt.shard_count > cells)
+    if (opt.shard_count > grid_cells)
       usage("--shard count exceeds the grid's feasible cell count (some "
             "shards would own zero cells)");
   }
@@ -1313,12 +820,10 @@ int cmd_campaign(const options& opt) {
   // function of the grid and the shard split.
   obs::metrics_registry registry;
   if (!opt.metrics_path.empty()) cfg.metrics = &registry;
-  const std::uint64_t grid_cells = sim::expand_grid(grid).size();
-  std::uint64_t local_cells = 0;
-  for (std::uint64_t a = cfg.shard_index; a < grid_cells;
-       a += cfg.shard_count)
-    ++local_cells;
-  obs::progress_meter progress("campaign cells", local_cells, opt.progress);
+  obs::progress_meter progress(
+      "campaign cells",
+      sim::shard_cell_count(grid_cells, cfg.shard_index, cfg.shard_count),
+      opt.progress);
   if (opt.progress) cfg.progress = &progress;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -1372,7 +877,8 @@ int cmd_merge(const options& opt) {
   // The grid/config flags must repeat the sharded runs' flags exactly:
   // the scope fingerprint recomputed here is what authenticates the
   // shard journals as belonging to this campaign.
-  const sim::campaign_grid grid = build_campaign_grid(opt, "merge");
+  const sim::campaign_grid grid =
+      build_campaign_grid(opt, path_length_distribution::fixed(3), 500);
   const sim::campaign_config cfg = build_campaign_config(opt);
   obs::progress_meter progress("merge shards", opt.input_paths.size(),
                                opt.progress);
@@ -1423,38 +929,23 @@ int cmd_merge(const options& opt) {
 }
 
 int cmd_attack(const options& opt) {
-  reject_topology_flags(opt, "attack");
-  reject_fault_flags(opt, "attack");
-  reject_plan_flags(opt, "attack");
-  // Axes are a campaign concept; here every flag is a single scalar, and a
-  // comma list would otherwise run only its first value — a silent drop.
-  if (opt.attack_list.size() > 1 || opt.population_list.size() > 1 ||
-      opt.rounds_list.size() > 1 || opt.stream_list.size() > 1)
-    usage("'attack' takes single values for "
-          "--attack/--population/--rounds/--stream (comma-list axes belong "
-          "to 'campaign')");
+  require_axes_read(opt, {"--attack", "--population", "--rounds", "--stream"});
+  reject_fault_flags(opt);
+  reject_plan_flags(opt);
   // Simulator-only flags have no meaning on the pure workload path; run
   // the attack through 'simulate'/'campaign' sessions to combine them.
-  if (!opt.drop_list.empty() || opt.messages_set || !opt.dist_list.empty() ||
-      !opt.adversary_list.empty() || !opt.mode_list.empty() ||
-      !opt.rate_list.empty() || opt.via_trace || opt.replicas_set)
-    usage("--drop/--messages/--dist/--adversary/--mode/--rate/--via-trace/"
-          "--replicas do not apply to 'attack'; use simulate/campaign "
-          "session mode to combine the rerouting simulator with a "
-          "longitudinal attack");
-  if (!opt.n_list.empty() || !opt.c_list.empty())
-    usage("--n/--c do not apply to 'attack' (no rerouting network here); "
-          "the workload population is --users/--population");
-  if (opt.attack_list.empty() ||
-      opt.attack_list.front() == attack::attack_kind::none)
+  if (opt.messages_set || opt.via_trace || opt.replicas_set)
+    usage("--messages/--via-trace/--replicas do not apply to 'attack'; use "
+          "simulate/campaign session mode to combine the rerouting "
+          "simulator with a longitudinal attack");
+  const attack::attack_kind kind = opt.grid.attacks.front();
+  if (kind == attack::attack_kind::none)
     usage("attack requires --attack intersection|sda|bayes");
-  const attack::attack_kind kind = opt.attack_list.front();
   // --stream asks for the online conformance report (exact: the
   // online==offline identity; sketch: the sketched engine plus its bound
   // and memory cross-checks), which only the counting attack defines.
-  const bool stream_set = !opt.stream_list.empty();
-  const workload::stream_backend stream =
-      stream_set ? opt.stream_list.front() : workload::stream_backend::exact;
+  const bool stream_set = opt.given("--stream");
+  const workload::stream_backend stream = opt.grid.streams.front();
   if (stream_set && kind != attack::attack_kind::sda)
     usage("--stream on 'attack' requires --attack sda (the accumulator "
           "backends exist for the counting attack)");
@@ -1465,8 +956,9 @@ int cmd_attack(const options& opt) {
   // Defaulting happens only when the flag is absent; an explicit
   // --population 0 is out of range and exits loudly below.
   cfg.receiver_count =
-      opt.population_list.empty() ? opt.users : opt.population_list.front();
-  cfg.round_count = opt.rounds_list.empty() ? 200 : opt.rounds_list.front();
+      opt.given("--population") ? opt.grid.populations.front() : opt.users;
+  cfg.round_count =
+      opt.given("--rounds") ? opt.grid.session_rounds.front() : 200;
   cfg.persistent_pairs = opt.pairs;
   cfg.persistent_rate = opt.send_rate;
   cfg.round_size = opt.round_size;
@@ -1707,17 +1199,14 @@ int cmd_attack(const options& opt) {
 /// This is the CI smoke for million-node CSR construction and route
 /// planning; all timings go to stdout so regressions are visible in logs.
 int cmd_plan(const options& opt) {
-  reject_session_flags(opt, "plan");
-  reject_fault_flags(opt, "plan");
-  if (!opt.churn_list.empty() && opt.churn_list.front().enabled())
-    usage("--churn does not apply to 'plan' (static graph diagnostics)");
-  if (opt.routing_list.size() > 1)
-    usage("'plan' takes a single --routing value");
-  if (opt.n < 2) usage("plan needs --n >= 2");
-  if (opt.plan_source >= opt.n) usage("--source out of range for --n");
-  net::topology_config topo_cfg;
-  if (!opt.topology_list.empty()) topo_cfg = opt.topology_list.front();
-  if (!topo_cfg.valid_for(opt.n))
+  require_axes_read(opt, {"--n", "--topology", "--routing"});
+  reject_workload_flags(opt);
+  reject_fault_flags(opt);
+  const std::uint32_t n = opt.grid.node_counts.front();
+  if (n < 2) usage("plan needs --n >= 2");
+  if (opt.plan_source >= n) usage("--source out of range for --n");
+  const net::topology_config& topo_cfg = opt.grid.topologies.front();
+  if (!topo_cfg.valid_for(n))
     usage("--topology parameters out of range for --n");
   // Planning work counters are pure functions of the graph and the query
   // sequence, so they land in the snapshot as stable metrics.
@@ -1732,11 +1221,11 @@ int cmd_plan(const options& opt) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const net::topology topo = opt.plan_csr
-                                 ? net::topology::make_csr(opt.n, topo_cfg)
-                                 : net::topology::make(opt.n, topo_cfg);
+                                 ? net::topology::make_csr(n, topo_cfg)
+                                 : net::topology::make(n, topo_cfg);
   const auto t1 = std::chrono::steady_clock::now();
   std::printf("built %s: N=%u, %llu edges, %s storage, %.3f s\n",
-              topo_cfg.label().c_str(), opt.n,
+              topo_cfg.label().c_str(), n,
               static_cast<unsigned long long>(topo.edge_count()),
               opt.plan_csr ? "csr" : "adjacency", elapsed(t0, t1));
 
@@ -1774,7 +1263,7 @@ int cmd_plan(const options& opt) {
   std::uint64_t hop_total = 0;
   progress.advance(0);
   for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
-    auto target = static_cast<node_id>(gen.next_below(opt.n - 1));
+    auto target = static_cast<node_id>(gen.next_below(n - 1));
     if (target >= opt.plan_source) ++target;
     for (node_id v = target;
          v != opt.plan_source && v != net::no_vertex; v = tree.parent[v])
@@ -1787,12 +1276,12 @@ int cmd_plan(const options& opt) {
                   static_cast<double>(opt.plan_routes),
               elapsed(t4, t5));
 
-  if (!opt.routing_list.empty() && opt.routing_list.front().planned()) {
-    net::route_planner planner(topo, opt.routing_list.front());
+  if (opt.grid.routings.front().planned()) {
+    net::route_planner planner(topo, opt.grid.routings.front());
     const auto t6 = std::chrono::steady_clock::now();
     std::uint64_t planned_hops = 0;
     for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
-      const auto sender = static_cast<node_id>(gen.next_below(opt.n));
+      const auto sender = static_cast<node_id>(gen.next_below(n));
       const route r = sample_planned_route(planner, sender, gen);
       planned_hops += r.hops.size();
     }
@@ -1819,12 +1308,8 @@ int cmd_plan(const options& opt) {
 }
 
 int cmd_figures(const options& opt) {
-  reject_topology_flags(opt, "figures");
-  reject_session_flags(opt, "figures");
-  reject_fault_flags(opt, "figures");
-  reject_plan_flags(opt, "figures");
-  reject_obs_flags(opt, "figures");
-  const system_params sys{opt.n, 1};
+  require_only_axes(opt, {"--n"});
+  const system_params sys{opt.grid.node_counts.front(), 1};
   repro::print_figure(repro::fig3a(sys), std::cout);
   repro::print_figure(repro::fig3b(sys), std::cout);
   for (char p : {'a', 'b', 'c', 'd'}) {
@@ -1832,7 +1317,7 @@ int cmd_figures(const options& opt) {
     repro::print_figure(repro::fig5(sys, p), std::cout);
   }
   const auto fig6_span =
-      std::min<path_length>(50, static_cast<path_length>(opt.n - 1));
+      std::min<path_length>(50, static_cast<path_length>(sys.node_count - 1));
   repro::print_figure(repro::fig6(sys, fig6_span), std::cout);
   return 0;
 }
