@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/anonymity/analytic.hpp"
 #include "src/anonymity/posterior.hpp"
@@ -57,6 +58,11 @@ struct dist_case {
   const char* name;
   path_length_distribution (*make)();
 };
+
+// Print a case by its name. Without this gtest dumps the struct's bytes,
+// which hold code and string addresses, so the names that test discovery
+// records would change with every build.
+void PrintTo(const dist_case& c, std::ostream* os) { *os << c.name; }
 
 class AnalyticVsBruteForce : public ::testing::TestWithParam<dist_case> {};
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "src/anonymity/api.hpp"
 #include "src/stats/rng.hpp"
@@ -150,6 +151,12 @@ struct mc_grid_case {
   const char* label;
   path_length_distribution (*make)(std::uint32_t n);
 };
+
+// Print a case by its label and size, not as a byte dump of its pointers,
+// so the test names recorded by discovery are the same on every build.
+void PrintTo(const mc_grid_case& c, std::ostream* os) {
+  *os << c.label << " N=" << c.n;
+}
 
 class McAnalyticGrid : public ::testing::TestWithParam<mc_grid_case> {};
 
