@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 namespace anonpath {
@@ -9,6 +10,21 @@ namespace anonpath {
 /// vector need not be normalized — it is normalized internally so callers
 /// can pass unnormalized posterior weights.
 [[nodiscard]] double entropy_bits(std::span<const double> probabilities);
+
+/// entropy_bits plus the position of the first maximal entry (0 for an
+/// empty or all-zero vector), as std::max_element would report it.
+struct entropy_summary {
+  double bits = 0.0;
+  std::size_t argmax = 0;
+};
+
+/// Computes entropy_summary in one dense pass (the zero-skipping total, the
+/// argmax and the nonzero positions) plus a log pass over the nonzero
+/// positions only, so a sparse posterior over a large population costs one
+/// dense read. Same precondition as entropy_bits, checked on every nonzero
+/// entry (a NaN or negative entry fails it).
+[[nodiscard]] entropy_summary summarize_entropy(
+    std::span<const double> probabilities);
 
 /// Entropy in bits of the "one special candidate vs k exchangeable others"
 /// posterior that every adversary event class of the C=1 analysis reduces

@@ -59,11 +59,10 @@ trajectory_point summarize_posterior(const std::vector<double>& posterior,
   ANONPATH_EXPECTS(!posterior.empty());
   trajectory_point pt;
   pt.round = round;
-  pt.entropy_bits = entropy_bits(posterior);
-  const auto top =
-      std::max_element(posterior.begin(), posterior.end()) - posterior.begin();
-  pt.top_receiver = static_cast<node_id>(top);
-  pt.top_mass = posterior[static_cast<std::size_t>(top)];
+  const entropy_summary s = summarize_entropy(posterior);
+  pt.entropy_bits = s.bits;
+  pt.top_receiver = static_cast<node_id>(s.argmax);
+  pt.top_mass = posterior[s.argmax];
   pt.identified = pt.top_mass > identified_threshold;
   return pt;
 }

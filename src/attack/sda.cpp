@@ -1,8 +1,10 @@
 #include "src/attack/sda.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
+#include "src/stats/bitmap.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 #include "src/stats/kahan.hpp"
@@ -12,7 +14,8 @@ namespace anonpath::attack {
 sda_attack::sda_attack(std::uint32_t receiver_count)
     : disclosure_attack(receiver_count),
       target_counts_(receiver_count, 0),
-      background_counts_(receiver_count, 0) {}
+      background_counts_(receiver_count, 0),
+      support_((receiver_count + 63) / 64, 0) {}
 
 void sda_attack::observe_round(const round_observation& round) {
   // Zero deliveries is loss, not evidence (family-wide rule, see
@@ -25,6 +28,7 @@ void sda_attack::observe_round(const round_observation& round) {
     ++counts[v];
   }
   if (round.target_present) {
+    for (node_id v : round.receivers) stats::set_bit(support_, v);
     ++target_rounds_;
     target_messages_ += round.receivers.size();
   } else {
@@ -33,22 +37,25 @@ void sda_attack::observe_round(const round_observation& round) {
   }
 }
 
+double sda_attack::signal_at(std::uint32_t r, double mbar) const {
+  const double p_target = static_cast<double>(target_counts_[r]) /
+                          static_cast<double>(target_messages_);
+  // No background rounds yet: fall back to the uniform prior for q̂ (the
+  // subtraction then just recenters; evidence still ranks receivers).
+  const double q = background_messages_ > 0
+                       ? static_cast<double>(background_counts_[r]) /
+                             static_cast<double>(background_messages_)
+                       : 1.0 / static_cast<double>(receiver_count_);
+  return mbar * p_target - (mbar - 1.0) * q;
+}
+
 std::vector<double> sda_attack::signal() const {
   std::vector<double> out(receiver_count_, 0.0);
   if (target_messages_ == 0) return out;
   const double mbar = static_cast<double>(target_messages_) /
                       static_cast<double>(target_rounds_);
-  for (std::uint32_t r = 0; r < receiver_count_; ++r) {
-    const double p_target = static_cast<double>(target_counts_[r]) /
-                            static_cast<double>(target_messages_);
-    // No background rounds yet: fall back to the uniform prior for q̂ (the
-    // subtraction then just recenters; evidence still ranks receivers).
-    const double q = background_messages_ > 0
-                         ? static_cast<double>(background_counts_[r]) /
-                               static_cast<double>(background_messages_)
-                         : 1.0 / static_cast<double>(receiver_count_);
-    out[r] = mbar * p_target - (mbar - 1.0) * q;
-  }
+  for (std::uint32_t r = 0; r < receiver_count_; ++r)
+    out[r] = signal_at(r, mbar);
   return out;
 }
 
@@ -77,18 +84,28 @@ std::vector<double> sda_attack::confidence() const {
 }
 
 std::vector<double> sda_attack::posterior() const {
-  std::vector<double> post = signal();
+  // Off the support the clamped signal is exactly +0.0, and adding +0.0 to
+  // the compensated sum is a no-op, so scoring the support alone (in
+  // ascending order, like the dense loop) gives the same bits.
+  std::vector<double> post(receiver_count_, 0.0);
   stats::kahan_sum z;
-  for (double& p : post) {
-    if (p < 0.0) p = 0.0;
-    z.add(p);
+  if (target_messages_ > 0) {
+    const double mbar = static_cast<double>(target_messages_) /
+                        static_cast<double>(target_rounds_);
+    stats::for_each_set_bit(support_, [&](std::size_t r) {
+      const double p =
+          std::max(signal_at(static_cast<std::uint32_t>(r), mbar), 0.0);
+      post[r] = p;
+      z.add(p);
+    });
   }
-  if (target_messages_ == 0 || z.value() <= 0.0) {
-    const double u = 1.0 / static_cast<double>(receiver_count_);
-    for (double& p : post) p = u;
+  if (z.value() <= 0.0) {
+    std::fill(post.begin(), post.end(),
+              1.0 / static_cast<double>(receiver_count_));
     return post;
   }
-  for (double& p : post) p /= z.value();
+  stats::for_each_set_bit(support_,
+                          [&](std::size_t r) { post[r] /= z.value(); });
   return post;
 }
 
@@ -146,6 +163,11 @@ sda_attack sda_attack::from_counts(const workload::cooccurrence_result& totals,
     reject_counts(parse_error_kind::mismatch,
                   std::to_string(pc.target_messages) +
                       " target messages with zero target rounds");
+  if (pc.target_messages < pc.target_rounds)
+    reject_counts(parse_error_kind::mismatch,
+                  std::to_string(pc.target_messages) +
+                      " target messages in " +
+                      std::to_string(pc.target_rounds) + " target rounds");
   sda_attack out(receiver_count);
   // Background is the exact complement of the target rounds within the
   // global accumulation: one linear pass over both ascending sparse rows,
@@ -163,6 +185,7 @@ sda_attack sda_attack::from_counts(const workload::cooccurrence_result& totals,
                         " for receiver " + std::to_string(r));
     out.target_counts_[r] = tc;
     out.background_counts_[r] = c - tc;
+    if (tc > 0) stats::set_bit(out.support_, r);
   }
   if (t != t_end)
     reject_counts(parse_error_kind::mismatch,

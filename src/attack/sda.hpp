@@ -25,7 +25,10 @@ class sda_attack final : public disclosure_attack {
   void observe_round(const round_observation& round) override;
 
   /// Normalized positive part of signal(); uniform while no target round
-  /// (or no positive signal) has been seen.
+  /// (or no positive signal) has been seen. Costs one dense zero-fill, a
+  /// scan of the N/64-word support bitmap and O(support) arithmetic: only
+  /// receivers with a nonzero target count can carry mass, since every
+  /// other receiver's signal is -(m̄−1)·q̂ <= 0 (m̄ >= 1).
   [[nodiscard]] std::vector<double> posterior() const override;
 
   [[nodiscard]] attack_kind kind() const noexcept override {
@@ -48,7 +51,8 @@ class sda_attack final : public disclosure_attack {
 
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
     return sizeof(*this) + (target_counts_.capacity() +
-                            background_counts_.capacity()) *
+                            background_counts_.capacity() +
+                            support_.capacity()) *
                                sizeof(std::uint64_t);
   }
 
@@ -59,7 +63,9 @@ class sda_attack final : public disclosure_attack {
   /// untrusted (merged / replayed / deserialized counts): rows out of the
   /// declared receiver population, non-ascending rows, target counts
   /// exceeding their global complement, target rounds/messages exceeding
-  /// the totals, and target messages with zero target rounds all throw
+  /// the totals, target messages with zero target rounds, and fewer target
+  /// messages than target rounds (each target round carries the target's
+  /// own message, so m̄ >= 1) all throw
   /// parse_error (source "cooccurrence") instead of underflowing or
   /// dividing by zero downstream. Precondition (trusted caller input):
   /// pair_index < totals.per_pair.size().
@@ -68,8 +74,12 @@ class sda_attack final : public disclosure_attack {
       std::uint32_t receiver_count);
 
  private:
+  /// signal()'s entry for receiver r. Precondition: target_messages_ > 0.
+  [[nodiscard]] double signal_at(std::uint32_t r, double mbar) const;
+
   std::vector<std::uint64_t> target_counts_;      // per receiver, target rounds
   std::vector<std::uint64_t> background_counts_;  // per receiver, other rounds
+  std::vector<std::uint64_t> support_;  // bitmap: target_counts_[r] > 0
   std::uint64_t target_rounds_ = 0;
   std::uint64_t target_messages_ = 0;
   std::uint64_t background_rounds_ = 0;

@@ -41,14 +41,17 @@ void sketch_sda_attack::observe_round(const round_observation& round) {
 
 std::vector<double> sketch_sda_attack::posterior() const {
   // Candidate-restricted sda_attack::signal(), then the exact engine's
-  // normalization loop over the full population (zeros where no candidate)
-  // so collision-free instances reproduce sda_attack bit-for-bit.
+  // normalization over the same ascending support (every non-candidate is
+  // +0.0, a no-op in the compensated sum), so collision-free instances
+  // reproduce sda_attack bit-for-bit.
   std::vector<double> post(receiver_count_, 0.0);
-  const std::uint64_t bm = total_messages_ - target_messages_;
+  const std::vector<std::uint64_t> keys = candidates_.keys();
+  stats::kahan_sum z;
   if (target_messages_ > 0) {
+    const std::uint64_t bm = total_messages_ - target_messages_;
     const double mbar = static_cast<double>(target_messages_) /
                         static_cast<double>(target_rounds_);
-    for (std::uint64_t key : candidates_.keys()) {
+    for (std::uint64_t key : keys) {
       const node_id v = static_cast<node_id>(key);
       const std::uint64_t tc = target_.estimate(v);
       const std::uint64_t gc = global_.estimate(v);
@@ -62,20 +65,17 @@ std::vector<double> sketch_sda_attack::posterior() const {
       const double q = bm > 0 ? static_cast<double>(bc) /
                                     static_cast<double>(bm)
                               : 1.0 / static_cast<double>(receiver_count_);
-      post[v] = mbar * p_target - (mbar - 1.0) * q;
+      const double p = std::max(mbar * p_target - (mbar - 1.0) * q, 0.0);
+      post[v] = p;
+      z.add(p);
     }
   }
-  stats::kahan_sum z;
-  for (double& p : post) {
-    if (p < 0.0) p = 0.0;
-    z.add(p);
-  }
-  if (target_messages_ == 0 || z.value() <= 0.0) {
-    const double u = 1.0 / static_cast<double>(receiver_count_);
-    for (double& p : post) p = u;
+  if (z.value() <= 0.0) {
+    std::fill(post.begin(), post.end(),
+              1.0 / static_cast<double>(receiver_count_));
     return post;
   }
-  for (double& p : post) p /= z.value();
+  for (std::uint64_t key : keys) post[static_cast<node_id>(key)] /= z.value();
   return post;
 }
 

@@ -123,13 +123,23 @@ scenario grid_cell(const campaign_grid& grid, std::uint64_t index) {
   return s;
 }
 
+const char* system_infeasible_reason(const system_params& sys,
+                                     const path_length_distribution& lengths) {
+  if (!sys.valid()) return "--c must be at most --n, and --n at least 2";
+  if (lengths.max_length() > sys.node_count - 1)
+    return "--dist lengths must fit a simple path (at most --n minus 1)";
+  return nullptr;
+}
+
 const char* infeasible_reason(const campaign_grid& grid, const scenario& s) {
   const std::uint32_t n = s.node_count;
+  // A simulated run needs an honest sender, so C < N here.
   if (!system_params{n, s.compromised_count}.valid() ||
       s.compromised_count >= n)
     return "--c must be below --n, and --n at least 2";
-  if (s.lengths.max_length() > n - 1)
-    return "--dist lengths must fit a simple path (at most --n minus 1)";
+  if (const char* why =
+          system_infeasible_reason({n, s.compromised_count}, s.lengths))
+    return why;
   if (grid.message_count == 0) return "--messages must be > 0";
   if (!s.adversary.valid()) return "--adversary coverage out of range";
   if (!s.topology.valid_for(n))

@@ -20,11 +20,12 @@ namespace anonpath::sim {
 ///   anonpath-checkpoint v1
 ///   scope <16-hex fingerprint>
 ///   [shard <i> <n>]
-///   cell <index> <replicas> <submitted> <delivered> \
-///        {<count> <mean> <m2> <min> <max>} x10 <errflag> [error text]
+///   cell <index> <replicas> <submitted> <delivered> <summary> x10
+///        <errflag> [error text]
 ///   ...
 ///
-/// One record per line. An unsharded journal has no shard line and its
+/// where <summary> is `<count> <mean> <m2> <min> <max>`. One record per
+/// line (the cell record is wrapped above only for width). An unsharded journal has no shard line and its
 /// indices run strictly 0,1,2,... (a strict prefix of the grid's cell
 /// list — the writer flushes cells only in order). A shard i of n journals
 /// exactly the cells whose absolute grid index is congruent to i mod n, in

@@ -73,13 +73,16 @@ std::string cli_stdout(const std::string& args, int* exit_code) {
   return text.str();
 }
 
-/// Every case must be a usage error: exit status 2 and a diagnostic.
+/// Every case must be a usage error: exit status 2 and a diagnostic in
+/// user terms, never an internal precondition message.
 void expect_usage_errors(const std::vector<std::string>& cases) {
   for (const std::string& args : cases) {
     const run_result r = run_cli(args);
     EXPECT_EQ(r.exit_code, 2) << "anonpath " << args << "\n" << r.stderr_text;
     EXPECT_FALSE(r.stderr_text.empty())
         << "no stderr diagnostic: anonpath " << args;
+    EXPECT_EQ(r.stderr_text.find("precondition failed"), std::string::npos)
+        << "anonpath " << args << "\n" << r.stderr_text;
   }
 }
 
@@ -240,6 +243,65 @@ TEST_F(CliParse, CampaignAxisSmokesAreThreadAndTraceInvariant) {
     EXPECT_NE(ref.find(c.column), std::string::npos) << ref;
     EXPECT_EQ(ref, var) << c.variant;
   }
+}
+
+TEST_F(CliParse, ScalarCommandsCheckCrossFieldRules) {
+  // Each flag parses on its own; together they break an engine
+  // precondition, which must surface as a usage error before the engine
+  // runs.
+  expect_usage_errors({
+      "degree --n 3",               // default F:3 cannot fit N = 3
+      "degree --n 4 --dist F:2",    // the closed form needs N >= 5
+      "degree --n 50 --dist F:50",  // longer than a simple path
+      "estimate --n 5 --c 4",       // default U:1,10 cannot fit N = 5
+      "estimate --n 5 --c 6 --dist F:2 --samples 100",  // C > N
+      "estimate --n 8 --c 2 --dist U:1,8 --samples 100",
+      "optimize --n 3 --mean 2",    // closed form again
+      "optimize --n 5 --mean 10",   // no strategy on N = 5 has E[L] = 10
+      "optimize --n 50 --mean -1",
+      "figures --n 3",
+  });
+  // C == N is a legitimate (zero-anonymity) estimate, not misuse.
+  EXPECT_EQ(run_cli("estimate --n 5 --c 5 --dist F:2 --samples 100").exit_code,
+            0);
+}
+
+/// The decimal number that follows `label` in `text` (0 when absent).
+unsigned long long number_after(const std::string& text,
+                                const std::string& label) {
+  const std::size_t at = text.find(label);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + at + label.size(), nullptr, 10);
+}
+
+TEST_F(CliParse, StreamingInferenceAtPopulationScale) {
+  // Online sketch-backed disclosure at 1e6 users: the sharded accumulators
+  // (exact and sketch) must agree with round-by-round online ingestion bit
+  // for bit, the count-min bound must hold with no undercounts, and the
+  // sketch engine must be strictly smaller than the exact accumulator
+  // (memory sublinear in the population).
+  const run_result r =
+      run_cli("attack --users 1000000 --rounds 3000 --round-size 8 "
+              "--attack sda --seed 42 --threads 8 --stream sketch "
+              "--every 500");
+  ASSERT_EQ(r.exit_code, 0) << r.stderr_text;
+  for (const char* line :
+       {"accumulator cross-check (8 threads over 3000 rounds): identical",
+        "online==offline: final posterior bit-identical", "no undercounts",
+        "matches exact"})
+    EXPECT_NE(r.stderr_text.find(line), std::string::npos)
+        << "missing '" << line << "' in\n" << r.stderr_text;
+  const unsigned long long sketch =
+      number_after(r.stderr_text, "# memory: sketch engine ");
+  const unsigned long long exact =
+      number_after(r.stderr_text, " exact accumulator ");
+  EXPECT_GT(sketch, 0u) << r.stderr_text;
+  EXPECT_LT(sketch, exact) << r.stderr_text;
+  // A sketch backend without the sda attack is refused loudly.
+  EXPECT_NE(run_cli("attack --users 1000 --rounds 50 --attack bayes "
+                    "--stream sketch")
+                .exit_code,
+            0);
 }
 
 TEST_F(CliParse, ZeroWhereItIsMeaningless) {

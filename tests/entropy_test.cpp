@@ -41,6 +41,21 @@ TEST(Entropy, NegativeEntryRejected) {
   EXPECT_THROW((void)entropy_bits(p), contract_violation);
 }
 
+TEST(Entropy, NanOrNegativeAmongZerosRejected) {
+  // The dense pass skips zeros; every nonzero entry is still checked.
+  for (const double bad : {-0.25, std::nan("")}) {
+    std::vector<double> p(200, 0.0);
+    p[3] = 0.5;
+    p[150] = bad;
+    EXPECT_THROW((void)entropy_bits(p), contract_violation) << bad;
+    EXPECT_THROW((void)summarize_entropy(p), contract_violation) << bad;
+    p[3] = 0.0;  // the bad entry alone among zeros
+    EXPECT_THROW((void)entropy_bits(p), contract_violation) << bad;
+  }
+  // Negative zero is zero, not a negative entry.
+  EXPECT_EQ(entropy_bits(std::vector<double>{-0.0, 1.0, 0.0}), 0.0);
+}
+
 TEST(Entropy, MaximizedByUniform) {
   // Any perturbation away from uniform strictly lowers entropy.
   const std::vector<double> uniform(10, 0.1);

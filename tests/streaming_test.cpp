@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/attack/disclosure.hpp"
@@ -17,6 +19,8 @@
 #include "src/attack/sketch_sda.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
+#include "src/stats/kahan.hpp"
+#include "src/anonymity/entropy.hpp"
 #include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 #include "src/workload/sketch.hpp"
@@ -444,6 +448,10 @@ TEST(SdaFromCounts, RejectsCorruptTotalsWithTheParseTaxonomy) {
   expect_rejects(t, parse_error_kind::mismatch, "messages with zero rounds");
 
   t = valid_counts();
+  t.per_pair[0].target_messages = 3;  // m-bar = 3/4 < 1
+  expect_rejects(t, parse_error_kind::mismatch, "messages < rounds");
+
+  t = valid_counts();
   t.per_pair[0].target_receiver_counts[1].second = 13;  // 13 > global 12
   expect_rejects(t, parse_error_kind::mismatch, "target count > global");
 
@@ -476,6 +484,327 @@ TEST(SdaAttack, ConfidenceIsFiniteUnderDegenerateBackground) {
     EXPECT_TRUE(std::isfinite(v)) << "confidence must never be NaN/inf";
   EXPECT_EQ(z[0], 0.0) << "certain-null receiver carries no surprise";
   EXPECT_GT(z[1], 0.0) << "the actual target receiver stays positive";
+}
+
+// --- Sparse SDA scoring against the dense loops it replaced ---------------
+
+/// Element-wise `==` and bit-pattern equality (`==` alone accepts -0.0 for
+/// +0.0).
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] == want[i] && std::bit_cast<std::uint64_t>(got[i]) ==
+                                 std::bit_cast<std::uint64_t>(want[i]))
+      continue;
+    if (++bad <= 5)
+      ADD_FAILURE() << what << ": entry " << i << " is " << got[i]
+                    << ", dense reference " << want[i];
+  }
+  EXPECT_EQ(bad, 0u) << what;
+}
+
+/// The dense normalization both SDA engines ran over the whole population
+/// before they scored only their support: clamp at 0, compensated sum,
+/// divide; uniform when nothing is positive.
+std::vector<double> normalize_dense(std::vector<double> post) {
+  stats::kahan_sum z;
+  for (double& p : post) {
+    if (p < 0.0) p = 0.0;
+    z.add(p);
+  }
+  if (z.value() <= 0.0) {
+    const double u = 1.0 / static_cast<double>(post.size());
+    for (double& p : post) p = u;
+    return post;
+  }
+  for (double& p : post) p /= z.value();
+  return post;
+}
+
+std::vector<double> dense_sda_posterior(const attack::sda_attack& atk) {
+  return normalize_dense(atk.signal());
+}
+
+/// What the test knows of the stream it fed a sketch engine.
+struct stream_totals {
+  std::uint64_t target_rounds = 0;
+  std::uint64_t target_messages = 0;
+  std::uint64_t messages = 0;
+
+  void add(const attack::round_observation& obs) {
+    if (obs.receivers.empty()) return;
+    messages += obs.receivers.size();
+    if (!obs.target_present) return;
+    ++target_rounds;
+    target_messages += obs.receivers.size();
+  }
+};
+
+/// sketch_sda_attack's pre-sparse posterior: the candidate-restricted
+/// signal written into a dense vector, then the dense normalization.
+std::vector<double> dense_sketch_posterior(
+    const attack::sketch_sda_attack& atk, const stream_totals& t) {
+  std::vector<double> signal(atk.receiver_count(), 0.0);
+  if (t.target_messages > 0) {
+    const std::uint64_t bm = t.messages - t.target_messages;
+    const double mbar = static_cast<double>(t.target_messages) /
+                        static_cast<double>(t.target_rounds);
+    for (node_id v : atk.candidates()) {
+      const std::uint64_t tc = atk.estimate_target(v);
+      const std::uint64_t gc = atk.estimate_global(v);
+      const std::uint64_t bc = std::min(gc > tc ? gc - tc : 0, bm);
+      const double p_target = static_cast<double>(tc) /
+                              static_cast<double>(t.target_messages);
+      const double q = bm > 0 ? static_cast<double>(bc) /
+                                    static_cast<double>(bm)
+                              : 1.0 / static_cast<double>(atk.receiver_count());
+      signal[v] = mbar * p_target - (mbar - 1.0) * q;
+    }
+  }
+  return normalize_dense(std::move(signal));
+}
+
+attack::round_observation round_of(bool target,
+                                   std::vector<node_id> receivers) {
+  attack::round_observation obs;
+  obs.target_present = target;
+  obs.receivers = std::move(receivers);
+  return obs;
+}
+
+/// Streams `rounds` through an exact and a sketch engine and checks both
+/// posteriors against the dense references before the first round and
+/// after every round.
+void expect_sparse_matches_dense(
+    std::uint32_t n, const std::vector<attack::round_observation>& rounds,
+    const std::string& what, workload::sketch_params params = {}) {
+  attack::sda_attack exact(n);
+  attack::sketch_sda_attack sketch(n, params);
+  stream_totals totals;
+  for (std::size_t r = 0; r <= rounds.size(); ++r) {
+    if (r > 0) {
+      exact.observe_round(rounds[r - 1]);
+      sketch.observe_round(rounds[r - 1]);
+      totals.add(rounds[r - 1]);
+    }
+    const std::string at = what + " after " + std::to_string(r) + " rounds";
+    expect_same_bits(exact.posterior(), dense_sda_posterior(exact),
+                     at + " (exact)");
+    expect_same_bits(sketch.posterior(),
+                     dense_sketch_posterior(sketch, totals), at + " (sketch)");
+  }
+}
+
+TEST(SparseSdaPosterior, NoTargetRoundsIsUniform) {
+  const std::vector<attack::round_observation> rounds = {
+      round_of(false, {1, 2, 63, 64, 129}), round_of(false, {64, 64, 7}),
+      round_of(true, {}),  // loss round: not evidence
+      round_of(false, {129})};
+  expect_sparse_matches_dense(130, rounds, "background only");
+  attack::sda_attack exact(130);
+  for (const auto& obs : rounds) exact.observe_round(obs);
+  EXPECT_EQ(exact.posterior(), std::vector<double>(130, 1.0 / 130.0));
+}
+
+TEST(SparseSdaPosterior, NoBackgroundRoundsUsesTheUniformPrior) {
+  expect_sparse_matches_dense(
+      130,
+      {round_of(true, {63, 64, 129, 5}), round_of(true, {63, 7}),
+       round_of(true, {64, 64, 64})},
+      "target only (q = 1/N)");
+}
+
+TEST(SparseSdaPosterior, MeanBatchOfOne) {
+  expect_sparse_matches_dense(
+      130,
+      {round_of(false, {3, 4, 64}), round_of(true, {64}),
+       round_of(false, {64, 65}), round_of(true, {63}), round_of(true, {64}),
+       round_of(false, {129, 0})},
+      "m-bar = 1");
+}
+
+TEST(SparseSdaPosterior, ReceiversAtBitmapWordEdges) {
+  // N = 130 is not a multiple of 64: ids 63/64 straddle the first word
+  // boundary, 127/128 the second, and 129 sits in the partial last word.
+  const std::vector<attack::round_observation> rounds = {
+      round_of(true, {0, 63, 64, 127, 128, 129}),
+      round_of(false, {1, 62, 65, 126, 128}),
+      round_of(true, {63, 129, 129}),
+      round_of(false, {63, 100}),
+      round_of(true, {64, 129, 2})};
+  expect_sparse_matches_dense(130, rounds, "word edges");
+  attack::sda_attack exact(130);
+  for (const auto& obs : rounds) exact.observe_round(obs);
+  const std::vector<double> post = exact.posterior();
+  EXPECT_GT(post[63], 0.0);
+  EXPECT_GT(post[64], 0.0);
+  EXPECT_GT(post[129], 0.0);
+  EXPECT_EQ(post[65], 0.0) << "background-only receiver carries no mass";
+}
+
+TEST(SparseSdaPosterior, PopulationStreamsIncludingASaturatedReservoir) {
+  const workload::population pop(stream_config());
+  workload::sketch_params saturated;
+  saturated.candidates = 4;
+  for (std::uint32_t pair = 0; pair < pop.pairs().size(); ++pair) {
+    std::vector<attack::round_observation> rounds;
+    for (std::uint32_t r = 0; r < pop.config().round_count; ++r)
+      rounds.push_back(observe(pop, pair, r));
+    const std::string what = "pair " + std::to_string(pair);
+    expect_sparse_matches_dense(pop.config().receiver_count, rounds, what);
+    expect_sparse_matches_dense(pop.config().receiver_count, rounds,
+                                what + " k=4", saturated);
+    attack::sketch_sda_attack probe(pop.config().receiver_count, saturated);
+    for (const auto& obs : rounds) probe.observe_round(obs);
+    EXPECT_TRUE(probe.candidates_saturated()) << what;
+  }
+}
+
+TEST(SparseSdaPosterior, NoPositiveSignalFallsBackToUniform) {
+  // Exact engine: target counts that cover 1 of 5 target messages (the
+  // count rows are not required to sum to the message total) against a
+  // background concentrated on the same receiver leave every signal <= 0.
+  workload::cooccurrence_result totals;
+  totals.rounds = 2;
+  totals.messages = 15;
+  totals.global_receiver_counts = {{0, 11}, {3, 4}};
+  totals.per_pair.resize(1);
+  totals.per_pair[0].target_rounds = 1;
+  totals.per_pair[0].target_messages = 5;
+  totals.per_pair[0].target_receiver_counts = {{0, 1}};
+  const attack::sda_attack exact =
+      attack::sda_attack::from_counts(totals, 0, 130);
+  for (double s : exact.signal()) ASSERT_LE(s, 0.0);
+  expect_same_bits(exact.posterior(), dense_sda_posterior(exact),
+                   "exact, no positive signal");
+  EXPECT_EQ(exact.posterior(), std::vector<double>(130, 1.0 / 130.0));
+
+  // Sketch engine: a one-slot reservoir keeps one of three target
+  // receivers; a background aimed entirely at the kept one drives its
+  // signal to 3*(1/3) - 2*1 < 0.
+  workload::sketch_params one;
+  one.candidates = 1;
+  attack::sketch_sda_attack sketch(130, one);
+  stream_totals t;
+  const attack::round_observation target = round_of(true, {10, 63, 64});
+  sketch.observe_round(target);
+  t.add(target);
+  ASSERT_TRUE(sketch.candidates_saturated());
+  const node_id kept = sketch.candidates().at(0);
+  for (int r = 0; r < 4; ++r) {
+    const attack::round_observation bg = round_of(false, {kept, kept});
+    sketch.observe_round(bg);
+    t.add(bg);
+  }
+  expect_same_bits(sketch.posterior(), dense_sketch_posterior(sketch, t),
+                   "sketch, no positive signal");
+  EXPECT_EQ(sketch.posterior(), std::vector<double>(130, 1.0 / 130.0));
+}
+
+TEST(SparseSdaPosterior, SeededFromCountsAndFromAccumulator) {
+  const workload::population pop(stream_config());
+  const std::uint32_t n = pop.config().receiver_count;
+  const workload::cooccurrence_result counts =
+      workload::accumulate_cooccurrence(pop, {});
+  workload::sketch_params saturated;
+  saturated.candidates = 4;
+  for (const workload::sketch_params& params :
+       {workload::sketch_params{}, saturated}) {
+    workload::streaming_config scfg;
+    scfg.backend = workload::stream_backend::sketch;
+    scfg.sketch = params;
+    workload::cooccurrence_config ccfg;
+    ccfg.threads = 4;
+    const workload::streaming_accumulator acc = workload::accumulate_streaming(
+        pop, 0, pop.config().round_count, scfg, ccfg);
+    for (std::uint32_t pair = 0; pair < pop.pairs().size(); ++pair) {
+      const std::string what = "pair " + std::to_string(pair) + " " +
+                               params.label();
+      const attack::sda_attack exact =
+          attack::sda_attack::from_counts(counts, pair, n);
+      expect_same_bits(exact.posterior(), dense_sda_posterior(exact),
+                       what + " from_counts");
+      const attack::sketch_sda_attack sketch =
+          attack::sketch_sda_attack::from_accumulator(acc, pair, n);
+      stream_totals t;
+      t.target_rounds = acc.target_rounds(pair);
+      t.target_messages = acc.target_messages(pair);
+      t.messages = acc.messages();
+      expect_same_bits(sketch.posterior(), dense_sketch_posterior(sketch, t),
+                       what + " from_accumulator");
+    }
+  }
+}
+
+// --- summarize_posterior against its definition ----------------------------
+
+/// entropy_bits as the two dense passes it was defined by: a compensated
+/// total over every entry, then -q log2 q over the positive entries.
+double dense_entropy_bits(const std::vector<double>& p) {
+  stats::kahan_sum total;
+  for (double x : p) total.add(x);
+  const double z = total.value();
+  if (z <= 0.0) return 0.0;
+  stats::kahan_sum h;
+  for (double x : p) {
+    if (x > 0.0) {
+      const double q = x / z;
+      h.add(-q * std::log2(q));
+    }
+  }
+  return h.value();
+}
+
+void expect_summary_matches_definition(const std::vector<double>& post,
+                                       const std::string& what) {
+  const attack::trajectory_point pt =
+      attack::summarize_posterior(post, 17, 0.5);
+  const double h = dense_entropy_bits(post);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pt.entropy_bits),
+            std::bit_cast<std::uint64_t>(h))
+      << what << ": " << pt.entropy_bits << " vs " << h;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(entropy_bits(post)),
+            std::bit_cast<std::uint64_t>(h))
+      << what;
+  const auto top = std::max_element(post.begin(), post.end());
+  EXPECT_EQ(pt.top_receiver, static_cast<node_id>(top - post.begin()))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pt.top_mass),
+            std::bit_cast<std::uint64_t>(*top))
+      << what;
+  EXPECT_EQ(pt.identified, *top > 0.5) << what;
+  EXPECT_EQ(pt.round, 17u) << what;
+}
+
+TEST(SummarizePosterior, EqualsEntropyBitsPlusMaxElement) {
+  expect_summary_matches_definition({0.0, 0.25, 0.5, 0.0, 0.25}, "plain");
+  expect_summary_matches_definition({0.0, 0.4, 0.2, 0.4, 0.0},
+                                    "tie: smallest id wins");
+  expect_summary_matches_definition({0.3, 0.3, 0.3, 0.1}, "tie at id 0");
+  expect_summary_matches_definition({0.0, 0.0, 0.0, 1.0}, "single nonzero");
+  expect_summary_matches_definition({1.0, 0.0, 0.0}, "single nonzero at 0");
+  expect_summary_matches_definition(std::vector<double>(1000, 1e-3),
+                                    "uniform");
+  expect_summary_matches_definition(std::vector<double>(7, 0.0), "all zero");
+  std::vector<double> sparse(4099, 0.0);
+  sparse[63] = 0.125;
+  sparse[64] = 0.5;
+  sparse[1000] = 0.125;
+  sparse[4098] = 0.25;
+  expect_summary_matches_definition(sparse, "mostly zero");
+  sparse[4098] = 0.5;  // ties id 64 at the far end
+  expect_summary_matches_definition(sparse, "mostly zero, tie");
+  // A real mostly-zero posterior, unnormalized residue and all.
+  const workload::population pop(stream_config());
+  attack::sda_attack atk(pop.config().receiver_count);
+  for (std::uint32_t r = 0; r < pop.config().round_count; ++r) {
+    atk.observe_round(observe(pop, 0, r));
+    expect_summary_matches_definition(atk.posterior(),
+                                      "sda round " + std::to_string(r));
+  }
 }
 
 }  // namespace

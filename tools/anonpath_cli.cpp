@@ -502,10 +502,20 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
   reg.add_counter("attack.memo_misses", r.memo_misses);
 }
 
+/// The C=1 closed form behind degree, optimize and figures needs N >= 5;
+/// smaller systems are the Monte-Carlo engine's (estimate) domain.
+void require_closed_form_n(const options& opt) {
+  if (opt.grid.node_counts.front() < 5)
+    usage(opt.command +
+          "'s closed form needs --n >= 5 (estimate covers smaller systems)");
+}
+
 int cmd_degree(const options& opt) {
   require_only_axes(opt, {"--n", "--dist"});
   const system_params sys{opt.grid.node_counts.front(), 1};
   const auto d = dist_or(opt, path_length_distribution::fixed(3));
+  require_closed_form_n(opt);
+  if (const char* why = sim::system_infeasible_reason(sys, d)) usage(why);
   const double h = anonymity_degree(sys, d);
   std::printf("strategy %s on N=%u, C=1: H* = %.6f bits (ceiling %.6f)\n",
               d.label().c_str(), sys.node_count, h, max_anonymity_degree(sys));
@@ -531,6 +541,7 @@ int cmd_estimate(const options& opt) {
   const std::uint32_t c = opt.grid.compromised_counts.front();
   const system_params sys{n, c};
   const auto d = dist_or(opt, path_length_distribution::uniform(1, 10));
+  if (const char* why = sim::system_infeasible_reason(sys, d)) usage(why);
   const std::vector<node_id> compromised = spread_compromised(n, c);
   const net::topology_config& topo = opt.grid.topologies.front();
   if (topo.kind != net::topology_kind::complete) {
@@ -586,7 +597,10 @@ int cmd_estimate(const options& opt) {
 int cmd_optimize(const options& opt) {
   require_only_axes(opt, {"--n"});
   const system_params sys{opt.grid.node_counts.front(), 1};
+  require_closed_form_n(opt);
   const auto cap = static_cast<path_length>(sys.node_count - 1);
+  if (!(opt.mean >= 0.0 && opt.mean <= cap))
+    usage("--mean must lie in [0, --n minus 1]");
   const auto r = optimize_for_mean(sys, opt.mean, cap);
   std::printf("optimal distribution for N=%u, E[L]=%.2f: H* = %.6f bits\n",
               sys.node_count, opt.mean, r.degree);
@@ -1309,6 +1323,7 @@ int cmd_plan(const options& opt) {
 
 int cmd_figures(const options& opt) {
   require_only_axes(opt, {"--n"});
+  require_closed_form_n(opt);
   const system_params sys{opt.grid.node_counts.front(), 1};
   repro::print_figure(repro::fig3a(sys), std::cout);
   repro::print_figure(repro::fig3b(sys), std::cout);
