@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "src/stats/contract.hpp"
@@ -62,13 +61,6 @@ std::string topology_config::label() const {
 }
 
 namespace {
-
-/// Symmetric edge key: the same u~v in either orientation.
-std::uint64_t edge_key(node_id u, node_id v) {
-  const node_id lo = u < v ? u : v;
-  const node_id hi = u < v ? v : u;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
 
 /// Union-find connectivity over an edge list: the same answer a BFS over
 /// the built adjacency gives, without materializing it — the per-attempt
@@ -133,20 +125,37 @@ void build_random_regular_edges(std::uint32_t n, std::uint32_t degree,
   // the graph; a random d-regular graph is connected with overwhelming
   // probability for d >= 3, so the per-attempt connectivity check makes a
   // handful of deterministic attempts practically infallible. Edge
-  // presence lives in a hash set of symmetric keys — O(N*d) space, where
-  // the dense N x N bitmap this replaced made million-node graphs
-  // impossible — with the exact same accept/reject decisions and rng draw
-  // order, so every (seed, n, d) still wires the identical graph.
+  // presence lives in per-node neighbour slots — d node ids plus a fill
+  // count per node, O(N*d) space. No node ever holds more than d
+  // neighbours, and swaps preserve degree, so an edge test scans at most d
+  // slots and an accepted swap rewrites four. Accept/reject decisions and
+  // the rng draw order depend only on which edges are present, never on
+  // how presence is stored, so every (seed, n, d) keeps its graph
+  // (tests/topology_test.cpp pins it against a hash-set reference).
+  std::vector<node_id> slots(static_cast<std::size_t>(n) * degree);
+  std::vector<std::uint32_t> fill(n);
+  const auto nbrs = [&](node_id u) {
+    return slots.data() + static_cast<std::size_t>(u) * degree;
+  };
+  const auto linked = [&](node_id u, node_id v) {
+    const node_id* s = nbrs(u);
+    return std::find(s, s + fill[u], v) != s + fill[u];
+  };
+  // Rewrites u's slot holding `from` to hold `to`.
+  const auto relink = [&](node_id u, node_id from, node_id to) {
+    node_id* s = nbrs(u);
+    *std::find(s, s + fill[u], from) = to;
+  };
   for (std::uint64_t attempt = 0; attempt < 128; ++attempt) {
     stats::rng gen = stats::rng::stream(seed, attempt);
 
     std::vector<std::pair<node_id, node_id>> edges;
-    std::unordered_set<std::uint64_t> have;
     edges.reserve(static_cast<std::size_t>(n) * degree / 2);
-    have.reserve(edges.capacity() * 2);
+    std::fill(fill.begin(), fill.end(), 0u);
     const auto put = [&](node_id u, node_id v) {
-      if (u == v || have.count(edge_key(u, v)) != 0) return false;
-      have.insert(edge_key(u, v));
+      if (u == v || linked(u, v)) return false;
+      nbrs(u)[fill[u]++] = v;
+      nbrs(v)[fill[v]++] = u;
       edges.emplace_back(u, v);
       return true;
     };
@@ -168,12 +177,11 @@ void build_random_regular_edges(std::uint32_t n, std::uint32_t degree,
       if (gen.next_below(2) == 1) std::swap(c, d);
       // Rewire (a,b),(c,d) -> (a,c),(b,d) when that keeps the graph simple.
       if (a == c || a == d || b == c || b == d) continue;
-      if (have.count(edge_key(a, c)) != 0 || have.count(edge_key(b, d)) != 0)
-        continue;
-      have.erase(edge_key(a, b));
-      have.erase(edge_key(c, d));
-      have.insert(edge_key(a, c));
-      have.insert(edge_key(b, d));
+      if (linked(a, c) || linked(b, d)) continue;
+      relink(a, b, c);
+      relink(b, a, d);
+      relink(c, d, a);
+      relink(d, c, b);
       edges[e1] = {a, c};
       edges[e2] = {b, d};
     }
@@ -215,31 +223,32 @@ void build_trust_edges(std::uint32_t n, double decay,
     }
 }
 
-/// The one edge-list generator both storage modes consume. Preconditions:
-/// cfg.valid_for(n).
-void build_edges(std::uint32_t n, const topology_config& cfg,
-                 std::vector<weighted_edge>& out) {
+}  // namespace
+
+std::vector<weighted_edge> generate_edges(std::uint32_t n,
+                                          const topology_config& cfg) {
+  ANONPATH_EXPECTS(cfg.valid_for(n));
+  std::vector<weighted_edge> out;
   switch (cfg.kind) {
     case topology_kind::complete:
       build_complete_edges(n, out);
-      return;
+      return out;
     case topology_kind::ring:
       build_ring_edges(n, cfg.ring_k, out);
-      return;
+      return out;
     case topology_kind::random_regular:
       build_random_regular_edges(n, cfg.degree, cfg.graph_seed, out);
-      return;
+      return out;
     case topology_kind::tiered:
       build_tiered_edges(n, cfg.tiers, out);
-      return;
+      return out;
     case topology_kind::trust_weighted:
       build_trust_edges(n, cfg.trust_decay, out);
-      return;
+      return out;
   }
   ANONPATH_EXPECTS(!"unknown topology kind");
+  return out;
 }
-
-}  // namespace
 
 topology::topology(std::uint32_t n, topology_config cfg, bool csr)
     : n_(n), cfg_(cfg), csr_(csr), total_(n, 0.0) {
@@ -411,9 +420,7 @@ topology topology::trust_weighted(std::uint32_t node_count, double decay) {
 }
 
 topology topology::make(std::uint32_t node_count, const topology_config& cfg) {
-  ANONPATH_EXPECTS(cfg.valid_for(node_count));
-  std::vector<weighted_edge> edges;
-  build_edges(node_count, cfg, edges);
+  const std::vector<weighted_edge> edges = generate_edges(node_count, cfg);
   topology t(node_count, cfg, /*csr=*/false);
   for (const weighted_edge& e : edges) t.add_edge(e.u, e.v, e.w);
   t.finalize();
@@ -422,11 +429,8 @@ topology topology::make(std::uint32_t node_count, const topology_config& cfg) {
 
 topology topology::make_csr(std::uint32_t node_count,
                             const topology_config& cfg) {
-  ANONPATH_EXPECTS(cfg.valid_for(node_count));
-  std::vector<weighted_edge> edges;
-  build_edges(node_count, cfg, edges);
   topology t(node_count, cfg, /*csr=*/true);
-  t.finalize_csr(edges);
+  t.finalize_csr(generate_edges(node_count, cfg));
   return t;
 }
 

@@ -67,6 +67,12 @@ struct weighted_edge {
   double w = 1.0;
 };
 
+/// The undirected edge list `cfg` wires on `node_count` nodes, in generator
+/// order: the one list both storage modes of `topology` are built from.
+/// Preconditions: cfg.valid_for(node_count).
+[[nodiscard]] std::vector<weighted_edge> generate_edges(
+    std::uint32_t node_count, const topology_config& cfg);
+
 /// A borrowed, non-owning view of one node's sorted adjacency: neighbor
 /// ids ascending, the parallel edge weights, and the inclusive cumulative
 /// weight table the walk sampler inverts. Valid as long as the owning

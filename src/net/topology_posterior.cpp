@@ -1,5 +1,6 @@
 #include "src/net/topology_posterior.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,31 +31,41 @@ topology_posterior_engine::topology_posterior_engine(
   for (node_id x = 0; x < sys_.node_count; ++x)
     honest_interior_[x] =
         !compromised_flag_[x] && (support_.empty() || support_[x]);
-}
 
-void topology_posterior_engine::honest_step(const std::vector<double>& in,
-                                            std::vector<double>& out,
-                                            bool forward) const {
-  out.assign(in.size(), 0.0);
-  for (node_id x = 0; x < in.size(); ++x) {
-    if (in[x] == 0.0) continue;
+  forward_.off.assign(1, 0);
+  backward_.off.assign(1, 0);
+  for (node_id x = 0; x < sys_.node_count; ++x) {
     const neighbor_view a = topo_.adjacency(x);
-    if (forward) {
-      // out[y] += in[x] * T(x->y) for honest in-support y.
-      const double inv = in[x] / topo_.total_weight(x);
-      for (std::uint32_t i = 0; i < a.size; ++i)
-        if (honest_interior_[a.ids[i]]) out[a.ids[i]] += inv * a.weights[i];
-    } else {
-      // Transpose: out[y] += T(y->x) * in[x]. Here x plays the step-target
-      // role, so only honest in-support x may contribute; compromised (or
-      // pruned) entries of `in` are start-only values and never feed a
-      // later step.
-      if (!honest_interior_[x]) continue;
-      for (std::uint32_t i = 0; i < a.size; ++i) {
-        const node_id y = a.ids[i];
-        out[y] += in[x] * (a.weights[i] / topo_.total_weight(y));
+    for (std::uint32_t i = 0; i < a.size; ++i) {
+      const node_id y = a.ids[i];
+      if (honest_interior_[y]) {
+        forward_.to.push_back(y);
+        forward_.w.push_back(a.weights[i]);
+      }
+      if (honest_interior_[x]) {
+        backward_.to.push_back(y);
+        backward_.w.push_back(a.weights[i] / topo_.total_weight(y));
       }
     }
+    forward_.off.push_back(forward_.to.size());
+    backward_.off.push_back(backward_.to.size());
+  }
+}
+
+void topology_posterior_engine::honest_step(const double* in, double* out,
+                                            bool forward) const {
+  // Forward: out[y] += (in[x] / total_weight(x)) * w(x,y). Transpose:
+  // out[y] += in[x] * T(y->x); there x plays the step-target role, so only
+  // honest in-support x carry arcs — compromised (or pruned) entries of
+  // `in` are start-only values and never feed a later step.
+  const auto n = sys_.node_count;
+  const arc_lists& arcs = forward ? forward_ : backward_;
+  std::fill(out, out + n, 0.0);
+  for (node_id x = 0; x < n; ++x) {
+    if (in[x] == 0.0) continue;
+    const double scale = forward ? in[x] / topo_.total_weight(x) : in[x];
+    for (std::size_t i = arcs.off[x]; i < arcs.off[x + 1]; ++i)
+      out[arcs.to[i]] += scale * arcs.w[i];
   }
 }
 
@@ -144,7 +155,7 @@ bool topology_posterior_engine::try_sender_posterior(
   // constraint, so gaps are independent and their series convolve.
   std::vector<double> rest(dmax + 1, 0.0);
   rest[0] = 1.0;
-  std::vector<double> cur, next, series, conv;
+  std::vector<double> cur, next(n), series, conv;
   const auto fold_into_rest = [&] {
     conv.assign(dmax + 1, 0.0);
     for (std::size_t t = 0; t <= dmax; ++t) {
@@ -162,7 +173,7 @@ bool topology_posterior_engine::try_sender_posterior(
     cur.assign(n, 0.0);
     cur[a] = 1.0;
     for (std::size_t t = 1; t <= dmax; ++t) {
-      honest_step(cur, next, /*forward=*/true);
+      honest_step(cur.data(), next.data(), /*forward=*/true);
       cur.swap(next);
       series[t] = b < n ? cur[b] : 0.0;
     }
@@ -176,7 +187,7 @@ bool topology_posterior_engine::try_sender_posterior(
     cur.assign(n, 0.0);
     cur[a] = 1.0;
     for (std::size_t t = 1; t <= dmax; ++t) {
-      honest_step(cur, next, /*forward=*/true);
+      honest_step(cur.data(), next.data(), /*forward=*/true);
       cur.swap(next);
       double sum = 0.0;
       for (double x : cur) sum += x;
@@ -187,20 +198,14 @@ bool topology_posterior_engine::try_sender_posterior(
 
   // Sender gap, all hypotheses at once: gs[t][s] = probability that a walk
   // from s reaches the first observed node in t steps, every step landing
-  // on an honest node (backward DP from that node).
+  // on an honest node (backward DP from that node). Row t of the flat
+  // buffer is gs[t][.], each row one step on from the row before it.
   const node_id b1 = blocks[1].first;
-  std::vector<std::vector<double>> gs(dmax + 1,
-                                      std::vector<double>(n, 0.0));
-  if (b1 < n) gs[0][b1] = 1.0;
-  if (b1 < n && !compromised_flag_[b1]) {
-    cur.assign(n, 0.0);
-    cur[b1] = 1.0;
-    for (std::size_t t = 1; t <= dmax; ++t) {
-      honest_step(cur, next, /*forward=*/false);
-      cur.swap(next);
-      gs[t] = cur;
-    }
-  }
+  std::vector<double> gs((dmax + 1) * n, 0.0);
+  if (b1 < n) gs[b1] = 1.0;
+  if (b1 < n && !compromised_flag_[b1])
+    for (std::size_t t = 1; t <= dmax; ++t)
+      honest_step(&gs[(t - 1) * n], &gs[t * n], /*forward=*/false);
 
   // coeff[t] = sum over lengths of pmf(l) * rest[D(l) - t], where D(l) is
   // the total gap budget the length implies; then the per-sender weight is
@@ -223,7 +228,7 @@ bool topology_posterior_engine::try_sender_posterior(
     if (compromised_flag_[s]) continue;  // no origin report => not the sender
     double acc = 0.0;
     for (std::size_t t = 0; t <= dmax; ++t)
-      if (coeff[t] != 0.0) acc += coeff[t] * gs[t][s];
+      if (coeff[t] != 0.0) acc += coeff[t] * gs[t * n + s];
     out[s] = acc;
     z += acc;
   }

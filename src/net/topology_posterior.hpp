@@ -86,11 +86,18 @@ class topology_posterior_engine {
   }
 
  private:
-  /// One honest-interior DP step: out[y] = sum_x in[x] * T(x->y) over
-  /// honest in-support y (forward == false runs the transpose, for the
-  /// sender gap).
-  void honest_step(const std::vector<double>& in, std::vector<double>& out,
-                   bool forward) const;
+  /// One honest-interior DP step over N-length rows: out[y] = sum_x in[x] *
+  /// T(x->y) over honest in-support y (forward == false runs the transpose,
+  /// for the sender gap).
+  void honest_step(const double* in, double* out, bool forward) const;
+
+  /// A flat arc list per node (CSR layout): node x's arcs are
+  /// [off[x], off[x + 1]) of `to` and `w`.
+  struct arc_lists {
+    std::vector<std::size_t> off;
+    std::vector<node_id> to;
+    std::vector<double> w;
+  };
 
   system_params sys_;
   std::vector<node_id> compromised_;
@@ -101,6 +108,12 @@ class topology_posterior_engine {
   std::vector<bool> support_;
   path_length_distribution lengths_;
   topology topo_;
+  /// honest_step's two kernels, built once from topo_ and the mask:
+  /// forward_ holds x -> honest-interior y with the raw weight w(x,y);
+  /// backward_ holds, for honest-interior x only, every neighbour y with
+  /// the quotient w(x,y) / total_weight(y) already divided.
+  arc_lists forward_;
+  arc_lists backward_;
 };
 
 }  // namespace anonpath::net

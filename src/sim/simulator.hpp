@@ -136,13 +136,18 @@ struct sim_report {
   /// injection, churned-down destination, crash-scheduled destination);
   /// memo_hits/memo_misses mirror the exact posterior engine's layout
   /// memo when this run was scored by it (0 under the topology/approx
-  /// engines, which have no layout memo).
+  /// engines, which have no layout memo); walk_memo_hits/walk_memo_misses
+  /// count the per-run observation memo of walk-model scoring (0 unless a
+  /// restricted-topology run was scored by the walk engine without retry
+  /// fusion or collect_posteriors).
   std::uint64_t events_executed = 0;
   std::uint64_t wire_dropped = 0;
   std::uint64_t wire_stranded = 0;
   std::uint64_t wire_crashed = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
+  std::uint64_t walk_memo_hits = 0;
+  std::uint64_t walk_memo_misses = 0;
 };
 
 /// Builds the network, relays, receiver, adversary and workload from the
@@ -153,6 +158,8 @@ struct sim_report {
 /// An offline inference engine for replay scoring: maps an assembled
 /// observation to a sender posterior over all N nodes. The default used by
 /// run_simulation and replay_trace is posterior_engine::sender_posterior.
+/// An empty result marks an observation the engine cannot explain; scoring
+/// skips it, as it skips those the built-in engines cannot explain.
 using posterior_fn = std::function<std::vector<double>(const observation&)>;
 
 /// Ground-truth summary of one message's journey, as scoring consumes it

@@ -266,6 +266,54 @@ TEST_F(CliParse, ScalarCommandsCheckCrossFieldRules) {
             0);
 }
 
+TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
+  // Sizes past a command's --n cap used to reach the allocator and end in
+  // "error: std::bad_alloc" (exit 1); they are usage errors that name the
+  // cap, raised before anything N-sized exists.
+  const std::vector<std::string> cases = {
+      "estimate --n 4294967295",
+      "estimate --n 100000000",
+      "estimate --n 1000001 --c 2 --samples 10",
+      "estimate --n 4294967295 --topology ring:2",
+      "simulate --n 4294967295",
+      "capture --n 4294967295 --out /dev/null",
+      "campaign --n 30,4294967295 --c 1 --messages 10 --replicas 1",
+      "plan --n 4294967295 --csr --topology regular:2",
+      "plan --n 100000000 --csr --topology regular:2",
+  };
+  expect_usage_errors(cases);
+  for (const std::string& args : cases)
+    EXPECT_NE(run_cli(args).stderr_text.find("too large"), std::string::npos)
+        << "anonpath " << args;
+}
+
+TEST_F(CliParse, PlannedRouteCaptureReplaysInline) {
+  // kpaths routing on regular:4: capture -> replay reproduces inline
+  // simulate byte for byte (this runs the random-regular generator and the
+  // replay scoring path), and the invalid routing combinations fail.
+  const std::string run =
+      "--n 30 --c 3 --dist U:1,6 --topology regular:4 --routing kpaths:4 "
+      "--messages 200 --seed 9";
+  const std::string trace_path = ::testing::TempDir() + "anonpath_kp." +
+                                 std::to_string(::getpid()) + ".trace";
+  int rc_inline = -1, rc_capture = -1, rc_replay = -1;
+  const std::string inline_out = cli_stdout("simulate " + run, &rc_inline);
+  (void)cli_stdout("capture " + run + " --out '" + trace_path + "'",
+                   &rc_capture);
+  const std::string replayed =
+      cli_stdout("replay --in '" + trace_path + "'", &rc_replay);
+  std::remove(trace_path.c_str());
+  ASSERT_EQ(rc_inline, 0);
+  ASSERT_EQ(rc_capture, 0);
+  ASSERT_EQ(rc_replay, 0);
+  EXPECT_FALSE(inline_out.empty());
+  EXPECT_EQ(inline_out, replayed);
+  for (const char* args :
+       {"simulate --n 20 --mode crowds --routing kpaths --messages 50",
+        "simulate --n 20 --routing kpaths:0 --messages 50"})
+    EXPECT_NE(run_cli(args).exit_code, 0) << "accepted: anonpath " << args;
+}
+
 /// The decimal number that follows `label` in `text` (0 when absent).
 unsigned long long number_after(const std::string& text,
                                 const std::string& label) {
@@ -494,6 +542,33 @@ TEST_F(CliParse, ObsFlagValidation) {
             std::string::npos)
       << progress.stderr_text;
   std::remove(metrics.c_str());
+}
+
+TEST_F(CliParse, SimulateMetricsCountWalkMemoLookups) {
+  // A restricted-topology simulate reports the walk-scoring memo under the
+  // posterior layer; the clique's layout memo keeps the attack.memo_* names.
+  const std::string metrics =
+      ::testing::TempDir() + "anonpath_walk_memo." + std::to_string(::getpid()) +
+      ".jsonl";
+  ASSERT_EQ(run_cli("simulate --n 30 --c 3 --dist U:1,6 --topology regular:4 "
+                    "--messages 300 --seed 9 --metrics '" + metrics + "'")
+                .exit_code,
+            0);
+  std::ifstream in(metrics);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(metrics.c_str());
+  const std::string snapshot = text.str();
+  const std::string hits = "\"name\":\"posterior.walk_memo_hits\",\"value\":";
+  const std::string misses =
+      "\"name\":\"posterior.walk_memo_misses\",\"value\":";
+  ASSERT_NE(snapshot.find(hits), std::string::npos) << snapshot;
+  ASSERT_NE(snapshot.find(misses), std::string::npos) << snapshot;
+  EXPECT_GT(number_after(snapshot, hits), 0u) << snapshot;
+  EXPECT_GT(number_after(snapshot, misses), 0u) << snapshot;
+  EXPECT_NE(snapshot.find("\"name\":\"attack.memo_hits\",\"value\":0"),
+            std::string::npos)
+      << snapshot;
 }
 
 TEST_F(CliParse, WriteFailuresExitNonzeroWithDiagnostic) {

@@ -1,9 +1,14 @@
 // Unit layer for the net::topology subsystem: constructor invariants
 // (degree, symmetry, connectivity, weights), parameter validation, labels,
 // the make() dispatch, walk-step sampling membership, and the churn
-// renewal process (determinism, rate-0 inertness, realized transitions).
+// renewal process (determinism, rate-0 inertness, realized transitions),
+// and the random-regular generator pinned to its hash-set reference.
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/net/churn.hpp"
 #include "src/net/topology.hpp"
@@ -204,6 +209,131 @@ TEST(Topology, SampleNeighborStaysOnEdges) {
       EXPECT_TRUE(t.has_edge(u, v));
     }
   }
+}
+
+/// The random-regular generator (d >= 3) as it stood with edge presence in
+/// a hash set of symmetric keys: the reference the per-node neighbour-slot
+/// generator must reproduce edge for edge, in order. `rejected` counts the
+/// circulant-base edges refused as duplicates.
+std::vector<std::pair<node_id, node_id>> reference_random_regular(
+    std::uint32_t n, std::uint32_t degree, std::uint64_t seed,
+    std::uint64_t& rejected) {
+  const auto edge_key = [](node_id u, node_id v) {
+    const node_id lo = u < v ? u : v;
+    const node_id hi = u < v ? v : u;
+    return (static_cast<std::uint64_t>(lo) << 32) | hi;
+  };
+  for (std::uint64_t attempt = 0; attempt < 128; ++attempt) {
+    stats::rng gen = stats::rng::stream(seed, attempt);
+    std::vector<std::pair<node_id, node_id>> edges;
+    std::unordered_set<std::uint64_t> have;
+    const auto put = [&](node_id u, node_id v) {
+      if (u == v || have.count(edge_key(u, v)) != 0) {
+        ++rejected;
+        return;
+      }
+      have.insert(edge_key(u, v));
+      edges.emplace_back(u, v);
+    };
+    for (std::uint32_t off = 1; off <= degree / 2; ++off)
+      for (node_id u = 0; u < n; ++u)
+        put(u, static_cast<node_id>((u + off) % n));
+    if (degree % 2 == 1)
+      for (node_id u = 0; u < n / 2; ++u) put(u, u + n / 2);
+    const std::uint64_t swaps = 20ull * n * degree;
+    for (std::uint64_t i = 0; i < swaps; ++i) {
+      const std::size_t e1 = gen.next_below(edges.size());
+      const std::size_t e2 = gen.next_below(edges.size());
+      if (e1 == e2) continue;
+      auto [a, b] = edges[e1];
+      auto [c, d] = edges[e2];
+      if (gen.next_below(2) == 1) std::swap(c, d);
+      if (a == c || a == d || b == c || b == d) continue;
+      if (have.count(edge_key(a, c)) != 0 || have.count(edge_key(b, d)) != 0)
+        continue;
+      have.erase(edge_key(a, b));
+      have.erase(edge_key(c, d));
+      have.insert(edge_key(a, c));
+      have.insert(edge_key(b, d));
+      edges[e1] = {a, c};
+      edges[e2] = {b, d};
+    }
+    // Union-find connectivity, as the generator checks it.
+    std::vector<node_id> parent(n);
+    for (node_id u = 0; u < n; ++u) parent[u] = u;
+    const auto find = [&](node_id x) {
+      while (parent[x] != x) x = parent[x] = parent[parent[x]];
+      return x;
+    };
+    std::uint32_t components = n;
+    for (const auto& [u, v] : edges)
+      if (find(u) != find(v)) {
+        parent[find(u)] = find(v);
+        --components;
+      }
+    if (components == 1) return edges;
+  }
+  ADD_FAILURE() << "reference: no connected graph";
+  return {};
+}
+
+TEST(Topology, RandomRegularMatchesHashSetReference) {
+  // Every valid (n, d) up to n = 130, d in {3..6}, over several seeds: the
+  // generator's edge list equals the reference's, in generator order. The
+  // grid includes n = d + 1 (the complete graph, where every swap is
+  // refused) and the smallest even n for odd d. The circulant base of a
+  // valid (n, d) never repeats an edge — offsets 1..d/2 and n/2 would need
+  // d >= n to collide — and the reference's rejection count confirms it.
+  std::uint64_t rejected = 0;
+  std::size_t graphs = 0;
+  for (std::uint32_t d = 3; d <= 6; ++d)
+    for (std::uint32_t n = d + 1; n <= 130; ++n) {
+      topology_config cfg;
+      cfg.kind = topology_kind::random_regular;
+      cfg.degree = d;
+      if (!cfg.valid_for(n)) continue;
+      for (const std::uint64_t seed : {1ull, 2ull, 0x9e3779b97f4a7c15ull}) {
+        cfg.graph_seed = seed;
+        const auto expected = reference_random_regular(n, d, seed, rejected);
+        const std::vector<weighted_edge> got = generate_edges(n, cfg);
+        ASSERT_EQ(got.size(), expected.size()) << "n=" << n << " d=" << d;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].u, expected[i].first)
+              << "n=" << n << " d=" << d << " seed=" << seed << " edge " << i;
+          ASSERT_EQ(got[i].v, expected[i].second)
+              << "n=" << n << " d=" << d << " seed=" << seed << " edge " << i;
+          ASSERT_EQ(got[i].w, 1.0);
+        }
+        ++graphs;
+      }
+    }
+  EXPECT_EQ(graphs, 3u * (64 + 126 + 63 + 124));
+  EXPECT_EQ(rejected, 0u);
+}
+
+TEST(Topology, RandomRegularCsrAtScaleKeepsItsAdjacency) {
+  // FNV-1a over every node's sorted neighbour ids (4 bytes each, little
+  // end first) with a 0xFFFFFFFF terminator per node. The literal is the
+  // hash of this graph as the hash-set generator wired it.
+  topology_config cfg;
+  cfg.kind = topology_kind::random_regular;
+  cfg.degree = 4;
+  cfg.graph_seed = 1;
+  const topology t = topology::make_csr(100000, cfg);
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&](std::uint64_t x) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (x >> (8 * b)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (node_id u = 0; u < t.node_count(); ++u) {
+    const neighbor_view a = t.adjacency(u);
+    for (std::uint32_t i = 0; i < a.size; ++i) mix(a.ids[i]);
+    mix(0xFFFFFFFFull);
+  }
+  EXPECT_EQ(t.edge_count(), 200000u);
+  EXPECT_EQ(h, 0xb2f3878be7bc530bull);
 }
 
 TEST(Churn, RateZeroIsInertAndDrawsNothing) {

@@ -1,0 +1,469 @@
+// Differential layer for walk-model scoring. The restricted-path engine's
+// DP kernel runs on flat arc arrays; `reference_walk_engine` below keeps
+// the adjacency-walking kernel it replaced (the same posterior code around
+// it), and every observation of captured runs must score bit for bit the
+// same under both, masked and unmasked. Restricted-topology runs memoize
+// per-observation summaries in score_run; run_simulation must equal a
+// replay scored by a fresh, unmemoized engine on every reported metric.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/anonymity/observation.hpp"
+#include "src/net/topology.hpp"
+#include "src/net/topology_posterior.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/sim/campaign.hpp"
+#include "src/sim/simulator.hpp"
+#include "src/sim/trace.hpp"
+#include "src/stats/rng.hpp"
+
+namespace anonpath {
+namespace {
+
+/// topology_posterior_engine::try_sender_posterior with the honest-interior
+/// step walking the topology's adjacency lists, as it did before the flat
+/// arc kernel: the honest/support test per arc, the weight division per
+/// arc on the transpose, and one vector per gs row.
+class reference_walk_engine {
+ public:
+  reference_walk_engine(system_params sys, const std::vector<node_id>& comp,
+                        path_length_distribution lengths,
+                        const net::topology& topo, std::vector<bool> support)
+      : sys_(sys), lengths_(std::move(lengths)), topo_(topo) {
+    compromised_flag_.assign(sys_.node_count, false);
+    for (node_id c : comp) compromised_flag_[c] = true;
+    honest_interior_.assign(sys_.node_count, false);
+    for (node_id x = 0; x < sys_.node_count; ++x)
+      honest_interior_[x] =
+          !compromised_flag_[x] && (support.empty() || support[x]);
+  }
+
+  void honest_step(const std::vector<double>& in, std::vector<double>& out,
+                   bool forward) const {
+    out.assign(in.size(), 0.0);
+    for (node_id x = 0; x < in.size(); ++x) {
+      if (in[x] == 0.0) continue;
+      const net::neighbor_view a = topo_.adjacency(x);
+      if (forward) {
+        const double inv = in[x] / topo_.total_weight(x);
+        for (std::uint32_t i = 0; i < a.size; ++i)
+          if (honest_interior_[a.ids[i]]) out[a.ids[i]] += inv * a.weights[i];
+      } else {
+        if (!honest_interior_[x]) continue;
+        for (std::uint32_t i = 0; i < a.size; ++i) {
+          const node_id y = a.ids[i];
+          out[y] += in[x] * (a.weights[i] / topo_.total_weight(y));
+        }
+      }
+    }
+  }
+
+  bool try_sender_posterior(const observation& obs,
+                            std::vector<double>& out) const {
+    const auto n = sys_.node_count;
+    out.assign(n, 0.0);
+    if (obs.origin) {
+      if (*obs.origin >= n) return false;
+      out[*obs.origin] = 1.0;
+      return true;
+    }
+    std::vector<path_fragment> fragments;
+    try {
+      fragments = assemble_fragments(obs, compromised_flag_);
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+    for (const auto& f : fragments)
+      for (node_id x : f.nodes)
+        if (x != receiver_node && x >= n) return false;
+    const bool pinned =
+        !fragments.empty() && fragments.back().nodes.back() == receiver_node;
+    const bool v_known = obs.receiver_observed;
+    const node_id v = obs.receiver_predecessor;
+    for (std::size_t f = 0; f < fragments.size(); ++f)
+      for (std::size_t i = 0; i < fragments[f].nodes.size(); ++i)
+        if (fragments[f].nodes[i] == receiver_node &&
+            !(f + 1 == fragments.size() && i + 1 == fragments[f].nodes.size()))
+          return false;
+    if (v_known) {
+      if (pinned) {
+        const auto& last = fragments.back().nodes;
+        if (last.size() < 2 || last[last.size() - 2] != v) return false;
+      } else if (v >= n || compromised_flag_[v]) {
+        return false;
+      }
+    } else if (fragments.empty()) {
+      return false;
+    }
+    for (const auto& f : fragments)
+      for (std::size_t i = 0; i + 1 < f.nodes.size(); ++i) {
+        if (f.nodes[i + 1] == receiver_node) continue;
+        if (topo_.transition_prob(f.nodes[i], f.nodes[i + 1]) <= 0.0)
+          return false;
+      }
+
+    struct block {
+      node_id first;
+      node_id last;
+      std::size_t span;
+    };
+    std::vector<block> blocks;
+    blocks.push_back(block{0, 0, 1});
+    for (const auto& f : fragments)
+      blocks.push_back(block{f.nodes.front(), f.nodes.back(), f.nodes.size()});
+    const bool open = !pinned && !v_known;
+    if (!pinned && v_known) blocks.push_back(block{v, receiver_node, 2});
+    std::size_t intra = 0;
+    for (const block& b : blocks) intra += b.span - 1;
+    const path_length max_l = lengths_.max_length();
+    const std::size_t dmax = static_cast<std::size_t>(max_l) + 1;
+
+    std::vector<double> rest(dmax + 1, 0.0);
+    rest[0] = 1.0;
+    std::vector<double> cur, next, series, conv;
+    const auto fold_into_rest = [&] {
+      conv.assign(dmax + 1, 0.0);
+      for (std::size_t t = 0; t <= dmax; ++t) {
+        if (rest[t] == 0.0) continue;
+        for (std::size_t u = 0; t + u <= dmax; ++u)
+          conv[t + u] += rest[t] * series[u];
+      }
+      rest.swap(conv);
+    };
+    for (std::size_t j = 1; j + 1 < blocks.size(); ++j) {
+      const node_id a = blocks[j].last;
+      const node_id b = blocks[j + 1].first;
+      series.assign(dmax + 1, 0.0);
+      series[0] = (a == b) ? 1.0 : 0.0;
+      cur.assign(n, 0.0);
+      cur[a] = 1.0;
+      for (std::size_t t = 1; t <= dmax; ++t) {
+        honest_step(cur, next, /*forward=*/true);
+        cur.swap(next);
+        series[t] = b < n ? cur[b] : 0.0;
+      }
+      fold_into_rest();
+    }
+    if (open) {
+      const node_id a = blocks.back().last;
+      series.assign(dmax + 1, 0.0);
+      series[0] = 1.0;
+      cur.assign(n, 0.0);
+      cur[a] = 1.0;
+      for (std::size_t t = 1; t <= dmax; ++t) {
+        honest_step(cur, next, /*forward=*/true);
+        cur.swap(next);
+        double sum = 0.0;
+        for (double x : cur) sum += x;
+        series[t] = sum;
+      }
+      fold_into_rest();
+    }
+
+    const node_id b1 = blocks[1].first;
+    std::vector<std::vector<double>> gs(dmax + 1, std::vector<double>(n, 0.0));
+    if (b1 < n) gs[0][b1] = 1.0;
+    if (b1 < n && !compromised_flag_[b1]) {
+      cur.assign(n, 0.0);
+      cur[b1] = 1.0;
+      for (std::size_t t = 1; t <= dmax; ++t) {
+        honest_step(cur, next, /*forward=*/false);
+        cur.swap(next);
+        gs[t] = cur;
+      }
+    }
+    std::vector<double> coeff(dmax + 1, 0.0);
+    for (path_length l = lengths_.min_length(); l <= max_l; ++l) {
+      const double pl = lengths_.pmf(l);
+      if (pl <= 0.0) continue;
+      const long long budget = static_cast<long long>(l) + (open ? 0 : 1) -
+                               static_cast<long long>(intra);
+      if (budget < 0) continue;
+      const auto d = static_cast<std::size_t>(budget);
+      for (std::size_t t = 0; t <= d && t <= dmax; ++t)
+        if (rest[d - t] != 0.0) coeff[t] += pl * rest[d - t];
+    }
+    double z = 0.0;
+    for (node_id s = 0; s < n; ++s) {
+      if (compromised_flag_[s]) continue;
+      double acc = 0.0;
+      for (std::size_t t = 0; t <= dmax; ++t)
+        if (coeff[t] != 0.0) acc += coeff[t] * gs[t][s];
+      out[s] = acc;
+      z += acc;
+    }
+    if (!(z > 0.0) || !std::isfinite(z)) {
+      out.assign(n, 0.0);
+      return false;
+    }
+    for (node_id s = 0; s < n; ++s) out[s] /= z;
+    return true;
+  }
+
+ private:
+  system_params sys_;
+  std::vector<bool> compromised_flag_;
+  std::vector<bool> honest_interior_;
+  path_length_distribution lengths_;
+  const net::topology& topo_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+net::topology_config topo_of(net::topology_kind kind) {
+  net::topology_config cfg;
+  cfg.kind = kind;
+  cfg.ring_k = 2;
+  cfg.degree = 4;
+  cfg.graph_seed = 5;
+  cfg.tiers = 3;
+  cfg.trust_decay = 0.5;
+  return cfg;
+}
+
+constexpr net::topology_kind restricted_kinds[] = {
+    net::topology_kind::ring, net::topology_kind::tiered,
+    net::topology_kind::random_regular, net::topology_kind::trust_weighted};
+
+/// A restricted-topology run on 24 nodes under the given adversary.
+sim::sim_config walk_config(net::topology_kind kind, bool open_tail) {
+  sim::sim_config cfg;
+  cfg.sys = {24, 3};
+  cfg.compromised = {2, 9, 17};
+  cfg.lengths = path_length_distribution::uniform(1, 6);
+  cfg.message_count = 300;
+  cfg.seed = 11;
+  cfg.topology = topo_of(kind);
+  if (open_tail) {
+    // Partial coverage with an honest receiver: no terminal report, so
+    // unpinned observations end in the open-tail DP.
+    cfg.adversary.kind = sim::adversary_kind::partial_coverage;
+    cfg.adversary.coverage_fraction = 0.25;
+    cfg.adversary.receiver_compromised = false;
+  }
+  return cfg;
+}
+
+TEST(WalkKernel, FlatArcKernelMatchesAdjacencyWalkBitForBit) {
+  std::size_t compared = 0;
+  std::size_t open_tails = 0;
+  std::size_t pruned = 0;
+  for (const net::topology_kind kind : restricted_kinds)
+    for (const bool open_tail : {false, true}) {
+      const sim::sim_config cfg = walk_config(kind, open_tail);
+      const sim::sim_trace trace = sim::capture_trace(cfg);
+      const net::topology topo =
+          net::topology::make(cfg.sys.node_count, cfg.topology);
+      const system_params sys{
+          cfg.sys.node_count,
+          static_cast<std::uint32_t>(trace.compromised.size())};
+      // Unmasked, then a seeded mask that prunes about a third of the
+      // nodes from the honest interior.
+      std::vector<bool> mask(cfg.sys.node_count);
+      stats::rng gen(kind == net::topology_kind::ring ? 3 : 4);
+      for (std::size_t i = 0; i < mask.size(); ++i)
+        mask[i] = gen.next_below(3) != 0;
+      for (const std::vector<bool>& support : {std::vector<bool>{}, mask}) {
+        const net::topology_posterior_engine engine(
+            sys, trace.compromised, cfg.lengths, topo, support);
+        const reference_walk_engine reference(sys, trace.compromised,
+                                              cfg.lengths, topo, support);
+        std::vector<double> got, want;
+        const sim::posterior_fn compare = [&](const observation& obs) {
+          const bool ok = engine.try_sender_posterior(obs, got);
+          const bool ref_ok = reference.try_sender_posterior(obs, want);
+          EXPECT_EQ(ok, ref_ok) << obs.key();
+          EXPECT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size() && i < want.size(); ++i)
+            EXPECT_TRUE(same_bits(got[i], want[i]))
+                << cfg.topology.label() << " obs " << obs.key() << " node "
+                << i << ": " << got[i] << " vs " << want[i];
+          ++compared;
+          if (!obs.receiver_observed) ++open_tails;
+          if (!ok) ++pruned;
+          return got;
+        };
+        (void)sim::replay_trace(trace, compare);
+      }
+    }
+  // Every replayed observation went through both kernels: many of them,
+  // open tails among them, and some hypotheses the mask rules out.
+  EXPECT_GT(compared, 3000u);
+  EXPECT_GT(open_tails, 500u);
+  EXPECT_GT(pruned, 0u);
+}
+
+/// The per-observation scorer run_simulation uses, built fresh for one
+/// trace and never memoized: each call runs the walk DP. An observation
+/// the walk model cannot explain maps to the empty posterior, which
+/// scoring skips. `skipped` counts them.
+sim::posterior_fn fresh_walk_scorer(const sim::sim_trace& trace,
+                                    std::size_t& skipped) {
+  const sim::sim_config& cfg = trace.config;
+  const system_params sys{cfg.sys.node_count,
+                          static_cast<std::uint32_t>(trace.compromised.size())};
+  const auto engine = std::make_shared<net::topology_posterior_engine>(
+      sys, trace.compromised, cfg.lengths,
+      net::topology::make(cfg.sys.node_count, cfg.topology));
+  return [engine, &skipped](const observation& obs) {
+    std::vector<double> post;
+    if (!engine->try_sender_posterior(obs, post)) {
+      post.clear();
+      ++skipped;
+    }
+    return post;
+  };
+}
+
+void expect_same_report(const sim::sim_report& got,
+                        const sim::sim_report& want, const std::string& what) {
+  EXPECT_TRUE(same_bits(got.empirical_entropy_bits, want.empirical_entropy_bits))
+      << what << ": " << got.empirical_entropy_bits << " vs "
+      << want.empirical_entropy_bits;
+  EXPECT_TRUE(
+      same_bits(got.empirical_entropy_stderr, want.empirical_entropy_stderr))
+      << what;
+  EXPECT_TRUE(same_bits(got.identified_fraction, want.identified_fraction))
+      << what;
+  EXPECT_TRUE(same_bits(got.top1_accuracy, want.top1_accuracy)) << what;
+  EXPECT_EQ(got.posteriors, want.posteriors) << what;
+  ASSERT_EQ(got.session.has_value(), want.session.has_value()) << what;
+  if (!got.session) return;
+  const sim::session_report& a = *got.session;
+  const sim::session_report& b = *want.session;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.target_messages, b.target_messages) << what;
+  EXPECT_TRUE(same_bits(a.entropy_bits, b.entropy_bits)) << what;
+  EXPECT_TRUE(same_bits(a.top_mass, b.top_mass)) << what;
+  EXPECT_EQ(a.top_receiver, b.top_receiver) << what;
+  EXPECT_EQ(a.identified, b.identified) << what;
+  EXPECT_EQ(a.correct, b.correct) << what;
+  EXPECT_EQ(a.identified_round, b.identified_round) << what;
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << what;
+  for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
+    EXPECT_EQ(a.trajectory[i].round, b.trajectory[i].round) << what;
+    EXPECT_TRUE(
+        same_bits(a.trajectory[i].entropy_bits, b.trajectory[i].entropy_bits))
+        << what << " round " << i;
+    EXPECT_TRUE(same_bits(a.trajectory[i].top_mass, b.trajectory[i].top_mass))
+        << what << " round " << i;
+    EXPECT_EQ(a.trajectory[i].top_receiver, b.trajectory[i].top_receiver)
+        << what;
+    EXPECT_EQ(a.trajectory[i].identified, b.trajectory[i].identified) << what;
+  }
+}
+
+TEST(WalkMemo, InlineRunEqualsUnmemoizedReplay) {
+  struct variant {
+    const char* name;
+    void (*apply)(sim::sim_config&);
+    bool memoized;  // scored through the per-run memo
+  };
+  const variant variants[] = {
+      {"plain", [](sim::sim_config&) {}, true},
+      {"retries (fused)",
+       [](sim::sim_config& c) {
+         c.faults.drop_probability = 0.2;
+         c.retry.max_retries = 2;
+         c.retry.timeout = 0.3;
+       },
+       false},
+      {"sequential bayes session",
+       [](sim::sim_config& c) {
+         c.session.rounds = 30;
+         c.session.receiver_count = 12;
+         c.session.target_sender = 5;
+         c.session.partner = 4;
+         c.session.attack = attack::attack_kind::sequential_bayes;
+       },
+       true},
+      {"collect_posteriors",
+       [](sim::sim_config& c) { c.collect_posteriors = true; }, false},
+  };
+  std::size_t skipped = 0;
+  for (const net::topology_kind kind : restricted_kinds)
+    for (const bool open_tail : {false, true})
+      for (const variant& v : variants) {
+        sim::sim_config cfg = walk_config(kind, open_tail);
+        v.apply(cfg);
+        const std::string what = cfg.topology.label() +
+                                 (open_tail ? " partial " : " full ") + v.name;
+        const sim::sim_report inline_report = sim::run_simulation(cfg);
+        const sim::sim_trace trace = sim::capture_trace(cfg);
+        const sim::sim_report replayed =
+            sim::replay_trace(trace, fresh_walk_scorer(trace, skipped));
+        ASSERT_FALSE(std::isnan(inline_report.empirical_entropy_bits)) << what;
+        expect_same_report(inline_report, replayed, what);
+        if (cfg.session.enabled()) {
+          ASSERT_TRUE(inline_report.session.has_value()) << what;
+        }
+        // A run this size repeats observations, so the memo both misses
+        // and hits; the unmemoized paths count nothing.
+        const std::uint64_t lookups =
+            inline_report.walk_memo_hits + inline_report.walk_memo_misses;
+        if (v.memoized) {
+          EXPECT_GT(inline_report.walk_memo_hits, 0u) << what;
+          EXPECT_GT(inline_report.walk_memo_misses, 0u) << what;
+        } else {
+          EXPECT_EQ(lookups, 0u) << what;
+        }
+        EXPECT_EQ(replayed.walk_memo_hits + replayed.walk_memo_misses, 0u)
+            << what;
+        EXPECT_EQ(inline_report.memo_hits + inline_report.memo_misses, 0u)
+            << what;
+      }
+  // Partial coverage leaves a few observations the walk model cannot
+  // explain; both paths must skip them alike.
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST(WalkMemo, CampaignMetricsCountWalkLookups) {
+  sim::campaign_grid grid;
+  grid.node_counts = {24};
+  grid.compromised_counts = {3};
+  grid.lengths = {path_length_distribution::uniform(1, 6)};
+  grid.message_count = 200;
+  const auto counters = [&](net::topology_kind kind) {
+    grid.topologies = {topo_of(kind)};
+    obs::metrics_registry registry;
+    sim::campaign_config cfg;
+    cfg.replicas = 2;
+    cfg.threads = 2;
+    cfg.metrics = &registry;
+    (void)sim::run_campaign(grid, cfg);
+    return registry.snapshot().counters;
+  };
+  auto walk = counters(net::topology_kind::random_regular);
+  EXPECT_GT(walk["posterior.walk_memo_hits"], 0u);
+  EXPECT_GT(walk["posterior.walk_memo_misses"], 0u);
+  EXPECT_EQ(walk["attack.memo_hits"] + walk["attack.memo_misses"], 0u);
+  auto clique = counters(net::topology_kind::complete);
+  EXPECT_EQ(clique.count("posterior.walk_memo_hits"), 1u);
+  EXPECT_EQ(clique["posterior.walk_memo_hits"] +
+                clique["posterior.walk_memo_misses"],
+            0u);
+  EXPECT_GT(clique["attack.memo_hits"] + clique["attack.memo_misses"], 0u);
+}
+
+TEST(WalkMemo, CliqueRunsCountNoWalkLookups) {
+  sim::sim_config cfg;
+  cfg.sys = {24, 3};
+  cfg.compromised = {2, 9, 17};
+  cfg.message_count = 200;
+  const sim::sim_report r = sim::run_simulation(cfg);
+  EXPECT_EQ(r.walk_memo_hits + r.walk_memo_misses, 0u);
+  EXPECT_GT(r.memo_hits + r.memo_misses, 0u);
+}
+
+}  // namespace
+}  // namespace anonpath

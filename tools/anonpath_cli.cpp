@@ -104,7 +104,9 @@ using namespace anonpath;
       "usage: anonpath "
       "<degree|estimate|optimize|simulate|campaign|merge|capture|replay"
       "|attack|plan|figures> [options]\n"
-      "  common:   --n <nodes>      (default 100)\n"
+      "  common:   --n <nodes>      (default 100; at most 1000000 for\n"
+      "                      estimate and the simulator commands, 10000000\n"
+      "                      for plan: larger runs cannot fit in 4 GB)\n"
       "            --c <compromised> (default 1)\n"
       "            --dist F:l | U:a,b | G:pf,min,max | P:lambda,max\n"
       "            --adversary full | partial:<f>[:honest] | timing\n"
@@ -500,6 +502,22 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
   reg.add_counter("sim.retransmissions", r.retransmissions);
   reg.add_counter("attack.memo_hits", r.memo_hits);
   reg.add_counter("attack.memo_misses", r.memo_misses);
+  reg.add_counter("posterior.walk_memo_hits", r.walk_memo_hits);
+  reg.add_counter("posterior.walk_memo_misses", r.walk_memo_misses);
+}
+
+/// Largest --n per command. Past these a run cannot fit in a 4 GB address
+/// space: estimate and the simulator keep N-length posteriors and per-node
+/// relay state, plan a CSR graph of about 100 bytes per node. A larger
+/// value is refused before anything is allocated.
+constexpr std::uint32_t max_nodes_estimate_and_sim = 1'000'000;
+constexpr std::uint32_t max_nodes_plan = 10'000'000;
+
+void require_node_cap(const options& opt, std::uint32_t cap) {
+  for (const std::uint32_t n : opt.grid.node_counts)
+    if (n > cap)
+      usage("--n " + std::to_string(n) + " is too large for '" + opt.command +
+            "' (at most " + std::to_string(cap) + ")");
 }
 
 /// The C=1 closed form behind degree, optimize and figures needs N >= 5;
@@ -537,6 +555,7 @@ int cmd_degree(const options& opt) {
 
 int cmd_estimate(const options& opt) {
   require_only_axes(opt, {"--n", "--c", "--dist", "--topology"});
+  require_node_cap(opt, max_nodes_estimate_and_sim);
   const std::uint32_t n = opt.grid.node_counts.front();
   const std::uint32_t c = opt.grid.compromised_counts.front();
   const system_params sys{n, c};
@@ -627,6 +646,7 @@ sim::campaign_grid build_campaign_grid(
           "'attack' workload; simulator sessions batch --messages into "
           "--rounds");
   reject_plan_flags(opt);
+  require_node_cap(opt, max_nodes_estimate_and_sim);
   sim::campaign_grid grid = opt.grid;
   if (!opt.given("--dist")) grid.lengths = {default_dist};
   grid.session_receiver_law = opt.receiver_law;
@@ -1216,6 +1236,7 @@ int cmd_plan(const options& opt) {
   require_axes_read(opt, {"--n", "--topology", "--routing"});
   reject_workload_flags(opt);
   reject_fault_flags(opt);
+  require_node_cap(opt, max_nodes_plan);
   const std::uint32_t n = opt.grid.node_counts.front();
   if (n < 2) usage("plan needs --n >= 2");
   if (opt.plan_source >= n) usage("--source out of range for --n");
