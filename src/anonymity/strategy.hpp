@@ -17,6 +17,11 @@ enum class routing_mode {
   hop_by_hop,
 };
 
+/// Stable label ("source_routed", "hop_by_hop") for CSV and trace surfaces.
+[[nodiscard]] constexpr const char* routing_mode_label(routing_mode mode) {
+  return mode == routing_mode::source_routed ? "source_routed" : "hop_by_hop";
+}
+
 /// A named path-selection strategy: the paper's abstraction of a deployed
 /// anonymous communication system.
 struct protocol_spec {

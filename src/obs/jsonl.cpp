@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/stats/error.hpp"
+#include "src/stats/text_codec.hpp"
 
 namespace anonpath::obs {
 
@@ -75,17 +76,12 @@ struct cursor {
     if (p == end)
       fail(parse_error_kind::truncated,
            where() + ": record ended while expecting an integer");
-    if (*p < '0' || *p > '9')
-      fail(parse_error_kind::malformed, where() + ": expected an integer");
-    std::uint64_t value = 0;
-    while (p != end && *p >= '0' && *p <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
-      if (value > (UINT64_MAX - digit) / 10)
-        fail(parse_error_kind::out_of_range,
-             where() + ": integer overflows 64 bits");
-      value = value * 10 + digit;
-      ++p;
-    }
+    // The integer runs to the next JSON delimiter; the codec decides what
+    // it is.
+    const std::string_view rest(p, static_cast<std::size_t>(end - p));
+    const std::string_view token = rest.substr(0, rest.find_first_of(",]}"));
+    const std::uint64_t value = stats::read_u64(token, source_label, where());
+    p += token.size();
     return value;
   }
 
@@ -130,23 +126,14 @@ struct cursor {
       if (esc == '"' || esc == '\\') {
         out.push_back(esc);
       } else if (esc == 'u') {
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          if (p == end)
-            fail(parse_error_kind::truncated,
-                 where() + ": record ended inside a \\u escape");
-          const char h = *p++;
-          unsigned nibble = 0;
-          if (h >= '0' && h <= '9') {
-            nibble = static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            nibble = static_cast<unsigned>(h - 'a') + 10;
-          } else {
-            fail(parse_error_kind::malformed,
-                 where() + ": bad hex digit in \\u escape");
-          }
-          code = code * 16 + nibble;
-        }
+        if (end - p < 4)
+          fail(parse_error_kind::truncated,
+               where() + ": record ended inside a \\u escape");
+        std::uint64_t code = 0;
+        if (!stats::decode_hex(std::string_view(p, 4), code))
+          fail(parse_error_kind::malformed,
+               where() + ": bad hex digit in \\u escape");
+        p += 4;
         if (code >= 0x20)
           fail(parse_error_kind::malformed,
                where() + ": \\u escape outside the control range");

@@ -22,10 +22,6 @@ namespace anonpath::sim {
 
 namespace {
 
-const char* mode_label(routing_mode mode) {
-  return mode == routing_mode::source_routed ? "source_routed" : "hop_by_hop";
-}
-
 /// Fixed-width numeric rendering so CSV comparisons are byte-exact and
 /// independent of any ostream state the caller set up.
 void put_number(std::ostream& os, double x) {
@@ -102,95 +98,8 @@ campaign_cell reduce_cell(const scenario& s, std::uint32_t replicas,
   return agg;
 }
 
-}  // namespace
-
-std::uint64_t campaign_grid::cell_count() const noexcept {
-  std::uint64_t cells = 1;
-  for_each_axis(
-      [&](const auto& axis) { cells *= (this->*axis.values).size(); });
-  return cells;
-}
-
-scenario grid_cell(const campaign_grid& grid, std::uint64_t index) {
-  ANONPATH_EXPECTS(index < grid.cell_count());
-  scenario s;
-  std::uint64_t stride = grid.cell_count();
-  for_each_axis([&](const auto& axis) {
-    const auto& values = grid.*axis.values;
-    stride /= values.size();
-    s.*axis.coordinate = values[(index / stride) % values.size()];
-  });
-  return s;
-}
-
-const char* system_infeasible_reason(const system_params& sys,
-                                     const path_length_distribution& lengths) {
-  if (!sys.valid()) return "--c must be at most --n, and --n at least 2";
-  if (lengths.max_length() > sys.node_count - 1)
-    return "--dist lengths must fit a simple path (at most --n minus 1)";
-  return nullptr;
-}
-
-const char* infeasible_reason(const campaign_grid& grid, const scenario& s) {
-  const std::uint32_t n = s.node_count;
-  // A simulated run needs an honest sender, so C < N here.
-  if (!system_params{n, s.compromised_count}.valid() ||
-      s.compromised_count >= n)
-    return "--c must be below --n, and --n at least 2";
-  if (const char* why =
-          system_infeasible_reason({n, s.compromised_count}, s.lengths))
-    return why;
-  if (grid.message_count == 0) return "--messages must be > 0";
-  if (!s.adversary.valid()) return "--adversary coverage out of range";
-  if (!s.topology.valid_for(n))
-    return "--topology parameters out of range for --n";
-  if (s.topology.kind != net::topology_kind::complete &&
-      s.adversary.kind == adversary_kind::timing_correlator)
-    return "--adversary timing is not supported on a restricted --topology";
-  // Planned (kpaths) routing mirrors run_core's preconditions: whole-path
-  // planning only exists for source routing, and its observations have no
-  // gapped (timing-correlator) likelihood.
-  if (!s.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";
-  if (s.routing.planned() && s.mode != routing_mode::source_routed)
-    return "--routing kpaths requires onion (source-routed) mode";
-  if (s.routing.planned() &&
-      s.adversary.kind == adversary_kind::timing_correlator)
-    return "--adversary timing is not supported with --routing kpaths";
-  if (!s.churn.valid()) return "--churn parameters out of range";
-  if (!s.mix_failure.valid()) return "--mix-failures parameters out of range";
-  if (!s.retry.valid()) return "--retry parameters out of range";
-  // Session coordinates must be coherent: population and rounds are both
-  // off or both on, attacks need rounds, enabled sessions need a population
-  // of at least two, at least one message per round, and source routing
-  // (run_core's own precondition).
-  if ((s.population == 0) != (s.rounds == 0))
-    return "session mode wants both --population and --rounds (or neither)";
-  if (s.attack != attack::attack_kind::none && s.rounds == 0)
-    return "--attack needs session mode (--population and --rounds)";
-  if (s.rounds > 0 && s.population < 2) return "--population must be >= 2";
-  if (s.rounds > grid.message_count)
-    return "--rounds must be <= --messages (one message per mix round)";
-  if (s.rounds > 0 && s.mode != routing_mode::source_routed)
-    return "session mode requires onion (source-routed) routing";
-  // Sketch-backed state exists for the counting attack only.
-  if (s.stream != workload::stream_backend::exact &&
-      s.attack != attack::attack_kind::sda)
-    return "--stream sketch requires --attack sda";
-  return nullptr;
-}
-
-std::vector<scenario> expand_grid(const campaign_grid& grid) {
-  std::vector<scenario> out;
-  const std::uint64_t cells = grid.cell_count();
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    scenario s = grid_cell(grid, i);
-    if (infeasible_reason(grid, s) == nullptr) out.push_back(std::move(s));
-  }
-  return out;
-}
-
-sim_config scenario_config(const scenario& s, const campaign_grid& grid,
-                           std::uint64_t seed) {
+/// scenario_config before the seed and the seed-dependent session target.
+sim_config cell_config(const scenario& s, const campaign_grid& grid) {
   sim_config cfg;
   cfg.sys = {s.node_count, s.compromised_count};
   cfg.compromised = spread_compromised(s.node_count, s.compromised_count);
@@ -216,12 +125,71 @@ sim_config scenario_config(const scenario& s, const campaign_grid& grid,
     cfg.session.attack = s.attack;
     cfg.session.stream = s.stream;
     cfg.session.partner = canonical_partner(s.population);
-    // The effective flags, not the configured list: a partial_coverage
-    // adversary supersedes cfg.compromised with a seeded draw, and the
-    // target must be honest under what the run actually corrupts.
+  }
+  return cfg;
+}
+
+}  // namespace
+
+std::uint64_t campaign_grid::cell_count() const noexcept {
+  std::uint64_t cells = 1;
+  for_each_axis(
+      [&](const auto& axis) { cells *= (this->*axis.values).size(); });
+  return cells;
+}
+
+scenario grid_cell(const campaign_grid& grid, std::uint64_t index) {
+  ANONPATH_EXPECTS(index < grid.cell_count());
+  scenario s;
+  std::uint64_t stride = grid.cell_count();
+  for_each_axis([&](const auto& axis) {
+    const auto& values = grid.*axis.values;
+    stride /= values.size();
+    s.*axis.coordinate = values[(index / stride) % values.size()];
+  });
+  return s;
+}
+
+const char* infeasible_reason(const campaign_grid& grid, const scenario& s) {
+  // A simulated run needs an honest sender, so C < N here.
+  if (s.node_count < 2 || s.compromised_count >= s.node_count)
+    return "--c must be below --n, and --n at least 2";
+  // Session coordinates a run config cannot express: population and rounds
+  // are both off or both on, and attacks and sketches need a session.
+  if ((s.population == 0) != (s.rounds == 0))
+    return "session mode wants both --population and --rounds (or neither)";
+  if (s.attack != attack::attack_kind::none && s.rounds == 0)
+    return "--attack needs session mode (--population and --rounds)";
+  if (s.stream != workload::stream_backend::exact &&
+      s.attack != attack::attack_kind::sda)
+    return "--stream sketch requires --attack sda";
+  // Every per-run rule is the rulebook's. The crash plan is left out: it
+  // is not swept, and a node outside this cell's N fails the cell into its
+  // error column instead (campaign_grid::fault_outages).
+  sim_config cfg = cell_config(s, grid);
+  cfg.faults.outages.clear();
+  return invalid_reason(cfg);
+}
+
+std::vector<scenario> expand_grid(const campaign_grid& grid) {
+  std::vector<scenario> out;
+  const std::uint64_t cells = grid.cell_count();
+  for (std::uint64_t i = 0; i < cells; ++i) {
+    scenario s = grid_cell(grid, i);
+    if (infeasible_reason(grid, s) == nullptr) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+sim_config scenario_config(const scenario& s, const campaign_grid& grid,
+                           std::uint64_t seed) {
+  sim_config cfg = cell_config(s, grid);
+  // The effective flags, not the configured list: a partial_coverage
+  // adversary supersedes cfg.compromised with a seeded draw, and the
+  // target must be honest under what the run actually corrupts.
+  if (cfg.session.enabled())
     cfg.session.target_sender = lowest_honest_node(effective_compromised(
         cfg.adversary, s.node_count, cfg.compromised, seed));
-  }
   cfg.seed = seed;
   return cfg;
 }
@@ -443,7 +411,7 @@ void write_csv(const campaign_result& result, std::ostream& os) {
   for (const campaign_cell& cell : result.cells) {
     const scenario& s = cell.scene;
     os << s.node_count << ',' << s.compromised_count << ",\""
-       << s.lengths.label() << "\"," << mode_label(s.mode) << ',';
+       << s.lengths.label() << "\"," << routing_mode_label(s.mode) << ',';
     put_number(os, s.drop_probability);
     os << ',';
     put_number(os, s.arrival_rate);

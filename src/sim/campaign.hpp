@@ -221,20 +221,12 @@ struct campaign_result {
 [[nodiscard]] scenario grid_cell(const campaign_grid& grid,
                                  std::uint64_t index);
 
-/// The rules on (N, C, path lengths) alone: nullptr when the anonymity
-/// engines accept them (C <= N, N >= 2, every length fits a simple path),
-/// else the reason in CLI flag terms. infeasible_reason applies them to
-/// every cell; the scalar commands (degree, estimate) check them before
-/// calling the engines, whose preconditions are not user-facing messages.
-[[nodiscard]] const char* system_infeasible_reason(
-    const system_params& sys, const path_length_distribution& lengths);
-
-/// Every cross-axis rule in one place: nullptr when run_simulation's
-/// preconditions hold for the cell, else the reason it cannot run (phrased
-/// in CLI flag terms, which is where it surfaces). Beyond the clique rules,
-/// topology parameters must fit N, a restricted graph or planned routes
-/// cannot face the timing correlator, planned routes and sessions need
-/// source routing, and session coordinates must be coherent.
+/// Why a cell cannot run, phrased in CLI flag terms (where it surfaces), or
+/// nullptr when it can. The campaign's own rules come first: a run needs an
+/// honest sender (C < N), and session coordinates must be coherent. Every
+/// per-run rule is then the sim_config rulebook's (invalid_reason) on the
+/// cell's config, except the unswept crash plan, whose out-of-range nodes
+/// fail their cell at run time instead.
 [[nodiscard]] const char* infeasible_reason(const campaign_grid& grid,
                                             const scenario& s);
 

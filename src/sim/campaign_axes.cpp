@@ -1,14 +1,12 @@
 #include "src/sim/campaign_axes.hpp"
 
-#include <bit>
 #include <cerrno>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
 #include "src/stats/error.hpp"
+#include "src/stats/text_codec.hpp"
 
 namespace anonpath::sim {
 
@@ -34,26 +32,15 @@ namespace {
   throw parse_error(kind, what, detail);
 }
 
-unsigned long long parse_unsigned(const std::string& token, const char* what,
-                                  unsigned long long max, const char* want) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (token.empty() || token[0] == '-' || end == token.c_str() ||
-      *end != '\0' || errno == ERANGE || v > max)
-    bad(parse_error_kind::malformed, what, "'" + token + "' is not " + want);
-  return v;
-}
-
 }  // namespace
 
 std::uint32_t parse_u32_token(const std::string& token, const char* what) {
-  return static_cast<std::uint32_t>(parse_unsigned(
-      token, what, 0xFFFFFFFFull, "an unsigned 32-bit integer"));
+  return static_cast<std::uint32_t>(
+      stats::read_u64(token, what, "", 0xFFFFFFFFull));
 }
 
 std::uint64_t parse_u64_token(const std::string& token, const char* what) {
-  return parse_unsigned(token, what, ~0ull, "an unsigned 64-bit integer");
+  return stats::read_u64(token, what, "");
 }
 
 double parse_finite_token(const std::string& token, const char* what) {
@@ -69,13 +56,6 @@ double parse_finite_token(const std::string& token, const char* what) {
     bad(parse_error_kind::malformed, what,
         "'" + token + "' is not a finite decimal number");
   return v;
-}
-
-void put_hex_double(std::ostream& os, double x) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, " %016" PRIx64,
-                std::bit_cast<std::uint64_t>(x));
-  os << buf;
 }
 
 namespace {
@@ -322,6 +302,8 @@ workload::stream_backend parse_stream(const std::string& token,
 // ---- campaign_scope element serializers -------------------------------------
 // Every axis element is fully expanded (labels alone could collide) and
 // doubles travel as bit patterns.
+
+using stats::put_hex_double;
 
 void scope_u32(std::ostream& os, const std::uint32_t& v) { os << ' ' << v; }
 

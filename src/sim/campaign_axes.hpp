@@ -71,6 +71,8 @@ void for_each_axis(F&& f) {
 [[nodiscard]] std::vector<std::string> split_tokens(const std::string& spec,
                                                     char delim,
                                                     const char* what);
+/// Decimal digits only (src/stats/text_codec.hpp): a sign, whitespace or a
+/// base prefix is malformed, a value past the width out_of_range.
 [[nodiscard]] std::uint32_t parse_u32_token(const std::string& token,
                                             const char* what);
 [[nodiscard]] std::uint64_t parse_u64_token(const std::string& token,
@@ -78,9 +80,5 @@ void for_each_axis(F&& f) {
 /// Decimal notation only: inf, nan, hex floats and overflow are refused.
 [[nodiscard]] double parse_finite_token(const std::string& token,
                                         const char* what);
-
-/// Appends ' ' and the IEEE-754 bit pattern of x as 16 lowercase hex
-/// digits — the double encoding of campaign_scope and checkpoint records.
-void put_hex_double(std::ostream& os, double x);
 
 }  // namespace anonpath::sim

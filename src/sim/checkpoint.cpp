@@ -1,10 +1,8 @@
 #include "src/sim/checkpoint.hpp"
 
-#include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -13,12 +11,15 @@
 #include "src/sim/campaign_axes.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
+#include "src/stats/text_codec.hpp"
 
 namespace anonpath::sim {
 
 namespace {
 
 constexpr char magic[] = "anonpath-checkpoint";
+
+using stats::put_hex_double;
 
 /// Doubles travel as IEEE-754 bit patterns, exactly as in trace v1: bit
 /// round-trips and deterministic rendering are what make a resumed CSV
@@ -32,80 +33,85 @@ void put_summary(std::ostream& os, const stats::running_summary& s) {
   throw parse_error(kind, "checkpoint", what);
 }
 
-/// Parses a 16-digit lowercase hex token into raw bits; false on any
-/// deviation (a record failing here is either the kill point or corruption
-/// — the caller decides which by position).
-bool parse_hex64(const std::string& tok, std::uint64_t& out) {
-  if (tok.size() != 16) return false;
-  std::uint64_t bits = 0;
-  for (char c : tok) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-  }
-  out = bits;
-  return true;
+/// what() without its "<source>: " prefix.
+std::string detail_of(const parse_error& e) {
+  return std::string(e.what()).substr(e.source().size() + 2);
 }
 
-bool parse_u64(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty() || tok[0] < '0' || tok[0] > '9') return false;
-  try {
-    std::size_t used = 0;
-    out = std::stoull(tok, &used);
-    return used == tok.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+std::vector<std::string> read_lines(std::istream& is) {
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
 }
 
-bool parse_summary(std::istringstream& ss, stats::running_summary& out) {
-  std::string tok;
-  std::uint64_t n = 0;
-  if (!(ss >> tok) || !parse_u64(tok, n)) return false;
-  std::uint64_t raw[4];
-  for (std::uint64_t& r : raw)
-    if (!(ss >> tok) || !parse_hex64(tok, r)) return false;
-  out = stats::running_summary::restore(
-      n, std::bit_cast<double>(raw[0]), std::bit_cast<double>(raw[1]),
-      std::bit_cast<double>(raw[2]), std::bit_cast<double>(raw[3]));
-  return true;
+stats::running_summary read_summary(stats::token_reader& in) {
+  const std::uint64_t n = in.u64("summary count");
+  double words[4];
+  for (double& w : words) w = in.hex_double("summary word");
+  return stats::running_summary::restore(n, words[0], words[1], words[2],
+                                         words[3]);
 }
 
-/// Parses one `cell` record line against the index the caller expects
-/// next; false on any deviation. The caller decides by position whether a
-/// failure is the kill point (final line) or corruption.
-bool parse_cell_record(const std::string& line, std::uint64_t expected_index,
-                       campaign_cell& cell) {
+/// Parses one `cell` record line, whose index must be `expected_index`.
+campaign_cell read_cell_record(const std::string& line,
+                               std::uint64_t expected_index) {
   std::istringstream ss(line);
-  std::string tok;
-  std::uint64_t index = 0, replicas = 0, errflag = 0;
-  const bool ok =
-      (ss >> tok) && tok == "cell" && (ss >> tok) && parse_u64(tok, index) &&
-      index == expected_index && (ss >> tok) && parse_u64(tok, replicas) &&
-      replicas <= 0xFFFFFFFFull && (ss >> tok) &&
-      parse_u64(tok, cell.submitted) && (ss >> tok) &&
-      parse_u64(tok, cell.delivered) &&
-      parse_summary(ss, cell.delivered_fraction) &&
-      parse_summary(ss, cell.latency_seconds) && parse_summary(ss, cell.hops) &&
-      parse_summary(ss, cell.entropy_bits) &&
-      parse_summary(ss, cell.identified_fraction) &&
-      parse_summary(ss, cell.top1_accuracy) &&
-      parse_summary(ss, cell.attack_entropy_bits) &&
-      parse_summary(ss, cell.attack_identified) &&
-      parse_summary(ss, cell.rounds_to_identify) &&
-      parse_summary(ss, cell.retransmit_rate) && (ss >> tok) &&
-      parse_u64(tok, errflag) && errflag <= 1;
-  if (!ok) return false;
-  cell.replicas = static_cast<std::uint32_t>(replicas);
-  if (errflag == 1) {
+  stats::token_reader in(ss, "checkpoint");
+  in.expect("cell");
+  if (in.u64("cell index") != expected_index)
+    in.fail(parse_error_kind::malformed,
+            "cell index is not " + std::to_string(expected_index));
+  campaign_cell cell;
+  cell.replicas = in.u32("replicas");
+  cell.submitted = in.u64("submitted");
+  cell.delivered = in.u64("delivered");
+  for (stats::running_summary* s :
+       {&cell.delivered_fraction, &cell.latency_seconds, &cell.hops,
+        &cell.entropy_bits, &cell.identified_fraction, &cell.top1_accuracy,
+        &cell.attack_entropy_bits, &cell.attack_identified,
+        &cell.rounds_to_identify, &cell.retransmit_rate})
+    *s = read_summary(in);
+  if (in.u64("error flag", 1) == 1) {
     std::getline(ss, cell.error);
     if (!cell.error.empty() && cell.error.front() == ' ')
       cell.error.erase(cell.error.begin());
-    if (cell.error.empty()) return false;
+    if (cell.error.empty())
+      in.fail(parse_error_kind::truncated, "error record without text");
   }
-  return true;
+  return cell;
+}
+
+/// The cell records lines[first..] of shard `shard_index` of `shard_count`
+/// (the whole grid for 0 of 1): record k must carry absolute index
+/// shard_index + k * shard_count, and at most max_cells may appear. The
+/// caller decides by position what a bad record means: a malformed FINAL
+/// record is the torn write of a killed process and is dropped, anything
+/// earlier is corruption.
+std::vector<campaign_cell> read_cell_records(
+    const std::vector<std::string>& lines, std::size_t first,
+    std::uint64_t max_cells, std::uint32_t shard_index,
+    std::uint32_t shard_count) {
+  std::vector<campaign_cell> cells;
+  for (std::size_t i = first; i < lines.size(); ++i) {
+    // More records than this shard's share of the grid is a foreign or
+    // stale journal — loud even on the final line, where a torn record
+    // would be forgiven.
+    if (cells.size() >= max_cells)
+      bad(parse_error_kind::mismatch,
+          "journal has more cell records than its share of the grid");
+    try {
+      cells.push_back(read_cell_record(
+          lines[i], shard_index + cells.size() * std::uint64_t{shard_count}));
+    } catch (const parse_error& e) {
+      if (i + 1 == lines.size()) break;
+      bad(e.kind() == parse_error_kind::out_of_range
+              ? parse_error_kind::out_of_range
+              : parse_error_kind::malformed,
+          "malformed cell record at shard position " +
+              std::to_string(cells.size()) + ": " + detail_of(e));
+    }
+  }
+  return cells;
 }
 
 /// Validates the magic/version line (lines[0]). Returns false when the
@@ -126,21 +132,33 @@ bool parse_magic_line(const std::string& line) {
   return true;
 }
 
-/// Parses `scope <16-hex>` into out; false on any deviation.
-bool parse_scope_line(const std::string& line, std::uint64_t& out) {
-  std::istringstream head(line);
-  std::string tok, hex;
-  return (head >> tok) && tok == "scope" && (head >> hex) &&
-         parse_hex64(hex, out);
+std::uint64_t read_scope(stats::token_reader& in) {
+  in.expect("scope");
+  return in.hex64("scope");
 }
 
-/// Parses `shard <i> <n>` into (index, count); false on any deviation.
-bool parse_shard_line(const std::string& line, std::uint64_t& index,
-                      std::uint64_t& count) {
-  std::istringstream head(line);
-  std::string tok, a, b;
-  return (head >> tok) && tok == "shard" && (head >> a) &&
-         parse_u64(a, index) && (head >> b) && parse_u64(b, count);
+std::pair<std::uint64_t, std::uint64_t> read_shard(stats::token_reader& in) {
+  in.expect("shard");
+  const std::uint64_t index = in.u64("shard index");
+  return {index, in.u64("shard count")};
+}
+
+/// Header line i as `read` parses it; nullopt when the journal ends before
+/// it or — on a lenient (resume) read — when it is the torn final line a
+/// killed writer left. Any other line that fails to parse is malformed.
+template <class Read>
+auto header_line(const std::vector<std::string>& lines, std::size_t i,
+                 bool lenient, Read read)
+    -> std::optional<decltype(read(std::declval<stats::token_reader&>()))> {
+  if (i >= lines.size()) return std::nullopt;
+  std::istringstream ss(lines[i]);
+  stats::token_reader in(ss, "checkpoint");
+  try {
+    return read(in);
+  } catch (const parse_error& e) {
+    if (lenient && i + 1 == lines.size()) return std::nullopt;
+    bad(parse_error_kind::malformed, "malformed header line: " + detail_of(e));
+  }
 }
 
 bool looks_like_shard_line(const std::string& line) {
@@ -192,9 +210,9 @@ void write_checkpoint_header(std::ostream& os, std::uint64_t scope,
                              std::uint32_t shard_count) {
   ANONPATH_EXPECTS(shard_count >= 1 && shard_index < shard_count);
   os << magic << " v" << checkpoint_file::format_version << '\n';
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, scope);
-  os << "scope " << buf << '\n';
+  os << "scope ";
+  stats::put_hex64(os, scope);
+  os << '\n';
   if (shard_count > 1)
     os << "shard " << shard_index << ' ' << shard_count << '\n';
 }
@@ -232,41 +250,26 @@ std::vector<campaign_cell> read_checkpoint(std::istream& is,
                                            std::uint32_t shard_index,
                                            std::uint32_t shard_count) {
   ANONPATH_EXPECTS(shard_count >= 1 && shard_index < shard_count);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
-  // Empty file: the writer was killed before the header flushed. Zero
+  const std::vector<std::string> lines = read_lines(is);
+  // Resuming is lenient: an empty file, or a header cut mid-write with
+  // nothing after it, is a writer killed before any progress — zero
   // progress, not corruption.
-  if (lines.empty()) return {};
-
-  // Header line cut mid-write: kill point before any progress.
-  if (!parse_magic_line(lines[0])) return {};
-  if (lines.size() < 2) return {};
-  {
-    std::uint64_t file_scope = 0;
-    if (!parse_scope_line(lines[1], file_scope)) {
-      if (lines.size() == 2) return {};  // scope line is the kill point
-      bad(parse_error_kind::malformed, "malformed scope line");
-    }
-    if (file_scope != scope)
-      bad(parse_error_kind::mismatch,
-          "checkpoint belongs to a different campaign (scope mismatch)");
-  }
+  if (lines.empty() || !parse_magic_line(lines[0])) return {};
+  const auto file_scope = header_line(lines, 1, true, read_scope);
+  if (!file_scope) return {};
+  if (*file_scope != scope)
+    bad(parse_error_kind::mismatch,
+        "checkpoint belongs to a different campaign (scope mismatch)");
 
   std::size_t first_record = 2;
   if (shard_count > 1) {
-    // A shard resume demands the matching shard line; its absence with
-    // nothing after it is the kill point, with records after it corruption.
-    if (lines.size() < 3) return {};
-    std::uint64_t file_index = 0, file_count = 0;
-    if (!parse_shard_line(lines[2], file_index, file_count)) {
-      if (lines.size() == 3) return {};  // shard line is the kill point
-      bad(parse_error_kind::malformed, "malformed shard line");
-    }
-    if (file_index != shard_index || file_count != shard_count)
+    // A shard resume demands the matching shard line.
+    const auto id = header_line(lines, 2, true, read_shard);
+    if (!id) return {};
+    if (id->first != shard_index || id->second != shard_count)
       bad(parse_error_kind::mismatch,
-          "checkpoint belongs to shard " + std::to_string(file_index) +
-              " of " + std::to_string(file_count) + ", not shard " +
+          "checkpoint belongs to shard " + std::to_string(id->first) +
+              " of " + std::to_string(id->second) + ", not shard " +
               std::to_string(shard_index) + " of " +
               std::to_string(shard_count));
     first_record = 3;
@@ -277,30 +280,8 @@ std::vector<campaign_cell> read_checkpoint(std::istream& is,
         "checkpoint is a shard journal; merge shards instead of resuming "
         "unsharded");
   }
-
-  std::vector<campaign_cell> cells;
-  for (std::size_t i = first_record; i < lines.size(); ++i) {
-    const bool final_record = i + 1 == lines.size();
-    // More records than this shard's share of the grid is a foreign or
-    // stale journal — loud even on the final line, where a torn record
-    // would be forgiven.
-    if (cells.size() >= max_cells)
-      bad(parse_error_kind::mismatch,
-          "checkpoint has more cell records than the campaign grid");
-    campaign_cell cell;
-    const std::uint64_t expected =
-        shard_index + cells.size() * static_cast<std::uint64_t>(shard_count);
-    if (!parse_cell_record(lines[i], expected, cell)) {
-      // The one legal irregularity: a final record the killed writer never
-      // finished. Anything earlier is corruption and must be loud.
-      if (final_record) break;
-      bad(parse_error_kind::malformed,
-          "malformed cell record at shard position " +
-              std::to_string(cells.size()));
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
+  return read_cell_records(lines, first_record, max_cells, shard_index,
+                           shard_count);
 }
 
 std::uint64_t shard_cell_count(std::uint64_t cell_total,
@@ -313,30 +294,26 @@ std::uint64_t shard_cell_count(std::uint64_t cell_total,
 
 shard_checkpoint read_shard_checkpoint(std::istream& is, std::uint64_t scope,
                                        std::uint64_t cell_total) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
+  const std::vector<std::string> lines = read_lines(is);
   // Merging is strict where resuming is lenient: a shard whose header
   // never made it to disk contributes nothing identifiable and the merge
   // cannot proceed.
   if (lines.empty() || !parse_magic_line(lines[0]))
     bad(parse_error_kind::truncated,
         "shard journal has no complete header line");
-  if (lines.size() < 2)
+  const auto file_scope = header_line(lines, 1, false, read_scope);
+  if (!file_scope)
     bad(parse_error_kind::truncated, "shard journal has no scope line");
-  std::uint64_t file_scope = 0;
-  if (!parse_scope_line(lines[1], file_scope))
-    bad(parse_error_kind::malformed, "malformed scope line");
-  if (file_scope != scope)
+  if (*file_scope != scope)
     bad(parse_error_kind::mismatch,
         "shard journal belongs to a different campaign (scope mismatch)");
 
+  // No shard line: an unsharded journal, mergeable as the trivial 1-shard
+  // split (out keeps its 0-of-1 defaults).
   shard_checkpoint out;
   std::size_t first_record = 2;
   if (lines.size() > 2 && looks_like_shard_line(lines[2])) {
-    std::uint64_t index = 0, count = 0;
-    if (!parse_shard_line(lines[2], index, count))
-      bad(parse_error_kind::malformed, "malformed shard line");
+    const auto [index, count] = *header_line(lines, 2, false, read_shard);
     if (count < 2 || index >= count || count > 0xFFFFFFFFull)
       bad(parse_error_kind::out_of_range,
           "shard identity " + std::to_string(index) + " of " +
@@ -345,30 +322,10 @@ shard_checkpoint read_shard_checkpoint(std::istream& is, std::uint64_t scope,
     out.shard_count = static_cast<std::uint32_t>(count);
     first_record = 3;
   }
-  // No shard line: an unsharded journal, mergeable as the trivial 1-shard
-  // split (out keeps its 0-of-1 defaults).
-
-  const std::uint64_t max_cells =
-      shard_cell_count(cell_total, out.shard_index, out.shard_count);
-  for (std::size_t i = first_record; i < lines.size(); ++i) {
-    const bool final_record = i + 1 == lines.size();
-    if (out.cells.size() >= max_cells)
-      bad(parse_error_kind::mismatch,
-          "shard journal has more cell records than its share of the grid");
-    campaign_cell cell;
-    const std::uint64_t expected =
-        out.shard_index +
-        out.cells.size() * static_cast<std::uint64_t>(out.shard_count);
-    if (!parse_cell_record(lines[i], expected, cell)) {
-      // Drop a torn final record (the kill point); the shard then fails
-      // the merge's completeness check, loudly, as an incomplete shard.
-      if (final_record) break;
-      bad(parse_error_kind::malformed,
-          "malformed cell record at shard position " +
-              std::to_string(out.cells.size()));
-    }
-    out.cells.push_back(std::move(cell));
-  }
+  out.cells = read_cell_records(
+      lines, first_record,
+      shard_cell_count(cell_total, out.shard_index, out.shard_count),
+      out.shard_index, out.shard_count);
   return out;
 }
 
@@ -394,11 +351,8 @@ campaign_result merge_campaign(const campaign_grid& grid,
     } catch (const parse_error& e) {
       // Re-frame with the offending path: a merge reads many files and
       // "scope mismatch" alone does not say which one to go look at.
-      std::string detail = e.what();
-      const std::string prefix = e.source() + ": ";
-      if (detail.rfind(prefix, 0) == 0) detail.erase(0, prefix.size());
       throw parse_error(e.kind(), "checkpoint",
-                        detail + " (in '" + path + "')");
+                        detail_of(e) + " (in '" + path + "')");
     }
     if (shard_count == 0) {
       shard_count = shard.shard_count;

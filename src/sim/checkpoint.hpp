@@ -24,7 +24,9 @@ namespace anonpath::sim {
 ///        <errflag> [error text]
 ///   ...
 ///
-/// where <summary> is `<count> <mean> <m2> <min> <max>`. One record per
+/// where <summary> is `<count> <mean> <m2> <min> <max>`, integers in
+/// decimal digits and doubles as 16 lowercase hex digits (the one grammar
+/// of src/stats/text_codec.hpp). One record per
 /// line (the cell record is wrapped above only for width). An unsharded journal has no shard line and its
 /// indices run strictly 0,1,2,... (a strict prefix of the grid's cell
 /// list — the writer flushes cells only in order). A shard i of n journals

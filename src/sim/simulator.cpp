@@ -112,46 +112,78 @@ std::vector<double> fuse_attempt_posteriors(
 
 }  // namespace
 
+const char* system_infeasible_reason(const system_params& sys,
+                                     const path_length_distribution& lengths) {
+  if (!sys.valid()) return "--c must be at most --n, and --n at least 2";
+  if (lengths.max_length() > sys.node_count - 1)
+    return "--dist lengths must fit a simple path (at most --n minus 1)";
+  return nullptr;
+}
+
+const char* invalid_reason(const sim_config& c) {
+  const std::uint32_t n = c.sys.node_count;
+  if (const char* why = system_infeasible_reason(c.sys, c.lengths)) return why;
+  if (n > max_sim_nodes) return "--n is too large (at most 1000000 nodes)";
+  if (c.compromised.size() != c.sys.compromised_count ||
+      std::any_of(c.compromised.begin(), c.compromised.end(),
+                  [n](node_id id) { return id >= n; }))
+    return "the compromised list must hold --c node ids below --n";
+  if (!(c.forward_prob >= 0.0 && c.forward_prob <= 1.0))
+    return "forward probability must be in [0, 1]";
+  if (c.message_count == 0) return "--messages must be > 0";
+  if (!(std::isfinite(c.arrival_rate) && c.arrival_rate > 0.0))
+    return "--rate must be finite and > 0";
+  if (!c.latency.valid() || !std::isfinite(c.latency.base) ||
+      !std::isfinite(c.latency.jitter) || !std::isfinite(c.latency.processing))
+    return "latency parameters must be finite and >= 0";
+  if (!c.faults.valid_for(n))
+    return "fault plan out of range (--drop in [0, 1), --churn, "
+           "--mix-failures, --crash nodes below --n)";
+  if (!c.retry.valid()) return "--retry parameters out of range";
+  if (!c.adversary.valid()) return "--adversary coverage must be in [0, 1]";
+  if (!(c.identified_threshold >= 0.0 && c.identified_threshold <= 1.0))
+    return "--threshold must be in [0, 1]";
+  // A restricted graph routes weighted walks, and planned (kpaths) routing
+  // picks whole source-routed paths: neither has a gapped
+  // (timing-correlator) likelihood, and planning has no hop-by-hop form.
+  const bool timing = c.adversary.kind == adversary_kind::timing_correlator;
+  if (!c.topology.valid_for(n))
+    return "--topology parameters out of range for --n";
+  if (c.topology.kind != net::topology_kind::complete && timing)
+    return "--adversary timing is not supported on a restricted --topology";
+  if (!c.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";
+  if (c.routing.planned() && c.mode != routing_mode::source_routed)
+    return "--routing kpaths requires onion (source-routed) mode";
+  if (c.routing.planned() && timing)
+    return "--adversary timing is not supported with --routing kpaths";
+  // Session destinations are metadata on source-routed traffic; hop-by-hop
+  // runs have no per-message inference to fuse with.
+  if (c.session.receiver_count > max_population)
+    return "--population is too large (at most 10000000 receivers)";
+  if (!c.session.valid_for(n, c.message_count))
+    return "session parameters out of range (--population >= 2, --rounds "
+           "<= --messages, --stream sketch only with --attack sda)";
+  if (c.session.enabled() && c.mode != routing_mode::source_routed)
+    return "session mode requires onion (source-routed) routing";
+  return nullptr;
+}
+
 namespace detail {
 
 core_result run_core(const sim_config& config,
                      std::vector<adversary_event>* event_log) {
-  ANONPATH_EXPECTS(config.sys.valid());
-  ANONPATH_EXPECTS(config.compromised.size() == config.sys.compromised_count);
-  ANONPATH_EXPECTS(config.message_count > 0);
-  ANONPATH_EXPECTS(config.lengths.max_length() <= config.sys.node_count - 1);
-  ANONPATH_EXPECTS(config.adversary.valid());
-  ANONPATH_EXPECTS(config.faults.valid_for(config.sys.node_count));
-  ANONPATH_EXPECTS(config.retry.valid());
-  ANONPATH_EXPECTS(config.arrival_rate > 0.0);
-  // Session destinations are metadata on source-routed traffic; hop-by-hop
-  // runs have no per-message inference to fuse with, so the combination is
-  // rejected rather than silently scored without evidence.
-  ANONPATH_EXPECTS(
-      config.session.valid_for(config.sys.node_count, config.message_count));
-  ANONPATH_EXPECTS(!config.session.enabled() ||
-                   config.mode == routing_mode::source_routed);
-  // Planned (kpaths) routing picks whole source-routed paths up front; it
-  // has no hop-by-hop analogue, and its observations have no gapped
-  // (timing-correlator) likelihood — reject both combinations up front.
-  ANONPATH_EXPECTS(config.routing.valid());
-  const bool planned = config.routing.planned();
-  ANONPATH_EXPECTS(!planned || config.mode == routing_mode::source_routed);
-  ANONPATH_EXPECTS(!planned ||
-                   config.adversary.kind != adversary_kind::timing_correlator);
+  if (const char* why = invalid_reason(config))
+    ::anonpath::detail::contract_fail("precondition", why, __FILE__,
+                                      __LINE__);
 
   const auto n = config.sys.node_count;
   // A restricted topology switches routing to the walk model; `complete`
   // must stay byte-for-byte the historical clique path, so it never even
   // builds a graph object — unless routing is planned, in which case the
   // planner needs a materialized graph even for the clique (the fabric then
-  // also asserts every planned hop follows an edge). Gapped
-  // (timing-correlator) observations have no restricted-path likelihood —
-  // reject the combination up front rather than score garbage.
+  // also asserts every planned hop follows an edge).
   const bool restricted = config.topology.kind != net::topology_kind::complete;
-  ANONPATH_EXPECTS(config.topology.valid_for(n));
-  ANONPATH_EXPECTS(!restricted ||
-                   config.adversary.kind != adversary_kind::timing_correlator);
+  const bool planned = config.routing.planned();
   std::optional<net::topology> topo;
   if (restricted || planned) topo.emplace(net::topology::make(n, config.topology));
   const net::topology* graph = topo ? &*topo : nullptr;

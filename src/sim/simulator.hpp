@@ -93,6 +93,29 @@ struct sim_config {
   obs::tracer* tracer = nullptr;
 };
 
+/// Largest N the simulator runs. It keeps per-node relay state and N-length
+/// posteriors, so a larger run cannot fit in a 4 GB address space.
+inline constexpr std::uint32_t max_sim_nodes = 1'000'000;
+/// Largest session receiver population (the disclosure attacks keep
+/// population-length state); the CLI's attack workload shares it.
+inline constexpr std::uint32_t max_population = 10'000'000;
+
+/// The rules on (N, C, path lengths) alone: nullptr when the anonymity
+/// engines accept them (C <= N, N >= 2, every length fits a simple path),
+/// else the reason. invalid_reason starts with them; the scalar commands
+/// (degree, estimate) check them before calling the engines.
+[[nodiscard]] const char* system_infeasible_reason(
+    const system_params& sys, const path_length_distribution& lengths);
+
+/// The one rulebook for a runnable sim_config: nullptr when run_simulation
+/// and capture_trace accept it, else the rule it breaks, in words that name
+/// the CLI flag where there is one. run_core asserts it, read_trace refuses
+/// a trace that breaks it (out_of_range), and the CLI refuses such a config
+/// before running it, so capture never writes a trace replay refuses. Both
+/// caps above are rules here, so an oversized config is refused before
+/// anything N- or population-sized is allocated.
+[[nodiscard]] const char* invalid_reason(const sim_config& config);
+
 /// Results of a simulation run.
 struct sim_report {
   std::uint64_t submitted = 0;

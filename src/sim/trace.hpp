@@ -86,7 +86,8 @@ void write_trace(const sim_trace& trace, std::ostream& os);
 /// whose kind() classifies the failure and whose message names the
 /// offending field) — never a contract violation, crash, or unbounded
 /// allocation. A returned trace satisfies every precondition of
-/// replay_trace and of run_simulation(trace.config).
+/// replay_trace and of run_simulation(trace.config): a config the rulebook
+/// (invalid_reason) rejects is out_of_range, with the rule as the message.
 [[nodiscard]] sim_trace read_trace(std::istream& is);
 
 }  // namespace anonpath::sim

@@ -18,7 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/jsonl.hpp"
+#include "src/sim/checkpoint.hpp"
+#include "src/sim/trace.hpp"
+#include "src/stats/error.hpp"
+#include "src/stats/text_codec.hpp"
+
 namespace {
+
+using namespace anonpath;
 
 std::string cli_binary() {
 #ifdef ANONPATH_CLI_BINARY
@@ -280,6 +288,15 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "campaign --n 30,4294967295 --c 1 --messages 10 --replicas 1",
       "plan --n 4294967295 --csr --topology regular:2",
       "plan --n 100000000 --csr --topology regular:2",
+      // Population-sized state and workload length have caps of their own.
+      "campaign --n 20 --population 4000000000 --rounds 10 --attack sda",
+      "simulate --n 20 --population 10000001 --rounds 10 --attack sda",
+      "attack --attack sda --users 4000000000 --rounds 10",
+      "attack --attack sda --users 1000 --population 10000001 --rounds 10",
+      "attack --attack sda --users 1000 --rounds 4000000000",
+      "attack --attack sda --users 1000 --rounds 1000000 --round-size 101",
+      "figures --n 100000000",
+      "figures --n 10001",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)
@@ -623,6 +640,272 @@ TEST_F(CliParse, WriteFailuresExitNonzeroWithDiagnostic) {
         << c.tag << ": no stderr diagnostic, got: " << text.str();
     std::remove(err_path.c_str());
   }
+}
+
+TEST_F(CliParse, ThresholdOutsideTheUnitIntervalIsRefused) {
+  // --threshold is a rulebook rule: a value outside [0, 1] used to run
+  // ("identified fraction: 100.00%" at -1) or, through capture, write a
+  // trace that replay refused. Both ends of [0, 1] stay valid.
+  const std::string trace_path = ::testing::TempDir() + "anonpath_thr." +
+                                 std::to_string(::getpid()) + ".trace";
+  std::remove(trace_path.c_str());
+  expect_usage_errors({
+      "simulate --n 20 --messages 50 --threshold -1",
+      "capture --n 20 --messages 50 --threshold 5 --out '" + trace_path + "'",
+      "campaign --n 20 --messages 50 --replicas 1 --threshold 1.5",
+  });
+  EXPECT_FALSE(std::ifstream(trace_path).good()) << "refused capture wrote";
+  for (const char* threshold : {"0", "1"}) {
+    const std::string run = std::string("--n 20 --messages 50 --threshold ") +
+                            threshold;
+    int rc_inline = -1, rc_capture = -1, rc_replay = -1;
+    const std::string inline_out = cli_stdout("simulate " + run, &rc_inline);
+    (void)cli_stdout("capture " + run + " --out '" + trace_path + "'",
+                     &rc_capture);
+    const std::string replayed =
+        cli_stdout("replay --in '" + trace_path + "'", &rc_replay);
+    EXPECT_EQ(rc_inline, 0) << run;
+    EXPECT_EQ(rc_capture, 0) << run;
+    EXPECT_EQ(rc_replay, 0) << run;
+    EXPECT_EQ(inline_out, replayed) << run;
+  }
+  std::remove(trace_path.c_str());
+}
+
+/// The parse_error kind a reader throws on `text`; io when it accepts.
+template <class Read>
+parse_error_kind kind_of(Read read) {
+  try {
+    read();
+  } catch (const parse_error& e) {
+    return e.kind();
+  }
+  return parse_error_kind::io;
+}
+
+TEST_F(CliParse, OneNumberGrammarForEveryReader) {
+  // The same tokens through the codec and each of its callers: a trace
+  // field, a checkpoint record, a CLI flag and a metrics JSONL value. An
+  // integer is decimal digits only and a double is 16 lowercase hex
+  // digits, so every caller fails each token with the same kind. In the
+  // trace and checkpoint formats whitespace delimits tokens, so " 20" is
+  // tested where it can be one token: the codec, the CLI and the JSONL.
+  const std::string golden = [] {
+    std::ifstream in(std::string(ANONPATH_TEST_DATA_DIR) +
+                         "/golden/trace_v1.trace",
+                     std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }();
+  std::ostringstream journal;
+  sim::write_checkpoint_header(journal, 1);
+  sim::append_checkpoint_cell(journal, 0, sim::campaign_cell{});
+  sim::append_checkpoint_cell(journal, 1, sim::campaign_cell{});
+  const std::string ckpt = journal.str();
+  // Token k of the first (non-final) cell record replaced by `tok`.
+  const auto mangled_record = [&ckpt](std::size_t k, const std::string& tok) {
+    const std::size_t start = ckpt.find("cell 0");
+    std::size_t at = start;
+    for (std::size_t i = 0; i < k; ++i) at = ckpt.find(' ', at) + 1;
+    return ckpt.substr(0, at) + tok + ckpt.substr(ckpt.find(' ', at));
+  };
+  const std::size_t submitted_token = 3, mean_token = 6;
+  ASSERT_EQ(mangled_record(mean_token, "0000000000000000"), ckpt);
+
+  using k = parse_error_kind;
+  const struct {
+    std::string token;
+    parse_error_kind as_integer, as_hex;
+  } cases[] = {
+      {"+20", k::malformed, k::malformed},
+      {" 20", k::malformed, k::malformed},
+      {"-1", k::malformed, k::malformed},
+      {"0x10", k::malformed, k::malformed},
+      {"18446744073709551616", k::out_of_range, k::malformed},
+      {"3fd000000000000", k::malformed, k::malformed},    // 15 hex digits
+      {"3FD0000000000000", k::malformed, k::malformed},   // uppercase
+  };
+  for (const auto& c : cases) {
+    const std::string& tok = c.token;
+    SCOPED_TRACE("token '" + tok + "'");
+    EXPECT_EQ(kind_of([&] { (void)stats::read_u64(tok, "test", "field"); }),
+              c.as_integer);
+    EXPECT_EQ(kind_of([&] { (void)stats::read_hex64(tok, "test", "field"); }),
+              c.as_hex);
+    // Metrics JSONL counter value.
+    std::istringstream jsonl(
+        "{\"format\":\"anonpath-metrics\",\"version\":1}\n"
+        "{\"kind\":\"counter\",\"name\":\"x\",\"value\":" + tok + "}\n");
+    EXPECT_EQ(kind_of([&] { (void)obs::read_metrics_jsonl(jsonl); }),
+              c.as_integer);
+    // CLI flag: a usage error whose diagnostic names the kind.
+    const run_result r =
+        run_cli("simulate --n '" + tok + "' --messages 10");
+    EXPECT_EQ(r.exit_code, 2) << r.stderr_text;
+    EXPECT_NE(r.stderr_text.find(c.as_integer == k::out_of_range
+                                     ? "is out of range"
+                                     : "is not a decimal integer"),
+              std::string::npos)
+        << r.stderr_text;
+    if (tok.front() == ' ') continue;
+    // Trace: an integer field and a double field.
+    std::string trace = golden;
+    trace.replace(trace.find("messages 40"), 11, "messages " + tok);
+    std::istringstream trace_int(trace);
+    EXPECT_EQ(kind_of([&] { (void)sim::read_trace(trace_int); }),
+              c.as_integer);
+    trace = golden;
+    trace.replace(trace.find("forward 3fe8000000000000"), 24, "forward " + tok);
+    std::istringstream trace_hex(trace);
+    EXPECT_EQ(kind_of([&] { (void)sim::read_trace(trace_hex); }), c.as_hex);
+    // Checkpoint: a count and a summary word of a non-final record.
+    std::istringstream ckpt_int(mangled_record(submitted_token, tok));
+    EXPECT_EQ(kind_of([&] { (void)sim::read_checkpoint(ckpt_int, 1, 10); }),
+              c.as_integer);
+    std::istringstream ckpt_hex(mangled_record(mean_token, tok));
+    EXPECT_EQ(kind_of([&] { (void)sim::read_checkpoint(ckpt_hex, 1, 10); }),
+              c.as_hex);
+  }
+}
+
+/// Reads a whole file ("" when it does not exist).
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_F(CliParse, ShardedCampaignMergesToTheUnshardedGolden) {
+  // The 48-cell grid split into 3 shard runs at mixed thread counts: the
+  // merged CSV equals the unsharded run byte for byte, the per-shard
+  // metrics sum to the full grid's counts, the merged journal resumes as a
+  // complete unsharded run, and incomplete or overlapping shard sets are
+  // refused.
+  const std::string dir = ::testing::TempDir() + "anonpath_shards." +
+                          std::to_string(::getpid()) + ".";
+  const std::string grid =
+      "--n 30,60 --c 1,4,8 --dist F:3 --dist U:1,8 --mode onion,crowds "
+      "--drop 0,0.05 --messages 200 --replicas 8 --seed 7";
+  int rc = -1;
+  const std::string golden = cli_stdout("campaign " + grid + " --threads 1",
+                                        &rc);
+  ASSERT_EQ(rc, 0);
+  ASSERT_EQ(std::count(golden.begin(), golden.end(), '\n'), 49);
+  std::string inputs;
+  for (int i = 0; i < 3; ++i) {
+    const std::string ckpt = dir + "shard" + std::to_string(i) + ".ckpt";
+    inputs += " --input '" + ckpt + "'";
+    EXPECT_EQ(run_cli("campaign " + grid + " --threads " +
+                      (i == 0 ? "1" : "8") + " --shard " + std::to_string(i) +
+                      "/3 --checkpoint '" + ckpt + "' --metrics '" + ckpt +
+                      ".metrics'")
+                  .exit_code,
+              0);
+  }
+  const std::string merged_ckpt = dir + "merged.ckpt";
+  const std::string merged_metrics = dir + "merged-metrics.jsonl";
+  EXPECT_EQ(cli_stdout("merge " + grid + inputs + " --checkpoint '" +
+                           merged_ckpt + "' --metrics '" + merged_metrics +
+                           "'",
+                       &rc),
+            golden);
+  EXPECT_EQ(rc, 0);
+  const std::string metrics = slurp(merged_metrics);
+  EXPECT_NE(metrics.find("\"name\":\"campaign.cells_completed\",\"value\":48"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("\"name\":\"campaign.runs_completed\",\"value\":384"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(cli_stdout("campaign " + grid + " --threads 8 --checkpoint '" +
+                           merged_ckpt + "' --resume",
+                       &rc),
+            golden);
+  EXPECT_EQ(rc, 0);
+  const std::string shard0 = " --input '" + dir + "shard0.ckpt'";
+  const std::string shard1 = " --input '" + dir + "shard1.ckpt'";
+  EXPECT_NE(run_cli("merge " + grid + shard0 + shard1).exit_code, 0)
+      << "missing shard accepted";
+  EXPECT_NE(run_cli("merge " + grid + shard0 + shard1 + shard1).exit_code, 0)
+      << "duplicate shard accepted";
+  for (int i = 0; i < 3; ++i) {
+    const std::string ckpt = dir + "shard" + std::to_string(i) + ".ckpt";
+    std::remove(ckpt.c_str());
+    std::remove((ckpt + ".metrics").c_str());
+  }
+  std::remove(merged_ckpt.c_str());
+  std::remove(merged_metrics.c_str());
+}
+
+/// Exit status of a shell command line (-1 when it did not exit).
+int shell_status(const std::string& cmd) {
+  const int status = std::system(("bash -c \"" + cmd + "\"").c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(CliParse, WriteFailurePathsFailLoudly) {
+  // Every output path exits nonzero when its bytes cannot land: a
+  // benchmark's JSON in a missing directory, and the campaign CSV, a
+  // checkpoint journal and a trace on a full disk.
+#ifdef ANONPATH_BENCH_PERF_BINARY
+  EXPECT_NE(shell_status("'" + std::string(ANONPATH_BENCH_PERF_BINARY) +
+                         "' --json=/no/such/dir/bench.json "
+                         "--benchmark_filter=BM_EventQueueScheduleRun "
+                         "--benchmark_min_time=0.01 >/dev/null 2>&1"),
+            0)
+      << "expected benchmark JSON write failure";
+#endif
+  if (std::system("sh -c 'echo x > /dev/full' 2>/dev/null") == 0)
+    GTEST_SKIP() << "/dev/full does not reject writes here";
+  const std::string cli = "'" + cli_binary() + "' ";
+  const std::string small = "--n 16 --c 1 --dist F:3 --messages 50";
+  EXPECT_NE(shell_status(cli + "campaign " + small +
+                         " --replicas 1 > /dev/full 2>/dev/null"),
+            0)
+      << "expected stdout write failure";
+  EXPECT_NE(shell_status(cli + "campaign " + small +
+                         " --replicas 1 --checkpoint /dev/full > /dev/null "
+                         "2>/dev/null"),
+            0)
+      << "expected checkpoint write failure";
+  EXPECT_NE(shell_status(cli + "capture " + small +
+                         " --out /dev/full > /dev/null 2>/dev/null"),
+            0)
+      << "expected trace write failure";
+}
+
+TEST_F(CliParse, AdversaryAxisIsTraceInvariantAndCaptureReplays) {
+  // The adversary axis sweeps (one row per model) identically inline and
+  // through the trace pipeline, and capture -> replay reproduces an inline
+  // simulate exactly.
+  const std::string sweep =
+      "campaign --n 30 --c 2 --dist F:3 --adversary full,partial:0.2,timing "
+      "--messages 150 --replicas 4 --seed 7 --threads 8";
+  int rc_inline = -1, rc_trace = -1;
+  const std::string inline_csv = cli_stdout(sweep, &rc_inline);
+  const std::string trace_csv = cli_stdout(sweep + " --via-trace", &rc_trace);
+  ASSERT_EQ(rc_inline, 0);
+  ASSERT_EQ(rc_trace, 0);
+  EXPECT_EQ(std::count(inline_csv.begin(), inline_csv.end(), '\n'), 4);
+  EXPECT_EQ(inline_csv, trace_csv);
+
+  const std::string run = "--n 40 --c 3 --dist U:1,6 --messages 300 --seed 9";
+  const std::string trace_path = ::testing::TempDir() + "anonpath_adv." +
+                                 std::to_string(::getpid()) + ".trace";
+  int rc_sim = -1, rc_capture = -1, rc_replay = -1;
+  const std::string simulated = cli_stdout("simulate " + run, &rc_sim);
+  (void)cli_stdout("capture " + run + " --out '" + trace_path + "'",
+                   &rc_capture);
+  const std::string replayed =
+      cli_stdout("replay --in '" + trace_path + "'", &rc_replay);
+  std::remove(trace_path.c_str());
+  ASSERT_EQ(rc_sim, 0);
+  ASSERT_EQ(rc_capture, 0);
+  ASSERT_EQ(rc_replay, 0);
+  EXPECT_FALSE(simulated.empty());
+  EXPECT_EQ(simulated, replayed);
 }
 
 TEST_F(CliParse, PositiveControls) {

@@ -5,10 +5,17 @@
 // programming error inside this repo), never a crash, never an unbounded
 // allocation. The corpus is generated deterministically from two seeds: the
 // committed golden trace and a synthetic trace exercising every optional
-// section (churn, outages, mix failures, retry, attempts).
+// section (churn, outages, mix failures, retry, attempts). Where the build
+// exports the CLI's path (ANONPATH_CLI_BINARY), the huge-system case also
+// drives `anonpath replay`.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -227,6 +234,59 @@ TEST(TraceFuzz, ParseErrorsCarryTheTaxonomy) {
   std::string mangled = base;
   mangled.replace(mangled.find("messages 40"), 11, "messages 0x");
   EXPECT_EQ(kind_of(mangled), parse_error_kind::malformed);
+}
+
+
+TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
+  // A trace may name any N its u32 field holds, and replay sizes its
+  // engines by N. The simulator's cap is a rulebook rule, so read_trace
+  // refuses such a trace as out_of_range before anything N-sized exists —
+  // at the cap plus one as well as far past it.
+  sim::sim_config cfg;
+  cfg.sys = {20, 1};
+  cfg.compromised = {0};
+  cfg.message_count = 30;
+  std::ostringstream os;
+  sim::write_trace(sim::capture_trace(cfg), os);
+  const std::string base = os.str();
+  ASSERT_NE(base.find("\nsys 20 1\n"), std::string::npos);
+  const std::string trace_path = ::testing::TempDir() + "anonpath_huge." +
+                                 std::to_string(::getpid()) + ".trace";
+  for (const std::uint32_t n : {sim::max_sim_nodes + 1, 400'000'000u}) {
+    std::string huge = base;
+    huge.replace(huge.find("\nsys 20 1\n"), 10,
+                 "\nsys " + std::to_string(n) + " 1\n");
+    std::istringstream is(huge);
+    try {
+      (void)sim::read_trace(is);
+      ADD_FAILURE() << "N = " << n << " accepted";
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+      EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos)
+          << e.what();
+    }
+#ifdef ANONPATH_CLI_BINARY
+    // replay exits 1 with the reader's diagnostic, never std::bad_alloc.
+    {
+      std::ofstream out(trace_path, std::ios::binary);
+      out << huge;
+    }
+    const std::string err_path = trace_path + ".err";
+    const int status = std::system(("'" + std::string(ANONPATH_CLI_BINARY) +
+                                    "' replay --in '" + trace_path +
+                                    "' >/dev/null 2>'" + err_path + "'")
+                                       .c_str());
+    std::ifstream err(err_path);
+    std::ostringstream text;
+    text << err.rdbuf();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << text.str();
+    EXPECT_NE(text.str().find("error: trace: "), std::string::npos)
+        << text.str();
+    EXPECT_EQ(text.str().find("bad_alloc"), std::string::npos) << text.str();
+    std::remove(err_path.c_str());
+#endif
+  }
+  std::remove(trace_path.c_str());
 }
 
 }  // namespace

@@ -16,9 +16,13 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "src/anonymity/entropy.hpp"
+#include "src/sim/campaign_axes.hpp"
+#include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 
 namespace anonpath::sim {
@@ -266,6 +270,179 @@ TEST(TraceGolden, CommittedTraceParsesReplaysAndRoundTrips) {
   EXPECT_EQ(report.submitted, trace.config.message_count);
   EXPECT_GT(report.delivered, 0u);
   EXPECT_TRUE(std::isfinite(report.empirical_entropy_bits));
+}
+
+
+sim_trace golden_trace() {
+  std::ifstream in(std::string(ANONPATH_TEST_DATA_DIR) +
+                       "/golden/trace_v1.trace",
+                   std::ios::binary);
+  EXPECT_TRUE(in.good());
+  return read_trace(in);
+}
+
+/// Every rule of the sim_config rulebook, reached twice by one mutation of
+/// the golden config: read_trace refuses the mutated trace as out_of_range
+/// and run_simulation refuses the config itself as a contract violation,
+/// both naming the same rule.
+TEST(Rulebook, EveryRuleRefusesTheTraceAndTheRun) {
+  const sim_trace golden = golden_trace();
+  ASSERT_EQ(invalid_reason(golden.config), nullptr);
+  const struct {
+    const char* rule;
+    void (*mutate)(sim_config&);
+  } cases[] = {
+      {"C above N", [](sim_config& c) { c.sys.compromised_count = 17; }},
+      {"lengths past N - 1",
+       [](sim_config& c) { c.lengths = path_length_distribution::fixed(16); }},
+      {"N past the cap", [](sim_config& c) { c.sys.node_count = 1'000'001; }},
+      {"compromised id past N", [](sim_config& c) { c.compromised[1] = 16; }},
+      {"forward probability", [](sim_config& c) { c.forward_prob = 1.5; }},
+      {"no messages", [](sim_config& c) { c.message_count = 0; }},
+      {"arrival rate", [](sim_config& c) { c.arrival_rate = -1.0; }},
+      {"latency", [](sim_config& c) { c.latency.jitter = HUGE_VAL; }},
+      {"fault plan", [](sim_config& c) { c.faults.drop_probability = 1.0; }},
+      {"retry", [](sim_config& c) { c.retry = {2, 0.0, 2.0, 1.0}; }},
+      {"adversary coverage",
+       [](sim_config& c) {
+         c.adversary = {adversary_kind::partial_coverage, 1.5, true};
+       }},
+      {"threshold", [](sim_config& c) { c.identified_threshold = 5.0; }},
+      {"topology for N",
+       [](sim_config& c) {
+         c.topology.kind = net::topology_kind::ring;
+         c.topology.ring_k = 20;
+       }},
+      {"timing on a restricted topology",
+       [](sim_config& c) {
+         c.topology.kind = net::topology_kind::ring;
+         c.topology.ring_k = 2;
+         c.adversary.kind = adversary_kind::timing_correlator;
+       }},
+      {"routing k",
+       [](sim_config& c) {
+         c.routing.kind = net::route_select::kpaths;
+         c.routing.k = 0;
+       }},
+      {"planned hop-by-hop",
+       [](sim_config& c) {
+         c.routing.kind = net::route_select::kpaths;
+         c.mode = routing_mode::hop_by_hop;
+       }},
+      {"planned timing",
+       [](sim_config& c) {
+         c.routing.kind = net::route_select::kpaths;
+         c.adversary.kind = adversary_kind::timing_correlator;
+       }},
+      {"population past the cap",
+       [](sim_config& c) {
+         c.session.rounds = 10;
+         c.session.receiver_count = max_population + 1;
+       }},
+      {"session parameters",
+       [](sim_config& c) {
+         c.session.stream = workload::stream_backend::sketch;
+       }},
+      {"session hop-by-hop",
+       [](sim_config& c) {
+         c.session.rounds = 10;
+         c.session.receiver_count = 20;
+         c.mode = routing_mode::hop_by_hop;
+       }},
+  };
+  std::set<std::string> reasons;
+  for (const auto& rule : cases) {
+    sim_trace mutated = golden;
+    rule.mutate(mutated.config);
+    const char* why = invalid_reason(mutated.config);
+    ASSERT_NE(why, nullptr) << rule.rule;
+    EXPECT_TRUE(reasons.insert(why).second) << rule.rule << ": " << why;
+
+    std::ostringstream os;
+    write_trace(mutated, os);
+    std::istringstream is(os.str());
+    try {
+      (void)read_trace(is);
+      ADD_FAILURE() << rule.rule << ": trace accepted";
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+      // A length support past N - 1 needs a pmf longer than N, which the
+      // reader's allocation guard refuses before the rulebook runs.
+      if (std::string(rule.rule) != "lengths past N - 1")
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << rule.rule << ": " << e.what();
+    }
+    try {
+      (void)run_simulation(mutated.config);
+      ADD_FAILURE() << rule.rule << ": run accepted";
+    } catch (const contract_violation& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << rule.rule << ": " << e.what();
+    }
+  }
+}
+
+/// capture never writes a trace replay refuses: every value of every axis
+/// in the CLI's axis table, alone and inside a session cell, at the
+/// threshold extremes the CLI accepts, captures a trace that reads back
+/// and rewrites byte for byte.
+TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
+  const std::map<std::string, std::vector<std::string>> values = {
+      {"--n", {"12", "24"}},
+      {"--c", {"0", "3"}},
+      {"--dist", {"F:0", "U:1,5", "G:0.5,1,6", "P:2,6"}},
+      {"--mode", {"onion", "crowds"}},
+      {"--drop", {"0", "0.3"}},
+      {"--rate", {"5", "50"}},
+      {"--adversary", {"full", "partial:0.3", "partial:0.5:honest", "timing"}},
+      {"--topology",
+       {"complete", "ring:2", "regular:4", "tiered:3", "trust:0.5"}},
+      {"--routing", {"walk", "kpaths:2"}},
+      {"--churn", {"0", "0.5:0.5"}},
+      {"--mix-failures", {"0", "2:1:0.3"}},
+      {"--retry", {"0", "2:0.3"}},
+      {"--population", {"0", "30"}},
+      {"--rounds", {"0", "10"}},
+      {"--attack", {"none", "intersection", "sda", "bayes"}},
+      {"--stream", {"exact", "sketch"}},
+  };
+  std::size_t captured = 0;
+  for (const bool session : {false, true}) {
+    for_each_axis([&](const auto& axis) {
+      ASSERT_EQ(values.count(axis.flag), 1u) << axis.flag << " has no values";
+      for (const std::string& token : values.at(axis.flag)) {
+        campaign_grid grid;
+        grid.node_counts = {16};
+        grid.message_count = 40;
+        grid.fault_outages = {{3, 0.1, 0.3}};
+        if (session) {
+          grid.populations = {30};
+          grid.session_rounds = {10};
+          grid.attacks = {attack::attack_kind::sda};
+        }
+        grid.*axis.values = {axis.parse(token, axis.flag)};
+        for (const double threshold : {0.0, 1.0}) {
+          grid.identified_threshold = threshold;
+          for (const scenario& s : expand_grid(grid)) {
+            const sim_config cfg = scenario_config(s, grid, 7);
+            if (invalid_reason(cfg) != nullptr) continue;  // CLI refuses
+            std::ostringstream os;
+            write_trace(capture_trace(cfg), os);
+            std::istringstream is(os.str());
+            try {
+              std::ostringstream again;
+              write_trace(read_trace(is), again);
+              EXPECT_EQ(again.str(), os.str()) << axis.flag << ' ' << token;
+            } catch (const parse_error& e) {
+              ADD_FAILURE() << axis.flag << ' ' << token << ": " << e.what();
+            }
+            ++captured;
+          }
+        }
+      }
+    });
+  }
+  EXPECT_GT(captured, 100u);
 }
 
 }  // namespace

@@ -106,7 +106,9 @@ using namespace anonpath;
       "|attack|plan|figures> [options]\n"
       "  common:   --n <nodes>      (default 100; at most 1000000 for\n"
       "                      estimate and the simulator commands, 10000000\n"
-      "                      for plan: larger runs cannot fit in 4 GB)\n"
+      "                      for plan: larger runs cannot fit in 4 GB;\n"
+      "                      10000 for figures)\n"
+      "            integers are decimal digits only (no sign, no spaces)\n"
       "            --c <compromised> (default 1)\n"
       "            --dist F:l | U:a,b | G:pf,min,max | P:lambda,max\n"
       "            --adversary full | partial:<f>[:honest] | timing\n"
@@ -124,8 +126,9 @@ using namespace anonpath;
       "            (a restricted --topology uses the walk-model engine)\n"
       "  optimize: --mean <target expected length>\n"
       "  simulate: a one-cell campaign: every campaign axis flag, one value\n"
-      "            each, plus [--messages k] [--seed s] [--threshold x];\n"
-      "            session mode: --population P --rounds R [--attack a]\n"
+      "            each, plus [--messages k] [--seed s] [--threshold x\n"
+      "            in [0, 1]]; session mode: --population P (at most\n"
+      "            10000000) --rounds R [--attack a]\n"
       "            [--stream exact|sketch]  sda accumulator backend\n"
       "  campaign: scenario-grid sweep on the simulator; CSV to stdout.\n"
       "            axes (comma lists): --n --c --drop --rate --adversary\n"
@@ -147,7 +150,8 @@ using namespace anonpath;
       "  attack:   longitudinal disclosure on a population workload (no\n"
       "            rerouting sim): --attack intersection|sda|bayes plus\n"
       "            [--users U] [--population P (default U)] [--rounds R]\n"
-      "            [--pairs M] [--round-size B] [--send-rate p]\n"
+      "            [--pairs M] [--round-size B] [--send-rate p]; U and P\n"
+      "            at most 10000000, R x B at most 100000000\n"
       "            [--sender-law L] [--receiver-law L] [--threshold x]\n"
       "            [--seed s] [--every k] [--threads t (sda cross-check)]\n"
       "            [--stream exact|sketch  online conformance report]\n"
@@ -506,18 +510,26 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
   reg.add_counter("posterior.walk_memo_misses", r.walk_memo_misses);
 }
 
-/// Largest --n per command. Past these a run cannot fit in a 4 GB address
-/// space: estimate and the simulator keep N-length posteriors and per-node
-/// relay state, plan a CSR graph of about 100 bytes per node. A larger
-/// value is refused before anything is allocated.
-constexpr std::uint32_t max_nodes_estimate_and_sim = 1'000'000;
+/// Size caps, checked before anything is allocated. The simulator's
+/// (sim::max_sim_nodes, sim::max_population) are rulebook rules, applied
+/// here to every axis value so an oversized sweep value is refused instead
+/// of skipped as an infeasible cell. plan keeps a CSR graph of about 100
+/// bytes per node; the attack workload's time grows with rounds times
+/// round size; the figures' closed forms grow quadratically in N.
 constexpr std::uint32_t max_nodes_plan = 10'000'000;
+constexpr std::uint64_t max_attack_messages = 100'000'000;
+constexpr std::uint32_t max_nodes_figures = 10'000;
+
+void require_cap(const options& opt, const std::string& what,
+                 std::uint64_t value, std::uint64_t cap) {
+  if (value > cap)
+    usage(what + " " + std::to_string(value) + " is too large for '" +
+          opt.command + "' (at most " + std::to_string(cap) + ")");
+}
 
 void require_node_cap(const options& opt, std::uint32_t cap) {
   for (const std::uint32_t n : opt.grid.node_counts)
-    if (n > cap)
-      usage("--n " + std::to_string(n) + " is too large for '" + opt.command +
-            "' (at most " + std::to_string(cap) + ")");
+    require_cap(opt, "--n", n, cap);
 }
 
 /// The C=1 closed form behind degree, optimize and figures needs N >= 5;
@@ -555,7 +567,7 @@ int cmd_degree(const options& opt) {
 
 int cmd_estimate(const options& opt) {
   require_only_axes(opt, {"--n", "--c", "--dist", "--topology"});
-  require_node_cap(opt, max_nodes_estimate_and_sim);
+  require_node_cap(opt, sim::max_sim_nodes);
   const std::uint32_t n = opt.grid.node_counts.front();
   const std::uint32_t c = opt.grid.compromised_counts.front();
   const system_params sys{n, c};
@@ -646,7 +658,9 @@ sim::campaign_grid build_campaign_grid(
           "'attack' workload; simulator sessions batch --messages into "
           "--rounds");
   reject_plan_flags(opt);
-  require_node_cap(opt, max_nodes_estimate_and_sim);
+  require_node_cap(opt, sim::max_sim_nodes);
+  for (const std::uint32_t p : opt.grid.populations)
+    require_cap(opt, "--population", p, sim::max_population);
   sim::campaign_grid grid = opt.grid;
   if (!opt.given("--dist")) grid.lengths = {default_dist};
   grid.session_receiver_law = opt.receiver_law;
@@ -707,12 +721,13 @@ sim::sim_config single_run_config(const options& opt) {
           "simulate/capture; they drive 'campaign' and 'merge'");
   const sim::campaign_grid grid = build_campaign_grid(
       opt, path_length_distribution::uniform(1, 8), 2000);
-  // A campaign turns an outage outside some cell's N into that cell's error
-  // column; a single run has no sweep to protect, so refuse it up front.
-  for (const net::outage& o : grid.fault_outages)
-    if (o.node >= grid.node_counts.front())
-      usage("--crash node out of range for --n");
-  return sim::scenario_config(sim::expand_grid(grid).front(), grid, opt.seed);
+  const sim::sim_config cfg =
+      sim::scenario_config(sim::expand_grid(grid).front(), grid, opt.seed);
+  // The one run must pass the whole rulebook, crash plan included (a
+  // campaign instead fails the cell an outage does not fit into).
+  if (const char* why = sim::invalid_reason(cfg))
+    usage(std::string("infeasible scenario: ") + why);
+  return cfg;
 }
 
 void print_sim_report(const sim::sim_config& cfg, const sim::sim_report& r) {
@@ -998,6 +1013,11 @@ int cmd_attack(const options& opt) {
   cfg.round_size = opt.round_size;
   cfg.sender_law = opt.sender_law;
   cfg.receiver_law = opt.receiver_law;
+  require_cap(opt, "--users", cfg.user_count, sim::max_population);
+  require_cap(opt, "--population", cfg.receiver_count, sim::max_population);
+  require_cap(opt, "--rounds x --round-size",
+              std::uint64_t{cfg.round_count} * cfg.round_size,
+              max_attack_messages);
   if (cfg.receiver_count < 2) usage("--population must be >= 2");
   if (cfg.round_count < 1) usage("--rounds must be >= 1");
   if (!cfg.valid()) usage("attack workload parameters out of range "
@@ -1345,6 +1365,7 @@ int cmd_plan(const options& opt) {
 int cmd_figures(const options& opt) {
   require_only_axes(opt, {"--n"});
   require_closed_form_n(opt);
+  require_node_cap(opt, max_nodes_figures);
   const system_params sys{opt.grid.node_counts.front(), 1};
   repro::print_figure(repro::fig3a(sys), std::cout);
   repro::print_figure(repro::fig3b(sys), std::cout);
