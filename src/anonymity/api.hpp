@@ -14,6 +14,9 @@
 ///                                   figures) and Theorems 1-3
 ///   observation / posterior         the threat model and general-C exact
 ///                                   Bayesian sender inference
+///   sender_inference                the one interface simulator scoring
+///                                   calls: observation -> posterior, or
+///                                   false when nothing explains it
 ///   brute_force / cyclic            exhaustive oracles (simple and
 ///                                   cycle-allowing paths)
 ///   path_sampler / monte_carlo      sampled estimation at scale
@@ -39,9 +42,13 @@
 /// src/net/route_plan.hpp adds planning on top of the views: binary-heap
 /// Dijkstra, Yen k-shortest loopless paths, connected components (whole
 /// and masked), and net::route_planner — the source-routed kpaths model
-/// (exit uniform, path ~ 1/cost among the k best) whose scoring uses
-/// net::approx_topology_posterior, the restricted-path DP pruned to the
-/// k-path support and pinned to the exact engine when the support is full.
+/// (exit uniform, path ~ 1/cost among the k best), scored by
+/// net::topology_posterior_engine under a uniform(1, N-1) length prior.
+/// The engine's interior-support mask can prune its DP to the k-path
+/// support (net::kpath_support); an all-true mask is bit-identical to the
+/// unmasked engine. posterior_engine and topology_posterior_engine both
+/// implement sender_inference; the simulator picks one per run in one
+/// factory and memoizes its per-observation summaries.
 ///
 /// The longitudinal axis lives in src/workload and src/attack: a
 /// workload::population is a seeded, population-scale traffic model — M
@@ -187,6 +194,7 @@
 #include "src/anonymity/optimizer.hpp"
 #include "src/anonymity/path_sampler.hpp"
 #include "src/anonymity/posterior.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/anonymity/strategy.hpp"
 #include "src/anonymity/types.hpp"
 #include "src/net/churn.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "src/stats/contract.hpp"
 #include "src/stats/kahan.hpp"
@@ -248,6 +249,17 @@ bool posterior_engine::explainable(const observation& obs) const {
     if (ll != stats::log_zero()) return true;
   }
   return false;
+}
+
+bool posterior_engine::try_sender_posterior(const observation& obs,
+                                            std::vector<double>& out) const {
+  if (obs.gapped && !explainable(obs)) return false;
+  try {
+    out = sender_posterior(obs);
+  } catch (const std::invalid_argument&) {
+    return false;  // the reports do not chain into path fragments
+  }
+  return true;
 }
 
 std::vector<double> posterior_engine::sender_posterior_reference(

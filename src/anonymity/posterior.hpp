@@ -5,6 +5,7 @@
 
 #include "src/anonymity/length_distribution.hpp"
 #include "src/anonymity/observation.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/anonymity/types.hpp"
 
 namespace anonpath {
@@ -31,7 +32,7 @@ namespace anonpath {
 /// buffers behind layout_for make a single engine instance NOT safe for
 /// concurrent use; give each thread its own (cheap) copy, as the
 /// Monte-Carlo engine does.
-class posterior_engine {
+class posterior_engine final : public sender_inference {
  public:
   /// Preconditions: sys.valid(); `compromised` lists distinct node ids
   /// < node_count, |compromised| == sys.compromised_count; distribution
@@ -58,6 +59,13 @@ class posterior_engine {
   /// true for observations generated by the model itself; a mis-linked
   /// timing-correlator chain or fuzzed input can be unexplainable.
   [[nodiscard]] bool explainable(const observation& obs) const;
+
+  /// sender_inference: sender_posterior(obs), or false when no hypothesis
+  /// explains the observation — a gapped one explainable() rejects, or one
+  /// whose reports do not chain into path fragments (a lost message whose
+  /// compromised successor never reported it).
+  [[nodiscard]] bool try_sender_posterior(
+      const observation& obs, std::vector<double>& out) const override;
 
   /// Slow reference implementation evaluating every candidate from scratch;
   /// used by tests to validate the fast path.

@@ -98,9 +98,9 @@ struct plan_counters {
 /// all nodes (the kpaths sim model's uniform exit law) this is every node,
 /// which is why sim scoring runs the DP unpruned; restricted exit or
 /// source sets (guard/exit policies) produce proper subsets worth pruning
-/// the approximate posterior to. O(|sources| * |exits|) Yen runs: meant
-/// for sim-scale graphs, not million-node planning. Preconditions:
-/// k >= 1, every id < node_count.
+/// topology_posterior_engine's interior support to. O(|sources| * |exits|)
+/// Yen runs: meant for sim-scale graphs, not million-node planning.
+/// Preconditions: k >= 1, every id < node_count.
 [[nodiscard]] std::vector<bool> kpath_support(
     const topology& topo, std::uint32_t k,
     const std::vector<node_id>& sources, const std::vector<node_id>& exits);

@@ -4,6 +4,7 @@
 
 #include "src/anonymity/length_distribution.hpp"
 #include "src/anonymity/observation.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/anonymity/types.hpp"
 #include "src/net/topology.hpp"
 
@@ -35,7 +36,7 @@ namespace anonpath::net {
 /// (receiver_observed == false marginalizes over the open walk tail).
 /// Gapped (timing-correlator) observations are not supported on restricted
 /// graphs — the simulator refuses that combination up front.
-class topology_posterior_engine {
+class topology_posterior_engine final : public sender_inference {
  public:
   /// Preconditions: sys.valid(); topo.node_count() == sys.node_count;
   /// `compromised` lists distinct ids < N, |compromised| == C.
@@ -48,9 +49,10 @@ class topology_posterior_engine {
   /// fragments are s-independent constants that cancel in normalization,
   /// so the mask never touches them.) Empty (the default) or all-true
   /// masks leave the arithmetic bit-identical to the unmasked engine;
-  /// proper subsets make the DP approximate but cheaper, which is what
-  /// approx_topology_posterior builds on. When non-empty, its size must
-  /// equal sys.node_count.
+  /// proper subsets make the DP approximate but cheaper — for example the
+  /// planned k-path support of net::kpath_support over a restricted
+  /// source/exit policy. When non-empty, its size must equal
+  /// sys.node_count.
   topology_posterior_engine(system_params sys,
                             std::vector<node_id> compromised,
                             path_length_distribution lengths, topology topo,
@@ -62,11 +64,12 @@ class topology_posterior_engine {
   [[nodiscard]] std::vector<double> sender_posterior(
       const observation& obs) const;
 
-  /// Computes the posterior into `out` (resized to N); returns false —
-  /// leaving `out` all-zero — when no sender hypothesis has positive
-  /// likelihood (a fuzzed or mis-assembled observation).
-  [[nodiscard]] bool try_sender_posterior(const observation& obs,
-                                          std::vector<double>& out) const;
+  /// sender_inference: computes the posterior into `out` (resized to N);
+  /// returns false — leaving `out` all-zero — when no sender hypothesis
+  /// has positive likelihood (a fuzzed or mis-assembled observation, or
+  /// one whose walk needs a node outside the support mask).
+  [[nodiscard]] bool try_sender_posterior(
+      const observation& obs, std::vector<double>& out) const override;
 
   /// True iff sender_posterior(obs) is well defined.
   [[nodiscard]] bool explainable(const observation& obs) const;

@@ -337,10 +337,10 @@ campaign_result run_campaign(const campaign_grid& grid,
             m.add_counter(worker, "sim.retransmissions", r.retransmissions);
             m.add_counter(worker, "attack.memo_hits", r.memo_hits);
             m.add_counter(worker, "attack.memo_misses", r.memo_misses);
-            m.add_counter(worker, "posterior.walk_memo_hits",
-                          r.walk_memo_hits);
-            m.add_counter(worker, "posterior.walk_memo_misses",
-                          r.walk_memo_misses);
+            m.add_counter(worker, "posterior.obs_memo_hits",
+                          r.obs_memo_hits);
+            m.add_counter(worker, "posterior.obs_memo_misses",
+                          r.obs_memo_misses);
           } else {
             m.add_counter(worker, "campaign.runs_errored", 1);
           }

@@ -11,10 +11,10 @@
 #include "src/anonymity/entropy.hpp"
 #include "src/anonymity/path_sampler.hpp"
 #include "src/anonymity/posterior.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/attack/noise.hpp"
 #include "src/attack/online.hpp"
 #include "src/crypto/onion.hpp"
-#include "src/net/approx_posterior.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/receiver.hpp"
@@ -110,6 +110,60 @@ std::vector<double> fuse_attempt_posteriors(
   return out;
 }
 
+/// A caller-supplied posterior_fn as a sender_inference. It runs once per
+/// call and is never memoized. On the clique the built-in engine screens
+/// it first, so a gapped observation the model cannot explain is skipped
+/// before the caller sees it.
+class custom_inference final : public sender_inference {
+ public:
+  custom_inference(const posterior_fn& fn,
+                   std::unique_ptr<posterior_engine> screen)
+      : fn_(fn), screen_(std::move(screen)) {}
+
+  bool try_sender_posterior(const observation& obs,
+                            std::vector<double>& out) const override {
+    if (screen_ && obs.gapped && !screen_->explainable(obs)) return false;
+    out = fn_(obs);
+    return !out.empty();
+  }
+
+ private:
+  const posterior_fn& fn_;
+  std::unique_ptr<posterior_engine> screen_;
+};
+
+/// The one engine-kind decision of scoring. The clique keeps the
+/// simple-path posterior_engine. A restricted graph routes walks, scored
+/// by topology_posterior_engine under the run's length law. Planned
+/// (kpaths) routes are loopless graph paths, scored by the same engine
+/// under a diffuse uniform(1, N-1) prior that covers every realizable
+/// planned length; its mask stays full, because under the uniform exit
+/// law net::kpath_support spans every node. `graph`, when non-null, is the
+/// topology the run routed on (copied, not retained); otherwise it is
+/// rebuilt from the config. A caller-supplied `custom` function replaces
+/// the built-in engine: no graph is built for it, and on the clique the
+/// built-in engine only screens gapped observations.
+std::unique_ptr<sender_inference> make_sender_inference(
+    const sim_config& config, std::vector<node_id> ids,
+    const net::topology* graph, const posterior_fn* custom) {
+  const std::uint32_t n = config.sys.node_count;
+  const system_params sys{n, static_cast<std::uint32_t>(ids.size())};
+  if (config.topology.kind == net::topology_kind::complete &&
+      !config.routing.planned()) {
+    auto exact =
+        std::make_unique<posterior_engine>(sys, std::move(ids), config.lengths);
+    if (custom == nullptr) return exact;
+    return std::make_unique<custom_inference>(*custom, std::move(exact));
+  }
+  if (custom != nullptr)
+    return std::make_unique<custom_inference>(*custom, nullptr);
+  return std::make_unique<net::topology_posterior_engine>(
+      sys, std::move(ids),
+      config.routing.planned() ? path_length_distribution::uniform(1, n - 1)
+                               : config.lengths,
+      graph != nullptr ? *graph : net::topology::make(n, config.topology));
+}
+
 }  // namespace
 
 const char* system_infeasible_reason(const system_params& sys,
@@ -124,6 +178,10 @@ const char* invalid_reason(const sim_config& c) {
   const std::uint32_t n = c.sys.node_count;
   if (const char* why = system_infeasible_reason(c.sys, c.lengths)) return why;
   if (n > max_sim_nodes) return "--n is too large (at most 1000000 nodes)";
+  if (c.message_count > max_messages)
+    return "--messages is too large (at most 1000000 messages)";
+  if (c.faults.mix_failures.count > max_mix_failures)
+    return "--mix-failures is too large (at most 1000000 episodes)";
   if (c.compromised.size() != c.sys.compromised_count ||
       std::any_of(c.compromised.begin(), c.compromised.end(),
                   [n](node_id id) { return id >= n; }))
@@ -397,76 +455,23 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
   }
 
   if (config.mode == routing_mode::source_routed) {
-    // The exact engine for the run's *effective* compromised set: the
-    // configured list for the full coalition (and the timing correlator,
-    // which taps the same nodes), the drawn set for partial coverage.
-    const std::vector<node_id> effective_ids =
+    // The engine for the run's *effective* compromised set: the configured
+    // list for the full coalition (and the timing correlator, which taps
+    // the same nodes), the drawn set for partial coverage.
+    const std::unique_ptr<sender_inference> inference = make_sender_inference(
+        config,
         config.adversary.kind == adversary_kind::partial_coverage
             ? model.compromised_ids()
-            : config.compromised;
-    const system_params effective_sys{
-        config.sys.node_count,
-        static_cast<std::uint32_t>(effective_ids.size())};
-    // Restricted graphs route walks, so their observations are scored with
-    // the restricted-path engine; the clique keeps the historical
-    // simple-path engine bit for bit. Planned (kpaths) runs supersede both:
-    // their routes are loopless graph paths, scored with the approximate
-    // posterior under a diffuse uniform(1, N-1) length prior (the support
-    // of every realizable planned route — see approx_topology_posterior for
-    // why the mask is full under the uniform exit law). Exactly one of the
-    // three is built.
-    const bool restricted =
-        config.topology.kind != net::topology_kind::complete;
-    const bool planned = config.routing.planned();
-    std::optional<posterior_engine> exact;
-    std::optional<net::topology_posterior_engine> walk;
-    std::optional<net::approx_topology_posterior> approx;
-    if (planned) {
-      // Planned observations are never gapped (the timing correlator is
-      // rejected up front), so no screening engine is needed.
-      if (engine == nullptr)
-        approx.emplace(
-            effective_sys, effective_ids,
-            path_length_distribution::uniform(1, config.sys.node_count - 1),
-            graph != nullptr
-                ? *graph
-                : net::topology::make(config.sys.node_count, config.topology));
-    } else if (restricted) {
-      // Only built when it will actually score (a caller-supplied engine
-      // supersedes it, and rebuilding the graph is not free on the replay
-      // path). Restricted observations are never gapped, so no screening
-      // engine is needed either.
-      if (engine == nullptr)
-        walk.emplace(effective_sys, effective_ids, config.lengths,
-                     graph != nullptr ? *graph
-                                      : net::topology::make(
-                                            config.sys.node_count,
-                                            config.topology));
-    } else {
-      // Needed even under a caller-supplied engine: gapped observations
-      // are screened for explainability before any scoring.
-      exact.emplace(effective_sys, effective_ids, config.lengths);
-    }
+            : config.compromised,
+        graph, engine);
 
     stats::running_summary entropy_acc;
     std::uint64_t identified = 0;
     std::uint64_t top1_hits = 0;
     std::uint64_t scored = 0;
-    std::vector<double> walk_post;
-    // One observation's sender posterior, with the explainability screen: a
-    // mis-linked timing chain can describe no path at all; it carries no
-    // usable evidence and is skipped rather than scored as zero. walk_post
-    // is consumed by reference — no per-message copy of the N-double
-    // posterior in the scoring loop.
-    const auto obs_posterior = [&](const observation& obs,
-                                   std::vector<double>& out) -> bool {
-      if (exact && obs.gapped && !exact->explainable(obs)) return false;
-      if (approx && !approx->try_sender_posterior(obs, out)) return false;
-      if (walk && !walk->try_sender_posterior(obs, out)) return false;
-      if (engine != nullptr) out = (*engine)(obs);
-      else if (exact) out = exact->sender_posterior(obs);
-      return !out.empty();
-    };
+    // One posterior buffer for the whole loop: no per-message copy of the
+    // N-double posterior.
+    std::vector<double> post;
     // All that the report needs of one posterior.
     struct post_summary {
       double bits;
@@ -474,11 +479,11 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       double top_mass;
       double target_mass;
     };
-    const auto summarize = [&](const std::vector<double>& post) {
-      const entropy_summary e = summarize_entropy(post);
+    const auto summarize = [&](const std::vector<double>& p) {
+      const entropy_summary e = summarize_entropy(p);
       return post_summary{
-          e.bits, e.argmax, post[e.argmax],
-          want_target_mass ? post[config.session.target_sender] : 0.0};
+          e.bits, e.argmax, p[e.argmax],
+          want_target_mass ? p[config.session.target_sender] : 0.0};
     };
     const auto score_summary = [&](std::uint64_t original,
                                    const post_summary& sum) {
@@ -493,17 +498,12 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
         ++top1_hits;
       ++scored;
     };
-    const auto score_post = [&](std::uint64_t original,
-                                const std::vector<double>& post) {
-      if (config.collect_posteriors) report.posteriors.push_back(post);
-      score_summary(original, summarize(post));
-    };
 
-    if (!fused && walk && !config.collect_posteriors) {
-      // Walk posteriors are a pure function of the observation, and runs
-      // repeat observations (57% of lookups hit across a 16-replica
+    if (engine == nullptr && !fused && !config.collect_posteriors) {
+      // Built-in posteriors are a pure function of the observation, and
+      // runs repeat observations (57% of lookups hit across a 16-replica
       // regular:4 campaign at N = 60 and 120), so each distinct one pays
-      // the walk DP once. The memo keeps only the summary — nullopt for an
+      // the engine once. The memo keeps only the summary — nullopt for an
       // unexplainable observation — never the N-length posterior: its
       // memory is O(distinct observations).
       std::unordered_map<std::string, std::optional<post_summary>> memo;
@@ -513,33 +513,37 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
         obs.key_into(key);
         const auto [it, fresh] = memo.try_emplace(key);
         if (fresh) {
-          ++report.walk_memo_misses;
-          if (obs_posterior(obs, walk_post)) it->second = summarize(walk_post);
+          ++report.obs_memo_misses;
+          if (inference->try_sender_posterior(obs, post))
+            it->second = summarize(post);
         } else {
-          ++report.walk_memo_hits;
+          ++report.obs_memo_hits;
         }
         if (it->second) score_summary(id, *it->second);
       }
-    } else if (!fused) {
-      for (const std::uint64_t id : model.observed_messages())
-        if (obs_posterior(model.assemble(id), walk_post))
-          score_post(id, walk_post);
     } else {
-      // Retransmissions in play: group observed attempts by their original
-      // and score each original once, on the normalized product of its
-      // per-attempt posteriors. More attempts observed => sharper product —
-      // the measured anonymity cost of the retry policy.
-      std::map<std::uint64_t, std::vector<std::vector<double>>> groups;
-      for (const std::uint64_t id : model.observed_messages()) {
-        if (!obs_posterior(model.assemble(id), walk_post)) continue;
+      // Group the observed attempts by their original and score each
+      // original once, on the normalized product of its per-attempt
+      // posteriors: more attempts observed => sharper product — the
+      // measured anonymity cost of the retry policy. Without retries every
+      // id is its own group, and observed_messages() is ascending, so the
+      // scoring order is the observation order.
+      const auto original_of = [&](std::uint64_t id) {
+        if (!fused) return id;
         const auto pit = attempt_parent->find(id);
-        groups[pit == attempt_parent->end() ? id : pit->second].push_back(
-            walk_post);
+        return pit == attempt_parent->end() ? id : pit->second;
+      };
+      std::map<std::uint64_t, std::vector<std::vector<double>>> groups;
+      for (const std::uint64_t id : model.observed_messages())
+        if (inference->try_sender_posterior(model.assemble(id), post))
+          groups[original_of(id)].push_back(post);
+      for (const auto& [original, factors] : groups) {
+        const std::vector<double>& p = factors.size() == 1
+                                           ? factors.front()
+                                           : fuse_attempt_posteriors(factors);
+        if (config.collect_posteriors) report.posteriors.push_back(p);
+        score_summary(original, summarize(p));
       }
-      for (const auto& [original, factors] : groups)
-        score_post(original, factors.size() == 1
-                                 ? factors.front()
-                                 : fuse_attempt_posteriors(factors));
     }
     if (scored == 0) {
       // Nothing observed => reporting 0.0 here would read as "all senders
@@ -558,7 +562,8 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       report.top1_accuracy =
           static_cast<double>(top1_hits) / static_cast<double>(scored);
     }
-    if (exact) {
+    if (const auto* exact =
+            dynamic_cast<const posterior_engine*>(inference.get())) {
       report.memo_hits = exact->memo_hits();
       report.memo_misses = exact->memo_misses();
     }

@@ -80,9 +80,9 @@ struct sim_config {
   /// planned routing — each message picks a uniform exit and one of its k
   /// best Dijkstra/Yen paths (cost-weighted), drawn from dedicated
   /// order-free rng streams so walk-mode draw sequences are untouched.
-  /// Planned runs are scored with the approximate posterior
-  /// (net::approx_topology_posterior) under a diffuse uniform(1, N-1)
-  /// length prior. Requires source_routed mode and a non-timing adversary.
+  /// Planned runs are scored with net::topology_posterior_engine under a
+  /// diffuse uniform(1, N-1) length prior. Requires source_routed mode and
+  /// a non-timing adversary.
   net::routing_config routing{};
   /// Optional span collector (non-owning; default off). When set,
   /// run_simulation records a "sim.run" span with "sim.run_core" /
@@ -99,6 +99,12 @@ inline constexpr std::uint32_t max_sim_nodes = 1'000'000;
 /// Largest session receiver population (the disclosure attacks keep
 /// population-length state); the CLI's attack workload shares it.
 inline constexpr std::uint32_t max_population = 10'000'000;
+/// Largest message count. The run keeps per-message outcomes and adversary
+/// logs: 1e6 messages at N = 24 take about 11 s and 0.5 GB.
+inline constexpr std::uint32_t max_messages = 1'000'000;
+/// Largest number of seeded mix-failure episodes. Each becomes a scheduled
+/// outage: 1e6 of them take about 0.2 s, 1e7 about 2.5 s.
+inline constexpr std::uint32_t max_mix_failures = 1'000'000;
 
 /// The rules on (N, C, path lengths) alone: nullptr when the anonymity
 /// engines accept them (C <= N, N >= 2, every length fits a simple path),
@@ -111,9 +117,9 @@ inline constexpr std::uint32_t max_population = 10'000'000;
 /// and capture_trace accept it, else the rule it breaks, in words that name
 /// the CLI flag where there is one. run_core asserts it, read_trace refuses
 /// a trace that breaks it (out_of_range), and the CLI refuses such a config
-/// before running it, so capture never writes a trace replay refuses. Both
+/// before running it, so capture never writes a trace replay refuses. The
 /// caps above are rules here, so an oversized config is refused before
-/// anything N- or population-sized is allocated.
+/// anything N-, population- or message-sized is allocated.
 [[nodiscard]] const char* invalid_reason(const sim_config& config);
 
 /// Results of a simulation run.
@@ -157,20 +163,21 @@ struct sim_report {
   /// events_executed counts every discrete event the run's queue fired;
   /// the wire_* fields split undelivered transmissions by cause (failure
   /// injection, churned-down destination, crash-scheduled destination);
-  /// memo_hits/memo_misses mirror the exact posterior engine's layout
-  /// memo when this run was scored by it (0 under the topology/approx
-  /// engines, which have no layout memo); walk_memo_hits/walk_memo_misses
-  /// count the per-run observation memo of walk-model scoring (0 unless a
-  /// restricted-topology run was scored by the walk engine without retry
-  /// fusion or collect_posteriors).
+  /// memo_hits/memo_misses mirror the clique posterior_engine's layout
+  /// memo when this run was scored by it (0 under the topology engine,
+  /// which has no layout memo, and under a caller-supplied posterior_fn);
+  /// obs_memo_hits/obs_memo_misses count the per-run observation memo in
+  /// front of every built-in engine: one lookup per observed message, or
+  /// 0 when retry fusion, collect_posteriors or a caller-supplied
+  /// posterior_fn needs every posterior vector.
   std::uint64_t events_executed = 0;
   std::uint64_t wire_dropped = 0;
   std::uint64_t wire_stranded = 0;
   std::uint64_t wire_crashed = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  std::uint64_t walk_memo_hits = 0;
-  std::uint64_t walk_memo_misses = 0;
+  std::uint64_t obs_memo_hits = 0;
+  std::uint64_t obs_memo_misses = 0;
 };
 
 /// Builds the network, relays, receiver, adversary and workload from the
@@ -179,10 +186,11 @@ struct sim_report {
 [[nodiscard]] sim_report run_simulation(const sim_config& config);
 
 /// An offline inference engine for replay scoring: maps an assembled
-/// observation to a sender posterior over all N nodes. The default used by
-/// run_simulation and replay_trace is posterior_engine::sender_posterior.
-/// An empty result marks an observation the engine cannot explain; scoring
-/// skips it, as it skips those the built-in engines cannot explain.
+/// observation to a sender posterior over all N nodes, in place of the
+/// built-in engine run_simulation and replay_trace(trace) use. It runs
+/// once per observed attempt, never memoized. An empty result marks an
+/// observation the engine cannot explain; scoring skips it, as it skips
+/// those the built-in engines cannot explain.
 using posterior_fn = std::function<std::vector<double>(const observation&)>;
 
 /// Ground-truth summary of one message's journey, as scoring consumes it
@@ -231,18 +239,22 @@ struct core_result {
                                    std::vector<adversary_event>* event_log);
 
 /// The inference half: walks the model's observed messages, scores each
-/// with `engine` (the exact posterior engine for the run's effective
-/// compromised set when null; the restricted-path engine for restricted
-/// topologies), and aggregates the sim_report. `graph`, when non-null,
-/// supplies the already-built topology of a restricted run (it is copied,
-/// not retained); when null a restricted config rebuilds it from scratch
-/// (the trace-replay path). Unexplainable observations (possible only
-/// under the timing correlator or fuzzed logs) are skipped, not scored as
-/// zero. `attempt_parent`, when non-null, maps retry attempt ids to their
-/// original message: observations of the same original are scored as one
-/// message whose posterior is the normalized product of the per-attempt
-/// posteriors (independent evidence about the same sender) — the anonymity
-/// cost of retransmission.
+/// with one sender_inference for the run's effective compromised set, and
+/// aggregates the sim_report. One factory picks the engine from the config
+/// (the clique posterior_engine, or topology_posterior_engine for a
+/// restricted graph or planned routes); `engine`, when non-null, replaces
+/// it. `graph`, when non-null, supplies the already-built topology of the
+/// run (it is copied, not retained); when null it is rebuilt from the
+/// config (the trace-replay path). Unexplainable observations (possible
+/// only under the timing correlator or fuzzed logs) are skipped, not
+/// scored as zero. `attempt_parent`, when non-null, maps retry attempt ids
+/// to their original message: observations of the same original are
+/// scored as one message whose posterior is the normalized product of the
+/// per-attempt posteriors (independent evidence about the same sender) —
+/// the anonymity cost of retransmission. A built-in engine with no fusion
+/// and no collect_posteriors scores each distinct observation once
+/// through a per-run memo of posterior summaries; every other case scores
+/// every observed attempt.
 [[nodiscard]] sim_report score_run(
     const sim_config& config, const adversary_model& model,
     const std::map<std::uint64_t, message_outcome>& outcomes,

@@ -63,14 +63,17 @@ struct sim_trace {
 /// here — that is replay's job.
 [[nodiscard]] sim_trace capture_trace(const sim_config& config);
 
-/// Re-scores a captured run with the exact posterior engine: rebuilds the
+/// Re-scores a captured run with the run's built-in engine: rebuilds the
 /// adversary model from the trace, feeds it the recorded events, and runs
 /// the same aggregation as run_simulation. For any config,
 /// replay_trace(capture_trace(cfg)) == run_simulation(cfg) bit for bit.
 [[nodiscard]] sim_report replay_trace(const sim_trace& trace);
 
-/// Same, but scores each assembled observation with a caller-supplied
-/// inference engine instead of the exact posterior engine.
+/// Same, but scores each observed attempt with a caller-supplied inference
+/// engine instead of the built-in one: `engine` runs once per observed
+/// attempt, never memoized. On a clique config it sees only observations
+/// that pass the built-in engine's gapped-observation screen; on a
+/// restricted or planned config no built-in engine or graph is built.
 [[nodiscard]] sim_report replay_trace(const sim_trace& trace,
                                       const posterior_fn& engine);
 

@@ -1,16 +1,18 @@
-// Conformance layer for net::approx_topology_posterior: with full support
-// the restricted-path DP must be bit-identical to topology_posterior_engine
-// and match the exhaustive graph_oracle event-by-event on the N <= 10
-// fixtures; proper support masks must prune exactly the hypotheses whose
-// walks need an excluded node at a non-sender position.
+// Conformance layer for the approximate (support-pruned) posterior:
+// topology_posterior_engine with an interior-support mask. An all-true mask
+// must be bit-identical to the unmasked engine and match the exhaustive
+// graph_oracle event-by-event on the N <= 10 fixtures; proper support masks
+// must prune exactly the hypotheses whose walks need an excluded node at a
+// non-sender position.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/anonymity/length_distribution.hpp"
-#include "src/net/approx_posterior.hpp"
 #include "src/net/graph_oracle.hpp"
 #include "src/net/route_plan.hpp"
 #include "src/net/topology.hpp"
@@ -30,10 +32,17 @@ std::vector<topology> fixture_graphs() {
   return graphs;
 }
 
+/// Nodes the engine's mask keeps (N when unmasked).
+std::uint32_t support_size(const topology_posterior_engine& engine) {
+  const std::vector<bool>& s = engine.interior_support();
+  if (s.empty()) return engine.graph().node_count();
+  return static_cast<std::uint32_t>(std::count(s.begin(), s.end(), true));
+}
+
 TEST(ApproxPosterior, FullSupportIsBitIdenticalToExactEngine) {
-  // The full-support ctor and an explicit all-true mask both leave the DP
-  // arithmetic untouched, so the posteriors must match the exact engine
-  // double for double — not approximately.
+  // An explicit all-true mask leaves the DP arithmetic untouched, so the
+  // posteriors must match the unmasked engine double for double — not
+  // approximately.
   for (const auto& topo : fixture_graphs()) {
     const std::uint32_t n = topo.node_count();
     const std::vector<node_id> comp{1, n - 2};
@@ -41,37 +50,35 @@ TEST(ApproxPosterior, FullSupportIsBitIdenticalToExactEngine) {
     const auto d = path_length_distribution::uniform(0, 4);
     const graph_oracle oracle(sys, comp, d, topo);
     const topology_posterior_engine exact(sys, comp, d, topo);
-    const approx_topology_posterior full(sys, comp, d, topo);
-    const approx_topology_posterior masked(sys, comp, d, topo,
+    const topology_posterior_engine masked(sys, comp, d, topo,
                                            std::vector<bool>(n, true));
-    EXPECT_EQ(full.support_size(), n);
-    EXPECT_EQ(masked.support_size(), n);
+    EXPECT_EQ(support_size(exact), n);
+    EXPECT_EQ(support_size(masked), n);
     ASSERT_GT(oracle.events().size(), 5u);
     for (const auto& event : oracle.events()) {
       const auto want = exact.sender_posterior(event.obs);
-      const auto got_full = full.sender_posterior(event.obs);
       const auto got_masked = masked.sender_posterior(event.obs);
-      ASSERT_EQ(got_full.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got_full[i], want[i]) << topo.config().label();
+      ASSERT_EQ(got_masked.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(got_masked[i], want[i]) << topo.config().label();
-      }
     }
   }
 }
 
 TEST(ApproxPosterior, FullSupportMatchesGraphOracle) {
   // Transitively pinned through the exact engine already, but the direct
-  // pin against exhaustive enumeration is the contract the ISSUE names.
+  // pin of the all-true mask against exhaustive enumeration is the
+  // contract.
   for (const auto& topo : fixture_graphs()) {
     const std::uint32_t n = topo.node_count();
     const std::vector<node_id> comp{1, n - 2};
     const system_params sys{n, 2};
     const auto d = path_length_distribution::fixed(3);
     const graph_oracle oracle(sys, comp, d, topo);
-    const approx_topology_posterior approx(sys, comp, d, topo);
+    const topology_posterior_engine full(sys, comp, d, topo,
+                                         std::vector<bool>(n, true));
     for (const auto& event : oracle.events()) {
-      const auto post = approx.sender_posterior(event.obs);
+      const auto post = full.sender_posterior(event.obs);
       ASSERT_EQ(post.size(), event.posterior.size());
       for (std::size_t i = 0; i < post.size(); ++i)
         EXPECT_NEAR(post[i], event.posterior[i], 1e-10)
@@ -81,21 +88,18 @@ TEST(ApproxPosterior, FullSupportMatchesGraphOracle) {
 }
 
 TEST(ApproxPosterior, KpathSupportWithUniformExitLawIsFull) {
-  // The sim scoring path: under the uniform exit law every node is an
-  // exit, the planned-path union spans the graph, and the routing-config
-  // ctor degenerates to the exact engine.
+  // Why sim scoring runs kpaths unpruned: under the uniform exit law every
+  // node is an exit, the planned-path union spans the graph, and the
+  // engine masked by it degenerates to the unmasked engine.
   const auto topo = topology::ring(7, 2);
   const std::vector<node_id> comp{2};
   const system_params sys{7, 1};
   const auto d = path_length_distribution::uniform(1, 6);
-  routing_config routing;
-  routing.kind = route_select::kpaths;
-  routing.k = 2;
   std::vector<node_id> all;
   for (node_id v = 0; v < 7; ++v) all.push_back(v);
-  const approx_topology_posterior via_routing(sys, comp, d, topo, routing,
-                                              all, all);
-  EXPECT_EQ(via_routing.support_size(), 7u);
+  const topology_posterior_engine via_routing(
+      sys, comp, d, topo, kpath_support(topo, 2, all, all));
+  EXPECT_EQ(support_size(via_routing), 7u);
   const topology_posterior_engine exact(sys, comp, d, topo);
   const graph_oracle oracle(sys, comp, d, topo);
   for (const auto& event : oracle.events()) {
@@ -119,8 +123,8 @@ TEST(ApproxPosterior, PrunedGapEndpointForcesTheSenderHypothesis) {
   const graph_oracle oracle(sys, comp, d, topo);
   std::vector<bool> support(7, true);
   support[1] = false;
-  const approx_topology_posterior pruned(sys, comp, d, topo, support);
-  EXPECT_EQ(pruned.support_size(), 6u);
+  const topology_posterior_engine pruned(sys, comp, d, topo, support);
+  EXPECT_EQ(support_size(pruned), 6u);
   const topology_posterior_engine exact(sys, comp, d, topo);
   int pinned = 0;
   bool mask_bites = false;
@@ -156,8 +160,8 @@ TEST(ApproxPosterior, MaskedPosteriorsStayNormalizedOrFailLoudly) {
   std::vector<bool> support(8, true);
   support[3] = false;
   support[5] = false;
-  const approx_topology_posterior pruned(sys, comp, d, topo, support);
-  EXPECT_EQ(pruned.support_size(), 6u);
+  const topology_posterior_engine pruned(sys, comp, d, topo, support);
+  EXPECT_EQ(support_size(pruned), 6u);
   int succeeded = 0, failed = 0;
   std::vector<double> post;
   for (const auto& event : oracle.events()) {
@@ -185,12 +189,12 @@ TEST(ApproxPosterior, SupportAccessors) {
   const auto d = path_length_distribution::fixed(2);
   std::vector<bool> support(6, true);
   support[4] = false;
-  const approx_topology_posterior approx(sys, {0}, d, topo, support);
-  EXPECT_EQ(approx.support_size(), 5u);
-  ASSERT_EQ(approx.support().size(), 6u);
-  EXPECT_FALSE(approx.support()[4]);
-  EXPECT_TRUE(approx.support()[3]);
-  EXPECT_EQ(approx.graph().node_count(), 6u);
+  const topology_posterior_engine pruned(sys, {0}, d, topo, support);
+  EXPECT_EQ(support_size(pruned), 5u);
+  ASSERT_EQ(pruned.interior_support().size(), 6u);
+  EXPECT_FALSE(pruned.interior_support()[4]);
+  EXPECT_TRUE(pruned.interior_support()[3]);
+  EXPECT_EQ(pruned.graph().node_count(), 6u);
 }
 
 }  // namespace

@@ -297,6 +297,15 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "attack --attack sda --users 1000 --rounds 1000000 --round-size 101",
       "figures --n 100000000",
       "figures --n 10001",
+      // So do the message count and the seeded mix-failure episodes.
+      "simulate --n 24 --c 2 --messages 4000000000",
+      "simulate --n 24 --c 2 --messages 400000000",
+      "simulate --n 24 --c 2 --messages 1000001",
+      "capture --n 24 --c 2 --messages 1000001 --out /dev/null",
+      "campaign --n 24 --c 2 --messages 4000000000 --replicas 1",
+      "simulate --n 24 --c 2 --messages 50 --mix-failures 1000000000",
+      "campaign --n 24 --c 2 --messages 50 --mix-failures 0,1000001 "
+      "--replicas 1",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)
@@ -329,6 +338,14 @@ TEST_F(CliParse, PlannedRouteCaptureReplaysInline) {
        {"simulate --n 20 --mode crowds --routing kpaths --messages 50",
         "simulate --n 20 --routing kpaths:0 --messages 50"})
     EXPECT_NE(run_cli(args).exit_code, 0) << "accepted: anonpath " << args;
+}
+
+/// Reads a whole file ("" when it does not exist).
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 /// The decimal number that follows `label` in `text` (0 when absent).
@@ -562,30 +579,40 @@ TEST_F(CliParse, ObsFlagValidation) {
 }
 
 TEST_F(CliParse, SimulateMetricsCountWalkMemoLookups) {
-  // A restricted-topology simulate reports the walk-scoring memo under the
-  // posterior layer; the clique's layout memo keeps the attack.memo_* names.
+  // Every built-in engine scores through the per-run observation memo, so
+  // a restricted-topology and a clique simulate both report one
+  // posterior.obs_memo_* lookup per observed message (the full coalition
+  // observes every delivered one). Only the clique engine has a layout
+  // memo behind it, under the attack.memo_* names.
   const std::string metrics =
-      ::testing::TempDir() + "anonpath_walk_memo." + std::to_string(::getpid()) +
+      ::testing::TempDir() + "anonpath_obs_memo." + std::to_string(::getpid()) +
       ".jsonl";
-  ASSERT_EQ(run_cli("simulate --n 30 --c 3 --dist U:1,6 --topology regular:4 "
-                    "--messages 300 --seed 9 --metrics '" + metrics + "'")
-                .exit_code,
-            0);
-  std::ifstream in(metrics);
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::remove(metrics.c_str());
-  const std::string snapshot = text.str();
-  const std::string hits = "\"name\":\"posterior.walk_memo_hits\",\"value\":";
+  const std::string hits = "\"name\":\"posterior.obs_memo_hits\",\"value\":";
   const std::string misses =
-      "\"name\":\"posterior.walk_memo_misses\",\"value\":";
-  ASSERT_NE(snapshot.find(hits), std::string::npos) << snapshot;
-  ASSERT_NE(snapshot.find(misses), std::string::npos) << snapshot;
-  EXPECT_GT(number_after(snapshot, hits), 0u) << snapshot;
-  EXPECT_GT(number_after(snapshot, misses), 0u) << snapshot;
-  EXPECT_NE(snapshot.find("\"name\":\"attack.memo_hits\",\"value\":0"),
-            std::string::npos)
-      << snapshot;
+      "\"name\":\"posterior.obs_memo_misses\",\"value\":";
+  const std::string delivered =
+      "\"name\":\"sim.messages_delivered\",\"value\":";
+  const std::string layout = "\"name\":\"attack.memo_hits\",\"value\":";
+  for (const std::string topology : {"--topology regular:4 ", ""}) {
+    ASSERT_EQ(run_cli("simulate --n 30 --c 3 --dist U:1,6 " + topology +
+                      "--messages 300 --seed 9 --metrics '" + metrics + "'")
+                  .exit_code,
+              0)
+        << topology;
+    const std::string snapshot = slurp(metrics);
+    std::remove(metrics.c_str());
+    ASSERT_NE(snapshot.find(hits), std::string::npos) << snapshot;
+    ASSERT_NE(snapshot.find(misses), std::string::npos) << snapshot;
+    EXPECT_GT(number_after(snapshot, hits), 0u) << snapshot;
+    EXPECT_GT(number_after(snapshot, misses), 0u) << snapshot;
+    EXPECT_EQ(number_after(snapshot, hits) + number_after(snapshot, misses),
+              number_after(snapshot, delivered))
+        << snapshot;
+    EXPECT_EQ(number_after(snapshot, delivered), 300u) << snapshot;
+    ASSERT_NE(snapshot.find(layout), std::string::npos) << snapshot;
+    EXPECT_EQ(number_after(snapshot, layout) > 0, topology.empty())
+        << snapshot;
+  }
 }
 
 TEST_F(CliParse, WriteFailuresExitNonzeroWithDiagnostic) {
@@ -769,14 +796,6 @@ TEST_F(CliParse, OneNumberGrammarForEveryReader) {
   }
 }
 
-/// Reads a whole file ("" when it does not exist).
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
 TEST_F(CliParse, ShardedCampaignMergesToTheUnshardedGolden) {
   // The 48-cell grid split into 3 shard runs at mixed thread counts: the
   // merged CSV equals the unsharded run byte for byte, the per-shard
@@ -906,6 +925,86 @@ TEST_F(CliParse, AdversaryAxisIsTraceInvariantAndCaptureReplays) {
   ASSERT_EQ(rc_replay, 0);
   EXPECT_FALSE(simulated.empty());
   EXPECT_EQ(simulated, replayed);
+}
+
+/// `text` without its "throughput" lines, the only wall-clock output of
+/// the estimate command.
+std::string without_throughput(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    if (line.find("throughput") == std::string::npos) out += line + "\n";
+  return out;
+}
+
+TEST_F(CliParse, CliAndMonteCarloAreThreadInvariant) {
+  // The closed form runs, and the Monte-Carlo estimate is identical at 1
+  // and 8 threads apart from its timing line.
+  int rc = -1;
+  EXPECT_FALSE(cli_stdout("degree --n 100 --dist F:5", &rc).empty());
+  EXPECT_EQ(rc, 0);
+  const std::string estimate =
+      "estimate --n 60 --c 4 --dist U:1,10 --samples 20000 --threads ";
+  int rc_one = -1, rc_eight = -1;
+  const std::string one = cli_stdout(estimate + "1", &rc_one);
+  const std::string eight = cli_stdout(estimate + "8", &rc_eight);
+  ASSERT_EQ(rc_one, 0);
+  ASSERT_EQ(rc_eight, 0);
+  EXPECT_NE(one.find("H* = "), std::string::npos) << one;
+  EXPECT_EQ(without_throughput(one), without_throughput(eight));
+}
+
+TEST_F(CliParse, TopologyAndChurnAxesAreThreadAndTraceInvariant) {
+  // Topology x churn campaign sweeps, thread- and trace-invariant.
+  const std::string sweep =
+      "campaign --n 24 --c 2 --dist F:3 --topology complete,ring:2,tiered:3 "
+      "--churn 0,0.5:0.5 --messages 150 --replicas 4 --seed 7";
+  int rc_inline = -1, rc_trace = -1;
+  const std::string inline_csv = cli_stdout(sweep + " --threads 8",
+                                            &rc_inline);
+  const std::string trace_csv =
+      cli_stdout(sweep + " --threads 1 --via-trace", &rc_trace);
+  ASSERT_EQ(rc_inline, 0);
+  ASSERT_EQ(rc_trace, 0);
+  EXPECT_EQ(std::count(inline_csv.begin(), inline_csv.end(), '\n'), 7);
+  EXPECT_EQ(inline_csv, trace_csv);
+
+  // Restricted-graph capture -> replay reproduces inline simulate.
+  const std::string run =
+      "--n 24 --c 2 --dist U:1,5 --topology tiered:3 --churn 0.3:0.5 "
+      "--messages 200 --seed 9";
+  const std::string trace_path = ::testing::TempDir() + "anonpath_topo." +
+                                 std::to_string(::getpid()) + ".trace";
+  int rc_sim = -1, rc_capture = -1, rc_replay = -1;
+  const std::string simulated = cli_stdout("simulate " + run, &rc_sim);
+  (void)cli_stdout("capture " + run + " --out '" + trace_path + "'",
+                   &rc_capture);
+  const std::string replayed =
+      cli_stdout("replay --in '" + trace_path + "'", &rc_replay);
+  std::remove(trace_path.c_str());
+  ASSERT_EQ(rc_sim, 0);
+  ASSERT_EQ(rc_capture, 0);
+  ASSERT_EQ(rc_replay, 0);
+  EXPECT_FALSE(simulated.empty());
+  EXPECT_EQ(simulated, replayed);
+
+  // Walk-model MC estimate on a restricted graph runs and is thread-count
+  // invariant.
+  const std::string estimate =
+      "estimate --n 40 --c 3 --dist U:1,6 --topology ring:4 --samples 20000 "
+      "--threads ";
+  int rc_one = -1, rc_eight = -1;
+  const std::string one = cli_stdout(estimate + "1", &rc_one);
+  const std::string eight = cli_stdout(estimate + "8", &rc_eight);
+  ASSERT_EQ(rc_one, 0);
+  ASSERT_EQ(rc_eight, 0);
+  EXPECT_NE(one.find("walk-model"), std::string::npos) << one;
+  EXPECT_EQ(without_throughput(one), without_throughput(eight));
+
+  // Out-of-range topology parameters fail loudly (nonzero exit).
+  EXPECT_NE(run_cli("simulate --n 10 --topology ring:20 --messages 50")
+                .exit_code,
+            0);
 }
 
 TEST_F(CliParse, PositiveControls) {

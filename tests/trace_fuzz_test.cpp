@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/trace.hpp"
@@ -238,28 +239,40 @@ TEST(TraceFuzz, ParseErrorsCarryTheTaxonomy) {
 
 
 TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
-  // A trace may name any N its u32 field holds, and replay sizes its
-  // engines by N. The simulator's cap is a rulebook rule, so read_trace
-  // refuses such a trace as out_of_range before anything N-sized exists —
-  // at the cap plus one as well as far past it.
+  // A trace may name any N, message count or mix-failure count its u32
+  // fields hold, and replay sizes its engines and event queue by them. The
+  // simulator's caps are rulebook rules, so read_trace refuses such a trace
+  // as out_of_range before anything that size exists — at each cap plus
+  // one as well as far past it.
   sim::sim_config cfg;
   cfg.sys = {20, 1};
   cfg.compromised = {0};
   cfg.message_count = 30;
+  cfg.faults.mix_failures.count = 2;
   std::ostringstream os;
   sim::write_trace(sim::capture_trace(cfg), os);
   const std::string base = os.str();
-  ASSERT_NE(base.find("\nsys 20 1\n"), std::string::npos);
+  const std::pair<std::string, std::string> edits[] = {
+      {"\nsys 20 1\n",
+       "\nsys " + std::to_string(sim::max_sim_nodes + 1) + " 1\n"},
+      {"\nsys 20 1\n", "\nsys 400000000 1\n"},
+      {"\nmessages 30\n",
+       "\nmessages " + std::to_string(sim::max_messages + 1) + "\n"},
+      {"\nmessages 30\n", "\nmessages 4000000000\n"},
+      {"\nmixfail 2 ",
+       "\nmixfail " + std::to_string(sim::max_mix_failures + 1) + " "},
+      {"\nmixfail 2 ", "\nmixfail 1000000000 "},
+  };
   const std::string trace_path = ::testing::TempDir() + "anonpath_huge." +
                                  std::to_string(::getpid()) + ".trace";
-  for (const std::uint32_t n : {sim::max_sim_nodes + 1, 400'000'000u}) {
+  for (const auto& [from, to] : edits) {
+    ASSERT_NE(base.find(from), std::string::npos) << from;
     std::string huge = base;
-    huge.replace(huge.find("\nsys 20 1\n"), 10,
-                 "\nsys " + std::to_string(n) + " 1\n");
+    huge.replace(huge.find(from), from.size(), to);
     std::istringstream is(huge);
     try {
       (void)sim::read_trace(is);
-      ADD_FAILURE() << "N = " << n << " accepted";
+      ADD_FAILURE() << to << " accepted";
     } catch (const parse_error& e) {
       EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
       EXPECT_NE(std::string(e.what()).find("too large"), std::string::npos)

@@ -2,9 +2,10 @@
 // DP kernel runs on flat arc arrays; `reference_walk_engine` below keeps
 // the adjacency-walking kernel it replaced (the same posterior code around
 // it), and every observation of captured runs must score bit for bit the
-// same under both, masked and unmasked. Restricted-topology runs memoize
-// per-observation summaries in score_run; run_simulation must equal a
-// replay scored by a fresh, unmemoized engine on every reported metric.
+// same under both, masked and unmasked. score_run memoizes per-observation
+// summaries for every built-in engine (clique, restricted walk, planned
+// routes); run_simulation must equal a replay scored by a fresh,
+// unmemoized engine on every reported metric.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +15,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/anonymity/observation.hpp"
+#include "src/anonymity/posterior.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/net/topology.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/obs/metrics.hpp"
@@ -235,7 +239,7 @@ constexpr net::topology_kind restricted_kinds[] = {
     net::topology_kind::ring, net::topology_kind::tiered,
     net::topology_kind::random_regular, net::topology_kind::trust_weighted};
 
-/// A restricted-topology run on 24 nodes under the given adversary.
+/// A run on 24 nodes of the given graph under the given adversary.
 sim::sim_config walk_config(net::topology_kind kind, bool open_tail) {
   sim::sim_config cfg;
   cfg.sys = {24, 3};
@@ -304,17 +308,28 @@ TEST(WalkKernel, FlatArcKernelMatchesAdjacencyWalkBitForBit) {
 }
 
 /// The per-observation scorer run_simulation uses, built fresh for one
-/// trace and never memoized: each call runs the walk DP. An observation
-/// the walk model cannot explain maps to the empty posterior, which
-/// scoring skips. `skipped` counts them.
-sim::posterior_fn fresh_walk_scorer(const sim::sim_trace& trace,
-                                    std::size_t& skipped) {
+/// trace and never memoized: each call runs the engine. The clique gets
+/// posterior_engine, a restricted graph the walk engine under the run's
+/// lengths, a planned (kpaths) run the walk engine under uniform(1, N-1).
+/// An observation the engine cannot explain maps to the empty posterior,
+/// which scoring skips. `skipped` counts them.
+sim::posterior_fn fresh_scorer(const sim::sim_trace& trace,
+                               std::size_t& skipped) {
   const sim::sim_config& cfg = trace.config;
-  const system_params sys{cfg.sys.node_count,
+  const std::uint32_t n = cfg.sys.node_count;
+  const system_params sys{n,
                           static_cast<std::uint32_t>(trace.compromised.size())};
-  const auto engine = std::make_shared<net::topology_posterior_engine>(
-      sys, trace.compromised, cfg.lengths,
-      net::topology::make(cfg.sys.node_count, cfg.topology));
+  std::shared_ptr<const sender_inference> engine;
+  if (cfg.topology.kind == net::topology_kind::complete &&
+      !cfg.routing.planned())
+    engine = std::make_shared<posterior_engine>(sys, trace.compromised,
+                                                cfg.lengths);
+  else
+    engine = std::make_shared<net::topology_posterior_engine>(
+        sys, trace.compromised,
+        cfg.routing.planned() ? path_length_distribution::uniform(1, n - 1)
+                              : cfg.lengths,
+        net::topology::make(n, cfg.topology));
   return [engine, &skipped](const observation& obs) {
     std::vector<double> post;
     if (!engine->try_sender_posterior(obs, post)) {
@@ -323,6 +338,29 @@ sim::posterior_fn fresh_walk_scorer(const sim::sim_trace& trace,
     }
     return post;
   };
+}
+
+/// The number of messages the trace's adversary observed: one lookup each
+/// in the per-run observation memo.
+std::size_t observed_count(const sim::sim_trace& trace) {
+  std::vector<bool> flags(trace.config.sys.node_count, false);
+  for (const node_id id : trace.compromised) flags[id] = true;
+  const auto model = sim::make_adversary_model(
+      trace.config.adversary, std::move(flags), trace.config.latency);
+  for (const sim::adversary_event& e : trace.events) {
+    switch (e.type) {
+      case sim::adversary_event::kind::origin:
+        model->note_origin(e.msg, e.reporter);
+        break;
+      case sim::adversary_event::kind::relay:
+        model->note_relay(e.msg, e.at, e.reporter, e.predecessor, e.successor);
+        break;
+      case sim::adversary_event::kind::receipt:
+        model->note_receipt(e.msg, e.at, e.predecessor);
+        break;
+    }
+  }
+  return model->observed_messages().size();
 }
 
 void expect_same_report(const sim::sim_report& got,
@@ -363,7 +401,42 @@ void expect_same_report(const sim::sim_report& got,
   }
 }
 
-TEST(WalkMemo, InlineRunEqualsUnmemoizedReplay) {
+/// One scoring engine under one adversary: the runs the memo tests sweep.
+struct memo_scenario {
+  std::string name;
+  sim::sim_config cfg;
+};
+
+std::vector<memo_scenario> memo_scenarios() {
+  std::vector<memo_scenario> out;
+  const auto add = [&out](sim::sim_config cfg, bool planned) {
+    if (planned) {
+      cfg.routing.kind = net::route_select::kpaths;
+      cfg.routing.k = 3;
+    }
+    out.push_back({cfg.topology.label() + (planned ? " kpaths " : " walk ") +
+                       cfg.adversary.label(),
+                   cfg});
+  };
+  // Every engine under the full coalition and under partial coverage with
+  // an honest receiver (open tails): the clique, restricted walks, and
+  // planned (kpaths) routes on the clique and on a restricted graph.
+  for (const bool open_tail : {false, true}) {
+    add(walk_config(net::topology_kind::complete, open_tail), false);
+    for (const net::topology_kind kind : restricted_kinds)
+      add(walk_config(kind, open_tail), false);
+    add(walk_config(net::topology_kind::complete, open_tail), true);
+    add(walk_config(net::topology_kind::random_regular, open_tail), true);
+  }
+  // The timing correlator produces gapped observations, some of which the
+  // clique model cannot explain.
+  sim::sim_config timing = walk_config(net::topology_kind::complete, false);
+  timing.adversary.kind = sim::adversary_kind::timing_correlator;
+  add(timing, false);
+  return out;
+}
+
+TEST(ObservationMemo, InlineRunEqualsUnmemoizedReplay) {
   struct variant {
     const char* name;
     void (*apply)(sim::sim_config&);
@@ -391,50 +464,61 @@ TEST(WalkMemo, InlineRunEqualsUnmemoizedReplay) {
        [](sim::sim_config& c) { c.collect_posteriors = true; }, false},
   };
   std::size_t skipped = 0;
-  for (const net::topology_kind kind : restricted_kinds)
-    for (const bool open_tail : {false, true})
-      for (const variant& v : variants) {
-        sim::sim_config cfg = walk_config(kind, open_tail);
-        v.apply(cfg);
-        const std::string what = cfg.topology.label() +
-                                 (open_tail ? " partial " : " full ") + v.name;
-        const sim::sim_report inline_report = sim::run_simulation(cfg);
-        const sim::sim_trace trace = sim::capture_trace(cfg);
-        const sim::sim_report replayed =
-            sim::replay_trace(trace, fresh_walk_scorer(trace, skipped));
-        ASSERT_FALSE(std::isnan(inline_report.empirical_entropy_bits)) << what;
-        expect_same_report(inline_report, replayed, what);
-        if (cfg.session.enabled()) {
-          ASSERT_TRUE(inline_report.session.has_value()) << what;
-        }
-        // A run this size repeats observations, so the memo both misses
-        // and hits; the unmemoized paths count nothing.
-        const std::uint64_t lookups =
-            inline_report.walk_memo_hits + inline_report.walk_memo_misses;
-        if (v.memoized) {
-          EXPECT_GT(inline_report.walk_memo_hits, 0u) << what;
-          EXPECT_GT(inline_report.walk_memo_misses, 0u) << what;
-        } else {
-          EXPECT_EQ(lookups, 0u) << what;
-        }
-        EXPECT_EQ(replayed.walk_memo_hits + replayed.walk_memo_misses, 0u)
-            << what;
-        EXPECT_EQ(inline_report.memo_hits + inline_report.memo_misses, 0u)
-            << what;
+  for (const memo_scenario& scenario : memo_scenarios())
+    for (const variant& v : variants) {
+      sim::sim_config cfg = scenario.cfg;
+      v.apply(cfg);
+      const std::string what = scenario.name + " " + v.name;
+      const sim::sim_report inline_report = sim::run_simulation(cfg);
+      const sim::sim_trace trace = sim::capture_trace(cfg);
+      const sim::sim_report replayed =
+          sim::replay_trace(trace, fresh_scorer(trace, skipped));
+      ASSERT_FALSE(std::isnan(inline_report.empirical_entropy_bits)) << what;
+      expect_same_report(inline_report, replayed, what);
+      if (cfg.session.enabled()) {
+        ASSERT_TRUE(inline_report.session.has_value()) << what;
       }
+      // The memo looks up every observed message once; a run this size
+      // repeats observations, so it both misses and hits. The paths that
+      // need every posterior vector, and a caller-supplied engine, count
+      // nothing.
+      const std::uint64_t lookups =
+          inline_report.obs_memo_hits + inline_report.obs_memo_misses;
+      if (v.memoized) {
+        EXPECT_EQ(lookups, observed_count(trace)) << what;
+        EXPECT_GT(inline_report.obs_memo_hits, 0u) << what;
+        EXPECT_GT(inline_report.obs_memo_misses, 0u) << what;
+      } else {
+        EXPECT_EQ(lookups, 0u) << what;
+      }
+      EXPECT_EQ(replayed.obs_memo_hits + replayed.obs_memo_misses, 0u)
+          << what;
+      // Only the clique engine has a layout memo.
+      const bool clique = cfg.topology.kind == net::topology_kind::complete &&
+                          !cfg.routing.planned();
+      EXPECT_EQ(inline_report.memo_hits + inline_report.memo_misses > 0,
+                clique)
+          << what;
+    }
   // Partial coverage leaves a few observations the walk model cannot
   // explain; both paths must skip them alike.
   EXPECT_GT(skipped, 0u);
 }
 
-TEST(WalkMemo, CampaignMetricsCountWalkLookups) {
+TEST(ObservationMemo, CampaignMetricsCountEveryEngine) {
   sim::campaign_grid grid;
   grid.node_counts = {24};
   grid.compromised_counts = {3};
   grid.lengths = {path_length_distribution::uniform(1, 6)};
   grid.message_count = 200;
-  const auto counters = [&](net::topology_kind kind) {
+  const auto counters = [&](net::topology_kind kind, bool planned) {
     grid.topologies = {topo_of(kind)};
+    net::routing_config routing;
+    if (planned) {
+      routing.kind = net::route_select::kpaths;
+      routing.k = 3;
+    }
+    grid.routings = {routing};
     obs::metrics_registry registry;
     sim::campaign_config cfg;
     cfg.replicas = 2;
@@ -443,26 +527,46 @@ TEST(WalkMemo, CampaignMetricsCountWalkLookups) {
     (void)sim::run_campaign(grid, cfg);
     return registry.snapshot().counters;
   };
-  auto walk = counters(net::topology_kind::random_regular);
-  EXPECT_GT(walk["posterior.walk_memo_hits"], 0u);
-  EXPECT_GT(walk["posterior.walk_memo_misses"], 0u);
-  EXPECT_EQ(walk["attack.memo_hits"] + walk["attack.memo_misses"], 0u);
-  auto clique = counters(net::topology_kind::complete);
-  EXPECT_EQ(clique.count("posterior.walk_memo_hits"), 1u);
-  EXPECT_EQ(clique["posterior.walk_memo_hits"] +
-                clique["posterior.walk_memo_misses"],
-            0u);
-  EXPECT_GT(clique["attack.memo_hits"] + clique["attack.memo_misses"], 0u);
+  // The full coalition observes every delivered message, and a fault-free
+  // run delivers them all: one memo lookup per message, whatever the
+  // engine. Only the clique engine has a layout memo behind it.
+  for (const auto& [kind, planned] :
+       {std::pair{net::topology_kind::complete, false},
+        std::pair{net::topology_kind::random_regular, false},
+        std::pair{net::topology_kind::complete, true},
+        std::pair{net::topology_kind::random_regular, true}}) {
+    auto c = counters(kind, planned);
+    const std::string what =
+        topo_of(kind).label() + (planned ? " kpaths" : " walk");
+    EXPECT_EQ(c["sim.messages_delivered"], 400u) << what;
+    EXPECT_EQ(c["posterior.obs_memo_hits"] + c["posterior.obs_memo_misses"],
+              c["sim.messages_delivered"])
+        << what;
+    EXPECT_GT(c["posterior.obs_memo_hits"], 0u) << what;
+    EXPECT_GT(c["posterior.obs_memo_misses"], 0u) << what;
+    EXPECT_EQ(c["attack.memo_hits"] + c["attack.memo_misses"] > 0,
+              kind == net::topology_kind::complete && !planned)
+        << what;
+  }
 }
 
-TEST(WalkMemo, CliqueRunsCountNoWalkLookups) {
+TEST(ObservationMemo, CliqueRunsCountEveryLookup) {
   sim::sim_config cfg;
   cfg.sys = {24, 3};
   cfg.compromised = {2, 9, 17};
   cfg.message_count = 200;
   const sim::sim_report r = sim::run_simulation(cfg);
-  EXPECT_EQ(r.walk_memo_hits + r.walk_memo_misses, 0u);
+  EXPECT_EQ(r.delivered, 200u);
+  EXPECT_EQ(r.obs_memo_hits + r.obs_memo_misses, r.delivered);
+  EXPECT_GT(r.obs_memo_hits, 0u);
   EXPECT_GT(r.memo_hits + r.memo_misses, 0u);
+  // collect_posteriors scores every message through the engine: no memo
+  // lookups, and more layout-memo lookups than the memoized run makes.
+  cfg.collect_posteriors = true;
+  const sim::sim_report all = sim::run_simulation(cfg);
+  EXPECT_EQ(all.obs_memo_hits + all.obs_memo_misses, 0u);
+  EXPECT_GT(all.memo_hits + all.memo_misses, r.memo_hits + r.memo_misses);
+  EXPECT_EQ(all.posteriors.size(), 200u);
 }
 
 }  // namespace

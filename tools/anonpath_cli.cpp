@@ -119,6 +119,7 @@ using namespace anonpath;
       "            --churn 0 | <down_rate>[:<mean_downtime>]\n"
       "            --retry <max>[:<timeout>[:<backoff>[:<max_timeout>]]]\n"
       "            --mix-failures <count>[:<horizon>[:<mean_duration>]]\n"
+      "                      (count at most 1000000)\n"
       "            --crash <node>:<start>:<duration>  (repeatable)\n"
       "  degree:   [--breakdown]\n"
       "  estimate: [--samples k] [--seed s] [--threads t (0=all cores)]\n"
@@ -126,9 +127,9 @@ using namespace anonpath;
       "            (a restricted --topology uses the walk-model engine)\n"
       "  optimize: --mean <target expected length>\n"
       "  simulate: a one-cell campaign: every campaign axis flag, one value\n"
-      "            each, plus [--messages k] [--seed s] [--threshold x\n"
-      "            in [0, 1]]; session mode: --population P (at most\n"
-      "            10000000) --rounds R [--attack a]\n"
+      "            each, plus [--messages k (at most 1000000)] [--seed s]\n"
+      "            [--threshold x in [0, 1]]; session mode: --population P\n"
+      "            (at most 10000000) --rounds R [--attack a]\n"
       "            [--stream exact|sketch]  sda accumulator backend\n"
       "  campaign: scenario-grid sweep on the simulator; CSV to stdout.\n"
       "            axes (comma lists): --n --c --drop --rate --adversary\n"
@@ -506,12 +507,13 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
   reg.add_counter("sim.retransmissions", r.retransmissions);
   reg.add_counter("attack.memo_hits", r.memo_hits);
   reg.add_counter("attack.memo_misses", r.memo_misses);
-  reg.add_counter("posterior.walk_memo_hits", r.walk_memo_hits);
-  reg.add_counter("posterior.walk_memo_misses", r.walk_memo_misses);
+  reg.add_counter("posterior.obs_memo_hits", r.obs_memo_hits);
+  reg.add_counter("posterior.obs_memo_misses", r.obs_memo_misses);
 }
 
 /// Size caps, checked before anything is allocated. The simulator's
-/// (sim::max_sim_nodes, sim::max_population) are rulebook rules, applied
+/// (sim::max_sim_nodes, sim::max_population, sim::max_messages,
+/// sim::max_mix_failures) are rulebook rules, applied
 /// here to every axis value so an oversized sweep value is refused instead
 /// of skipped as an infeasible cell. plan keeps a CSR graph of about 100
 /// bytes per node; the attack workload's time grows with rounds times
@@ -661,6 +663,10 @@ sim::campaign_grid build_campaign_grid(
   require_node_cap(opt, sim::max_sim_nodes);
   for (const std::uint32_t p : opt.grid.populations)
     require_cap(opt, "--population", p, sim::max_population);
+  for (const sim::mix_failure_config& m : opt.grid.mix_failures)
+    require_cap(opt, "--mix-failures", m.count, sim::max_mix_failures);
+  if (opt.messages_set)
+    require_cap(opt, "--messages", opt.messages, sim::max_messages);
   sim::campaign_grid grid = opt.grid;
   if (!opt.given("--dist")) grid.lengths = {default_dist};
   grid.session_receiver_law = opt.receiver_law;
