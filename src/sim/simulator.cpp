@@ -174,6 +174,26 @@ const char* system_infeasible_reason(const system_params& sys,
   return nullptr;
 }
 
+const char* event_load_reason(std::uint32_t node_count,
+                              std::uint32_t message_count,
+                              double arrival_rate,
+                              const net::churn_config& churn,
+                              const retry_policy& retry) {
+  if (churn.enabled()) {
+    const double cycle = 1.0 / churn.down_rate + churn.mean_downtime;
+    const double transitions = 2.0 * node_count *
+                               (message_count / arrival_rate) / cycle;
+    if (!(transitions <= max_churn_transitions))
+      return "--churn is too large for the traffic span (at most 1e9 "
+             "expected node transitions over --messages / --rate)";
+  }
+  if (std::uint64_t{message_count} * (std::uint64_t{retry.max_retries} + 1) >
+      max_attempts)
+    return "--retry is too large for --messages (at most 2000000 attempts, "
+           "--messages x (retries + 1))";
+  return nullptr;
+}
+
 const char* invalid_reason(const sim_config& c) {
   const std::uint32_t n = c.sys.node_count;
   if (const char* why = system_infeasible_reason(c.sys, c.lengths)) return why;
@@ -198,6 +218,9 @@ const char* invalid_reason(const sim_config& c) {
     return "fault plan out of range (--drop in [0, 1), --churn, "
            "--mix-failures, --crash nodes below --n)";
   if (!c.retry.valid()) return "--retry parameters out of range";
+  if (const char* why = event_load_reason(n, c.message_count, c.arrival_rate,
+                                          c.faults.churn, c.retry))
+    return why;
   if (!c.adversary.valid()) return "--adversary coverage must be in [0, 1]";
   if (!(c.identified_threshold >= 0.0 && c.identified_threshold <= 1.0))
     return "--threshold must be in [0, 1]";

@@ -105,6 +105,25 @@ inline constexpr std::uint32_t max_messages = 1'000'000;
 /// Largest number of seeded mix-failure episodes. Each becomes a scheduled
 /// outage: 1e6 of them take about 0.2 s, 1e7 about 2.5 s.
 inline constexpr std::uint32_t max_mix_failures = 1'000'000;
+/// Largest expected number of churn transitions: both edges of every
+/// node's down/up cycle over the traffic span (--messages / --rate). Each
+/// is a seeded draw on the event path: 5e8 take about 6 s at N = 24.
+inline constexpr double max_churn_transitions = 1e9;
+/// Largest worst-case attempt count, message_count x (max_retries + 1).
+/// Each attempt re-walks a fresh route: 2e6 of them at --drop 0.99 take
+/// about 13 s at N = 24.
+inline constexpr std::uint64_t max_attempts = 2'000'000;
+
+/// The event-load rules: nullptr, or why a run's expected churn
+/// transitions or worst-case attempts pass the caps above. O(1), on valid
+/// churn and retry parameters and a positive arrival rate. invalid_reason
+/// applies it; the CLI also applies it to every campaign cell, so an
+/// oversized cell is refused instead of skipped as infeasible.
+[[nodiscard]] const char* event_load_reason(std::uint32_t node_count,
+                                            std::uint32_t message_count,
+                                            double arrival_rate,
+                                            const net::churn_config& churn,
+                                            const retry_policy& retry);
 
 /// The rules on (N, C, path lengths) alone: nullptr when the anonymity
 /// engines accept them (C <= N, N >= 2, every length fits a simple path),

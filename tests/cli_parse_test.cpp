@@ -11,9 +11,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -306,6 +309,16 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "simulate --n 24 --c 2 --messages 50 --mix-failures 1000000000",
       "campaign --n 24 --c 2 --messages 50 --mix-failures 0,1000001 "
       "--replicas 1",
+      // And the event load: expected churn transitions over the traffic
+      // span, and worst-case attempts (--messages x (retries + 1)).
+      "simulate --n 24 --c 2 --churn 1e9:1e-9",
+      "simulate --n 24 --c 2 --retry 1000000:1e-6:1:1e-6 --drop 0.99",
+      "simulate --n 24 --c 2 --messages 1000000 --retry 2",
+      "capture --n 24 --c 2 --churn 1e9:1e-9 --out /dev/null",
+      "campaign --n 24 --c 2 --messages 50 --churn 0,1e9:1e-9 --replicas 1",
+      "campaign --n 24 --c 2 --messages 50 --retry 0,100000 --replicas 1",
+      "merge --n 24 --c 2 --messages 50 --churn 1e9:1e-9 --replicas 1 "
+      "--input /nonexistent.ckpt",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)
@@ -409,7 +422,10 @@ TEST_F(CliParse, RoutingFlagValidation) {
         "simulate --n 20 --c 2 --mode hop_by_hop --routing kpaths",
         "simulate --n 20 --c 2 --adversary timing --routing kpaths",
         // estimate/replay are clique-analytic surfaces: no planned routes.
-        "estimate --n 50 --c 2 --routing kpaths"}) {
+        "estimate --n 50 --c 2 --routing kpaths",
+        // The walk-model engine behind a restricted --topology has no
+        // dedup setting to turn off.
+        "estimate --n 50 --c 2 --topology ring:2 --no-dedup"}) {
     const run_result r = run_cli(args);
     EXPECT_NE(r.exit_code, 0) << "accepted: anonpath " << args;
     EXPECT_FALSE(r.stderr_text.empty());
@@ -1017,6 +1033,251 @@ TEST_F(CliParse, PositiveControls) {
                     "--routing kpaths:2")
                 .exit_code,
             0);
+}
+
+/// The first line of `text` (the CLI's "error: ..." line).
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n'));
+}
+
+TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
+  // This test's own copy of the command x flag matrix (README "CLI"), kept
+  // apart from the CLI's flag table so the two check each other. A flag
+  // outside its command's row exits 2 before its value is parsed, with an
+  // error line naming the flag, the command and exactly the commands that
+  // do read it; inside the row it is never refused as inapplicable.
+  const std::vector<std::string> axes = {
+      "--n",       "--c",          "--dist",  "--mode",       "--drop",
+      "--rate",    "--adversary",  "--topology", "--routing", "--churn",
+      "--mix-failures", "--retry", "--population", "--rounds", "--attack",
+      "--stream"};
+  const auto with = [](std::vector<std::string> row,
+                       const std::vector<std::string>& more) {
+    row.insert(row.end(), more.begin(), more.end());
+    return row;
+  };
+  const std::vector<std::string> simulator = with(
+      axes, {"--messages", "--seed", "--threshold", "--receiver-law",
+             "--crash"});
+  const std::vector<std::string> sweep =
+      with(simulator, {"--replicas", "--threads", "--via-trace",
+                       "--checkpoint", "--metrics", "--progress"});
+  const std::map<std::string, std::vector<std::string>> reads = {
+      {"degree", {"--n", "--dist", "--breakdown"}},
+      {"estimate",
+       {"--n", "--c", "--dist", "--topology", "--samples", "--seed",
+        "--threads", "--shards", "--no-dedup"}},
+      {"optimize", {"--n", "--mean"}},
+      {"figures", {"--n"}},
+      {"replay", {"--in"}},
+      {"simulate", with(simulator, {"--metrics", "--progress"})},
+      {"capture", with(simulator, {"--out"})},
+      {"campaign", with(sweep, {"--resume", "--shard"})},
+      {"merge", with(sweep, {"--input"})},
+      {"attack",
+       {"--attack", "--population", "--rounds", "--stream", "--seed",
+        "--threads", "--threshold", "--every", "--users", "--pairs",
+        "--round-size", "--send-rate", "--sender-law", "--receiver-law",
+        "--metrics", "--progress"}},
+      {"plan",
+       {"--n", "--topology", "--routing", "--seed", "--csr", "--components",
+        "--source", "--routes", "--metrics", "--progress"}},
+  };
+  const std::string tmp = ::testing::TempDir() + "anonpath_matrix." +
+                          std::to_string(::getpid()) + ".";
+  // A valid value for every flag; switches take none.
+  const std::map<std::string, std::string> value = {
+      {"--n", "12"}, {"--c", "2"}, {"--dist", "F:3"}, {"--mode", "onion"},
+      {"--drop", "0"}, {"--rate", "50"}, {"--adversary", "full"},
+      {"--topology", "complete"}, {"--routing", "walk"}, {"--churn", "0"},
+      {"--mix-failures", "0"}, {"--retry", "0"}, {"--population", "0"},
+      {"--rounds", "0"}, {"--attack", "none"}, {"--stream", "exact"},
+      {"--messages", "20"}, {"--seed", "5"}, {"--threshold", "0.5"},
+      {"--receiver-law", "uniform"}, {"--crash", "0:1:1"},
+      {"--replicas", "1"}, {"--threads", "1"}, {"--via-trace", ""},
+      {"--checkpoint", "'" + tmp + "ckpt'"}, {"--resume", ""},
+      {"--shard", "0/1"}, {"--input", "'" + tmp + "in.ckpt'"},
+      {"--metrics", "'" + tmp + "metrics.jsonl'"}, {"--progress", ""},
+      {"--out", "/dev/null"}, {"--in", "'" + tmp + "in.trace'"},
+      {"--breakdown", ""}, {"--samples", "100"}, {"--shards", "2"},
+      {"--no-dedup", ""}, {"--mean", "3"}, {"--every", "5"},
+      {"--users", "200"}, {"--pairs", "1"}, {"--round-size", "8"},
+      {"--send-rate", "0.5"}, {"--sender-law", "uniform"}, {"--csr", ""},
+      {"--components", ""}, {"--source", "0"}, {"--routes", "5"},
+  };
+  // Keeps the in-row runs small.
+  const std::map<std::string, std::string> base = {
+      {"estimate", " --samples 100"},
+      {"simulate", " --messages 20"},
+      {"capture", " --messages 20"},
+      {"campaign", " --messages 20 --replicas 1"},
+  };
+
+  // Every flag the help text names is in the matrix, and vice versa, so a
+  // new flag cannot skip this check.
+  const std::string help = run_cli("--help").stderr_text;
+  std::set<std::string> help_flags;
+  for (std::size_t at = help.find("--"); at != std::string::npos;
+       at = help.find("--", at + 2)) {
+    std::size_t end = at + 2;
+    while (end < help.size() &&
+           (std::islower(static_cast<unsigned char>(help[end])) ||
+            help[end] == '-'))
+      ++end;
+    if (end > at + 2) help_flags.insert(help.substr(at, end - at));
+  }
+  std::set<std::string> all_flags;
+  for (const auto& [flag, v] : value) all_flags.insert(flag);
+  EXPECT_EQ(help_flags, all_flags);
+
+  for (const auto& [command, row] : reads) {
+    for (const std::string& flag : row)
+      ASSERT_TRUE(value.count(flag)) << flag;
+    for (const std::string& flag : all_flags) {
+      const std::string& v = value.at(flag);
+      const bool in_row = std::find(row.begin(), row.end(), flag) != row.end();
+      const std::string refusal =
+          flag + " does not apply to '" + command + "'";
+      if (in_row) {
+        const std::string args = command +
+                                 (base.count(command) ? base.at(command) : "") +
+                                 " " + flag + (v.empty() ? "" : " " + v);
+        EXPECT_EQ(run_cli(args).stderr_text.find(refusal), std::string::npos)
+            << "anonpath " << args;
+        continue;
+      }
+      // The value, valid or not, is never parsed.
+      for (const std::string& arg : {v, std::string(v.empty() ? "" : "junk")}) {
+        const std::string args = command + " " + flag + " " + arg;
+        const run_result r = run_cli(args);
+        const std::string line = first_line(r.stderr_text);
+        EXPECT_EQ(r.exit_code, 2) << "anonpath " << args << "\n" << line;
+        EXPECT_NE(line.find(refusal), std::string::npos)
+            << "anonpath " << args << "\n" << line;
+        EXPECT_EQ(r.stderr_text.find("precondition failed"),
+                  std::string::npos)
+            << "anonpath " << args;
+        std::set<std::string> named, readers;
+        const std::string by = "it is read by ";
+        if (line.find(by) != std::string::npos) {
+          std::istringstream list(line.substr(line.find(by) + by.size()));
+          for (std::string name; std::getline(list >> std::ws, name, ',');)
+            named.insert(name);
+        }
+        for (const auto& [other, other_row] : reads)
+          if (std::find(other_row.begin(), other_row.end(), flag) !=
+              other_row.end())
+            readers.insert(other);
+        EXPECT_EQ(named, readers) << line;
+      }
+    }
+  }
+  for (const char* file : {"ckpt", "metrics.jsonl"})
+    std::remove((tmp + file).c_str());
+}
+
+TEST_F(CliParse, ViaTraceShardsMergeToTheUnshardedCsv) {
+  // --via-trace is part of the campaign's scope fingerprint, so merge reads
+  // it: shards run with it merge to the unsharded --via-trace CSV byte for
+  // byte, and the same merge without it is refused as a scope mismatch.
+  const std::string dir = ::testing::TempDir() + "anonpath_via_trace." +
+                          std::to_string(::getpid()) + ".";
+  const std::string grid =
+      "--n 16,24 --c 1,2 --messages 40 --replicas 1 --seed 11";
+  int rc = -1;
+  const std::string clean = cli_stdout("campaign " + grid + " --via-trace",
+                                       &rc);
+  ASSERT_EQ(rc, 0);
+  ASSERT_EQ(std::count(clean.begin(), clean.end(), '\n'), 5);
+  std::string inputs;
+  for (int i = 0; i < 2; ++i) {
+    const std::string ckpt = dir + "shard" + std::to_string(i) + ".ckpt";
+    inputs += " --input '" + ckpt + "'";
+    EXPECT_EQ(run_cli("campaign " + grid + " --via-trace --shard " +
+                      std::to_string(i) + "/2 --checkpoint '" + ckpt + "'")
+                  .exit_code,
+              0);
+  }
+  EXPECT_EQ(cli_stdout("merge " + grid + " --via-trace" + inputs, &rc), clean);
+  EXPECT_EQ(rc, 0);
+  const run_result inline_merge = run_cli("merge " + grid + inputs);
+  EXPECT_NE(inline_merge.exit_code, 0);
+  EXPECT_NE(inline_merge.stderr_text.find("scope mismatch"), std::string::npos)
+      << inline_merge.stderr_text;
+  for (int i = 0; i < 2; ++i)
+    std::remove((dir + "shard" + std::to_string(i) + ".ckpt").c_str());
+}
+
+TEST_F(CliParse, CampaignIsThreadInvariantAndTelemetryIsAWriteOnlyTap) {
+  // The 48-cell grid x 8 replicas: its CSV is byte-identical at 1 and 8
+  // threads, and again with --metrics and --progress on, while the
+  // heartbeats land on stderr and the snapshot carries the versioned
+  // header and the campaign catalogue keys.
+  const std::string dir = ::testing::TempDir() + "anonpath_obs_tap." +
+                          std::to_string(::getpid()) + ".";
+  const std::string grid =
+      "campaign --n 30,60 --c 1,4,8 --dist F:3 --dist U:1,8 "
+      "--mode onion,crowds --drop 0,0.05 --messages 200 --replicas 8 "
+      "--seed 7";
+  int rc_one = -1, rc_eight = -1;
+  const std::string one = cli_stdout(grid + " --threads 1", &rc_one);
+  const std::string eight = cli_stdout(grid + " --threads 8", &rc_eight);
+  ASSERT_EQ(rc_one, 0);
+  ASSERT_EQ(rc_eight, 0);
+  EXPECT_EQ(std::count(one.begin(), one.end(), '\n'), 49);
+  EXPECT_EQ(one, eight);
+
+  const std::string cli = "'" + cli_binary() + "' ";
+  const std::string metrics = dir + "campaign-metrics.jsonl";
+  ASSERT_EQ(shell_status(cli + grid + " --threads 8 --metrics '" + metrics +
+                         "' --progress > '" + dir + "obs.csv' 2> '" + dir +
+                         "obs.log'"),
+            0);
+  EXPECT_EQ(slurp(dir + "obs.csv"), one);
+  EXPECT_NE(slurp(dir + "obs.log")
+                .find("# progress: campaign cells 48/48 (100.0%)"),
+            std::string::npos);
+  const std::string snapshot = slurp(metrics);
+  EXPECT_NE(first_line(snapshot).find(
+                "\"format\":\"anonpath-metrics\",\"version\":1"),
+            std::string::npos)
+      << first_line(snapshot);
+  for (const char* key :
+       {"\"name\":\"campaign.cells_completed\",\"value\":48",
+        "\"name\":\"campaign.runs_completed\",\"value\":384",
+        "\"name\":\"sim.events_executed\"",
+        "\"name\":\"campaign.run_us\",\"total\":384"})
+    EXPECT_NE(snapshot.find(key), std::string::npos) << key;
+
+  // simulate roots a deterministic span tree under the same header.
+  const std::string sim_metrics = dir + "sim-metrics.jsonl";
+  ASSERT_EQ(run_cli("simulate --n 20 --c 2 --dist F:3 --messages 100 "
+                    "--seed 3 --metrics '" + sim_metrics + "'")
+                .exit_code,
+            0);
+  const std::string spans = slurp(sim_metrics);
+  EXPECT_NE(spans.find("\"kind\":\"span\",\"id\":1,\"parent\":0,"
+                       "\"name\":\"sim.run\""),
+            std::string::npos)
+      << spans;
+  EXPECT_NE(spans.find("\"kind\":\"span\",\"id\":2,\"parent\":1,"
+                       "\"name\":\"sim.run_core\""),
+            std::string::npos)
+      << spans;
+
+  // A snapshot that cannot land fails the run; a command that is not
+  // instrumented refuses the flags loudly.
+  if (std::system("sh -c 'echo x > /dev/full' 2>/dev/null") != 0)
+    EXPECT_NE(run_cli("simulate --n 16 --c 1 --dist F:3 --messages 30 "
+                      "--metrics /dev/full")
+                  .exit_code,
+              0)
+        << "expected metrics write failure";
+  EXPECT_NE(run_cli("degree --n 100 --dist F:5 --progress").exit_code, 0)
+      << "expected obs-flag rejection";
+  for (const char* file :
+       {"campaign-metrics.jsonl", "obs.csv", "obs.log", "sim-metrics.jsonl"})
+    std::remove((dir + file).c_str());
 }
 
 }  // namespace

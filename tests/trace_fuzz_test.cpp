@@ -26,6 +26,7 @@
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 #include "src/stats/rng.hpp"
+#include "src/stats/text_codec.hpp"
 
 namespace anonpath {
 namespace {
@@ -240,18 +241,26 @@ TEST(TraceFuzz, ParseErrorsCarryTheTaxonomy) {
 
 TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
   // A trace may name any N, message count or mix-failure count its u32
-  // fields hold, and replay sizes its engines and event queue by them. The
+  // fields hold, and replay sizes its engines and event queue by them; its
+  // churn and retry parameters set how many events replay runs. The
   // simulator's caps are rulebook rules, so read_trace refuses such a trace
-  // as out_of_range before anything that size exists — at each cap plus
-  // one as well as far past it.
+  // as out_of_range before anything that size exists or runs — at each
+  // integer cap plus one (just past it for attempts) as well as far past it.
   sim::sim_config cfg;
   cfg.sys = {20, 1};
   cfg.compromised = {0};
   cfg.message_count = 30;
   cfg.faults.mix_failures.count = 2;
+  cfg.faults.churn = {0.5, 0.5};
+  cfg.retry = {2, 0.1, 2.0, 1.0};
   std::ostringstream os;
   sim::write_trace(sim::capture_trace(cfg), os);
   const std::string base = os.str();
+  const auto hex = [](double x) {  // " <16 hex digits>"
+    std::ostringstream text;
+    stats::put_hex_double(text, x);
+    return text.str();
+  };
   const std::pair<std::string, std::string> edits[] = {
       {"\nsys 20 1\n",
        "\nsys " + std::to_string(sim::max_sim_nodes + 1) + " 1\n"},
@@ -262,6 +271,11 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
       {"\nmixfail 2 ",
        "\nmixfail " + std::to_string(sim::max_mix_failures + 1) + " "},
       {"\nmixfail 2 ", "\nmixfail 1000000000 "},
+      {"\nchurn" + hex(0.5) + hex(0.5) + "\n",
+       "\nchurn" + hex(1e9) + hex(1e-9) + "\n"},
+      {"\nretry 2 ",
+       "\nretry " + std::to_string(sim::max_attempts / 30) + " "},
+      {"\nretry 2 ", "\nretry 1000000 "},
   };
   const std::string trace_path = ::testing::TempDir() + "anonpath_huge." +
                                  std::to_string(::getpid()) + ".trace";

@@ -47,7 +47,7 @@
 // take comma-separated lists and --dist may repeat; the campaign runs their
 // cartesian product, and every other command takes one value per axis.
 // Out-of-range or unknown values exit loudly (status 2), never silently
-// fall back.
+// fall back, and so does a flag the command does not read (flag_table).
 
 #include <algorithm>
 #include <cmath>
@@ -104,6 +104,8 @@ using namespace anonpath;
       "usage: anonpath "
       "<degree|estimate|optimize|simulate|campaign|merge|capture|replay"
       "|attack|plan|figures> [options]\n"
+      "  A flag a command does not read is refused (status 2), never\n"
+      "  ignored; the error names the commands that read it.\n"
       "  common:   --n <nodes>      (default 100; at most 1000000 for\n"
       "                      estimate and the simulator commands, 10000000\n"
       "                      for plan: larger runs cannot fit in 4 GB;\n"
@@ -119,7 +121,8 @@ using namespace anonpath;
       "            --churn 0 | <down_rate>[:<mean_downtime>]\n"
       "            --retry <max>[:<timeout>[:<backoff>[:<max_timeout>]]]\n"
       "            --mix-failures <count>[:<horizon>[:<mean_duration>]]\n"
-      "                      (count at most 1000000)\n"
+      "                      (count at most 1000000; at most 1e9 expected\n"
+      "                      churn transitions, 2000000 attempts per run)\n"
       "            --crash <node>:<start>:<duration>  (repeatable)\n"
       "  degree:   [--breakdown]\n"
       "  estimate: [--samples k] [--seed s] [--threads t (0=all cores)]\n"
@@ -143,9 +146,10 @@ using namespace anonpath;
       "            [--shard i/n]  run only cells with index = i mod n\n"
       "            (requires --checkpoint; combine shards with 'merge')\n"
       "  merge:    combine completed shard journals into the unsharded\n"
-      "            result: the campaign's grid/config flags (they rebuild\n"
-      "            the scope fingerprint) + --input file (repeatable, one\n"
-      "            per shard) [--checkpoint file  also write the merged\n"
+      "            result: the campaign's grid/config flags, --via-trace\n"
+      "            included (they rebuild the scope fingerprint), plus\n"
+      "            --input file (repeatable, one per shard)\n"
+      "            [--checkpoint file  also write the merged\n"
       "            journal]; CSV to stdout, bit-identical to an unsharded\n"
       "            run\n"
       "  attack:   longitudinal disclosure on a population workload (no\n"
@@ -177,21 +181,35 @@ using namespace anonpath;
 
 [[noreturn]] void usage(const std::string& msg) { usage(msg.c_str()); }
 
+/// One bit per command: a flag's entry in `flag_table` names the commands
+/// that read it.
+namespace on {
+constexpr unsigned degree = 1u << 0, estimate = 1u << 1, optimize = 1u << 2,
+                   figures = 1u << 3, replay = 1u << 4, simulate = 1u << 5,
+                   capture = 1u << 6, campaign = 1u << 7, merge = 1u << 8,
+                   attack = 1u << 9, plan = 1u << 10;
+/// The simulator commands read every axis flag and the run flags.
+constexpr unsigned simulator = simulate | capture | campaign | merge;
+/// merge rebuilds the campaign's scope fingerprint from the same flags.
+constexpr unsigned sweep = campaign | merge;
+/// The instrumented commands.
+constexpr unsigned obs = simulate | campaign | merge | attack | plan;
+}  // namespace on
+
 struct options {
   std::string command;
   /// Every campaign axis flag parses into this grid through the axis table
-  /// (src/sim/campaign_axes.hpp), and --crash into its fault_outages.
-  /// `axes_given` records which axis flags appeared: a flag's first use
-  /// replaces the axis default, later uses append. Scalar commands read the
-  /// one value of each axis (require_one_value_per_axis).
+  /// (src/sim/campaign_axes.hpp), and --crash into its fault_outages. A
+  /// flag's first use replaces the axis default, later uses append. Scalar
+  /// commands read the one value of each axis (require_one_value_per_axis).
   sim::campaign_grid grid;
-  std::set<std::string> axes_given;
+  /// Every flag on the command line.
+  std::set<std::string> flags_given;
   [[nodiscard]] bool given(const char* flag) const {
-    return axes_given.count(flag) > 0;
+    return flags_given.count(flag) > 0;
   }
   double mean = 5.0;
   std::uint32_t messages = 2000;
-  bool messages_set = false;
   std::uint64_t seed = 1;
   bool breakdown = false;
   std::uint64_t samples = 100000;
@@ -202,10 +220,8 @@ struct options {
   bool resume = false;           ///< campaign: adopt the journal's prefix
   std::uint32_t shard_index = 0; ///< campaign: this process's shard
   std::uint32_t shard_count = 1; ///< campaign: total shards (--shard i/n)
-  bool shard_set = false;
   std::vector<std::string> input_paths;  ///< merge: shard journals
   std::uint32_t replicas = 8;
-  bool replicas_set = false;
   double threshold = 0.99;
   bool via_trace = false;
   std::string out_path;  ///< capture: trace destination ("" = stdout)
@@ -215,18 +231,14 @@ struct options {
   std::uint32_t pairs = 1;            ///< attack: persistent pairs
   std::uint32_t round_size = 32;      ///< attack: threshold batch size
   double send_rate = 1.0;             ///< attack: per-round pair send prob.
-  bool workload_flag_set = false;     ///< any of the four above (or --every)
   workload::popularity_law sender_law{};
-  bool sender_law_set = false;
   workload::popularity_law receiver_law{};
-  bool receiver_law_set = false;
   std::uint32_t every = 0;            ///< attack: trajectory stride (0=auto)
   // Route-planning diagnostics surface (the 'plan' command).
   bool plan_csr = false;              ///< plan: CSR storage mode
   bool plan_components = false;       ///< plan: run connected components
   std::uint32_t plan_source = 0;      ///< plan: Dijkstra source node
   std::uint32_t plan_routes = 100;    ///< plan: routes to extract/plan
-  bool plan_flag_set = false;         ///< any of the four above
   // Observability surface (src/obs). Off by default: no registry, no
   // tracer, no heartbeat — default runs stay byte-identical.
   std::string metrics_path;  ///< --metrics: JSONL snapshot file ("" = off)
@@ -256,7 +268,6 @@ void parse_shard(const std::string& spec, options& opt) {
       sim::parse_u32_token(spec.substr(slash + 1), "--shard count");
   if (opt.shard_count == 0 || opt.shard_index >= opt.shard_count)
     usage("--shard index must be in [0, count) with count >= 1");
-  opt.shard_set = true;
 }
 
 net::outage parse_crash(const std::string& spec) {
@@ -281,134 +292,140 @@ std::uint32_t parse_u32_at_least(const std::string& tok, const char* what,
   return v;
 }
 
-/// Parses one flag (argv[i], consuming its value). Every numeric token goes
-/// through the checked sim::parse_*_token parsers, so "--messages foo",
-/// "--threads 4x" or "--rate inf" exit loudly instead of becoming 0, 4 or
-/// an infinite rate; their parse_error becomes a usage error in parse().
-void parse_flag(options& opt, int argc, char** argv, int& i) {
-  const std::string flag = argv[i];
-  auto next = [&]() -> std::string {
-    if (i + 1 >= argc) usage("missing value for flag");
-    return argv[++i];
-  };
-  bool axis_flag = false;
+/// An axis flag's value, parsed by its entry in the axis table. Called
+/// before parse() records the flag, so the first use clears the default.
+void parse_axis(options& opt, const char* flag, const std::string& spec) {
   sim::for_each_axis([&](const auto& axis) {
-    if (axis_flag || flag != axis.flag) return;
-    axis_flag = true;
+    if (std::strcmp(flag, axis.flag) != 0) return;
     auto& values = opt.grid.*axis.values;
-    if (opt.axes_given.insert(flag).second) values.clear();
-    const std::string spec = next();
+    if (!opt.given(flag)) values.clear();
     for (const std::string& tok :
          axis.comma_list ? sim::split_tokens(spec, ',', axis.flag)
                          : std::vector<std::string>{spec})
       values.push_back(axis.parse(tok, axis.flag));
   });
-  if (axis_flag) return;
-  if (flag == "--crash") {
-    for (const std::string& tok : sim::split_tokens(next(), ',', "--crash"))
-      opt.grid.fault_outages.push_back(parse_crash(tok));
-  }
-  else if (flag == "--mean")
-    opt.mean = sim::parse_finite_token(next(), "--mean");
-  else if (flag == "--messages") {
-    opt.messages = parse_u32_at_least(next(), "--messages", 1);
-    opt.messages_set = true;
-  }
-  else if (flag == "--seed") opt.seed = sim::parse_u64_token(next(), "--seed");
-  else if (flag == "--checkpoint") opt.checkpoint_path = next();
-  else if (flag == "--resume") opt.resume = true;
-  else if (flag == "--shard") parse_shard(next(), opt);
-  else if (flag == "--input") opt.input_paths.push_back(next());
-  else if (flag == "--users") {
-    opt.users = parse_u32_at_least(next(), "--users", 2);
-    opt.workload_flag_set = true;
-  }
-  else if (flag == "--pairs") {
-    opt.pairs = parse_u32_at_least(next(), "--pairs", 1);
-    opt.workload_flag_set = true;
-  }
-  else if (flag == "--round-size") {
-    opt.round_size = parse_u32_at_least(next(), "--round-size", 1);
-    opt.workload_flag_set = true;
-  }
-  else if (flag == "--send-rate") {
-    opt.send_rate = sim::parse_finite_token(next(), "--send-rate");
-    if (opt.send_rate < 0.0 || opt.send_rate > 1.0)
-      usage("--send-rate must be in [0, 1]");
-    opt.workload_flag_set = true;
-  }
-  else if (flag == "--sender-law") {
-    opt.sender_law = parse_law(next());
-    opt.sender_law_set = true;
-  }
-  else if (flag == "--receiver-law") {
-    opt.receiver_law = parse_law(next());
-    opt.receiver_law_set = true;
-  }
-  else if (flag == "--every") {
-    opt.every = parse_u32_at_least(next(), "--every", 1);
-    opt.workload_flag_set = true;
-  }
-  else if (flag == "--threshold")
-    opt.threshold = sim::parse_finite_token(next(), "--threshold");
-  else if (flag == "--via-trace") opt.via_trace = true;
-  else if (flag == "--out") opt.out_path = next();
-  else if (flag == "--in") opt.in_path = next();
-  else if (flag == "--replicas") {
-    opt.replicas = parse_u32_at_least(next(), "--replicas", 1);
-    opt.replicas_set = true;
-  }
-  else if (flag == "--breakdown") opt.breakdown = true;
-  else if (flag == "--samples") {
-    opt.samples = sim::parse_u64_token(next(), "--samples");
-    if (opt.samples == 0) usage("--samples must be > 0");
-  }
-  else if (flag == "--threads")
-    opt.threads = sim::parse_u32_token(next(), "--threads");
-  else if (flag == "--shards")
-    opt.shards = sim::parse_u64_token(next(), "--shards");
-  else if (flag == "--no-dedup") opt.dedup = false;
-  else if (flag == "--csr") {
-    opt.plan_csr = true;
-    opt.plan_flag_set = true;
-  }
-  else if (flag == "--components") {
-    opt.plan_components = true;
-    opt.plan_flag_set = true;
-  }
-  else if (flag == "--source") {
-    opt.plan_source = sim::parse_u32_token(next(), "--source");
-    opt.plan_flag_set = true;
-  }
-  else if (flag == "--routes") {
-    opt.plan_routes = parse_u32_at_least(next(), "--routes", 1);
-    opt.plan_flag_set = true;
-  }
-  else if (flag == "--metrics" || flag.rfind("--metrics=", 0) == 0) {
-    opt.metrics_path = flag == "--metrics"
-                           ? next()
-                           : flag.substr(std::strlen("--metrics="));
-    if (opt.metrics_path.empty()) usage("--metrics wants a file path");
-  }
-  else if (flag == "--progress") opt.progress = true;
-  else usage("unknown flag " + flag);
 }
 
-options parse(int argc, char** argv) {
-  if (argc < 2) usage();
-  options opt;
-  opt.command = argv[1];
-  try {
-    for (int i = 2; i < argc; ++i) parse_flag(opt, argc, argv, i);
-  } catch (const parse_error& e) {
-    usage(e.what());
-  }
-  return opt;
-}
+/// One command-line flag: its name, the commands that read it, and its
+/// value parser (switches ignore the value). The parsers are generic
+/// lambdas over (options&, flag, value). Every numeric token goes through
+/// the checked sim::parse_*_token parsers, so "--messages foo", "--threads
+/// 4x" or "--rate inf" exit loudly instead of becoming 0, 4 or an infinite
+/// rate; their parse_error becomes a usage error in parse().
+struct flag_spec {
+  const char* name;
+  unsigned readers;  ///< on:: bits of the commands that read the flag
+  bool takes_value;
+  void (*parse)(options& opt, const char* flag, const std::string& value);
+};
 
-/// The one-scenario commands take one value per axis flag: a comma list
-/// would otherwise run only its first value — a silent drop (the axes
-/// belong to 'campaign').
+/// The one place that decides which command reads which flag: parse()
+/// refuses a flag on any other command, so no flag is silently ignored.
+constexpr flag_spec flag_table[] = {
+    {"--n",
+     on::simulator | on::degree | on::estimate | on::optimize | on::figures |
+         on::plan,
+     true, parse_axis},
+    {"--c", on::simulator | on::estimate, true, parse_axis},
+    {"--dist", on::simulator | on::degree | on::estimate, true, parse_axis},
+    {"--mode", on::simulator, true, parse_axis},
+    {"--drop", on::simulator, true, parse_axis},
+    {"--rate", on::simulator, true, parse_axis},
+    {"--adversary", on::simulator, true, parse_axis},
+    {"--topology", on::simulator | on::estimate | on::plan, true, parse_axis},
+    {"--routing", on::simulator | on::plan, true, parse_axis},
+    {"--churn", on::simulator, true, parse_axis},
+    {"--mix-failures", on::simulator, true, parse_axis},
+    {"--retry", on::simulator, true, parse_axis},
+    {"--population", on::simulator | on::attack, true, parse_axis},
+    {"--rounds", on::simulator | on::attack, true, parse_axis},
+    {"--attack", on::simulator | on::attack, true, parse_axis},
+    {"--stream", on::simulator | on::attack, true, parse_axis},
+    {"--crash", on::simulator, true, [](auto& o, auto f, auto& v) {
+       for (const std::string& tok : sim::split_tokens(v, ',', f))
+         o.grid.fault_outages.push_back(parse_crash(tok));
+     }},
+    {"--messages", on::simulator, true, [](auto& o, auto f, auto& v) {
+       o.messages = parse_u32_at_least(v, f, 1);
+     }},
+    {"--seed", on::simulator | on::estimate | on::attack | on::plan, true,
+     [](auto& o, auto f, auto& v) { o.seed = sim::parse_u64_token(v, f); }},
+    {"--threshold", on::simulator | on::attack, true,
+     [](auto& o, auto f, auto& v) {
+       o.threshold = sim::parse_finite_token(v, f);
+     }},
+    {"--receiver-law", on::simulator | on::attack, true,
+     [](auto& o, auto, auto& v) { o.receiver_law = parse_law(v); }},
+    {"--replicas", on::sweep, true, [](auto& o, auto f, auto& v) {
+       o.replicas = parse_u32_at_least(v, f, 1);
+     }},
+    {"--threads", on::sweep | on::estimate | on::attack, true,
+     [](auto& o, auto f, auto& v) { o.threads = sim::parse_u32_token(v, f); }},
+    {"--via-trace", on::sweep, false,
+     [](auto& o, auto, auto&) { o.via_trace = true; }},
+    {"--checkpoint", on::sweep, true,
+     [](auto& o, auto, auto& v) { o.checkpoint_path = v; }},
+    {"--resume", on::campaign, false,
+     [](auto& o, auto, auto&) { o.resume = true; }},
+    {"--shard", on::campaign, true,
+     [](auto& o, auto, auto& v) { parse_shard(v, o); }},
+    {"--input", on::merge, true,
+     [](auto& o, auto, auto& v) { o.input_paths.push_back(v); }},
+    {"--out", on::capture, true,
+     [](auto& o, auto, auto& v) { o.out_path = v; }},
+    {"--in", on::replay, true, [](auto& o, auto, auto& v) { o.in_path = v; }},
+    {"--breakdown", on::degree, false,
+     [](auto& o, auto, auto&) { o.breakdown = true; }},
+    {"--samples", on::estimate, true, [](auto& o, auto f, auto& v) {
+       o.samples = sim::parse_u64_token(v, f);
+       if (o.samples == 0) usage("--samples must be > 0");
+     }},
+    {"--shards", on::estimate, true,
+     [](auto& o, auto f, auto& v) { o.shards = sim::parse_u64_token(v, f); }},
+    {"--no-dedup", on::estimate, false,
+     [](auto& o, auto, auto&) { o.dedup = false; }},
+    {"--mean", on::optimize, true,
+     [](auto& o, auto f, auto& v) { o.mean = sim::parse_finite_token(v, f); }},
+    {"--users", on::attack, true, [](auto& o, auto f, auto& v) {
+       o.users = parse_u32_at_least(v, f, 2);
+     }},
+    {"--pairs", on::attack, true, [](auto& o, auto f, auto& v) {
+       o.pairs = parse_u32_at_least(v, f, 1);
+     }},
+    {"--round-size", on::attack, true, [](auto& o, auto f, auto& v) {
+       o.round_size = parse_u32_at_least(v, f, 1);
+     }},
+    {"--send-rate", on::attack, true, [](auto& o, auto f, auto& v) {
+       o.send_rate = sim::parse_finite_token(v, f);
+       if (o.send_rate < 0.0 || o.send_rate > 1.0)
+         usage("--send-rate must be in [0, 1]");
+     }},
+    {"--sender-law", on::attack, true,
+     [](auto& o, auto, auto& v) { o.sender_law = parse_law(v); }},
+    {"--every", on::attack, true, [](auto& o, auto f, auto& v) {
+       o.every = parse_u32_at_least(v, f, 1);
+     }},
+    {"--csr", on::plan, false, [](auto& o, auto, auto&) { o.plan_csr = true; }},
+    {"--components", on::plan, false,
+     [](auto& o, auto, auto&) { o.plan_components = true; }},
+    {"--source", on::plan, true, [](auto& o, auto f, auto& v) {
+       o.plan_source = sim::parse_u32_token(v, f);
+     }},
+    {"--routes", on::plan, true, [](auto& o, auto f, auto& v) {
+       o.plan_routes = parse_u32_at_least(v, f, 1);
+     }},
+    // Also spelled --metrics=FILE (parse()).
+    {"--metrics", on::obs, true, [](auto& o, auto, auto& v) {
+       if (v.empty()) usage("--metrics wants a file path");
+       o.metrics_path = v;
+     }},
+    {"--progress", on::obs, false,
+     [](auto& o, auto, auto&) { o.progress = true; }},
+};
+
+/// The one-scenario commands (all but campaign and merge, checked in
+/// parse()) take one value per axis flag: a comma list would otherwise run
+/// only its first value — a silent drop (the axes belong to 'campaign').
 void require_one_value_per_axis(const options& opt) {
   sim::for_each_axis([&opt](const auto& axis) {
     if ((opt.grid.*axis.values).size() > 1)
@@ -417,81 +434,10 @@ void require_one_value_per_axis(const options& opt) {
   });
 }
 
-/// As above, and no axis flag outside `reads`, the ones the command uses:
-/// accepting another would silently report a different scenario than the
-/// one asked for (e.g. clique numbers for a --topology).
-void require_axes_read(const options& opt,
-                       std::initializer_list<std::string_view> reads) {
-  require_one_value_per_axis(opt);
-  for (const std::string& flag : opt.axes_given)
-    if (std::find(reads.begin(), reads.end(), flag) == reads.end())
-      usage(flag + " does not apply to '" + opt.command +
-            "' (every axis flag applies to simulate/capture/campaign)");
-}
-
 /// The --dist value of a scalar command, or its own default.
 path_length_distribution dist_or(const options& opt,
                                  path_length_distribution fallback) {
   return opt.given("--dist") ? opt.grid.lengths.front() : fallback;
-}
-
-/// The graph-diagnostics surface belongs to 'plan'; anywhere else these
-/// flags would be silently ignored — the fallback this CLI promises never
-/// to do.
-void reject_plan_flags(const options& opt) {
-  if (opt.plan_flag_set)
-    usage("--csr/--components/--source/--routes do not apply to '" +
-          opt.command + "'; they drive the 'plan' command");
-}
-
-/// The non-axis session and workload flags, likewise.
-void reject_workload_flags(const options& opt) {
-  if (opt.sender_law_set)
-    usage("--sender-law does not apply to '" + opt.command +
-          "'; only the 'attack' workload draws senders from a law");
-  if (opt.receiver_law_set)
-    usage("--receiver-law does not apply to '" + opt.command +
-          "'; use simulate/capture/campaign or the 'attack' command");
-  if (opt.workload_flag_set)
-    usage("--users/--pairs/--round-size/--send-rate/--every do not apply "
-          "to '" + opt.command + "'; they configure the 'attack' workload");
-}
-
-/// The crash plan belongs to the simulator and journals to the campaign.
-void reject_fault_flags(const options& opt) {
-  if (!opt.grid.fault_outages.empty())
-    usage("--crash does not apply to '" + opt.command +
-          "'; use simulate/capture/campaign");
-  if (!opt.checkpoint_path.empty() || opt.resume)
-    usage("--checkpoint/--resume do not apply to '" + opt.command +
-          "'; only 'campaign' and 'merge' touch journals");
-  if (opt.shard_set)
-    usage("--shard does not apply to '" + opt.command +
-          "'; only 'campaign' splits its grid into shards");
-  if (!opt.input_paths.empty())
-    usage("--input does not apply to '" + opt.command +
-          "'; it names the shard journals 'merge' combines");
-}
-
-/// The observability surface instruments the long-running commands
-/// (simulate/campaign/attack/plan/merge); anywhere else --metrics would
-/// write an empty snapshot and --progress would stay silent — accepting
-/// them there is exactly the silent drop this CLI promises never to do.
-void reject_obs_flags(const options& opt) {
-  if (!opt.metrics_path.empty() || opt.progress)
-    usage("--metrics/--progress do not apply to '" + opt.command +
-          "'; they instrument simulate/campaign/attack/plan/merge");
-}
-
-/// Prologue of the commands with no simulator, journal, workload, plan or
-/// obs surface, which read only the listed axis flags.
-void require_only_axes(const options& opt,
-                       std::initializer_list<std::string_view> reads) {
-  reject_obs_flags(opt);
-  require_axes_read(opt, reads);
-  reject_workload_flags(opt);
-  reject_fault_flags(opt);
-  reject_plan_flags(opt);
 }
 
 /// Folds one run's deterministic report telemetry into the registry under
@@ -513,11 +459,12 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
 
 /// Size caps, checked before anything is allocated. The simulator's
 /// (sim::max_sim_nodes, sim::max_population, sim::max_messages,
-/// sim::max_mix_failures) are rulebook rules, applied
-/// here to every axis value so an oversized sweep value is refused instead
-/// of skipped as an infeasible cell. plan keeps a CSR graph of about 100
-/// bytes per node; the attack workload's time grows with rounds times
-/// round size; the figures' closed forms grow quadratically in N.
+/// sim::max_mix_failures and the event-load caps) are rulebook rules,
+/// applied here to every axis value or grid cell so an oversized sweep
+/// value is refused instead of skipped as an infeasible cell. plan keeps a
+/// CSR graph of about 100 bytes per node; the attack workload's time grows
+/// with rounds times round size; the figures' closed forms grow
+/// quadratically in N.
 constexpr std::uint32_t max_nodes_plan = 10'000'000;
 constexpr std::uint64_t max_attack_messages = 100'000'000;
 constexpr std::uint32_t max_nodes_figures = 10'000;
@@ -543,7 +490,6 @@ void require_closed_form_n(const options& opt) {
 }
 
 int cmd_degree(const options& opt) {
-  require_only_axes(opt, {"--n", "--dist"});
   const system_params sys{opt.grid.node_counts.front(), 1};
   const auto d = dist_or(opt, path_length_distribution::fixed(3));
   require_closed_form_n(opt);
@@ -568,7 +514,6 @@ int cmd_degree(const options& opt) {
 }
 
 int cmd_estimate(const options& opt) {
-  require_only_axes(opt, {"--n", "--c", "--dist", "--topology"});
   require_node_cap(opt, sim::max_sim_nodes);
   const std::uint32_t n = opt.grid.node_counts.front();
   const std::uint32_t c = opt.grid.compromised_counts.front();
@@ -581,6 +526,9 @@ int cmd_estimate(const options& opt) {
     // Restricted graph: walk-model Monte Carlo on the topology engine.
     if (!topo.valid_for(n))
       usage("--topology parameters out of range for --n");
+    if (!opt.dedup)
+      usage("--no-dedup needs the clique engine; the walk-model engine of a "
+            "restricted --topology has no dedup setting");
     const auto t0 = std::chrono::steady_clock::now();
     const auto est = net::estimate_topology_degree(
         sys, compromised, d, topo, opt.samples, opt.seed, opt.threads,
@@ -628,7 +576,6 @@ int cmd_estimate(const options& opt) {
 }
 
 int cmd_optimize(const options& opt) {
-  require_only_axes(opt, {"--n"});
   const system_params sys{opt.grid.node_counts.front(), 1};
   require_closed_form_n(opt);
   const auto cap = static_cast<path_length>(sys.node_count - 1);
@@ -652,25 +599,17 @@ int cmd_optimize(const options& opt) {
 sim::campaign_grid build_campaign_grid(
     const options& opt, const path_length_distribution& default_dist,
     std::uint32_t default_messages) {
-  if (opt.sender_law_set)
-    usage("--sender-law only applies to the 'attack' command (simulator "
-          "senders are the N nodes, drawn uniformly)");
-  if (opt.workload_flag_set)
-    usage("--users/--pairs/--round-size/--send-rate/--every configure the "
-          "'attack' workload; simulator sessions batch --messages into "
-          "--rounds");
-  reject_plan_flags(opt);
   require_node_cap(opt, sim::max_sim_nodes);
   for (const std::uint32_t p : opt.grid.populations)
     require_cap(opt, "--population", p, sim::max_population);
   for (const sim::mix_failure_config& m : opt.grid.mix_failures)
     require_cap(opt, "--mix-failures", m.count, sim::max_mix_failures);
-  if (opt.messages_set)
-    require_cap(opt, "--messages", opt.messages, sim::max_messages);
   sim::campaign_grid grid = opt.grid;
   if (!opt.given("--dist")) grid.lengths = {default_dist};
   grid.session_receiver_law = opt.receiver_law;
-  grid.message_count = opt.messages_set ? opt.messages : default_messages;
+  grid.message_count =
+      opt.given("--messages") ? opt.messages : default_messages;
+  require_cap(opt, "--messages", grid.message_count, sim::max_messages);
   grid.identified_threshold = opt.threshold;
   // Session axes must be swept together: a --population axis with no
   // --rounds axis (or vice versa) would make every session cell incoherent
@@ -686,7 +625,7 @@ sim::campaign_grid build_campaign_grid(
   if (wants_population != wants_rounds)
     usage("session axes come in pairs: set --population and --rounds "
           "together (zeros in either list mean 'session off' cells)");
-  if (opt.receiver_law_set && !wants_rounds)
+  if (opt.given("--receiver-law") && !wants_rounds)
     usage("--receiver-law on '" + opt.command +
           "' needs session cells (--population/--rounds); it is the "
           "session destination law");
@@ -704,6 +643,15 @@ sim::campaign_grid build_campaign_grid(
     if (r > grid.message_count)
       usage("--rounds values must be <= --messages (at least one message "
             "per mix round)");
+  // The event-load caps bound a run's time, not its feasibility: every
+  // cell must pass them, where an infeasible cell would only be skipped.
+  for (std::uint64_t i = 0; i < grid.cell_count(); ++i) {
+    const sim::scenario s = sim::grid_cell(grid, i);
+    if (const char* why = sim::event_load_reason(
+            s.node_count, grid.message_count, s.arrival_rate, s.churn,
+            s.retry))
+      usage(why);
+  }
 
   // Surface an empty grid as a usage error naming why its first cell
   // cannot run; run_campaign's internal precondition is not a user-facing
@@ -720,11 +668,6 @@ sim::campaign_grid build_campaign_grid(
 /// every flag reaches the run through the same grid, feasibility rules and
 /// scenario_config as a campaign cell.
 sim::sim_config single_run_config(const options& opt) {
-  require_one_value_per_axis(opt);
-  if (!opt.checkpoint_path.empty() || opt.resume || opt.shard_set ||
-      !opt.input_paths.empty())
-    usage("--checkpoint/--resume/--shard/--input do not apply to "
-          "simulate/capture; they drive 'campaign' and 'merge'");
   const sim::campaign_grid grid = build_campaign_grid(
       opt, path_length_distribution::uniform(1, 8), 2000);
   const sim::sim_config cfg =
@@ -796,7 +739,6 @@ int cmd_simulate(const options& opt) {
 }
 
 int cmd_capture(const options& opt) {
-  reject_obs_flags(opt);
   const sim::sim_config cfg = single_run_config(opt);
   const sim::sim_trace trace = sim::capture_trace(cfg);
   if (opt.out_path.empty()) {
@@ -821,7 +763,6 @@ int cmd_capture(const options& opt) {
 int cmd_replay(const options& opt) {
   // Replay's run (session and fault plan included) is defined entirely by
   // the trace.
-  require_only_axes(opt, {});
   if (opt.in_path.empty()) usage("replay requires --in <trace file>");
   std::ifstream in(opt.in_path, std::ios::binary);
   if (!in.good()) usage("cannot open --in file");
@@ -846,16 +787,13 @@ sim::campaign_config build_campaign_config(const options& opt) {
 }
 
 int cmd_campaign(const options& opt) {
-  if (!opt.input_paths.empty())
-    usage("--input belongs to 'merge'; 'campaign' writes one journal via "
-          "--checkpoint");
   const sim::campaign_grid grid =
       build_campaign_grid(opt, path_length_distribution::fixed(3), 500);
   sim::campaign_config cfg = build_campaign_config(opt);
   if (opt.resume && opt.checkpoint_path.empty())
     usage("--resume requires --checkpoint <file>");
   const std::uint64_t grid_cells = sim::expand_grid(grid).size();
-  if (opt.shard_set) {
+  if (opt.given("--shard")) {
     // The journal is a shard's only durable output (its CSV covers just
     // its own cells); running one without a checkpoint would leave
     // nothing for 'merge' to combine.
@@ -922,13 +860,6 @@ int cmd_campaign(const options& opt) {
 int cmd_merge(const options& opt) {
   if (opt.input_paths.empty())
     usage("merge requires at least one --input <shard checkpoint>");
-  if (opt.shard_set)
-    usage("--shard does not apply to 'merge' (the journals declare their "
-          "own shard identities)");
-  if (opt.resume) usage("--resume does not apply to 'merge'");
-  if (opt.via_trace)
-    usage("--via-trace does not apply to 'merge' (nothing is re-run; it "
-          "only affects the scope fingerprint of the original campaign)");
   // The grid/config flags must repeat the sharded runs' flags exactly:
   // the scope fingerprint recomputed here is what authenticates the
   // shard journals as belonging to this campaign.
@@ -984,24 +915,15 @@ int cmd_merge(const options& opt) {
 }
 
 int cmd_attack(const options& opt) {
-  require_axes_read(opt, {"--attack", "--population", "--rounds", "--stream"});
-  reject_fault_flags(opt);
-  reject_plan_flags(opt);
-  // Simulator-only flags have no meaning on the pure workload path; run
-  // the attack through 'simulate'/'campaign' sessions to combine them.
-  if (opt.messages_set || opt.via_trace || opt.replicas_set)
-    usage("--messages/--via-trace/--replicas do not apply to 'attack'; use "
-          "simulate/campaign session mode to combine the rerouting "
-          "simulator with a longitudinal attack");
   const attack::attack_kind kind = opt.grid.attacks.front();
   if (kind == attack::attack_kind::none)
     usage("attack requires --attack intersection|sda|bayes");
   // --stream asks for the online conformance report (exact: the
   // online==offline identity; sketch: the sketched engine plus its bound
   // and memory cross-checks), which only the counting attack defines.
-  const bool stream_set = opt.given("--stream");
+  const bool stream_given = opt.given("--stream");
   const workload::stream_backend stream = opt.grid.streams.front();
-  if (stream_set && kind != attack::attack_kind::sda)
+  if (stream_given && kind != attack::attack_kind::sda)
     usage("--stream on 'attack' requires --attack sda (the accumulator "
           "backends exist for the counting attack)");
 
@@ -1105,7 +1027,7 @@ int cmd_attack(const options& opt) {
                  result.rounds, result.top_receiver, result.top_mass,
                  result.entropy_bits);
 
-  if (kind == attack::attack_kind::sda && (opt.threads != 1 || stream_set)) {
+  if (kind == attack::attack_kind::sda && (opt.threads != 1 || stream_given)) {
     // The sharded population-scale path must reproduce the streaming counts
     // bit for bit; a mismatch is a determinism bug, reported loudly.
     workload::cooccurrence_config ccfg;
@@ -1133,7 +1055,7 @@ int cmd_attack(const options& opt) {
                  opt.threads != 0 ? opt.threads
                                   : std::thread::hardware_concurrency(),
                  static_cast<unsigned long long>(totals.rounds));
-    if (stream_set)
+    if (stream_given)
       std::fprintf(stderr,
                    "# online==offline: final posterior bit-identical "
                    "(exact backend)\n");
@@ -1259,9 +1181,6 @@ int cmd_attack(const options& opt) {
 /// This is the CI smoke for million-node CSR construction and route
 /// planning; all timings go to stdout so regressions are visible in logs.
 int cmd_plan(const options& opt) {
-  require_axes_read(opt, {"--n", "--topology", "--routing"});
-  reject_workload_flags(opt);
-  reject_fault_flags(opt);
   require_node_cap(opt, max_nodes_plan);
   const std::uint32_t n = opt.grid.node_counts.front();
   if (n < 2) usage("plan needs --n >= 2");
@@ -1369,7 +1288,6 @@ int cmd_plan(const options& opt) {
 }
 
 int cmd_figures(const options& opt) {
-  require_only_axes(opt, {"--n"});
   require_closed_form_n(opt);
   require_node_cap(opt, max_nodes_figures);
   const system_params sys{opt.grid.node_counts.front(), 1};
@@ -1385,19 +1303,71 @@ int cmd_figures(const options& opt) {
   return 0;
 }
 
-int run_command(const options& opt) {
-  if (opt.command == "degree") return cmd_degree(opt);
-  if (opt.command == "estimate") return cmd_estimate(opt);
-  if (opt.command == "optimize") return cmd_optimize(opt);
-  if (opt.command == "simulate") return cmd_simulate(opt);
-  if (opt.command == "campaign") return cmd_campaign(opt);
-  if (opt.command == "merge") return cmd_merge(opt);
-  if (opt.command == "capture") return cmd_capture(opt);
-  if (opt.command == "replay") return cmd_replay(opt);
-  if (opt.command == "attack") return cmd_attack(opt);
-  if (opt.command == "plan") return cmd_plan(opt);
-  if (opt.command == "figures") return cmd_figures(opt);
-  usage("unknown command");
+struct command_spec {
+  const char* name;
+  unsigned bit;  ///< the command's on:: bit in flag_table
+  int (*run)(const options& opt);
+};
+
+constexpr command_spec command_table[] = {
+    {"degree", on::degree, cmd_degree},
+    {"estimate", on::estimate, cmd_estimate},
+    {"optimize", on::optimize, cmd_optimize},
+    {"figures", on::figures, cmd_figures},
+    {"replay", on::replay, cmd_replay},
+    {"simulate", on::simulate, cmd_simulate},
+    {"capture", on::capture, cmd_capture},
+    {"campaign", on::campaign, cmd_campaign},
+    {"merge", on::merge, cmd_merge},
+    {"attack", on::attack, cmd_attack},
+    {"plan", on::plan, cmd_plan},
+};
+
+template <class Entry, std::size_t N>
+const Entry* find_named(const Entry (&table)[N], const std::string& name) {
+  for (const Entry& entry : table)
+    if (name == entry.name) return &entry;
+  return nullptr;
+}
+
+/// Reads argv into options. A flag the command does not read exits 2
+/// before its value is parsed, naming the commands that do read it.
+options parse(int argc, char** argv) {
+  if (argc < 2) usage();
+  options opt;
+  opt.command = argv[1];
+  const command_spec* command = find_named(command_table, opt.command);
+  if (command == nullptr) usage("unknown command");
+  try {
+    for (int i = 2; i < argc; ++i) {
+      std::string flag = argv[i], value;
+      const bool inline_value = flag.rfind("--metrics=", 0) == 0;
+      if (inline_value) {
+        value = flag.substr(std::strlen("--metrics="));
+        flag = "--metrics";
+      }
+      const flag_spec* spec = find_named(flag_table, flag);
+      if (spec == nullptr) usage("unknown flag " + flag);
+      if ((spec->readers & command->bit) == 0) {
+        std::string readers;
+        for (const command_spec& c : command_table)
+          if ((spec->readers & c.bit) != 0)
+            readers += (readers.empty() ? "" : ", ") + std::string(c.name);
+        usage(flag + " does not apply to '" + opt.command +
+              "'; it is read by " + readers);
+      }
+      if (spec->takes_value && !inline_value) {
+        if (i + 1 >= argc) usage("missing value for flag");
+        value = argv[++i];
+      }
+      spec->parse(opt, spec->name, value);
+      opt.flags_given.insert(flag);
+    }
+  } catch (const parse_error& e) {
+    usage(e.what());
+  }
+  if ((command->bit & on::sweep) == 0) require_one_value_per_axis(opt);
+  return opt;
 }
 
 }  // namespace
@@ -1412,7 +1382,7 @@ int main(int argc, char** argv) {
   const options opt = parse(argc, argv);
   int rc;
   try {
-    rc = run_command(opt);
+    rc = find_named(command_table, opt.command)->run(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
