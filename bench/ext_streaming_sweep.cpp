@@ -80,7 +80,7 @@ void emit(std::ostream& os) {
 void BM_StreamingAccumulate(benchmark::State& state) {
   // The sharded streaming driver at population scale, exact vs sketch state
   // over the worker-thread axis; bit-identical results across the axis by
-  // construction (merge in ascending shard order).
+  // construction (per-worker states merge order-free).
   const workload::population pop(sweep_config(100000, 7));
   workload::streaming_config scfg;
   scfg.backend = state.range(1) != 0 ? workload::stream_backend::sketch

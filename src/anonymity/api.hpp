@@ -58,8 +58,8 @@
 /// stats::rng::stream so generation is thread-safe, order-free, and never
 /// materialized in full (1e5 users x 1e4 rounds streams in well under a
 /// second). workload::accumulate_cooccurrence shards the rounds over a
-/// stats::thread_pool and merges in fixed shard order — bit-identical for
-/// every thread count. attack::disclosure_attack is the inference family
+/// stats::thread_pool into one accumulator per worker and merges them
+/// order-free — bit-identical for every thread count. attack::disclosure_attack is the inference family
 /// over those rounds (mirroring sim::adversary_model):
 /// attack::intersection_attack (exact candidate-set intersection, plus the
 /// minimum_hitting_sets oracle the statistical attacks are

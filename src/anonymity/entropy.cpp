@@ -1,5 +1,6 @@
 #include "src/anonymity/entropy.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -22,17 +23,33 @@ entropy_summary summarize_entropy(std::span<const double> probabilities) {
   // dense pass only marks where the nonzero entries are. A bitmap keeps
   // that mark at one bit per entry, however large the support.
   thread_local std::vector<std::uint64_t> nonzero;
-  nonzero.assign((probabilities.size() + 63) / 64, 0);
+  const std::size_t n = probabilities.size();
+  nonzero.assign((n + 63) / 64, 0);
   entropy_summary out;
   stats::kahan_sum total;
-  for (std::size_t i = 0; i < probabilities.size(); ++i) {
+  const auto visit = [&](std::size_t i) {
     const double p = probabilities[i];
-    if (p == 0.0) continue;
+    if (p == 0.0) return;
     ANONPATH_EXPECTS(p >= 0.0);
     total.add(p);
     stats::set_bit(nonzero, i);
     if (probabilities[out.argmax] < p) out.argmax = i;
+  };
+  // Eight entries (64 bytes) whose bit patterns OR to zero once the
+  // sign bit is masked off are all +0.0 or -0.0, which visit() skips one by
+  // one anyway. Any other word, the tail included, takes the per-entry
+  // path, so NaN and negative entries still fail the precondition.
+  constexpr std::size_t word = 8;
+  constexpr std::uint64_t magnitude_bits = ~(std::uint64_t{1} << 63);
+  std::size_t at = 0;
+  for (; at + word <= n; at += word) {
+    std::uint64_t bits = 0;
+    for (std::size_t j = at; j < at + word; ++j)
+      bits |= std::bit_cast<std::uint64_t>(probabilities[j]);
+    if ((bits & magnitude_bits) == 0) continue;
+    for (std::size_t j = at; j < at + word; ++j) visit(j);
   }
+  for (; at < n; ++at) visit(at);
   const double z = total.value();
   if (z <= 0.0) return out;
   stats::kahan_sum h;

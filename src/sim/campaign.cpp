@@ -8,7 +8,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 
 #include "src/sim/campaign_axes.hpp"
 #include "src/sim/checkpoint.hpp"
@@ -285,11 +284,8 @@ campaign_result run_campaign(const campaign_grid& grid,
   std::uint64_t flushed = first_cell;
   std::mutex mu;
   if (config.metrics != nullptr) {
-    // One slab per parallel_for worker (resolve_thread_count semantics:
-    // 0 means hardware concurrency, itself floored at one worker).
-    const unsigned hw = std::thread::hardware_concurrency();
-    config.metrics->ensure_shards(
-        config.threads != 0 ? config.threads : (hw == 0 ? 1u : hw));
+    // One slab per parallel_for worker.
+    config.metrics->ensure_shards(stats::resolve_thread_count(config.threads));
   }
   // Progress counts LOCAL cells (restored prefix included, shown as
   // already complete), so the caller sizes the meter from the grid alone.

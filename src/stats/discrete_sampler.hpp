@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/stats/rng.hpp"
@@ -14,9 +13,10 @@ namespace anonpath::stats {
 /// simulator and the Monte-Carlo estimator.
 class discrete_sampler {
  public:
-  /// Builds the alias table. Preconditions: weights non-empty, all
-  /// weights >= 0, at least one weight > 0.
-  explicit discrete_sampler(std::span<const double> weights);
+  /// Builds the alias table in place over the (moved-in) weights.
+  /// Preconditions: weights non-empty, all weights >= 0 and finite, at
+  /// least one weight > 0.
+  explicit discrete_sampler(std::vector<double> weights);
 
   /// Number of categories.
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }

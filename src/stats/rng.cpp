@@ -1,6 +1,7 @@
 #include "src/stats/rng.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/stats/contract.hpp"
 
@@ -75,18 +76,57 @@ bool rng::next_bernoulli(double p) {
 
 std::vector<std::uint32_t> rng::sample_distinct(
     std::uint32_t n, std::uint32_t k, const std::vector<std::uint32_t>& exclude) {
-  std::vector<std::uint32_t> pool;
-  pool.reserve(n);
-  std::vector<bool> banned(n, false);
+  std::vector<std::uint32_t> banned;
   for (std::uint32_t e : exclude)
-    if (e < n) banned[e] = true;
-  for (std::uint32_t v = 0; v < n; ++v)
-    if (!banned[v]) pool.push_back(v);
-  ANONPATH_EXPECTS(k <= pool.size());
-  // Partial Fisher-Yates: after i swaps the prefix is a uniform ordered
-  // sample without replacement.
+    if (e < n) banned.push_back(e);
+  std::sort(banned.begin(), banned.end());
+  banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
+  const auto size = n - static_cast<std::uint32_t>(banned.size());
+  ANONPATH_EXPECTS(k <= size);
+  // Partial Fisher-Yates over the pool of allowed values in ascending
+  // order: after i swaps the prefix is a uniform ordered sample without
+  // replacement. Pool position p holds the p-th allowed value until a swap
+  // moves another value there, so a small sample from a large range skips
+  // the pool and keeps only the swapped positions, in a list searched
+  // linearly: about k^2 steps against the pool's n.
+  if (16 * std::uint64_t{k} * k < n) {
+    std::vector<std::uint32_t> out(k);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> moved;  // (pos, value)
+    moved.reserve(k);
+    const auto slot = [&](std::uint32_t p) {
+      return std::find_if(moved.begin(), moved.end(),
+                          [p](const auto& m) { return m.first == p; });
+    };
+    const auto value_at = [&](std::uint32_t p) {
+      if (const auto it = slot(p); it != moved.end()) return it->second;
+      for (std::uint32_t b : banned) {
+        if (b > p) break;
+        ++p;
+      }
+      return p;
+    };
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const auto j = i + static_cast<std::uint32_t>(next_below(size - i));
+      const std::uint32_t displaced = value_at(i);
+      out[i] = value_at(j);
+      if (const auto it = slot(j); it != moved.end())
+        it->second = displaced;
+      else
+        moved.emplace_back(j, displaced);
+    }
+    return out;
+  }
+  std::vector<std::uint32_t> pool;
+  pool.reserve(size);
+  auto b = banned.begin();
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (b != banned.end() && *b == v)
+      ++b;
+    else
+      pool.push_back(v);
+  }
   for (std::uint32_t i = 0; i < k; ++i) {
-    const auto j = i + static_cast<std::uint32_t>(next_below(pool.size() - i));
+    const auto j = i + static_cast<std::uint32_t>(next_below(size - i));
     std::swap(pool[i], pool[j]);
   }
   pool.resize(k);

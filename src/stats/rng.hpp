@@ -46,7 +46,8 @@ class rng {
   /// excluding every value in `exclude` (which must be sorted not required;
   /// values outside [0, n) are ignored). Sampling is by partial
   /// Fisher-Yates over the allowed pool, so all arrangements are
-  /// equally likely. Preconditions: k <= n - |exclude ∩ [0,n)|.
+  /// equally likely. Costs O(k^2 + |exclude|) when 16 k^2 < n, else O(n).
+  /// Preconditions: k <= n - |exclude ∩ [0,n)|.
   [[nodiscard]] std::vector<std::uint32_t> sample_distinct(
       std::uint32_t n, std::uint32_t k, const std::vector<std::uint32_t>& exclude);
 

@@ -4,15 +4,11 @@
 
 namespace anonpath::stats {
 
-namespace {
-
-unsigned resolve_thread_count(unsigned requested) {
+unsigned resolve_thread_count(unsigned requested) noexcept {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
-
-}  // namespace
 
 thread_pool::thread_pool(unsigned thread_count) {
   const unsigned total = resolve_thread_count(thread_count);

@@ -67,6 +67,10 @@ class thread_pool {
   std::exception_ptr error_;
 };
 
+/// The concurrency a thread-count request resolves to: `requested`, or for
+/// 0 the hardware concurrency (at least 1).
+[[nodiscard]] unsigned resolve_thread_count(unsigned requested) noexcept;
+
 /// One-shot convenience: runs body(index, worker) over [0, count) on up to
 /// `threads` threads (0 = hardware concurrency) without keeping a pool
 /// around. `threads <= 1` runs inline.

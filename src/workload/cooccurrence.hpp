@@ -12,16 +12,17 @@ namespace anonpath::workload {
 /// counting half of every disclosure attack, runnable at population scale
 /// (1e5 users x 1e4 rounds) without ever materializing the round stream.
 /// Rounds are partitioned into `shard_count` contiguous shards (a fixed
-/// count, independent of the thread count); shards fan out over a
-/// stats::thread_pool, each accumulating sparse per-shard counts from
+/// count, independent of the thread count) that are only the scheduling
+/// grain: shards fan out over a stats::thread_pool, each worker thread
+/// ingests the shards it claims into its own accumulator, reading
 /// population::round(i) (itself a pure function of (seed, i) via
-/// rng::stream), and are merged on the calling thread in ascending shard
-/// order. Counts are integers and generation is per-round seeded, so the
-/// result is bit-identical for every thread count — the same contract as
+/// rng::stream), and the per-worker states merge on the calling thread.
+/// Counts are integers and every merge is order-free, so the result is
+/// bit-identical for every thread and shard count — the same contract as
 /// mc_config and campaign_config.
 struct cooccurrence_config {
   unsigned threads = 1;          ///< worker threads; 0 = hardware concurrency
-  std::uint32_t shard_count = 0; ///< round shards; 0 = min(round_count, 256)
+  std::uint32_t shard_count = 0; ///< scheduling grain; 0 = min(rounds, 256)
 };
 
 /// Sparse (receiver, count) rows, ascending by receiver id.

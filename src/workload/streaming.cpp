@@ -21,6 +21,73 @@ std::optional<stream_backend> parse_stream_backend(const std::string& label) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Two ascending rows summed by one linear merge.
+receiver_counts merged_rows(const receiver_counts& a,
+                            const receiver_counts& b) {
+  receiver_counts out;
+  out.reserve(a.size() + b.size());
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() && y != b.end()) {
+    if (x->first < y->first) {
+      out.push_back(*x++);
+    } else if (y->first < x->first) {
+      out.push_back(*y++);
+    } else {
+      out.emplace_back(x->first, x->second + y->second);
+      ++x;
+      ++y;
+    }
+  }
+  out.insert(out.end(), x, a.end());
+  out.insert(out.end(), y, b.end());
+  return out;
+}
+
+}  // namespace
+
+void streaming_accumulator::count_rows::add(
+    const std::vector<node_id>& receivers) {
+  pending.insert(pending.end(), receivers.begin(), receivers.end());
+  // Folding once the buffer is as long as the rows keeps each delivery's
+  // share of the linear merge O(1) and the buffer no larger than the rows
+  // (or a small floor).
+  if (pending.size() >= std::max<std::size_t>(rows.size(), 1024)) fold();
+}
+
+void streaming_accumulator::count_rows::fold() {
+  if (pending.empty()) return;
+  std::sort(pending.begin(), pending.end());
+  receiver_counts runs;
+  for (node_id v : pending) {
+    if (!runs.empty() && runs.back().first == v)
+      ++runs.back().second;
+    else
+      runs.emplace_back(v, 1);
+  }
+  pending.clear();
+  rows = merged_rows(rows, runs);
+}
+
+void streaming_accumulator::count_rows::merge(const count_rows& other) {
+  rows = merged_rows(rows, other.rows);
+  pending.insert(pending.end(), other.pending.begin(), other.pending.end());
+  fold();
+}
+
+receiver_counts streaming_accumulator::count_rows::folded() const {
+  count_rows copy = *this;
+  copy.fold();
+  return std::move(copy.rows);
+}
+
+std::size_t streaming_accumulator::count_rows::memory_bytes() const noexcept {
+  return rows.size() * sizeof(receiver_counts::value_type) +
+         pending.size() * sizeof(node_id);
+}
+
 streaming_accumulator::streaming_accumulator(std::vector<node_id> pair_senders,
                                              streaming_config cfg)
     : cfg_(cfg), pair_senders_(std::move(pair_senders)) {
@@ -48,7 +115,7 @@ void streaming_accumulator::ingest(const round_batch& batch) {
   ++rounds_;
   messages_ += batch.senders.size();
   if (cfg_.backend == stream_backend::exact) {
-    for (node_id v : batch.receivers) ++global_[v];
+    global_.add(batch.receivers);
   } else {
     for (node_id v : batch.receivers) global_sketch_->add(v);
   }
@@ -68,7 +135,7 @@ void streaming_accumulator::ingest(const round_batch& batch) {
       exact_pair& ep = exact_pairs_[p];
       ++ep.target_rounds;
       ep.target_messages += batch.senders.size();
-      for (node_id v : batch.receivers) ++ep.receivers[v];
+      ep.receivers.add(batch.receivers);
     } else {
       sketch_pair& sp = sketch_pairs_[p];
       ++sp.target_rounds;
@@ -89,13 +156,12 @@ void streaming_accumulator::merge(const streaming_accumulator& other) {
   rounds_ += other.rounds_;
   messages_ += other.messages_;
   if (cfg_.backend == stream_backend::exact) {
-    for (const auto& [v, c] : other.global_) global_[v] += c;
+    global_.merge(other.global_);
     for (std::size_t p = 0; p < exact_pairs_.size(); ++p) {
       exact_pairs_[p].target_rounds += other.exact_pairs_[p].target_rounds;
       exact_pairs_[p].target_messages +=
           other.exact_pairs_[p].target_messages;
-      for (const auto& [v, c] : other.exact_pairs_[p].receivers)
-        exact_pairs_[p].receivers[v] += c;
+      exact_pairs_[p].receivers.merge(other.exact_pairs_[p].receivers);
     }
   } else {
     global_sketch_->merge(*other.global_sketch_);
@@ -129,13 +195,13 @@ cooccurrence_result streaming_accumulator::totals() const {
   cooccurrence_result out;
   out.rounds = rounds_;
   out.messages = messages_;
-  out.global_receiver_counts.assign(global_.begin(), global_.end());
+  out.global_receiver_counts = global_.folded();
   out.per_pair.resize(exact_pairs_.size());
   for (std::size_t p = 0; p < exact_pairs_.size(); ++p) {
     out.per_pair[p].target_rounds = exact_pairs_[p].target_rounds;
     out.per_pair[p].target_messages = exact_pairs_[p].target_messages;
-    out.per_pair[p].target_receiver_counts.assign(
-        exact_pairs_[p].receivers.begin(), exact_pairs_[p].receivers.end());
+    out.per_pair[p].target_receiver_counts =
+        exact_pairs_[p].receivers.folded();
   }
   return out;
 }
@@ -200,16 +266,13 @@ const bottom_k_sample& streaming_accumulator::candidate_sample(
 }
 
 std::size_t streaming_accumulator::memory_bytes() const {
-  // Map nodes: payload plus red-black bookkeeping (parent/children/color).
-  constexpr std::size_t node_overhead =
-      sizeof(std::pair<node_id, std::uint64_t>) + 4 * sizeof(void*);
   std::size_t bytes = sizeof(*this) +
                       pair_of_sender_.capacity() *
                           sizeof(std::pair<node_id, std::uint32_t>);
   if (cfg_.backend == stream_backend::exact) {
-    bytes += global_.size() * node_overhead;
+    bytes += global_.memory_bytes();
     for (const exact_pair& ep : exact_pairs_)
-      bytes += sizeof(ep) + ep.receivers.size() * node_overhead;
+      bytes += sizeof(ep) + ep.receivers.memory_bytes();
   } else {
     bytes += global_sketch_->memory_bytes();
     for (const sketch_pair& sp : sketch_pairs_)
@@ -232,17 +295,20 @@ streaming_accumulator accumulate_streaming(const population& pop,
   const std::uint32_t shards =
       ccfg.shard_count != 0 ? std::min(ccfg.shard_count, span)
                             : std::min<std::uint32_t>(span, 256);
-  std::vector<streaming_accumulator> locals(shards, out);
-  stats::parallel_for(ccfg.threads, shards, [&](std::uint64_t shard,
-                                                unsigned) {
+  // One state per worker: which worker ingests which shard cannot change
+  // the merged result, so shards are only the scheduling grain.
+  const auto workers = static_cast<unsigned>(std::min<std::uint64_t>(
+      stats::resolve_thread_count(ccfg.threads), shards));
+  std::vector<streaming_accumulator> locals(workers, out);
+  stats::parallel_for(workers, shards, [&](std::uint64_t shard,
+                                           unsigned worker) {
     const std::uint32_t s_lo =
         lo + static_cast<std::uint32_t>(shard * span / shards);
     const std::uint32_t s_hi =
         lo + static_cast<std::uint32_t>((shard + 1) * span / shards);
     for (std::uint32_t r = s_lo; r < s_hi; ++r)
-      locals[shard].ingest(pop.round(r));
+      locals[worker].ingest(pop.round(r));
   });
-  // Fixed-order reduction on this thread: ascending shard index.
   for (const streaming_accumulator& local : locals) out.merge(local);
   return out;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,8 +12,9 @@
 namespace anonpath::workload {
 
 /// Which state the streaming accumulator keeps per ingested round.
-///   * exact  — sparse per-receiver maps; totals() is bit-identical to
-///              accumulate_cooccurrence over the same rounds.
+///   * exact  — flat ascending (receiver, count) rows; totals() is
+///              bit-identical to accumulate_cooccurrence over the same
+///              rounds.
 ///   * sketch — count-min counts plus a weighted bottom-k candidate
 ///              reservoir per pair; memory is O(depth*width + candidates),
 ///              independent of the receiver population, with per-key error
@@ -40,12 +40,14 @@ struct streaming_config {
 
 /// Online co-occurrence accumulation: ingests mix rounds one at a time, in
 /// any order, with empty and partial streams first-class (zero rounds is an
-/// empty accumulation, not an error). Accumulators over disjoint round
-/// ranges merge into exactly the state sequential ingestion of the union
-/// would have produced — integer counts, commutative sketch cells, and
-/// min-priority reservoirs make the merge order-free — so the sharded
+/// empty accumulation, not an error). Accumulators over disjoint round sets
+/// merge into exactly the state sequential ingestion of the union would
+/// have produced. Integer counts, cellwise count-min sums and min-priority
+/// reservoirs make both ingestion and merge order-free, so the parallel
 /// driver below is bit-identical to a single-threaded pass for every
-/// thread/shard split, the same contract as accumulate_cooccurrence.
+/// thread and shard count, the same contract as accumulate_cooccurrence.
+/// The one exception is candidate_sample(p).evictions(), which counts work
+/// done and so depends on the schedule; no result reads it.
 class streaming_accumulator {
  public:
   /// `pair_senders[i]` is the persistent sender of tracked pair i (the
@@ -102,14 +104,30 @@ class streaming_accumulator {
       std::uint32_t pair) const;
 
   /// Resident state, both backends: exact grows with distinct receivers
-  /// seen; sketch is constant in the receiver population.
+  /// seen (one flat row each, plus deliveries not yet folded in). Rows are
+  /// counted by size, not capacity, so accumulate_streaming reports one
+  /// figure for every thread and shard count. Sketch is constant in the
+  /// receiver population.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
+  /// Exact counts: ascending (receiver, count) rows plus a bounded buffer
+  /// of deliveries that a sort and run-length merge folds into the rows.
+  struct count_rows {
+    receiver_counts rows;
+    std::vector<node_id> pending;
+
+    void add(const std::vector<node_id>& receivers);
+    void fold();
+    void merge(const count_rows& other);
+    /// The rows with the buffer folded in, leaving *this unchanged.
+    [[nodiscard]] receiver_counts folded() const;
+    [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  };
   struct exact_pair {
     std::uint64_t target_rounds = 0;
     std::uint64_t target_messages = 0;
-    std::map<node_id, std::uint64_t> receivers;
+    count_rows receivers;
   };
   struct sketch_pair {
     std::uint64_t target_rounds = 0;
@@ -125,7 +143,7 @@ class streaming_accumulator {
   std::uint64_t rounds_ = 0;
   std::uint64_t messages_ = 0;
   // Exact backend state.
-  std::map<node_id, std::uint64_t> global_;
+  count_rows global_;
   std::vector<exact_pair> exact_pairs_;
   // Sketch backend state.
   std::optional<count_min_sketch> global_sketch_;
@@ -133,13 +151,16 @@ class streaming_accumulator {
   std::vector<std::uint32_t> present_;  // scratch: pairs present this round
 };
 
-/// Sharded parallel driver: streams rounds [lo, hi) of `pop` through
-/// per-shard accumulators (contiguous ranges, fanned out over a
-/// stats::thread_pool) and merges them in ascending shard order.
-/// Bit-identical for every thread and shard count, and to sequential
-/// ingestion. Empty ranges (lo == hi, including zero-round populations)
-/// return an empty accumulator. Preconditions: lo <= hi <= round_count;
-/// scfg.valid().
+/// Parallel driver: splits rounds [lo, hi) of `pop` into contiguous shards
+/// (ccfg.shard_count, the scheduling grain), fans them out over a
+/// stats::thread_pool, and ingests each shard into the state of the worker
+/// thread that claims it: one accumulator per worker, not per shard. The
+/// workers' states then merge on the calling thread. Both steps are
+/// order-free, so the result is bit-identical for every thread and shard
+/// count, and to sequential ingestion (evictions() aside, see
+/// streaming_accumulator). Empty ranges (lo == hi, including zero-round
+/// populations) return an empty accumulator. Preconditions:
+/// lo <= hi <= round_count; scfg.valid().
 [[nodiscard]] streaming_accumulator accumulate_streaming(
     const population& pop, std::uint32_t lo, std::uint32_t hi,
     const streaming_config& scfg = {}, const cooccurrence_config& ccfg = {});

@@ -1280,4 +1280,85 @@ TEST_F(CliParse, CampaignIsThreadInvariantAndTelemetryIsAWriteOnlyTap) {
     std::remove((dir + file).c_str());
 }
 
+TEST_F(CliParse, DisclosureAttacksScaleAndIdentify) {
+  // Population scale: 1e5 users x 1e4 rounds stream through the sharded
+  // accumulator, whose cross-check asserts bit-identity with the streaming
+  // counts, and sda identifies the partner.
+  const run_result scale =
+      run_cli("attack --users 100000 --rounds 10000 --round-size 12 "
+              "--attack sda --seed 42 --threads 8 --threshold 0.15 "
+              "--every 1000");
+  ASSERT_EQ(scale.exit_code, 0) << scale.stderr_text;
+  EXPECT_NE(scale.stderr_text.find("accumulator cross-check (8 threads over "
+                                   "10000 rounds): identical"),
+            std::string::npos)
+      << scale.stderr_text;
+  const std::size_t identified = scale.stderr_text.find("identified at round ");
+  ASSERT_NE(identified, std::string::npos) << scale.stderr_text;
+  EXPECT_NE(first_line(scale.stderr_text.substr(identified)).find("correct"),
+            std::string::npos)
+      << scale.stderr_text;
+
+  // Small population at a fixed seed: sequential Bayes pins the partner
+  // within 40 rounds.
+  const run_result bayes =
+      run_cli("attack --users 2000 --population 500 --rounds 200 "
+              "--round-size 16 --attack bayes --seed 11 --every 1");
+  ASSERT_EQ(bayes.exit_code, 0) << bayes.stderr_text;
+  const unsigned long long round =
+      number_after(bayes.stderr_text, "# identified at round ");
+  EXPECT_GE(round, 1u) << bayes.stderr_text;
+  EXPECT_LE(round, 40u) << bayes.stderr_text;
+  EXPECT_NE(bayes.stderr_text.find("correct"), std::string::npos)
+      << bayes.stderr_text;
+
+  // Session axes sweep thread- and trace-pipeline invariantly: 4 coherent
+  // cells (session off, and 15 x 25 under each attack).
+  const std::string sessions =
+      "campaign --n 20 --c 2 --dist U:1,4 --population 0,15 --rounds 0,25 "
+      "--attack none,sda,bayes --messages 300 --replicas 2 --seed 7";
+  int rc_eight = -1, rc_trace = -1;
+  const std::string eight = cli_stdout(sessions + " --threads 8", &rc_eight);
+  const std::string traced =
+      cli_stdout(sessions + " --threads 1 --via-trace", &rc_trace);
+  ASSERT_EQ(rc_eight, 0);
+  ASSERT_EQ(rc_trace, 0);
+  EXPECT_EQ(std::count(eight.begin(), eight.end(), '\n'), 5);
+  EXPECT_EQ(eight, traced);
+
+  // Unknown attack kinds and incoherent session axes fail loudly.
+  EXPECT_NE(run_cli("attack --users 100 --attack frequency").exit_code, 0);
+  EXPECT_NE(run_cli("simulate --n 20 --population 5 --messages 100")
+                .exit_code,
+            0);
+}
+
+TEST_F(CliParse, AttackMetricsSpanTheCrossChecks) {
+  // The sharded accumulations and the verification behind attack's
+  // conformance report are root spans of its snapshot, and --metrics
+  // leaves stdout byte-identical.
+  const std::string metrics = ::testing::TempDir() + "anonpath_attack." +
+                              std::to_string(::getpid()) + ".jsonl";
+  const std::string run =
+      "attack --users 100000 --rounds 1000 --attack sda --seed 3 "
+      "--threads 4 --stream sketch --every 100";
+  int rc_plain = -1, rc_metrics = -1;
+  const std::string plain = cli_stdout(run, &rc_plain);
+  const std::string traced =
+      cli_stdout(run + " --metrics '" + metrics + "'", &rc_metrics);
+  ASSERT_EQ(rc_plain, 0);
+  ASSERT_EQ(rc_metrics, 0);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(plain, traced);
+  const std::string snapshot = slurp(metrics);
+  std::remove(metrics.c_str());
+  for (const char* name : {"attack.run", "workload.accumulate_exact",
+                           "workload.accumulate_sketch", "attack.verify",
+                           "attack.ingest"})
+    EXPECT_NE(snapshot.find("\"parent\":0,\"name\":\"" + std::string(name) +
+                            "\""),
+              std::string::npos)
+        << name << " is not a root span in\n" << snapshot;
+}
+
 }  // namespace

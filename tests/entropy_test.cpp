@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/stats/contract.hpp"
+#include "src/stats/rng.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath {
 namespace {
@@ -93,6 +98,56 @@ TEST(TwoLevelEntropy, EqualWeightsGiveLogK1) {
 TEST(TwoLevelEntropy, RejectsNegativeWeights) {
   EXPECT_THROW((void)two_level_entropy_bits(-1.0, 1.0, 3), contract_violation);
   EXPECT_THROW((void)two_level_entropy_bits(1.0, -1.0, 3), contract_violation);
+}
+
+TEST(Entropy, WordSkipMatchesScalarReference) {
+  // The dense pass skips 8-entry words of +/-0.0 whole; everything it does
+  // not skip must reach the same bits and argmax as the per-entry loop, for
+  // every tail length and for zeros, -0.0 and subnormals mixed with mass.
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  stats::rng gen(77);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 131; ++n) lengths.push_back(n);
+  lengths.push_back(100000);
+  for (const std::size_t n : lengths) {
+    for (const double density : {0.0, 0.02, 0.3, 1.0}) {
+      std::vector<double> p(n, 0.0);
+      for (double& x : p) {
+        if (gen.next_double() >= density) {
+          x = gen.next_below(2) == 0 ? 0.0 : -0.0;
+          continue;
+        }
+        switch (gen.next_below(3)) {
+          case 0: x = gen.next_double(); break;
+          case 1: x = subnormal * static_cast<double>(1 + gen.next_below(9));
+                  break;
+          default: x = -0.0;
+        }
+      }
+      const entropy_summary got = summarize_entropy(p);
+      const entropy_summary want = pre_change::summarize_entropy(p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bits),
+                std::bit_cast<std::uint64_t>(want.bits))
+          << "n=" << n << " density=" << density;
+      EXPECT_EQ(got.argmax, want.argmax)
+          << "n=" << n << " density=" << density;
+    }
+  }
+  // A NaN or negative entry fails the precondition wherever it sits: in an
+  // otherwise-zero word, next to -0.0, or in the tail.
+  for (std::size_t n = 1; n <= 131; ++n) {
+    for (std::size_t at = 0; at < n; ++at) {
+      for (const double bad :
+           {std::numeric_limits<double>::quiet_NaN(), -subnormal, -0.5}) {
+        std::vector<double> p(n, -0.0);
+        p[at] = bad;
+        EXPECT_THROW((void)summarize_entropy(p), contract_violation)
+            << "n=" << n << " at=" << at << " value=" << bad;
+        EXPECT_THROW((void)pre_change::summarize_entropy(p),
+                     contract_violation);
+      }
+    }
+  }
 }
 
 TEST(SafeLog2, GuardsNonPositive) {

@@ -9,6 +9,8 @@
 #include "src/stats/contract.hpp"
 #include "src/stats/discrete_sampler.hpp"
 #include "src/stats/histogram.hpp"
+#include "src/workload/population.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath::stats {
 namespace {
@@ -94,6 +96,39 @@ TEST(Rng, SampleDistinctFullPool) {
   EXPECT_EQ(uniq, (std::set<std::uint32_t>{0, 1, 3, 4}));
 }
 
+TEST(Rng, SampleDistinctMatchesThePoolReference) {
+  // Small samples from large ranges skip building the pool; both paths
+  // must draw exactly what the full-pool shuffle draws, from the same rng
+  // state, and leave the rng in the same state.
+  const std::vector<std::vector<std::uint32_t>> excludes{
+      {}, {0}, {3}, {7, 2, 7, 40000000}, {1, 0, 2, 5, 9, 4}};
+  for (const std::uint32_t n : {1u, 2u, 5u, 10u, 17u, 100u, 1000u, 1000000u}) {
+    for (const std::vector<std::uint32_t>& exclude : excludes) {
+      std::set<std::uint32_t> banned;
+      for (std::uint32_t e : exclude)
+        if (e < n) banned.insert(e);
+      // 16 * 7^2 < 1000 <= 16 * 8^2, 16 * 249^2 < 1e6 <= 16 * 250^2: both
+      // sides of the switch.
+      for (const std::uint32_t k : {0u, 1u, 2u, 3u, 7u, 8u, 249u, 250u}) {
+        if (k > n - banned.size()) continue;
+        rng a(n * 31 + k), b(n * 31 + k);
+        for (int trial = 0; trial < (n < 1000000 ? 20 : 2); ++trial)
+          ASSERT_EQ(a.sample_distinct(n, k, exclude),
+                    pre_change::sample_distinct(b, n, k, exclude))
+              << "n=" << n << " k=" << k << " trial=" << trial;
+        EXPECT_EQ(a.next_u64(), b.next_u64());
+      }
+    }
+  }
+  // A swap position drawn twice and read again is rare on the sparse path
+  // (about k^3 / n^2 per sample), so take many samples at its largest k.
+  rng a(4242), b(4242);
+  for (int trial = 0; trial < 100000; ++trial)
+    ASSERT_EQ(a.sample_distinct(1000, 7, {500}),
+              pre_change::sample_distinct(b, 1000, 7, {500}))
+        << "trial=" << trial;
+}
+
 TEST(Rng, SampleDistinctTooManyThrows) {
   rng g(5);
   EXPECT_THROW((void)g.sample_distinct(5, 5, {2}), contract_violation);
@@ -146,6 +181,33 @@ TEST(DiscreteSampler, HandlesZeroWeightCategories) {
   for (int i = 0; i < 10000; ++i) {
     const auto k = s.sample(g);
     EXPECT_TRUE(k == 1 || k == 3);
+  }
+}
+
+TEST(DiscreteSampler, InPlaceVoseMatchesTwoStackReference) {
+  // The alias table built in place over the moved-in weights must be the
+  // two-stack table column for column: the same rng stream then draws the
+  // same indices.
+  rng weights_gen(99);
+  std::vector<double> random(1000);
+  for (double& w : random)
+    w = weights_gen.next_below(4) == 0 ? 0.0 : weights_gen.next_double();
+  const std::vector<std::vector<double>> cases{
+      random,
+      {2.5},
+      {0.25, 0.75},
+      {0.0, 3.0},
+      std::vector<double>(777, 1.0),
+      workload::popularity_pmf({workload::popularity_kind::zipf, 1.0},
+                               100000)};
+  for (const std::vector<double>& w : cases) {
+    const discrete_sampler in_place(w);
+    const pre_change::two_stack_vose reference(w);
+    rng a(5), b(5);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 100000; ++i)
+      mismatches += in_place.sample(a) != reference.sample(b);
+    EXPECT_EQ(mismatches, 0u) << "n=" << w.size();
   }
 }
 

@@ -25,6 +25,7 @@
 #include "src/workload/population.hpp"
 #include "src/workload/sketch.hpp"
 #include "src/workload/streaming.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath {
 namespace {
@@ -123,21 +124,25 @@ TEST(StreamingAccumulator, ThreadAndShardInvarianceBothBackends) {
   const workload::population pop(stream_config());
   const workload::cooccurrence_result exact_reference =
       workload::accumulate_cooccurrence(pop, {});
+  const std::size_t exact_reference_bytes =
+      workload::accumulate_streaming(pop, 0, pop.config().round_count)
+          .memory_bytes();
   workload::streaming_config sketch_cfg;
   sketch_cfg.backend = workload::stream_backend::sketch;
   const workload::streaming_accumulator sketch_reference =
       workload::accumulate_streaming(pop, 0, pop.config().round_count,
                                      sketch_cfg);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const std::uint32_t shards : {0u, 3u, 17u}) {
+  for (const unsigned threads : {0u, 1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t shards : {0u, 3u, 17u, 256u}) {
       workload::cooccurrence_config ccfg;
       ccfg.threads = threads;
       ccfg.shard_count = shards;
-      EXPECT_EQ(workload::accumulate_streaming(pop, 0,
-                                               pop.config().round_count, {},
-                                               ccfg)
-                    .totals(),
-                exact_reference)
+      const workload::streaming_accumulator ex =
+          workload::accumulate_streaming(pop, 0, pop.config().round_count,
+                                         {}, ccfg);
+      EXPECT_EQ(ex.totals(), exact_reference)
+          << "exact threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(ex.memory_bytes(), exact_reference_bytes)
           << "exact threads=" << threads << " shards=" << shards;
       const workload::streaming_accumulator sk =
           workload::accumulate_streaming(pop, 0, pop.config().round_count,
@@ -150,9 +155,49 @@ TEST(StreamingAccumulator, ThreadAndShardInvarianceBothBackends) {
                   sketch_reference.candidate_sample(p).keys())
             << "pair " << p << " threads=" << threads
             << " shards=" << shards;
+        EXPECT_EQ(sk.candidates_saturated(p),
+                  sketch_reference.candidates_saturated(p))
+            << "pair " << p << " threads=" << threads
+            << " shards=" << shards;
       }
     }
   }
+}
+
+TEST(StreamingAccumulator, FlatRowsMatchTheMapReference) {
+  // Enough distinct receivers and deliveries that the pending buffer folds
+  // many times, both inside the sharded driver and on sequential ingestion.
+  workload::population_config cfg = stream_config();
+  cfg.receiver_count = 50000;
+  cfg.round_count = 900;
+  cfg.round_size = 24;
+  cfg.persistent_pairs = 3;
+  cfg.receiver_law = {workload::popularity_kind::zipf, 0.8};
+  const workload::population pop(cfg);
+  const workload::cooccurrence_result reference =
+      pre_change::map_cooccurrence(pop, 0, cfg.round_count);
+  EXPECT_GT(reference.global_receiver_counts.size(), 2048u);
+  for (const unsigned threads : {1u, 3u}) {
+    workload::cooccurrence_config ccfg;
+    ccfg.threads = threads;
+    EXPECT_EQ(workload::accumulate_cooccurrence(pop, ccfg), reference)
+        << "threads=" << threads;
+  }
+  std::vector<node_id> senders;
+  for (const workload::persistent_pair& p : pop.pairs())
+    senders.push_back(p.sender);
+  // Unfolded deliveries count in totals() and in merges from either side.
+  workload::streaming_accumulator sequential(senders);
+  workload::streaming_accumulator tail(senders);
+  for (std::uint32_t r = 0; r < cfg.round_count; ++r)
+    (r < 700 ? sequential : tail).ingest(pop.round(r));
+  EXPECT_EQ(sequential.totals(), pre_change::map_cooccurrence(pop, 0, 700));
+  workload::streaming_accumulator forward = sequential;
+  forward.merge(tail);
+  EXPECT_EQ(forward.totals(), reference);
+  tail.merge(sequential);
+  EXPECT_EQ(tail.totals(), reference);
+  EXPECT_EQ(forward.memory_bytes(), tail.memory_bytes());
 }
 
 TEST(OnlineAttack, SnapshotMatchesADirectEngineAtEveryRound) {

@@ -1032,18 +1032,23 @@ int cmd_attack(const options& opt) {
     // bit for bit; a mismatch is a determinism bug, reported loudly.
     workload::cooccurrence_config ccfg;
     ccfg.threads = opt.threads;
-    const workload::streaming_accumulator exact_acc =
-        workload::accumulate_streaming(pop, 0, cfg.round_count,
-                                       workload::streaming_config{}, ccfg);
+    const workload::streaming_accumulator exact_acc = [&] {
+      obs::span accumulate_span(tp, "workload.accumulate_exact");
+      return workload::accumulate_streaming(
+          pop, 0, cfg.round_count, workload::streaming_config{}, ccfg);
+    }();
     const workload::cooccurrence_result totals = exact_acc.totals();
     if (tp != nullptr) {
       reg.add_counter("stream.rounds_accumulated", totals.rounds);
       reg.set_gauge("stream.exact_memory_bytes",
                     static_cast<double>(exact_acc.memory_bytes()));
     }
-    const attack::sda_attack parallel_sda =
-        attack::sda_attack::from_counts(totals, 0, cfg.receiver_count);
-    if (parallel_sda.posterior() != result.final_posterior) {
+    const bool exact_agrees = [&] {
+      obs::span verify_span(tp, "attack.verify");
+      return attack::sda_attack::from_counts(totals, 0, cfg.receiver_count)
+                 .posterior() == result.final_posterior;
+    }();
+    if (!exact_agrees) {
       std::fprintf(stderr,
                    "# ERROR: sharded accumulator diverged from streaming "
                    "counts\n");
@@ -1087,13 +1092,16 @@ int cmd_attack(const options& opt) {
       // bit for bit — same contract as the exact path above.
       workload::streaming_config scfg;
       scfg.backend = workload::stream_backend::sketch;
-      const workload::streaming_accumulator sketch_acc =
-          workload::accumulate_streaming(pop, 0, cfg.round_count, scfg,
-                                         ccfg);
-      const attack::sketch_sda_attack sharded =
-          attack::sketch_sda_attack::from_accumulator(sketch_acc, 0,
-                                                      cfg.receiver_count);
-      if (sharded.posterior() != sres.final_posterior) {
+      const workload::streaming_accumulator sketch_acc = [&] {
+        obs::span accumulate_span(tp, "workload.accumulate_sketch");
+        return workload::accumulate_streaming(pop, 0, cfg.round_count, scfg,
+                                              ccfg);
+      }();
+      // Covers this cross-check and the count-min bound check below.
+      obs::span verify_span(tp, "attack.verify");
+      if (attack::sketch_sda_attack::from_accumulator(sketch_acc, 0,
+                                                      cfg.receiver_count)
+              .posterior() != sres.final_posterior) {
         std::fprintf(stderr,
                      "# ERROR: sharded sketch accumulator diverged from "
                      "online ingestion\n");
