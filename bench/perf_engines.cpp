@@ -1,6 +1,6 @@
 // Performance benchmarks for every engine in the library: the analytic
 // closed form, the general posterior, Monte-Carlo sampling, the optimizer,
-// the onion crypto, and the discrete-event fabric.
+// and the discrete-event fabric.
 //
 //   bench_perf_engines --json[=FILE]   machine-readable results (defaults
 //                                      to BENCH_perf.json) — the CI perf
@@ -22,7 +22,6 @@
 #include "src/attack/sda.hpp"
 #include "src/attack/sequential_bayes.hpp"
 #include "src/attack/sketch_sda.hpp"
-#include "src/crypto/onion.hpp"
 #include "src/sim/campaign.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/stats/rng.hpp"
@@ -136,24 +135,6 @@ void BM_OptimizerGridRefine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerGridRefine)->Arg(16)->Arg(48);
-
-void BM_OnionWrapPeel(benchmark::State& state) {
-  const crypto::key_registry keys(1, 100);
-  stats::rng gen(2);
-  const auto l = static_cast<path_length>(state.range(0));
-  const route r = sample_simple_route(100, 0, l, gen);
-  std::vector<std::byte> payload(256, std::byte{0x42});
-  for (auto _ : state) {
-    auto env = crypto::wrap_onion(r, payload, keys, 9);
-    for (node_id hop : r.hops) {
-      auto peeled = crypto::peel_onion(hop, env, keys, 9);
-      env = std::move(peeled.inner);
-    }
-    benchmark::DoNotOptimize(crypto::open_at_receiver(env, keys, 9));
-  }
-  state.SetItemsProcessed(state.iterations() * (l + 1));
-}
-BENCHMARK(BM_OnionWrapPeel)->Arg(3)->Arg(10)->Arg(51);
 
 void BM_CampaignThroughput(benchmark::State& state) {
   // End-to-end scenario-campaign fan-out: 8 cells x 4 replicas of full
@@ -273,8 +254,12 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
     sim::event_queue q;
     for (int i = 0; i < 1000; ++i)
-      q.schedule_at(static_cast<double>(i % 97), [] {});
-    q.run_until_empty();
+      q.schedule_at(static_cast<double>(i % 97),
+                    sim::event_kind::workload_arrival,
+                    static_cast<std::uint64_t>(i));
+    std::uint64_t sum = 0;
+    q.run_until_empty([&](const sim::sim_event& e) { sum += e.msg; });
+    benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -102,7 +102,7 @@
 /// (src/sim/adversary.hpp): full_coalition (the paper's Sec. 4 worst
 /// case), partial_coverage (iid fractional corruption, optionally honest
 /// receiver — observations with receiver_observed == false), and
-/// timing_correlator (timestamp-only linking via crypto::timing_correlation
+/// timing_correlator (timestamp-only linking via sim::timing_correlation
 /// — gapped observations); the posterior engine marginalizes over both
 /// weakened observation shapes. sim::trace (src/sim/trace.hpp) captures a
 /// run's adversary-visible events into a versioned, exactly-serializable

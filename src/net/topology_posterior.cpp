@@ -10,13 +10,13 @@ namespace anonpath::net {
 
 topology_posterior_engine::topology_posterior_engine(
     system_params sys, std::vector<node_id> compromised,
-    path_length_distribution lengths, topology topo,
+    path_length_distribution lengths, const topology& topo,
     std::vector<bool> interior_support)
     : sys_(sys),
       compromised_(std::move(compromised)),
       support_(std::move(interior_support)),
       lengths_(std::move(lengths)),
-      topo_(std::move(topo)) {
+      topo_(topo) {
   ANONPATH_EXPECTS(sys_.valid());
   ANONPATH_EXPECTS(topo_.node_count() == sys_.node_count);
   ANONPATH_EXPECTS(compromised_.size() == sys_.compromised_count);

@@ -39,7 +39,8 @@ namespace anonpath::net {
 class topology_posterior_engine final : public sender_inference {
  public:
   /// Preconditions: sys.valid(); topo.node_count() == sys.node_count;
-  /// `compromised` lists distinct ids < N, |compromised| == C.
+  /// `compromised` lists distinct ids < N, |compromised| == C. The engine
+  /// borrows `topo`, which must outlive it (a temporary does not compile).
   ///
   /// `interior_support` optionally prunes the honest-interior state space:
   /// a node outside the mask never occupies a non-sender walk position in
@@ -55,8 +56,12 @@ class topology_posterior_engine final : public sender_inference {
   /// sys.node_count.
   topology_posterior_engine(system_params sys,
                             std::vector<node_id> compromised,
-                            path_length_distribution lengths, topology topo,
+                            path_length_distribution lengths,
+                            const topology& topo,
                             std::vector<bool> interior_support = {});
+  topology_posterior_engine(system_params, std::vector<node_id>,
+                            path_length_distribution, topology&&,
+                            std::vector<bool> = {}) = delete;
 
   /// Posterior Pr(S = i | obs) over all N nodes. Precondition: obs is
   /// explainable under the walk model (always true for observations the
@@ -110,7 +115,7 @@ class topology_posterior_engine final : public sender_inference {
   std::vector<bool> honest_interior_;
   std::vector<bool> support_;
   path_length_distribution lengths_;
-  topology topo_;
+  const topology& topo_;
   /// honest_step's two kernels, built once from topo_ and the mask:
   /// forward_ holds x -> honest-interior y with the raw weight w(x,y);
   /// backward_ holds, for honest-interior x only, every neighbour y with

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,7 +26,7 @@ namespace anonpath::sim {
 ///   * timing_correlator — agents at the configured compromised nodes (and
 ///     the receiver) observe only link send/receive timestamps and
 ///     endpoints; captures are linked into per-message chains by latency
-///     correlation (crypto::timing_correlation, Zheng's low-latency model),
+///     correlation (sim::timing_correlation, Zheng's low-latency model),
 ///     never by a correlation handle. Its observations are `gapped`.
 enum class adversary_kind : std::uint8_t {
   full_coalition,
@@ -161,7 +160,12 @@ class full_coalition_model : public adversary_model {
     std::vector<capture> captures;
     std::optional<node_id> receiver_predecessor;
   };
-  std::map<std::uint64_t, per_message> log_;
+  /// The log entry of `msg`, grown on demand.
+  per_message& entry(std::uint64_t msg);
+  /// The log entry of `msg`, or nullptr when nothing was filed for it.
+  [[nodiscard]] const per_message* find(std::uint64_t msg) const;
+  /// Indexed by message id; ids nothing was filed for stay empty.
+  std::vector<per_message> log_;
 };
 
 /// Historical name: the pre-refactor monitor *was* the full coalition.
@@ -201,7 +205,7 @@ class partial_coverage_model : public full_coalition_model {
 /// time captures are greedily linked backwards from each delivery: capture
 /// c' precedes capture c when the wire endpoints chain (c'.successor ==
 /// c.reporter, c.predecessor == c'.reporter) and
-/// crypto::timing_correlation(c'.at, c.at, lo, hi) is positive for the
+/// sim::timing_correlation(c'.at, c.at, lo, hi) is positive for the
 /// network's per-step delay window [processing + base, processing + base +
 /// jitter]; among candidates the highest score (earliest capture on ties)
 /// wins and each capture links at most once. The resulting per-delivery
@@ -246,7 +250,9 @@ class timing_correlator_model : public adversary_model {
   std::vector<capture> captures_;   ///< capture order (== time order)
   std::vector<receipt> receipts_;   ///< delivery order
   mutable bool linked_ = false;
-  mutable std::map<std::uint64_t, observation> assembled_;
+  /// Linked observation per delivered message id (the first receipt of an
+  /// id wins); ids without a receipt stay disengaged.
+  mutable std::vector<std::optional<observation>> assembled_;
 };
 
 /// The compromised flag set an adversary config induces for an N-node run:

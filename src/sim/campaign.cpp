@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -280,6 +281,16 @@ campaign_result run_campaign(const campaign_grid& grid,
   std::vector<sim_report> reports(pending_runs);
   std::vector<std::string> errors(pending_runs);
   std::vector<std::uint32_t> completed(pending_cells, 0);
+  // One graph per cell that routes on one (a restricted topology or
+  // planned routes): the cell's first replica to start builds it, every
+  // replica borrows it read-only, and the cell's last replica to finish
+  // frees it. A build that throws leaves the flag unset, so each replica
+  // retries and fails into its own error slot, as it would building alone.
+  struct cell_graph {
+    std::once_flag built;
+    std::unique_ptr<const net::topology> graph;
+  };
+  std::vector<cell_graph> graphs(pending_cells);
   std::vector<double> cell_us(pending_cells, 0.0);
   std::uint64_t flushed = first_cell;
   std::mutex mu;
@@ -300,10 +311,19 @@ campaign_result run_campaign(const campaign_grid& grid,
         const std::uint64_t seed =
             stats::rng::stream(config.master_seed, abs_run).next_u64();
         const auto run_started = std::chrono::steady_clock::now();
+        cell_graph& cell = graphs[run / config.replicas];
         try {
           const sim_config cfg = scenario_config(s, grid, seed);
-          reports[run] = config.via_trace ? replay_trace(capture_trace(cfg))
-                                          : run_simulation(cfg);
+          if (s.topology.kind != net::topology_kind::complete ||
+              s.routing.planned())
+            std::call_once(cell.built, [&] {
+              cell.graph = std::make_unique<const net::topology>(
+                  net::topology::make(s.node_count, s.topology));
+            });
+          const net::topology* graph = cell.graph.get();
+          reports[run] = config.via_trace
+                             ? replay_trace(capture_trace(cfg, graph), graph)
+                             : run_simulation(cfg, graph);
         } catch (const std::exception& e) {
           errors[run] = *e.what() ? e.what() : "unknown error";
         } catch (...) {
@@ -346,6 +366,7 @@ campaign_result run_campaign(const campaign_grid& grid,
         std::lock_guard<std::mutex> lock(mu);
         cell_us[run / config.replicas] += run_us;
         if (++completed[run / config.replicas] < config.replicas) return;
+        cell.graph.reset();
         while (flushed < local_total &&
                completed[flushed - first_cell] == config.replicas) {
           const std::uint64_t base = (flushed - first_cell) * config.replicas;

@@ -1,6 +1,6 @@
-#include "src/crypto/correlation.hpp"
+#include "src/sim/correlation.hpp"
 
-namespace anonpath::crypto {
+namespace anonpath::sim {
 
 bool payloads_correlate(std::span<const std::byte> a,
                         std::span<const std::byte> b) noexcept {
@@ -33,4 +33,4 @@ double timing_correlation(double t_send, double t_recv, double lo,
   return score > 0.0 ? score : 0.0;
 }
 
-}  // namespace anonpath::crypto
+}  // namespace anonpath::sim

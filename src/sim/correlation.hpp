@@ -3,20 +3,19 @@
 #include <cstddef>
 #include <span>
 
-namespace anonpath::crypto {
+namespace anonpath::sim {
 
 /// Payload-byte correlation as available to the paper's adversary
 /// (Sec. 4, third worst-case assumption): two wire captures are "the same
 /// message" when their bytes match. True for plaintext systems like Crowds;
-/// defeated by per-hop re-encryption (onion layers) — the library's tests
-/// demonstrate both, and the adversary harness is therefore *granted*
-/// message identities, per the paper's worst-case model.
+/// defeated by per-hop re-encryption (onion layers), which the simulator
+/// does not model: its adversary is *granted* message identities, per the
+/// paper's worst-case model.
 [[nodiscard]] bool payloads_correlate(std::span<const std::byte> a,
                                       std::span<const std::byte> b) noexcept;
 
 /// Hamming-style similarity in [0,1]: fraction of positions with equal
-/// bytes (0 when lengths differ). Used to show onion layers push observed
-/// similarity to chance level.
+/// bytes (0 when lengths differ).
 [[nodiscard]] double payload_similarity(std::span<const std::byte> a,
                                         std::span<const std::byte> b) noexcept;
 
@@ -32,4 +31,4 @@ namespace anonpath::crypto {
 [[nodiscard]] double timing_correlation(double t_send, double t_recv,
                                         double lo, double hi) noexcept;
 
-}  // namespace anonpath::crypto
+}  // namespace anonpath::sim

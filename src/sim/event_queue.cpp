@@ -4,34 +4,18 @@
 
 namespace anonpath::sim {
 
-void event_queue::schedule_at(sim_time at, std::function<void()> action) {
+void event_queue::schedule_at(sim_time at, event_kind kind, std::uint64_t msg,
+                              std::uint32_t a, std::uint32_t b) {
   ANONPATH_EXPECTS(at >= now_);
-  heap_.push(entry{at, seq_++, std::move(action)});
+  heap_.push_back(sim_event{at, seq_++, msg, a, b, kind});
+  std::push_heap(heap_.begin(), heap_.end(), later{});
 }
 
-void event_queue::schedule_in(sim_time delay, std::function<void()> action) {
+void event_queue::schedule_in(sim_time delay, event_kind kind,
+                              std::uint64_t msg, std::uint32_t a,
+                              std::uint32_t b) {
   ANONPATH_EXPECTS(delay >= 0.0);
-  schedule_at(now_ + delay, std::move(action));
-}
-
-bool event_queue::run_next() {
-  if (heap_.empty()) return false;
-  // priority_queue::top is const; the entry must be moved out via a copy of
-  // the handle before pop. Extract with const_cast-free two-step.
-  entry e = heap_.top();
-  heap_.pop();
-  now_ = e.at;
-  ++executed_;
-  e.action();
-  return true;
-}
-
-bool event_queue::run_until_empty(std::uint64_t max_events) {
-  std::uint64_t fired = 0;
-  while (run_next()) {
-    if (++fired >= max_events && !heap_.empty()) return false;
-  }
-  return true;
+  schedule_at(now_ + delay, kind, msg, a, b);
 }
 
 }  // namespace anonpath::sim

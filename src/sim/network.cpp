@@ -32,20 +32,39 @@ void network::register_receiver(message_sink& sink) {
   receiver_sink_ = &sink;
 }
 
+message_trace& network::trace_of(std::uint64_t msg) {
+  if (msg >= traces_.size()) traces_.resize(msg + 1);
+  return traces_[msg];
+}
+
 void network::originate(node_id origin, sim_time at, std::uint64_t msg_id) {
   ANONPATH_EXPECTS(origin < node_count_);
-  auto& trace = traces_[msg_id];
+  auto& trace = trace_of(msg_id);
   trace.origin = origin;
   trace.sent_at = at;
 }
 
-void network::send(node_id from, node_id to, wire_message msg) {
+void network::set_route(std::uint64_t msg_id,
+                        const std::vector<node_id>& hops) {
+  if (msg_id >= routes_.size()) routes_.resize(msg_id + 1);
+  routes_[msg_id] = route_cursor{route_slab_.size(),
+                                 static_cast<std::uint32_t>(hops.size()), 0};
+  route_slab_.insert(route_slab_.end(), hops.begin(), hops.end());
+}
+
+node_id network::next_hop(std::uint64_t msg_id, node_id self) {
+  ANONPATH_EXPECTS(msg_id < routes_.size());
+  route_cursor& c = routes_[msg_id];
+  ANONPATH_EXPECTS(c.next < c.length && route_slab_[c.begin + c.next] == self);
+  return ++c.next < c.length ? route_slab_[c.begin + c.next] : receiver_node;
+}
+
+void network::send(node_id from, node_id to, std::uint64_t msg) {
   ANONPATH_EXPECTS(from < node_count_);
   ANONPATH_EXPECTS(sinks_[from] != nullptr);  // sender must be registered too
   ANONPATH_EXPECTS(to < node_count_ || to == receiver_node);
-  message_sink* sink =
-      to == receiver_node ? receiver_sink_ : sinks_[to];
-  ANONPATH_EXPECTS(sink != nullptr);
+  ANONPATH_EXPECTS((to == receiver_node ? receiver_sink_ : sinks_[to]) !=
+                   nullptr);
   // A restricted fabric only carries edges of its graph; the receiver is an
   // external party reachable from everywhere.
   if (topology_ != nullptr && to != receiver_node)
@@ -73,18 +92,30 @@ void network::send(node_id from, node_id to, wire_message msg) {
     return;
   }
 
-  const sim_time delay = latency_.link_delay();
-  const std::uint64_t id = msg.id;
-  queue_.schedule_in(delay, [this, sink, from, to, id,
-                             m = std::move(msg)]() mutable {
-    auto& trace = traces_[id];
-    if (to == receiver_node) {
-      trace.delivered = true;
-      trace.delivered_at = queue_.now();
-    } else {
-      trace.visited.push_back(to);
-    }
-    sink->on_message(from, std::move(m));
+  queue_.schedule_in(latency_.link_delay(), event_kind::hop_arrival, msg, from,
+                     to);
+}
+
+void network::send_after(sim_time delay, node_id from, node_id to,
+                         std::uint64_t msg) {
+  queue_.schedule_in(delay, event_kind::relay_forward, msg, from, to);
+}
+
+void network::arrive(node_id from, node_id to, std::uint64_t msg) {
+  auto& trace = trace_of(msg);
+  if (to == receiver_node) {
+    trace.delivered = true;
+    trace.delivered_at = queue_.now();
+    receiver_sink_->on_message(from, msg);
+  } else {
+    trace.visited.push_back(to);
+    sinks_[to]->on_message(from, msg);
+  }
+}
+
+bool network::run() {
+  return run([](const sim_event&) {
+    ANONPATH_EXPECTS(!"only hop arrivals and relay forwards are scheduled");
   });
 }
 

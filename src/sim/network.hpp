@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/anonymity/types.hpp"
@@ -11,7 +10,6 @@
 #include "src/sim/event_queue.hpp"
 #include "src/sim/fault_plan.hpp"
 #include "src/sim/latency.hpp"
-#include "src/sim/message.hpp"
 
 namespace anonpath::sim {
 
@@ -21,7 +19,10 @@ class message_sink {
   virtual ~message_sink() = default;
   /// `from` is the transport-level immediate sender (what a real node's
   /// network stack would see). Exactly the paper's observability model.
-  virtual void on_message(node_id from, wire_message msg) = 0;
+  /// `msg` is the message id: the correlation handle the paper's
+  /// worst-case adversary is granted (Sec. 4). Honest parties never route
+  /// by it; an onion relay learns its successor from the source route.
+  virtual void on_message(node_id from, std::uint64_t msg) = 0;
 };
 
 /// Ground-truth record of one message's journey, kept by the network fabric
@@ -47,7 +48,10 @@ struct message_trace {
 /// schedule (explicit outages plus seeded mix-failure episodes) takes
 /// specific nodes down on a deterministic timetable; a transmission whose
 /// destination is down at send time strands there, and the receiver R
-/// never fails. Also the keeper of ground-truth traces for validation.
+/// never fails. Also the keeper of ground-truth traces for validation, and
+/// of each source-routed message's route: a relay reads the hop after
+/// itself through a per-message cursor, so it learns only predecessor and
+/// successor, as an onion layer would tell it, with no ciphertext.
 class network {
  public:
   /// Preconditions: node_count >= 2, params.valid(),
@@ -70,20 +74,53 @@ class network {
   /// Starts a message journey at `origin` (records the trace start).
   void originate(node_id origin, sim_time at, std::uint64_t msg_id);
 
-  /// Transmits `msg` from `from` to `to` (`receiver_node` for R) after a
-  /// sampled link delay. Preconditions (each asserted, a violation throws
-  /// contract_violation): `from` is a registered node id, `to` is a
+  /// Records `hops` as the source route of `msg_id` (the intermediate
+  /// nodes, in order; the receiver follows the last).
+  void set_route(std::uint64_t msg_id, const std::vector<node_id>& hops);
+
+  /// The hop after `self` on the route of `msg_id` (`receiver_node` after
+  /// the last), advancing the route's cursor past `self`. Precondition:
+  /// the route was set and `self` is its next unvisited hop.
+  [[nodiscard]] node_id next_hop(std::uint64_t msg_id, node_id self);
+
+  /// Transmits message `msg` from `from` to `to` (`receiver_node` for R)
+  /// after a sampled link delay. Preconditions (each asserted, a violation
+  /// throws contract_violation): `from` is a registered node id, `to` is a
   /// registered node id or `receiver_node` with the receiver registered,
   /// and — when the fabric carries a topology — (from, to) is a graph
   /// edge. Unregistered endpoints are a programming error, never a silent
   /// no-op or a crash on a null sink.
-  void send(node_id from, node_id to, wire_message msg);
+  void send(node_id from, node_id to, std::uint64_t msg);
+
+  /// Schedules `from` to send(from, to, msg) `delay` seconds from now (a
+  /// relay's processing delay).
+  void send_after(sim_time delay, node_id from, node_id to, std::uint64_t msg);
+
+  /// Runs the queue until it drains. Hop arrivals and relay forwards are
+  /// the fabric's own events; every other kind goes to `other`. Returns
+  /// false if the queue's runaway guard stopped it.
+  template <class Handler>
+  bool run(Handler&& other) {
+    return queue_.run_until_empty([&](const sim_event& e) {
+      if (e.kind == event_kind::hop_arrival) {
+        arrive(e.a, e.b, e.msg);
+      } else if (e.kind == event_kind::relay_forward) {
+        send(e.a, e.b, e.msg);
+      } else {
+        other(e);
+      }
+    });
+  }
+
+  /// run() for a fabric that schedules only its own events.
+  bool run();
 
   [[nodiscard]] event_queue& queue() noexcept { return queue_; }
   [[nodiscard]] std::uint32_t node_count() const noexcept { return node_count_; }
 
-  /// Ground truth for tests/metrics.
-  [[nodiscard]] const std::map<std::uint64_t, message_trace>& traces() const noexcept {
+  /// Ground truth for tests/metrics, indexed by message id (slots of ids
+  /// never originated or sent stay default).
+  [[nodiscard]] const std::vector<message_trace>& traces() const noexcept {
     return traces_;
   }
 
@@ -110,6 +147,17 @@ class network {
   }
 
  private:
+  /// Where one message's route sits in route_slab_, and how far along it
+  /// the message is.
+  struct route_cursor {
+    std::size_t begin = 0;
+    std::uint32_t length = 0;
+    std::uint32_t next = 0;
+  };
+
+  void arrive(node_id from, node_id to, std::uint64_t msg);
+  message_trace& trace_of(std::uint64_t msg);
+
   std::uint32_t node_count_;
   event_queue queue_;
   latency_model latency_;
@@ -123,7 +171,9 @@ class network {
   std::uint64_t crashed_ = 0;
   std::vector<message_sink*> sinks_;
   message_sink* receiver_sink_ = nullptr;
-  std::map<std::uint64_t, message_trace> traces_;
+  std::vector<message_trace> traces_;
+  std::vector<node_id> route_slab_;
+  std::vector<route_cursor> routes_;
 };
 
 }  // namespace anonpath::sim

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "src/crypto/onion.hpp"
 #include "src/sim/adversary.hpp"
 #include "src/sim/network.hpp"
 
@@ -12,33 +10,33 @@ namespace anonpath::sim {
 
 /// The destination endpoint R. Always compromised per the paper's threat
 /// model: every delivery is reported to the adversary with the immediate
-/// predecessor. Onion payloads are opened (integrity check of the crypto
-/// substrate); Crowds payloads arrive in the clear.
+/// predecessor.
 class receiver_endpoint final : public message_sink {
  public:
-  receiver_endpoint(network& net, const crypto::key_registry& keys,
-                    adversary_model* monitor);
+  receiver_endpoint(network& net, adversary_model* monitor);
 
-  void on_message(node_id from, wire_message msg) override;
+  void on_message(node_id from, std::uint64_t msg) override;
 
   struct delivery {
     node_id predecessor = 0;
     sim_time at = 0.0;
-    std::vector<std::byte> payload;
+    bool delivered = false;
   };
 
   [[nodiscard]] std::uint64_t delivered_count() const noexcept {
-    return deliveries_.size();
+    return delivered_;
   }
-  [[nodiscard]] const std::map<std::uint64_t, delivery>& deliveries() const noexcept {
+  /// First delivery of each message, indexed by message id (slots of ids
+  /// never delivered stay default, with `delivered` false).
+  [[nodiscard]] const std::vector<delivery>& deliveries() const noexcept {
     return deliveries_;
   }
 
  private:
   network& net_;
-  const crypto::key_registry& keys_;
   adversary_model* monitor_;
-  std::map<std::uint64_t, delivery> deliveries_;
+  std::vector<delivery> deliveries_;
+  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace anonpath::sim

@@ -2,50 +2,41 @@
 
 namespace anonpath::sim {
 
-onion_relay::onion_relay(node_id self, network& net,
-                         const crypto::key_registry& keys,
-                         double processing_delay, bool compromised,
-                         adversary_model* monitor)
+onion_relay::onion_relay(node_id self, network& net, double processing_delay,
+                         bool compromised, adversary_model* monitor)
     : self_(self),
       net_(net),
-      keys_(keys),
       processing_delay_(processing_delay),
       compromised_(compromised),
       monitor_(monitor) {}
 
-void onion_relay::on_message(node_id from, wire_message msg) {
-  const auto peeled = crypto::peel_onion(self_, msg.envelope, keys_, msg.id);
+void onion_relay::on_message(node_id from, std::uint64_t msg) {
+  const node_id next = net_.next_hop(msg, self_);
   if (compromised_ && monitor_ != nullptr) {
-    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, peeled.next);
+    monitor_->note_relay(msg, net_.queue().now(), self_, from, next);
   }
   ++forwarded_;
-  wire_message out;
-  out.id = msg.id;
-  out.kind = transport_kind::onion;
-  out.envelope = peeled.inner;
-  const node_id next = peeled.next;
-  net_.queue().schedule_in(processing_delay_,
-                           [this, next, m = std::move(out)]() mutable {
-                             net_.send(self_, next, std::move(m));
-                           });
+  net_.send_after(processing_delay_, self_, next, msg);
 }
 
 crowds_relay::crowds_relay(node_id self, network& net, double processing_delay,
-                           bool compromised, adversary_model* monitor,
-                           stats::rng gen, const net::topology* topology)
+                           double forward_prob, bool compromised,
+                           adversary_model* monitor, stats::rng gen,
+                           const net::topology* topology)
     : self_(self),
       net_(net),
       processing_delay_(processing_delay),
+      forward_prob_(forward_prob),
       compromised_(compromised),
       monitor_(monitor),
       gen_(gen),
       topology_(topology) {}
 
-void crowds_relay::on_message(node_id from, wire_message msg) {
+void crowds_relay::on_message(node_id from, std::uint64_t msg) {
   // Flip the coin: forward to another node with probability forward_prob,
   // otherwise submit to the receiver.
   node_id next = receiver_node;
-  if (gen_.next_bernoulli(msg.forward_prob)) {
+  if (gen_.next_bernoulli(forward_prob_)) {
     if (topology_ != nullptr) {
       next = topology_->sample_neighbor(self_, gen_);
     } else {
@@ -55,13 +46,9 @@ void crowds_relay::on_message(node_id from, wire_message msg) {
     }
   }
   if (compromised_ && monitor_ != nullptr) {
-    monitor_->note_relay(msg.id, net_.queue().now(), self_, from, next);
+    monitor_->note_relay(msg, net_.queue().now(), self_, from, next);
   }
-  const node_id target = next;
-  net_.queue().schedule_in(processing_delay_,
-                           [this, target, m = std::move(msg)]() mutable {
-                             net_.send(self_, target, std::move(m));
-                           });
+  net_.send_after(processing_delay_, self_, next, msg);
 }
 
 }  // namespace anonpath::sim

@@ -14,7 +14,6 @@
 #include "src/anonymity/sender_inference.hpp"
 #include "src/attack/noise.hpp"
 #include "src/attack/online.hpp"
-#include "src/crypto/onion.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/sim/network.hpp"
 #include "src/sim/receiver.hpp"
@@ -26,14 +25,6 @@
 namespace anonpath::sim {
 
 namespace {
-
-std::vector<std::byte> demo_payload(std::uint64_t msg_id) {
-  const std::string text = "message-" + std::to_string(msg_id);
-  std::vector<std::byte> out;
-  out.reserve(text.size());
-  for (char c : text) out.push_back(static_cast<std::byte>(c));
-  return out;
-}
 
 /// Decorator that appends every adversary-visible event to a log, in
 /// arrival order, while forwarding to the wrapped model — the tap
@@ -139,13 +130,15 @@ class custom_inference final : public sender_inference {
 /// under a diffuse uniform(1, N-1) prior that covers every realizable
 /// planned length; its mask stays full, because under the uniform exit
 /// law net::kpath_support spans every node. `graph`, when non-null, is the
-/// topology the run routed on (copied, not retained); otherwise it is
-/// rebuilt from the config. A caller-supplied `custom` function replaces
-/// the built-in engine: no graph is built for it, and on the clique the
-/// built-in engine only screens gapped observations.
+/// topology the run routed on, borrowed by the engine; otherwise it is
+/// rebuilt from the config into `rebuilt`, which must outlive the engine.
+/// A caller-supplied `custom` function replaces the built-in engine: no
+/// graph is built for it, and on the clique the built-in engine only
+/// screens gapped observations.
 std::unique_ptr<sender_inference> make_sender_inference(
     const sim_config& config, std::vector<node_id> ids,
-    const net::topology* graph, const posterior_fn* custom) {
+    const net::topology* graph, const posterior_fn* custom,
+    std::optional<net::topology>& rebuilt) {
   const std::uint32_t n = config.sys.node_count;
   const system_params sys{n, static_cast<std::uint32_t>(ids.size())};
   if (config.topology.kind == net::topology_kind::complete &&
@@ -157,11 +150,13 @@ std::unique_ptr<sender_inference> make_sender_inference(
   }
   if (custom != nullptr)
     return std::make_unique<custom_inference>(*custom, nullptr);
+  if (graph == nullptr)
+    graph = &rebuilt.emplace(net::topology::make(n, config.topology));
   return std::make_unique<net::topology_posterior_engine>(
       sys, std::move(ids),
       config.routing.planned() ? path_length_distribution::uniform(1, n - 1)
                                : config.lengths,
-      graph != nullptr ? *graph : net::topology::make(n, config.topology));
+      *graph);
 }
 
 }  // namespace
@@ -252,12 +247,14 @@ const char* invalid_reason(const sim_config& c) {
 namespace detail {
 
 core_result run_core(const sim_config& config,
-                     std::vector<adversary_event>* event_log) {
+                     std::vector<adversary_event>* event_log,
+                     const net::topology* graph) {
   if (const char* why = invalid_reason(config))
     ::anonpath::detail::contract_fail("precondition", why, __FILE__,
                                       __LINE__);
 
   const auto n = config.sys.node_count;
+  core_result result;
   // A restricted topology switches routing to the walk model; `complete`
   // must stay byte-for-byte the historical clique path, so it never even
   // builds a graph object — unless routing is planned, in which case the
@@ -265,9 +262,15 @@ core_result run_core(const sim_config& config,
   // also asserts every planned hop follows an edge).
   const bool restricted = config.topology.kind != net::topology_kind::complete;
   const bool planned = config.routing.planned();
-  std::optional<net::topology> topo;
-  if (restricted || planned) topo.emplace(net::topology::make(n, config.topology));
-  const net::topology* graph = topo ? &*topo : nullptr;
+  if (!restricted && !planned) {
+    graph = nullptr;
+  } else if (graph == nullptr) {
+    result.owned_graph = std::make_unique<const net::topology>(
+        net::topology::make(n, config.topology));
+    graph = result.owned_graph.get();
+  }
+  ANONPATH_EXPECTS(graph == nullptr || graph->node_count() == n);
+  result.graph = graph;
   std::optional<net::route_planner> planner;
   if (planned) planner.emplace(*graph, config.routing);
 
@@ -287,7 +290,9 @@ core_result run_core(const sim_config& config,
       static_cast<double>(config.message_count) / config.arrival_rate;
   network net(n, config.latency, master.next_u64(), config.faults, graph,
               fault_horizon);
-  const crypto::key_registry keys(master.next_u64(), n);
+  // This draw once seeded the onion key registry. Its value is unused, but
+  // the draw stays so every later stream, and every output, keeps its bits.
+  (void)master.next_u64();
 
   // Build the relay fleet.
   std::vector<std::unique_ptr<message_sink>> relays;
@@ -295,15 +300,15 @@ core_result run_core(const sim_config& config,
   for (node_id i = 0; i < n; ++i) {
     if (config.mode == routing_mode::source_routed) {
       relays.push_back(std::make_unique<onion_relay>(
-          i, net, keys, config.latency.processing, compromised[i], &monitor));
+          i, net, config.latency.processing, compromised[i], &monitor));
     } else {
       relays.push_back(std::make_unique<crowds_relay>(
-          i, net, config.latency.processing, compromised[i], &monitor,
-          master.split(), graph));
+          i, net, config.latency.processing, config.forward_prob,
+          compromised[i], &monitor, master.split(), graph));
     }
     net.register_node(i, *relays.back());
   }
-  receiver_endpoint receiver(net, keys, &monitor);
+  receiver_endpoint receiver(net, &monitor);
   net.register_receiver(receiver);
 
   // Schedule the workload.
@@ -324,132 +329,131 @@ core_result run_core(const sim_config& config,
   stats::rng retry_plan_rng =
       stats::rng::stream(config.seed, kpaths_stream_tag + 1);
 
-  // Sender-side recovery state: every message id that ever hit the wire for
-  // an original (the original itself plus its retransmissions), and the
-  // attempt -> original map handed to scoring. Attempt ids continue past
-  // message_count so original ids stay dense.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> attempts_of;
-  std::map<std::uint64_t, std::uint64_t> attempt_parent;
+  // Sender-side recovery state, indexed by original id: every message id
+  // that ever hit the wire for it (the original plus its retransmissions)
+  // and the timeout its pending timer was armed with. attempt_parent[k] is
+  // the original of attempt id message_count + 1 + k: attempt ids continue
+  // past message_count so original ids stay dense.
+  const bool retrying = config.retry.enabled();
+  std::vector<std::vector<std::uint64_t>> attempts_of(
+      retrying ? config.message_count + 1 : 0);
+  std::vector<double> armed_timeout(retrying ? config.message_count + 1 : 0);
+  std::vector<std::uint64_t> attempt_parent;
   std::uint64_t next_attempt_id = config.message_count + 1;
 
   // One transmission attempt: sample a route for `id` and put it on the
   // wire. Shared by originals (drawing from the historical routing stream)
   // and retransmissions (drawing from retry_routing).
+  route r;
   const auto launch = [&](node_id sender, std::uint64_t id, stats::rng& gen,
                           stats::rng& plan_gen) {
-    wire_message msg;
-    msg.id = id;
     if (config.mode == routing_mode::source_routed) {
-      route r;
       if (planner) {
-        r = sample_planned_route(*planner, sender, plan_gen);
+        sample_planned_route_into(*planner, sender, plan_gen, r);
       } else {
         const path_length l = config.lengths.sample(gen);
-        r = graph != nullptr ? sample_topology_route(*graph, sender, l, gen)
-                             : sample_simple_route(n, sender, l, gen);
+        if (graph != nullptr) {
+          sample_topology_route_into(*graph, sender, l, gen, r);
+        } else {
+          r = sample_simple_route(n, sender, l, gen);
+        }
       }
-      msg.kind = transport_kind::onion;
-      msg.envelope = crypto::wrap_onion(r, demo_payload(id), keys, id);
-      const node_id first = r.hops.empty() ? receiver_node : r.hops.front();
-      net.send(sender, first, std::move(msg));
+      net.set_route(id, r.hops);
+      net.send(sender, r.hops.empty() ? receiver_node : r.hops.front(), id);
+    } else if (graph != nullptr) {
+      // Hop-by-hop on a graph: first jondo is a weighted neighbor.
+      net.send(sender, graph->sample_neighbor(sender, gen), id);
     } else {
-      msg.kind = transport_kind::crowds;
-      msg.payload = demo_payload(id);
-      msg.forward_prob = config.forward_prob;
-      if (graph != nullptr) {
-        // Hop-by-hop on a graph: first jondo is a weighted neighbor.
-        net.send(sender, graph->sample_neighbor(sender, gen), std::move(msg));
-      } else {
-        // Hop-by-hop: always at least one jondo, chosen uniformly.
-        auto draw = static_cast<node_id>(gen.next_below(n - 1));
-        if (draw >= sender) ++draw;
-        net.send(sender, draw, std::move(msg));
-      }
+      // Hop-by-hop: always at least one jondo, chosen uniformly.
+      auto draw = static_cast<node_id>(gen.next_below(n - 1));
+      if (draw >= sender) ++draw;
+      net.send(sender, draw, id);
     }
   };
 
-  // Timeout timer for one original: when it fires and no attempt has been
+  // Timeout timer of one original: when it fires and no attempt has been
   // delivered, inject a retransmission over a fresh route and re-arm with
   // the backed-off timeout. The retransmission is a full first-class
   // message on the wire — the adversary observes it like any other, which
   // is exactly the anonymity cost this layer exists to measure.
-  std::function<void(node_id, std::uint64_t, std::uint32_t, double)> arm_timer =
-      [&](node_id sender, std::uint64_t original, std::uint32_t retries_done,
-          double timeout) {
-        net.queue().schedule_in(timeout, [&, sender, original, retries_done,
-                                          timeout]() {
-          for (const std::uint64_t id : attempts_of.at(original)) {
-            const auto it = net.traces().find(id);
-            if (it != net.traces().end() && it->second.delivered)
-              return;  // recovered — stand down
-          }
-          if (retries_done >= config.retry.max_retries) return;  // budget spent
-          const std::uint64_t id = next_attempt_id++;
-          attempt_parent.emplace(id, original);
-          attempts_of.at(original).push_back(id);
-          net.originate(sender, net.queue().now(), id);
-          if (compromised[sender]) monitor.note_origin(id, sender);
-          launch(sender, id, retry_routing, retry_plan_rng);
-          arm_timer(sender, original, retries_done + 1,
-                    std::min(timeout * config.retry.backoff,
-                             config.retry.max_timeout));
-        });
-      };
+  const auto arm_timer = [&](node_id sender, std::uint64_t original,
+                             std::uint32_t retries_done, double timeout) {
+    armed_timeout[original] = timeout;
+    net.queue().schedule_in(timeout, event_kind::retry_timer, original,
+                            sender, retries_done);
+  };
+  const auto on_timer = [&](node_id sender, std::uint64_t original,
+                            std::uint32_t retries_done) {
+    for (const std::uint64_t id : attempts_of[original])
+      if (net.traces()[id].delivered) return;  // recovered — stand down
+    if (retries_done >= config.retry.max_retries) return;  // budget spent
+    const std::uint64_t id = next_attempt_id++;
+    attempt_parent.push_back(original);
+    attempts_of[original].push_back(id);
+    net.originate(sender, net.queue().now(), id);
+    if (compromised[sender]) monitor.note_origin(id, sender);
+    launch(sender, id, retry_routing, retry_plan_rng);
+    arm_timer(sender, original, retries_done + 1,
+              std::min(armed_timeout[original] * config.retry.backoff,
+                       config.retry.max_timeout));
+  };
 
-  const auto arrivals =
-      poisson_workload(n, config.arrival_rate, config.message_count, traffic);
-  for (const arrival& a : arrivals) {
-    net.queue().schedule_at(a.at, [&, a]() {
-      net.originate(a.sender, a.at, a.msg_id);
-      if (compromised[a.sender]) monitor.note_origin(a.msg_id, a.sender);
-      launch(a.sender, a.msg_id, routing, plan_rng);
-      if (config.retry.enabled()) {
-        attempts_of.emplace(a.msg_id, std::vector<std::uint64_t>{a.msg_id});
-        arm_timer(a.sender, a.msg_id, 0, config.retry.timeout);
-      }
-    });
-  }
+  for (const arrival& a :
+       poisson_workload(n, config.arrival_rate, config.message_count, traffic))
+    net.queue().schedule_at(a.at, event_kind::workload_arrival, a.msg_id,
+                            a.sender);
 
-  const bool drained = net.queue().run_until_empty();
+  const bool drained = net.run([&](const sim_event& e) {
+    if (e.kind == event_kind::retry_timer) {
+      on_timer(e.a, e.msg, e.b);
+      return;
+    }
+    net.originate(e.a, e.at, e.msg);
+    if (compromised[e.a]) monitor.note_origin(e.msg, e.a);
+    launch(e.a, e.msg, routing, plan_rng);
+    if (retrying) {
+      attempts_of[e.msg].push_back(e.msg);
+      arm_timer(e.a, e.msg, 0, config.retry.timeout);
+    }
+  });
   ANONPATH_ENSURES(drained);
 
-  core_result result;
   result.events_executed = net.queue().executed();
   result.wire_dropped = net.dropped_count();
   result.wire_stranded = net.stranded_count();
   result.wire_crashed = net.crashed_count();
   result.model = std::move(model);
-  // Safe to move out from under `net`'s pointer: the queue has drained, so
-  // the fabric sends nothing further.
-  result.topology = std::move(topo);
   // Fold attempts into per-original outcomes: delivered if any attempt was,
   // timed from the original submission to the *earliest* delivering attempt
   // (end-to-end latency includes the waits the retry policy imposed), hops
-  // from that attempt. Originals come first in the id-ordered walk, so the
-  // fold always finds its base outcome.
-  for (const auto& [id, trace] : net.traces()) {
-    const auto pit = attempt_parent.find(id);
-    if (pit == attempt_parent.end()) {
-      result.outcomes.emplace(
-          id,
-          message_outcome{trace.origin, trace.sent_at, trace.delivered_at,
-                          trace.delivered,
-                          static_cast<std::uint32_t>(trace.visited.size())});
-    } else if (trace.delivered) {
-      message_outcome& out = result.outcomes.at(pit->second);
-      if (!out.delivered || trace.delivered_at < out.delivered_at) {
-        out.delivered = true;
-        out.delivered_at = trace.delivered_at;
-        out.hops = static_cast<std::uint32_t>(trace.visited.size());
-      }
+  // from that attempt. Originals come first in id order, so the fold always
+  // finds its base outcome.
+  const std::vector<message_trace>& traces = net.traces();
+  result.truths.reserve(config.message_count);
+  for (std::uint64_t id = 1; id <= config.message_count; ++id) {
+    const message_trace& t = traces[id];
+    result.truths.push_back(message_truth{
+        id, message_outcome{t.origin, t.sent_at, t.delivered_at, t.delivered,
+                            static_cast<std::uint32_t>(t.visited.size())}});
+  }
+  for (std::uint64_t k = 0; k < attempt_parent.size(); ++k) {
+    const std::uint64_t id = config.message_count + 1 + k;
+    const message_trace& t = traces[id];
+    result.attempt_parent.emplace_hint(result.attempt_parent.end(), id,
+                                       attempt_parent[k]);
+    if (!t.delivered) continue;
+    message_outcome& out = result.truths[attempt_parent[k] - 1].outcome;
+    if (!out.delivered || t.delivered_at < out.delivered_at) {
+      out.delivered = true;
+      out.delivered_at = t.delivered_at;
+      out.hops = static_cast<std::uint32_t>(t.visited.size());
     }
   }
-  result.attempt_parent = std::move(attempt_parent);
   return result;
 }
 
 sim_report score_run(const sim_config& config, const adversary_model& model,
-                     const std::map<std::uint64_t, message_outcome>& outcomes,
+                     std::span<const message_truth> truths,
                      const posterior_fn* engine, const net::topology* graph,
                      const std::map<std::uint64_t, std::uint64_t>* attempt_parent) {
   obs::span score_span(config.tracer, "sim.score");
@@ -467,7 +471,7 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       config.session.attack == attack::attack_kind::sequential_bayes;
   std::vector<double> target_mass(want_target_mass ? config.message_count : 0,
                                   0.0);
-  for (const auto& [id, outcome] : outcomes) {
+  for (const auto& [id, outcome] : truths) {
     if (!outcome.delivered) continue;
     ++report.delivered;
     report.end_to_end_latency.add(outcome.delivered_at - outcome.sent_at);
@@ -481,12 +485,13 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
     // The engine for the run's *effective* compromised set: the configured
     // list for the full coalition (and the timing correlator, which taps
     // the same nodes), the drawn set for partial coverage.
+    std::optional<net::topology> rebuilt;
     const std::unique_ptr<sender_inference> inference = make_sender_inference(
         config,
         config.adversary.kind == adversary_kind::partial_coverage
             ? model.compromised_ids()
             : config.compromised,
-        graph, engine);
+        graph, engine, rebuilt);
 
     stats::running_summary entropy_acc;
     std::uint64_t identified = 0;
@@ -515,9 +520,11 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
           original <= config.message_count)
         target_mass[original - 1] = sum.target_mass;
       if (sum.top_mass > config.identified_threshold) ++identified;
-      const auto oit = outcomes.find(original);
-      if (oit != outcomes.end() &&
-          static_cast<node_id>(sum.top) == oit->second.origin)
+      const auto tit = std::lower_bound(
+          truths.begin(), truths.end(), original,
+          [](const message_truth& t, std::uint64_t id) { return t.msg < id; });
+      if (tit != truths.end() && tit->msg == original &&
+          static_cast<node_id>(sum.top) == tit->outcome.origin)
         ++top1_hits;
       ++scored;
     };
@@ -600,11 +607,12 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
     // Reconstruct the destination plan (a pure function of config, seed and
     // origins — identical on the inline and replay paths) and batch the
     // delivered destinations into per-round observations.
-    ANONPATH_EXPECTS(outcomes.size() == config.message_count);
+    // One truth per message, ascending: entry i holds id i + 1.
+    ANONPATH_EXPECTS(truths.size() == config.message_count);
     std::vector<node_id> origins(config.message_count);
-    for (const auto& [id, outcome] : outcomes) {
-      ANONPATH_EXPECTS(id >= 1 && id <= config.message_count);
-      origins[id - 1] = outcome.origin;
+    for (std::uint64_t i = 0; i < truths.size(); ++i) {
+      ANONPATH_EXPECTS(truths[i].msg == i + 1);
+      origins[i] = truths[i].outcome.origin;
     }
     const std::vector<session_assignment> plan =
         assign_session_destinations(config.session, config.seed, origins);
@@ -624,7 +632,7 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
         rd.target_present = true;
         ++target_messages;
       }
-      if (!outcomes.at(id).delivered) continue;
+      if (!truths[id - 1].outcome.delivered) continue;
       rd.receivers.push_back(a.destination);
       // Deliveries the adversary never observed (or could not explain)
       // carry weight 0: the residual mass in the Bayes update covers them.
@@ -680,16 +688,16 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
 
 }  // namespace detail
 
-sim_report run_simulation(const sim_config& config) {
+sim_report run_simulation(const sim_config& config,
+                          const net::topology* graph) {
   obs::span run_span(config.tracer, "sim.run");
   const detail::core_result core = [&] {
     obs::span core_span(config.tracer, "sim.run_core");
-    return detail::run_core(config, nullptr);
+    return detail::run_core(config, nullptr, graph);
   }();
-  sim_report report =
-      detail::score_run(config, *core.model, core.outcomes, nullptr,
-                        core.topology ? &*core.topology : nullptr,
-                        &core.attempt_parent);
+  sim_report report = detail::score_run(config, *core.model, core.truths,
+                                        nullptr, core.graph,
+                                        &core.attempt_parent);
   report.events_executed = core.events_executed;
   report.wire_dropped = core.wire_dropped;
   report.wire_stranded = core.wire_stranded;

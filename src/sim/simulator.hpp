@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/anonymity/length_distribution.hpp"
@@ -201,8 +202,13 @@ struct sim_report {
 
 /// Builds the network, relays, receiver, adversary and workload from the
 /// config, runs to completion, and post-processes the adversary's log with
-/// the exact posterior engine. Deterministic under the seed.
-[[nodiscard]] sim_report run_simulation(const sim_config& config);
+/// the exact posterior engine. Deterministic under the seed. `graph`, when
+/// non-null, is the run's topology already built — it must equal
+/// net::topology::make(N, config.topology) — and is borrowed, read-only,
+/// for routing and scoring instead of being rebuilt; a campaign lends one
+/// to every replica of a cell. Null builds it when the run needs one.
+[[nodiscard]] sim_report run_simulation(const sim_config& config,
+                                        const net::topology* graph = nullptr);
 
 /// An offline inference engine for replay scoring: maps an assembled
 /// observation to a sender posterior over all N nodes, in place of the
@@ -226,22 +232,35 @@ struct message_outcome {
                          const message_outcome&) = default;
 };
 
+/// One message's ground truth under its id.
+struct message_truth {
+  std::uint64_t msg = 0;
+  message_outcome outcome;
+
+  friend bool operator==(const message_truth&, const message_truth&) = default;
+};
+
 namespace detail {
 
 /// The event-driven half of run_simulation: builds the network, runs the
 /// workload to completion, and returns the adversary model (post-run state)
 /// plus per-message ground truth. When `event_log` is non-null every
 /// adversary-visible event is also appended to it in arrival order — the
-/// tap sim::trace captures through. Shared plumbing for run_simulation and
-/// capture_trace; not a stable public surface.
+/// tap sim::trace captures through. `graph` is run_simulation's borrowed
+/// topology (null: build it when needed). Shared plumbing for
+/// run_simulation and capture_trace; not a stable public surface.
 struct core_result {
   std::unique_ptr<adversary_model> model;
-  std::map<std::uint64_t, message_outcome> outcomes;
-  /// The graph the run routed on; engaged for restricted topologies and
-  /// for planned (kpaths) runs — which materialize even the clique — so
-  /// scoring can reuse it instead of rebuilding (random_regular
-  /// construction runs a whole swap-chain randomization).
-  std::optional<net::topology> topology;
+  /// One entry per original message, ascending by id (ids are dense
+  /// 1..message_count, so entry i holds id i + 1).
+  std::vector<message_truth> truths;
+  /// The graph the run routed on: the borrowed one, or `owned_graph`. Set
+  /// for restricted topologies and for planned (kpaths) runs — which
+  /// materialize even the clique — so scoring reuses it instead of
+  /// rebuilding (random_regular construction runs a whole swap-chain
+  /// randomization); null on the plain clique.
+  const net::topology* graph = nullptr;
+  std::unique_ptr<const net::topology> owned_graph;
   /// Retry attempt id -> original message id, one entry per retransmission
   /// (empty when the retry policy is disabled). Attempt ids continue past
   /// message_count, so original ids keep their dense 1..message_count range
@@ -255,29 +274,30 @@ struct core_result {
   std::uint64_t wire_crashed = 0;
 };
 [[nodiscard]] core_result run_core(const sim_config& config,
-                                   std::vector<adversary_event>* event_log);
+                                   std::vector<adversary_event>* event_log,
+                                   const net::topology* graph = nullptr);
 
 /// The inference half: walks the model's observed messages, scores each
 /// with one sender_inference for the run's effective compromised set, and
 /// aggregates the sim_report. One factory picks the engine from the config
 /// (the clique posterior_engine, or topology_posterior_engine for a
 /// restricted graph or planned routes); `engine`, when non-null, replaces
-/// it. `graph`, when non-null, supplies the already-built topology of the
-/// run (it is copied, not retained); when null it is rebuilt from the
-/// config (the trace-replay path). Unexplainable observations (possible
-/// only under the timing correlator or fuzzed logs) are skipped, not
-/// scored as zero. `attempt_parent`, when non-null, maps retry attempt ids
-/// to their original message: observations of the same original are
-/// scored as one message whose posterior is the normalized product of the
-/// per-attempt posteriors (independent evidence about the same sender) —
-/// the anonymity cost of retransmission. A built-in engine with no fusion
-/// and no collect_posteriors scores each distinct observation once
-/// through a per-run memo of posterior summaries; every other case scores
-/// every observed attempt.
+/// it. `truths` is the ground truth, ascending by message id. `graph`,
+/// when non-null, supplies the already-built topology of the run (borrowed
+/// for the call); when null it is rebuilt from the config. Unexplainable
+/// observations (possible only under the timing correlator or fuzzed logs)
+/// are skipped, not scored as zero. `attempt_parent`, when non-null, maps
+/// retry attempt ids to their original message: observations of the same
+/// original are scored as one message whose posterior is the normalized
+/// product of the per-attempt posteriors (independent evidence about the
+/// same sender) — the anonymity cost of retransmission. A built-in engine
+/// with no fusion and no collect_posteriors scores each distinct
+/// observation once through a per-run memo of posterior summaries; every
+/// other case scores every observed attempt.
 [[nodiscard]] sim_report score_run(
     const sim_config& config, const adversary_model& model,
-    const std::map<std::uint64_t, message_outcome>& outcomes,
-    const posterior_fn* engine, const net::topology* graph = nullptr,
+    std::span<const message_truth> truths, const posterior_fn* engine,
+    const net::topology* graph = nullptr,
     const std::map<std::uint64_t, std::uint64_t>* attempt_parent = nullptr);
 
 }  // namespace detail

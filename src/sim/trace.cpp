@@ -377,8 +377,12 @@ sim_trace read_trace(std::istream& is) {
 
   // The attempt map rides exactly when the retry policy is on: ids are
   // strictly ascending (unique, byte-stable rewrite), live strictly above
-  // the original 1..message_count range, and point back into it.
+  // the original 1..message_count range, within the ids the retry budget
+  // can issue, and point back into it.
   if (c.retry.enabled()) {
+    const std::uint64_t last_issuable =
+        std::uint64_t{c.message_count} *
+        (std::uint64_t{c.retry.max_retries} + 1);
     in.expect("attempts");
     const std::uint32_t attempt_count = in.u32("attempt count");
     std::uint64_t last_attempt = c.message_count;
@@ -388,6 +392,8 @@ sim_trace read_trace(std::istream& is) {
       const std::uint64_t parent = in.u64("attempt parent");
       if (id <= last_attempt)
         out_of_range("attempt ids must ascend past the message count");
+      if (id > last_issuable)
+        out_of_range("attempt id beyond the retry budget");
       if (parent < 1 || parent > c.message_count)
         out_of_range("attempt parent out of range");
       last_attempt = id;
@@ -475,14 +481,12 @@ sim_trace read_trace(std::istream& is) {
   return trace;
 }
 
-sim_trace capture_trace(const sim_config& config) {
+sim_trace capture_trace(const sim_config& config, const net::topology* graph) {
   sim_trace trace;
   trace.config = config;
-  detail::core_result core = detail::run_core(config, &trace.events);
+  detail::core_result core = detail::run_core(config, &trace.events, graph);
   trace.compromised = core.model->compromised_ids();
-  trace.truths.reserve(core.outcomes.size());
-  for (const auto& [id, outcome] : core.outcomes)
-    trace.truths.push_back(message_truth{id, outcome});
+  trace.truths = std::move(core.truths);
   trace.attempts = std::move(core.attempt_parent);
   return trace;
 }
@@ -517,23 +521,17 @@ std::unique_ptr<adversary_model> rebuild_model(const sim_trace& trace) {
   return model;
 }
 
-sim_report replay_impl(const sim_trace& trace, const posterior_fn* engine) {
-  const auto model = rebuild_model(trace);
-  std::map<std::uint64_t, message_outcome> outcomes;
-  for (const message_truth& t : trace.truths) outcomes.emplace(t.msg, t.outcome);
-  return detail::score_run(trace.config, *model, outcomes, engine, nullptr,
-                           &trace.attempts);
-}
-
 }  // namespace
 
-sim_report replay_trace(const sim_trace& trace) {
-  return replay_impl(trace, nullptr);
+sim_report replay_trace(const sim_trace& trace, const net::topology* graph) {
+  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
+                           nullptr, graph, &trace.attempts);
 }
 
 sim_report replay_trace(const sim_trace& trace, const posterior_fn& engine) {
   ANONPATH_EXPECTS(static_cast<bool>(engine));
-  return replay_impl(trace, &engine);
+  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
+                           &engine, nullptr, &trace.attempts);
 }
 
 }  // namespace anonpath::sim

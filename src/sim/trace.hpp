@@ -28,13 +28,6 @@ namespace anonpath::sim {
 ///                     for the delivery/latency metrics and top-1 scoring
 ///                     (they are the evaluator's key, never shown to the
 ///                     inference engine).
-struct message_truth {
-  std::uint64_t msg = 0;
-  message_outcome outcome;
-
-  friend bool operator==(const message_truth&, const message_truth&) = default;
-};
-
 struct sim_trace {
   /// Bump on any change to the serialized layout that alters bytes a v1
   /// writer could have produced; read_trace refuses mismatched versions
@@ -61,13 +54,19 @@ struct sim_trace {
 /// Runs the discrete-event half of `run_simulation(config)` and captures
 /// the adversary's event stream plus ground truth. No inference happens
 /// here — that is replay's job.
-[[nodiscard]] sim_trace capture_trace(const sim_config& config);
+/// `graph` is run_simulation's borrowed topology (null: build it when the
+/// run needs one).
+[[nodiscard]] sim_trace capture_trace(const sim_config& config,
+                                      const net::topology* graph = nullptr);
 
 /// Re-scores a captured run with the run's built-in engine: rebuilds the
 /// adversary model from the trace, feeds it the recorded events, and runs
 /// the same aggregation as run_simulation. For any config,
 /// replay_trace(capture_trace(cfg)) == run_simulation(cfg) bit for bit.
-[[nodiscard]] sim_report replay_trace(const sim_trace& trace);
+/// `graph`, when non-null, is the run's topology, borrowed for scoring
+/// instead of rebuilt (see run_simulation).
+[[nodiscard]] sim_report replay_trace(const sim_trace& trace,
+                                      const net::topology* graph = nullptr);
 
 /// Same, but scores each observed attempt with a caller-supplied inference
 /// engine instead of the built-in one: `engine` runs once per observed

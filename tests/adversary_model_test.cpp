@@ -13,7 +13,7 @@
 
 #include "src/anonymity/multi_message.hpp"
 #include "src/anonymity/posterior.hpp"
-#include "src/crypto/correlation.hpp"
+#include "src/sim/correlation.hpp"
 #include "src/sim/campaign.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/contract.hpp"
@@ -123,7 +123,7 @@ TEST(PartialCoverage, ObservationsAreGaplessAndEngineReady) {
 }
 
 TEST(TimingCorrelation, ScoresPeakAtExpectedLatency) {
-  using crypto::timing_correlation;
+  using sim::timing_correlation;
   EXPECT_DOUBLE_EQ(timing_correlation(0.0, 0.015, 0.01, 0.02), 1.0);
   EXPECT_GT(timing_correlation(0.0, 0.012, 0.01, 0.02), 0.0);
   EXPECT_LT(timing_correlation(0.0, 0.012, 0.01, 0.02),

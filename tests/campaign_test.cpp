@@ -10,6 +10,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/stats/rng.hpp"
+
 namespace anonpath::sim {
 namespace {
 
@@ -123,6 +125,56 @@ TEST(CampaignDeterminism, ByteIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(csv_of(result), base_csv) << threads << " threads";
   }
+}
+
+TEST(CampaignDeterminism, SharedCellGraphsMatchIndependentRuns) {
+  // Replicas of a restricted or planned cell borrow one graph the cell
+  // builds once; every replica must still report what a run building its
+  // own graph reports, inline or through a trace, for any thread count.
+  campaign_grid grid;
+  grid.node_counts = {18, 30};
+  grid.compromised_counts = {2};
+  grid.lengths = {path_length_distribution::uniform(1, 5)};
+  net::topology_config ring;
+  ring.kind = net::topology_kind::ring;
+  ring.ring_k = 2;
+  net::topology_config regular;
+  regular.kind = net::topology_kind::random_regular;
+  regular.graph_seed = 4;
+  grid.topologies = {net::topology_config{}, ring, regular};
+  net::routing_config kpaths;
+  kpaths.kind = net::route_select::kpaths;
+  kpaths.k = 2;
+  grid.routings = {net::routing_config{}, kpaths};
+  grid.message_count = 60;
+  campaign_config cfg;
+  cfg.replicas = 5;
+  cfg.master_seed = 31;
+  const std::vector<scenario> cells = expand_grid(grid);
+  std::vector<stats::running_summary> want(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    for (std::uint32_t rep = 0; rep < cfg.replicas; ++rep) {
+      const std::uint64_t seed =
+          stats::rng::stream(cfg.master_seed, c * cfg.replicas + rep)
+              .next_u64();
+      want[c].add(run_simulation(scenario_config(cells[c], grid, seed))
+                      .empirical_entropy_bits);
+    }
+  for (const bool via_trace : {false, true})
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.via_trace = via_trace;
+      cfg.threads = threads;
+      const campaign_result r = run_campaign(grid, cfg);
+      ASSERT_EQ(r.cells.size(), cells.size());
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        EXPECT_TRUE(r.cells[c].error.empty()) << r.cells[c].error;
+        EXPECT_EQ(r.cells[c].entropy_bits.mean(), want[c].mean())
+            << "cell " << c << " threads " << threads << " trace "
+            << via_trace;
+        EXPECT_EQ(r.cells[c].entropy_bits.std_error(), want[c].std_error())
+            << "cell " << c;
+      }
+    }
 }
 
 TEST(CampaignDeterminism, MasterSeedSelectsTheSample) {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/jsonl.hpp"
@@ -1248,6 +1251,11 @@ TEST_F(CliParse, CampaignIsThreadInvariantAndTelemetryIsAWriteOnlyTap) {
         "\"name\":\"sim.events_executed\"",
         "\"name\":\"campaign.run_us\",\"total\":384"})
     EXPECT_NE(snapshot.find(key), std::string::npos) << key;
+  // run_campaign is one root span of the snapshot.
+  EXPECT_NE(snapshot.find("\"kind\":\"span\",\"id\":1,\"parent\":0,"
+                          "\"name\":\"sim.campaign\""),
+            std::string::npos)
+      << snapshot;
 
   // simulate roots a deterministic span tree under the same header.
   const std::string sim_metrics = dir + "sim-metrics.jsonl";
@@ -1359,6 +1367,72 @@ TEST_F(CliParse, AttackMetricsSpanTheCrossChecks) {
                             "\""),
               std::string::npos)
         << name << " is not a root span in\n" << snapshot;
+}
+
+TEST_F(CliParse, FaultAxesSweepAndKilledCampaignResumes) {
+  // The retry axis sweeps thread-count invariantly (its timers and drops
+  // run on the event core), and a campaign killed mid-grid with SIGKILL —
+  // no flush, no cleanup — resumes from its journal to the clean run's
+  // bytes. If the run finishes before the kill lands, resuming a complete
+  // journal still reproduces the bytes doing zero work.
+  const std::string dir = ::testing::TempDir() + "anonpath_fault_axes." +
+                          std::to_string(::getpid()) + ".";
+  const std::string retry =
+      "campaign --n 24 --c 2 --dist U:1,5 --drop 0.2 --retry 0,2:0.3,4:0.3 "
+      "--messages 200 --replicas 4 --seed 7";
+  int rc_eight = -1, rc_one = -1;
+  const std::string eight = cli_stdout(retry + " --threads 8", &rc_eight);
+  const std::string one = cli_stdout(retry + " --threads 1", &rc_one);
+  ASSERT_EQ(rc_eight, 0);
+  ASSERT_EQ(rc_one, 0);
+  EXPECT_EQ(std::count(eight.begin(), eight.end(), '\n'), 4);
+  EXPECT_EQ(eight, one);
+
+  const std::string grid =
+      "campaign --n 30,60 --c 2,4 --dist U:1,6 --drop 0.15 --retry 0,3:0.3 "
+      "--messages 400 --replicas 6 --seed 7 --threads 2";
+  int rc_clean = -1;
+  const std::string clean =
+      cli_stdout(grid + " --checkpoint '" + dir + "clean.ckpt'", &rc_clean);
+  ASSERT_EQ(rc_clean, 0);
+
+  const std::string kill_ckpt = dir + "kill.ckpt";
+  const std::string killed = "exec '" + cli_binary() + "' " + grid +
+                             " --checkpoint '" + kill_ckpt + "' > '" + dir +
+                             "killed.csv' 2>/dev/null";
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::execl("/bin/sh", "sh", "-c", killed.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const std::string journal = slurp(kill_ckpt);
+    if (std::count(journal.begin(), journal.end(), '\n') >= 5) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  int rc_resumed = -1;
+  const std::string resumed = cli_stdout(
+      grid + " --checkpoint '" + kill_ckpt + "' --resume", &rc_resumed);
+  ASSERT_EQ(rc_resumed, 0);
+  EXPECT_EQ(resumed, clean);
+
+  // A foreign journal is refused loudly, not silently recomputed.
+  EXPECT_NE(run_cli(grid + " --replicas 3 --checkpoint '" + kill_ckpt +
+                    "' --resume")
+                .exit_code,
+            0)
+      << "expected scope-mismatch failure";
+  // Out-of-range fault parameters fail loudly at config time.
+  for (const char* bad : {"simulate --n 20 --drop 1.5 --messages 50",
+                          "simulate --n 20 --retry 2:0 --messages 50",
+                          "simulate --n 20 --crash 50:0:1 --messages 50"})
+    EXPECT_NE(run_cli(bad).exit_code, 0) << bad;
+  for (const char* file : {"clean.ckpt", "kill.ckpt", "killed.csv"})
+    std::remove((dir + file).c_str());
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(FaultPlan, MixFailureEpisodesAreSeededAndLossy) {
 
 TEST(FaultPlan, NetworkCountsCrashStrandsSeparately) {
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, std::uint64_t) override {}
   };
   sink s;
   sim::fault_plan plan;
@@ -180,8 +180,8 @@ TEST(FaultPlan, NetworkCountsCrashStrandsSeparately) {
   sim::network net(4, {0.001, 0.0, 0.0}, 5, plan);
   for (node_id i = 0; i < 4; ++i) net.register_node(i, s);
   net.register_receiver(s);
-  net.send(0, 1, sim::wire_message{});  // down: stranded, counted
-  net.send(0, 2, sim::wire_message{});  // up: queued
+  net.send(0, 1, 1);  // down: stranded, counted
+  net.send(0, 2, 1);  // up: queued
   EXPECT_EQ(net.crashed_count(), 1u);
   EXPECT_EQ(net.dropped_count(), 0u);
 }

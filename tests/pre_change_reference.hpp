@@ -8,16 +8,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <queue>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/anonymity/entropy.hpp"
+#include "src/anonymity/observation.hpp"
+#include "src/anonymity/path_sampler.hpp"
+#include "src/net/topology_mc.hpp"
+#include "src/net/topology_posterior.hpp"
 #include "src/stats/bitmap.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/kahan.hpp"
 #include "src/stats/rng.hpp"
+#include "src/stats/thread_pool.hpp"
 #include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 
@@ -151,6 +160,135 @@ inline workload::cooccurrence_result map_cooccurrence(
     out.per_pair[p].target_receiver_counts.assign(receivers[p].begin(),
                                                   receivers[p].end());
   return out;
+}
+
+/// Reference for sim::event_queue: the closure queue it replaced, a
+/// std::priority_queue of std::function actions ordered by (at, seq).
+class closure_queue {
+ public:
+  void schedule_at(double at, std::function<void()> action) {
+    ANONPATH_EXPECTS(at >= now_);
+    heap_.push(entry{at, seq_++, std::move(action)});
+  }
+  void schedule_in(double delay, std::function<void()> action) {
+    ANONPATH_EXPECTS(delay >= 0.0);
+    schedule_at(now_ + delay, std::move(action));
+  }
+  bool run_next() {
+    if (heap_.empty()) return false;
+    entry e = heap_.top();
+    heap_.pop();
+    now_ = e.at;
+    ++executed_;
+    e.action();
+    return true;
+  }
+  bool run_until_empty(std::uint64_t max_events = 100'000'000) {
+    std::uint64_t fired = 0;
+    while (run_next()) {
+      if (++fired >= max_events && !heap_.empty()) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] double now() const noexcept { return now_; }
+  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
+
+ private:
+  struct entry {
+    double at;
+    std::uint64_t seq;
+    std::function<void()> action;
+  };
+  struct later {
+    bool operator()(const entry& a, const entry& b) const noexcept {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<entry, std::vector<entry>, later> heap_;
+  double now_ = 0.0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+/// Reference for net::estimate_topology_degree: every shard samples and
+/// scores its own walks, memoizing the entropy per observation key within
+/// the shard only, so a class seen by k shards pays the DP k times.
+inline net::topology_mc_estimate walk_mc_per_shard(
+    system_params sys, const std::vector<node_id>& compromised,
+    const path_length_distribution& lengths, const net::topology_config& cfg,
+    std::uint64_t samples, std::uint64_t seed, unsigned threads = 1,
+    std::uint64_t shards = 0) {
+  ANONPATH_EXPECTS(samples >= 1);
+  if (shards == 0) shards = 64;
+  if (shards > samples) shards = samples;
+
+  const net::topology topo = net::topology::make(sys.node_count, cfg);
+  const net::topology_posterior_engine engine(sys, compromised, lengths, topo);
+
+  struct shard_acc {
+    stats::kahan_sum sum;
+    stats::kahan_sum sum_sq;
+    std::uint64_t count = 0;
+  };
+  std::vector<shard_acc> accs(shards);
+
+  std::vector<bool> compromised_flag(sys.node_count, false);
+  for (node_id c : compromised) compromised_flag[c] = true;
+
+  stats::parallel_for(threads, shards, [&](std::uint64_t shard, unsigned) {
+    stats::rng gen = stats::rng::stream(seed, shard);
+    const std::uint64_t begin = shard * samples / shards;
+    const std::uint64_t end = (shard + 1) * samples / shards;
+    shard_acc& acc = accs[shard];
+    observation obs;
+    std::vector<double> post;
+    route r;
+    std::string key;
+    std::unordered_map<std::string, double> entropy_memo;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      r.sender = static_cast<node_id>(gen.next_below(sys.node_count));
+      const path_length l = lengths.sample(gen);
+      sample_topology_route_into(topo, r.sender, l, gen, r);
+      observe_into(r, compromised_flag, obs);
+      obs.key_into(key);
+      const auto it = entropy_memo.find(key);
+      double h;
+      if (it != entropy_memo.end()) {
+        h = it->second;
+      } else {
+        const bool ok = engine.try_sender_posterior(obs, post);
+        ANONPATH_ENSURES(ok);
+        h = entropy_bits(post);
+        entropy_memo.emplace(key, h);
+      }
+      acc.sum.add(h);
+      acc.sum_sq.add(h * h);
+      ++acc.count;
+    }
+  });
+
+  stats::kahan_sum sum;
+  stats::kahan_sum sum_sq;
+  std::uint64_t count = 0;
+  for (const shard_acc& acc : accs) {
+    sum.add(acc.sum.value());
+    sum_sq.add(acc.sum_sq.value());
+    count += acc.count;
+  }
+
+  net::topology_mc_estimate est;
+  est.samples = count;
+  est.shards = shards;
+  est.degree = sum.value() / static_cast<double>(count);
+  if (count > 1) {
+    const double var =
+        (sum_sq.value() - sum.value() * est.degree) /
+        static_cast<double>(count - 1);
+    est.std_error = std::sqrt((var > 0.0 ? var : 0.0) /
+                              static_cast<double>(count));
+  }
+  return est;
 }
 
 }  // namespace anonpath::pre_change

@@ -11,6 +11,7 @@
 
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
+#include "src/stats/error.hpp"
 
 namespace anonpath {
 namespace {
@@ -142,6 +143,32 @@ TEST(Retry, TraceRoundTripCarriesAttempts) {
   std::ostringstream second;
   sim::write_trace(parsed, second);
   EXPECT_EQ(first.str(), second.str());
+}
+
+TEST(Retry, TraceRefusesAttemptIdsPastTheRetryBudget) {
+  // A run issues attempt ids up to message_count x (max_retries + 1); the
+  // reader accepts exactly that range, so a hostile id cannot size the
+  // model's id-indexed state.
+  const sim::sim_config cfg = lossy_config(17, 0.3, 2);
+  std::ostringstream os;
+  sim::write_trace(sim::capture_trace(cfg), os);
+  const std::string text = os.str();
+  const std::size_t line = text.rfind("\nA ") + 3;
+  const std::size_t id_end = text.find(' ', line);
+  const auto with_last_id = [&](std::uint64_t id) {
+    return text.substr(0, line) + std::to_string(id) + text.substr(id_end);
+  };
+  const std::uint64_t budget =
+      std::uint64_t{cfg.message_count} * (cfg.retry.max_retries + 1);
+  std::istringstream at_budget(with_last_id(budget));
+  EXPECT_NO_THROW((void)sim::read_trace(at_budget));
+  std::istringstream past_budget(with_last_id(budget + 1));
+  try {
+    (void)sim::read_trace(past_budget);
+    ADD_FAILURE() << "attempt id past the retry budget was accepted";
+  } catch (const parse_error& e) {
+    EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+  }
 }
 
 TEST(Retry, ReplayMatchesInlineRun) {

@@ -54,24 +54,21 @@ TEST(Workload, MeanInterArrivalMatchesRate) {
 
 TEST(Network, DeliversWithLatency) {
   network net(4, {0.010, 0.0, 0.0}, 7);
-  const crypto::key_registry keys(1, 4);
   adversary_monitor monitor(std::vector<bool>(4, false));
-  receiver_endpoint recv(net, keys, &monitor);
+  receiver_endpoint recv(net, &monitor);
   net.register_receiver(recv);
 
-  onion_relay r0(0, net, keys, 0.0, false, &monitor);
+  onion_relay r0(0, net, 0.0, false, &monitor);
   net.register_node(0, r0);
-  onion_relay r1(1, net, keys, 0.0, false, &monitor);
+  onion_relay r1(1, net, 0.0, false, &monitor);
   net.register_node(1, r1);  // send() requires the sender registered too
 
   // Single-hop onion: sender 1 -> relay 0 -> R.
   const route path{1, {0}};
-  wire_message msg;
-  msg.id = 42;
-  msg.envelope = crypto::wrap_onion(path, {}, keys, 42);
   net.originate(1, 0.0, 42);
-  net.send(1, 0, std::move(msg));
-  EXPECT_TRUE(net.queue().run_until_empty());
+  net.set_route(42, path.hops);
+  net.send(1, 0, 42);
+  EXPECT_TRUE(net.run());
   EXPECT_EQ(recv.delivered_count(), 1u);
   // Two links of exactly 10ms each (no jitter, no processing).
   EXPECT_NEAR(recv.deliveries().at(42).at, 0.020, 1e-12);
@@ -83,24 +80,34 @@ TEST(Network, RejectsUnregisteredTargets) {
   // Both endpoints of a transmission must be registered — send() asserts
   // the documented precondition instead of dereferencing a null sink.
   network net(4, {}, 7);
-  const crypto::key_registry keys(1, 4);
-  onion_relay r0(0, net, keys, 0.0, false, nullptr);
+  onion_relay r0(0, net, 0.0, false, nullptr);
   net.register_node(0, r0);
-  wire_message msg;
   // Registered sender, unregistered destination.
-  EXPECT_THROW(net.send(0, 2, wire_message{}), contract_violation);
+  EXPECT_THROW(net.send(0, 2, 1), contract_violation);
   // Unregistered sender.
-  EXPECT_THROW(net.send(3, 0, wire_message{}), contract_violation);
+  EXPECT_THROW(net.send(3, 0, 1), contract_violation);
   // Registered sender, unregistered receiver endpoint.
-  EXPECT_THROW(net.send(0, receiver_node, std::move(msg)), contract_violation);
+  EXPECT_THROW(net.send(0, receiver_node, 1), contract_violation);
 }
 
 TEST(Network, RejectsDuplicateRegistration) {
   network net(4, {}, 7);
-  const crypto::key_registry keys(1, 4);
-  onion_relay r0(0, net, keys, 0.0, false, nullptr);
+  onion_relay r0(0, net, 0.0, false, nullptr);
   net.register_node(0, r0);
   EXPECT_THROW(net.register_node(0, r0), contract_violation);
+}
+
+TEST(Network, RouteCursorRevealsOnlyEachSuccessor) {
+  // A relay learns the hop after itself and nothing more; a node that is
+  // not the route's next hop cannot read it, and a route cannot be read
+  // past its end.
+  network net(6, {}, 7);
+  net.set_route(5, {3, 1});
+  EXPECT_THROW((void)net.next_hop(5, 1), contract_violation);  // not yet
+  EXPECT_EQ(net.next_hop(5, 3), 1u);
+  EXPECT_EQ(net.next_hop(5, 1), receiver_node);
+  EXPECT_THROW((void)net.next_hop(5, 1), contract_violation);  // past end
+  EXPECT_THROW((void)net.next_hop(9, 3), contract_violation);  // no route
 }
 
 TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
@@ -145,24 +152,21 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   // Route 2 -> 0 -> 1 -> 3 -> R with node 1 compromised.
   const std::vector<bool> comp{false, true, false, false};
   network net(4, {0.001, 0.0, 0.0}, 9);
-  const crypto::key_registry keys(5, 4);
   adversary_monitor monitor(comp);
-  receiver_endpoint recv(net, keys, &monitor);
+  receiver_endpoint recv(net, &monitor);
   net.register_receiver(recv);
   std::vector<std::unique_ptr<onion_relay>> relays;
   for (node_id i = 0; i < 4; ++i) {
     relays.push_back(
-        std::make_unique<onion_relay>(i, net, keys, 0.0, comp[i], &monitor));
+        std::make_unique<onion_relay>(i, net, 0.0, comp[i], &monitor));
     net.register_node(i, *relays[i]);
   }
 
   const route path{2, {0, 1, 3}};
-  wire_message msg;
-  msg.id = 77;
-  msg.envelope = crypto::wrap_onion(path, {}, keys, 77);
   net.originate(2, 0.0, 77);
-  net.send(2, 0, std::move(msg));
-  EXPECT_TRUE(net.queue().run_until_empty());
+  net.set_route(77, path.hops);
+  net.send(2, 0, 77);
+  EXPECT_TRUE(net.run());
 
   EXPECT_EQ(recv.delivered_count(), 1u);
   const auto obs = monitor.assemble(77);

@@ -77,18 +77,18 @@ TEST(TopologyProperty, FabricAssertsEdgesAndRegistration) {
   const net::topology topo = net::topology::ring(6, 1);
   sim::network net(6, {}, 3, {}, &topo);
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, std::uint64_t) override {}
   };
   sink s;
   for (node_id i = 0; i < 6; ++i) net.register_node(i, s);
   net.register_receiver(s);
-  EXPECT_THROW(net.send(0, 3, sim::wire_message{}), contract_violation);
-  net.send(0, 1, sim::wire_message{});   // a real edge is fine
-  net.send(0, 5, sim::wire_message{});   // wrap-around edge too
-  net.send(2, receiver_node, sim::wire_message{});  // R always reachable
+  EXPECT_THROW(net.send(0, 3, 1), contract_violation);
+  net.send(0, 1, 1);   // a real edge is fine
+  net.send(0, 5, 1);   // wrap-around edge too
+  net.send(2, receiver_node, 1);  // R always reachable
 
   sim::network bare(4, {}, 3);
-  EXPECT_THROW(bare.send(0, 1, sim::wire_message{}), contract_violation);
+  EXPECT_THROW(bare.send(0, 1, 1), contract_violation);
 }
 
 TEST(TopologyProperty, FabricCountsStrandsSeparatelyFromDrops) {
@@ -96,7 +96,7 @@ TEST(TopologyProperty, FabricCountsStrandsSeparatelyFromDrops) {
   // the fabric's diagnostics must attribute undelivered messages to the
   // right cause.
   struct sink : sim::message_sink {
-    void on_message(node_id, sim::wire_message) override {}
+    void on_message(node_id, std::uint64_t) override {}
   };
   sink s;
   sim::network net(4, {0.001, 0.0, 0.0}, 5,
@@ -108,8 +108,8 @@ TEST(TopologyProperty, FabricCountsStrandsSeparatelyFromDrops) {
   // March simulated time forward so the renewal schedules advance; once a
   // destination is down at send time the message strands.
   for (int i = 0; i < 200; ++i) {
-    net.send(0, 1 + static_cast<node_id>(i % 3), sim::wire_message{});
-    net.queue().run_until_empty();
+    net.send(0, 1 + static_cast<node_id>(i % 3), 1);
+    net.run();
   }
   EXPECT_GT(net.stranded_count(), 0u);
   EXPECT_EQ(net.dropped_count(), 0u);  // no loss injection configured

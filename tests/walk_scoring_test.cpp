@@ -320,17 +320,22 @@ sim::posterior_fn fresh_scorer(const sim::sim_trace& trace,
   const system_params sys{n,
                           static_cast<std::uint32_t>(trace.compromised.size())};
   std::shared_ptr<const sender_inference> engine;
+  // The walk engine borrows its graph; the scorer owns it.
+  std::shared_ptr<const net::topology> graph;
   if (cfg.topology.kind == net::topology_kind::complete &&
-      !cfg.routing.planned())
+      !cfg.routing.planned()) {
     engine = std::make_shared<posterior_engine>(sys, trace.compromised,
                                                 cfg.lengths);
-  else
+  } else {
+    graph = std::make_shared<const net::topology>(
+        net::topology::make(n, cfg.topology));
     engine = std::make_shared<net::topology_posterior_engine>(
         sys, trace.compromised,
         cfg.routing.planned() ? path_length_distribution::uniform(1, n - 1)
                               : cfg.lengths,
-        net::topology::make(n, cfg.topology));
-  return [engine, &skipped](const observation& obs) {
+        *graph);
+  }
+  return [graph, engine, &skipped](const observation& obs) {
     std::vector<double> post;
     if (!engine->try_sender_posterior(obs, post)) {
       post.clear();

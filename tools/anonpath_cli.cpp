@@ -819,14 +819,21 @@ int cmd_campaign(const options& opt) {
       opt.progress);
   if (opt.progress) cfg.progress = &progress;
 
+  // The whole fan-out is one root span, timed on this thread.
+  obs::tracer tracer;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = sim::run_campaign(grid, cfg);
+  const auto result = [&] {
+    const obs::span campaign_span(
+        opt.metrics_path.empty() ? nullptr : &tracer, "sim.campaign");
+    return sim::run_campaign(grid, cfg);
+  }();
   const auto t1 = std::chrono::steady_clock::now();
   // The snapshot is written before the CSV so a sharded campaign's
   // journal + metrics pair stays consistent even if stdout later fails;
   // the write itself is checked (parse_error{io} exits nonzero).
   if (!opt.metrics_path.empty())
-    obs::write_metrics_file(opt.metrics_path, registry.snapshot(), {});
+    obs::write_metrics_file(opt.metrics_path, registry.snapshot(),
+                            tracer.spans());
   const double secs =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
