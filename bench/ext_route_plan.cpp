@@ -71,7 +71,7 @@ void BM_CsrConstruction(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto cfg = regular_config(static_cast<std::uint32_t>(state.range(1)));
   for (auto _ : state) {
-    const net::topology topo = net::topology::make_csr(n, cfg);
+    const net::topology topo = net::topology::make(n, cfg);
     benchmark::DoNotOptimize(topo.edge_count());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -84,7 +84,7 @@ BENCHMARK(BM_CsrConstruction)
 
 void BM_DijkstraFullTree(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const net::topology topo = net::topology::make_csr(
+  const net::topology topo = net::topology::make(
       n, regular_config(static_cast<std::uint32_t>(state.range(1))));
   node_id source = 0;
   for (auto _ : state) {
@@ -102,7 +102,7 @@ BENCHMARK(BM_DijkstraFullTree)
 
 void BM_YenKShortest(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
-  const net::topology topo = net::topology::make_csr(10000, regular_config(4));
+  const net::topology topo = net::topology::make(10000, regular_config(4));
   stats::rng gen(3);
   for (auto _ : state) {
     const auto s = static_cast<node_id>(gen.next_below(10000));

@@ -94,20 +94,6 @@ void BM_MonteCarloThousandSamples(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloThousandSamples);
 
-void BM_MonteCarloThousandSamplesNoDedup(benchmark::State& state) {
-  // The per-sample scoring path: isolates what observation dedup buys.
-  const auto d = path_length_distribution::uniform(1, 10);
-  mc_config cfg;
-  cfg.dedup = false;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimate_anonymity_degree(sys, {13}, d, 1000, seed++, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_MonteCarloThousandSamplesNoDedup);
-
 void BM_MonteCarloParallel(benchmark::State& state) {
   // Thread-scaling sweep at a fixed shard count: estimates are bit-identical
   // across the thread axis by construction (see mc_config), so this measures

@@ -36,10 +36,11 @@
 /// walk segments), and net::estimate_topology_degree is the walk-model
 /// Monte-Carlo H* estimator. The conformance suite pins oracle and engine
 /// to each other, and the clique instance to cyclic_brute_force_analyzer.
-/// For large graphs, net::topology::make_csr builds the same graph in flat
-/// compressed-sparse-row arrays (adjacency views are element-identical
-/// across storage modes; million-node construction is sub-second), and
-/// src/net/route_plan.hpp adds planning on top of the views: binary-heap
+/// Every graph is stored in flat compressed-sparse-row arrays built by one
+/// counting-sort pass (million-node construction is sub-second;
+/// net::edge_count and net::max_graph_edges refuse a graph too large to
+/// build before building it), and src/net/route_plan.hpp adds planning on
+/// top of the adjacency views: binary-heap
 /// Dijkstra, Yen k-shortest loopless paths, connected components (whole
 /// and masked), and net::route_planner — the source-routed kpaths model
 /// (exit uniform, path ~ 1/cost among the k best), scored by

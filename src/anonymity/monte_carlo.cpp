@@ -27,25 +27,20 @@ struct obs_class {
   std::uint64_t count = 0;
 };
 
-/// Phase 1 (dedup mode): sample `count` routes from one rng stream and
-/// aggregate them into observation classes, in first-occurrence order —
-/// deterministic regardless of the hash table's internal ordering. No
-/// posterior work happens here; classes from all shards are merged globally
-/// and scored once each. `batch_size` bounds the hash index: the index is
-/// cleared every `batch_size` samples (duplicate classes across batches are
-/// folded by the global merge).
+/// Phase 1: sample `count` routes from one rng stream and aggregate them
+/// into observation classes, in first-occurrence order — deterministic
+/// regardless of the hash table's internal ordering. No posterior work
+/// happens here; classes from all shards are merged globally and scored
+/// once each.
 std::vector<obs_class> collect_shard(std::uint32_t node_count,
                                      const std::vector<bool>& compromised_flags,
                                      const path_length_distribution& lengths,
-                                     std::uint64_t count, stats::rng gen,
-                                     std::uint64_t batch_size) {
+                                     std::uint64_t count, stats::rng gen) {
   route_sampler sampler(node_count, lengths, path_model::simple);
   observation obs;
   std::string key;
   std::unordered_map<std::string, std::size_t> index;
   std::vector<obs_class> classes;
-  const std::uint64_t batch = batch_size == 0 ? count : batch_size;
-  std::uint64_t in_batch = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     observe_into(sampler.next(gen), compromised_flags, obs);
     obs.key_into(key);
@@ -55,29 +50,8 @@ std::vector<obs_class> collect_shard(std::uint32_t node_count,
     } else {
       ++classes[it->second].count;
     }
-    if (++in_batch == batch) {
-      index.clear();
-      in_batch = 0;
-    }
   }
   return classes;
-}
-
-/// Non-dedup mode: score every sample individually (the seed's behavior,
-/// modulo sharded streams), one summary per shard.
-stats::running_summary score_shard(const posterior_engine& engine,
-                                   const std::vector<bool>& compromised_flags,
-                                   const path_length_distribution& lengths,
-                                   std::uint64_t count, stats::rng gen) {
-  route_sampler sampler(engine.system().node_count, lengths,
-                        path_model::simple);
-  observation obs;
-  stats::running_summary summary;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    observe_into(sampler.next(gen), compromised_flags, obs);
-    summary.add(entropy_bits(engine.sender_posterior(obs)));
-  }
-  return summary;
 }
 
 }  // namespace
@@ -118,63 +92,50 @@ mc_estimate estimate_anonymity_degree(const system_params& sys,
   mc_estimate out;
   out.samples = samples;
   out.shards = shards;
-  stats::running_summary acc;
 
-  if (config.dedup) {
-    // Phase 1: parallel per-shard sampling + local dedup (no posteriors).
-    std::vector<std::vector<obs_class>> shard_classes(shards);
-    pool.parallel_for(shards, [&](std::uint64_t shard, unsigned) {
-      shard_classes[shard] =
-          collect_shard(sys.node_count, flags, lengths, shard_samples(shard),
-                        stats::rng::stream(seed, shard), config.batch_size);
-    });
-
-    // Phase 2: serial global merge in shard order — the class list and all
-    // downstream arithmetic are independent of the worker schedule.
-    std::unordered_map<std::string, std::size_t> global_index;
-    std::vector<obs_class> global;
-    for (auto& classes : shard_classes) {
-      for (auto& cls : classes) {
-        const auto [it, inserted] =
-            global_index.try_emplace(cls.key, global.size());
-        if (inserted) {
-          global.push_back(std::move(cls));
-        } else {
-          global[it->second].count += cls.count;
-        }
-      }
-      classes.clear();
-      classes.shrink_to_fit();
-    }
-
-    // Phase 3: parallel scoring, one exact posterior per distinct class.
-    // Each worker owns a private engine copy: the posterior memo and layout
-    // scratch are mutable, so sharing one instance across threads would
-    // race. (Memo state affects speed only, never values.)
-    std::vector<posterior_engine> engines(pool.worker_count(), base_engine);
-    std::vector<double> entropy(global.size());
-    pool.parallel_for(global.size(), [&](std::uint64_t i, unsigned worker) {
-      entropy[i] =
-          entropy_bits(engines[worker].sender_posterior(global[i].obs));
-    });
-
-    // Phase 4: weighted reduction in class order.
-    for (std::size_t i = 0; i < global.size(); ++i) {
-      acc.add_repeated(entropy[i], global[i].count);
-    }
-    out.distinct_observations = global.size();
-  } else {
-    std::vector<posterior_engine> engines(pool.worker_count(), base_engine);
-    std::vector<stats::running_summary> summaries(shards);
-    pool.parallel_for(shards, [&](std::uint64_t shard, unsigned worker) {
-      summaries[shard] =
-          score_shard(engines[worker], flags, lengths, shard_samples(shard),
+  // Phase 1: parallel per-shard sampling + local dedup (no posteriors).
+  std::vector<std::vector<obs_class>> shard_classes(shards);
+  pool.parallel_for(shards, [&](std::uint64_t shard, unsigned) {
+    shard_classes[shard] =
+        collect_shard(sys.node_count, flags, lengths, shard_samples(shard),
                       stats::rng::stream(seed, shard));
-    });
-    for (const auto& s : summaries) acc.merge(s);
-    out.distinct_observations = samples;
+  });
+
+  // Phase 2: serial global merge in shard order — the class list and all
+  // downstream arithmetic are independent of the worker schedule.
+  std::unordered_map<std::string, std::size_t> global_index;
+  std::vector<obs_class> global;
+  for (auto& classes : shard_classes) {
+    for (auto& cls : classes) {
+      const auto [it, inserted] =
+          global_index.try_emplace(cls.key, global.size());
+      if (inserted) {
+        global.push_back(std::move(cls));
+      } else {
+        global[it->second].count += cls.count;
+      }
+    }
+    classes.clear();
+    classes.shrink_to_fit();
   }
 
+  // Phase 3: parallel scoring, one exact posterior per distinct class.
+  // Each worker owns a private engine copy: the posterior memo and layout
+  // scratch are mutable, so sharing one instance across threads would
+  // race. (Memo state affects speed only, never values.)
+  std::vector<posterior_engine> engines(pool.worker_count(), base_engine);
+  std::vector<double> entropy(global.size());
+  pool.parallel_for(global.size(), [&](std::uint64_t i, unsigned worker) {
+    entropy[i] =
+        entropy_bits(engines[worker].sender_posterior(global[i].obs));
+  });
+
+  // Phase 4: weighted reduction in class order.
+  stats::running_summary acc;
+  for (std::size_t i = 0; i < global.size(); ++i) {
+    acc.add_repeated(entropy[i], global[i].count);
+  }
+  out.distinct_observations = global.size();
   out.degree = acc.mean();
   out.std_error = acc.std_error();
   return out;

@@ -14,7 +14,7 @@ struct mc_estimate {
   double degree = 0.0;      ///< estimated H*(S), bits
   double std_error = 0.0;   ///< standard error of the estimate
   std::uint64_t samples = 0;
-  std::uint64_t distinct_observations = 0;  ///< dedup classes scored (== samples when dedup is off)
+  std::uint64_t distinct_observations = 0;  ///< observation classes scored
   std::uint64_t shards = 0;                 ///< rng streams the estimate was split over
 
   /// Half-width of the ~95% confidence interval.
@@ -23,11 +23,12 @@ struct mc_estimate {
 
 /// Tuning knobs for the batched Monte-Carlo estimation engine.
 ///
-/// Determinism contract: for fixed (seed, samples, shards, dedup,
-/// batch_size) the estimate is bit-identical for EVERY value of `threads`.
-/// Each shard owns an independent rng stream (stats::rng::stream) and a
-/// private accumulator; shard results are reduced in shard order on the
-/// calling thread, so the schedule never leaks into the arithmetic.
+/// Determinism contract: for fixed (seed, samples, shards) the estimate is
+/// bit-identical for EVERY value of `threads`. Each shard owns an
+/// independent rng stream (stats::rng::stream) and gathers its sampled
+/// observations into classes (observation::key()); the classes are merged
+/// in shard order on the calling thread and each is scored once, so the
+/// schedule never leaks into the arithmetic.
 struct mc_config {
   /// Worker threads; 0 = hardware concurrency, 1 = serial.
   unsigned threads = 1;
@@ -35,18 +36,6 @@ struct mc_config {
   /// Changing the shard count changes which routes are drawn (a different
   /// but equally valid estimate); changing `threads` never does.
   std::uint64_t shards = 0;
-  /// Canonicalize sampled observations (observation::key()) and score the
-  /// posterior once per distinct observation class instead of once per
-  /// sample. Short paths collapse onto few classes, so this is the main
-  /// single-thread throughput lever. Affects only rounding (weighted vs
-  /// sequential accumulation), not the sampled routes.
-  bool dedup = true;
-  /// Samples per dedup-index window within a shard; 0 = the whole shard in
-  /// one window. The per-shard hash index is cleared every `batch_size`
-  /// samples, bounding its size on very large runs; classes split across
-  /// windows are re-folded by the global merge, so estimates are unaffected
-  /// except for weighted-accumulation rounding.
-  std::uint64_t batch_size = 0;
 };
 
 /// Estimates H*(S) = E_e[ H(X|e) ] for an arbitrary compromised set by
@@ -65,8 +54,8 @@ struct mc_config {
     const path_length_distribution& lengths, std::uint64_t samples,
     std::uint64_t seed, const mc_config& config);
 
-/// Single-threaded convenience wrapper with the default config (dedup on,
-/// default shard count).
+/// Single-threaded convenience wrapper with the default config (default
+/// shard count).
 [[nodiscard]] mc_estimate estimate_anonymity_degree(
     const system_params& sys, const std::vector<node_id>& compromised,
     const path_length_distribution& lengths, std::uint64_t samples,

@@ -55,9 +55,9 @@ struct plan_counters {
 
 /// Binary-heap Dijkstra over the whole graph. Deterministic: equal
 /// tentative distances pop in ascending node-id order, so the tree (and
-/// every path read out of it) is a pure function of the graph. Works in
-/// either storage mode; on CSR this is the million-node workhorse.
-/// O((V + E) log V). Precondition: source < node_count.
+/// every path read out of it) is a pure function of the graph; the
+/// million-node workhorse. O((V + E) log V). Precondition:
+/// source < node_count.
 [[nodiscard]] shortest_path_tree dijkstra(const topology& topo,
                                           node_id source,
                                           plan_counters* counters = nullptr);

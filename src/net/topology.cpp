@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "src/stats/contract.hpp"
@@ -250,116 +251,99 @@ std::vector<weighted_edge> generate_edges(std::uint32_t n,
   return out;
 }
 
-topology::topology(std::uint32_t n, topology_config cfg, bool csr)
-    : n_(n), cfg_(cfg), csr_(csr), total_(n, 0.0) {
-  if (!csr_) {
-    adj_.resize(n);
-    weights_.resize(n);
-    cum_.resize(n);
-  }
-}
-
-void topology::add_edge(node_id u, node_id v, double w) {
-  adj_[u].push_back(v);
-  weights_[u].push_back(w);
-  adj_[v].push_back(u);
-  weights_[v].push_back(w);
-}
-
-void topology::finalize() {
-  min_degree_ = ~0u;
-  max_degree_ = 0;
-  std::uint64_t directed = 0;
-  for (node_id u = 0; u < n_; ++u) {
-    // Sort adjacency ascending, carrying weights along.
-    std::vector<std::size_t> order(adj_[u].size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return adj_[u][a] < adj_[u][b];
-    });
-    std::vector<node_id> nbr(adj_[u].size());
-    std::vector<double> w(adj_[u].size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      nbr[i] = adj_[u][order[i]];
-      w[i] = weights_[u][order[i]];
+std::uint64_t edge_count(std::uint32_t n, const topology_config& cfg) {
+  ANONPATH_EXPECTS(cfg.valid_for(n));
+  const std::uint64_t nodes = n;
+  switch (cfg.kind) {
+    case topology_kind::complete:
+    case topology_kind::trust_weighted:
+      return nodes * (nodes - 1) / 2;
+    case topology_kind::ring:
+      return nodes * cfg.ring_k;
+    case topology_kind::random_regular:
+      return nodes * cfg.degree / 2;
+    case topology_kind::tiered: {
+      // Tier i holds the u with i*n <= u*tiers < (i+1)*n, so it starts at
+      // ceil(i*n / tiers).
+      const auto start = [&](std::uint64_t i) {
+        return (i * nodes + cfg.tiers - 1) / cfg.tiers;
+      };
+      std::uint64_t edges = 0;
+      for (std::uint64_t i = 0; i + 1 < cfg.tiers; ++i)
+        edges += (start(i + 1) - start(i)) * (start(i + 2) - start(i + 1));
+      return edges;
     }
-    adj_[u] = std::move(nbr);
-    weights_[u] = std::move(w);
-
-    cum_[u].resize(adj_[u].size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < adj_[u].size(); ++i) {
-      ANONPATH_EXPECTS(adj_[u][i] != u);  // no self-loops
-      ANONPATH_EXPECTS(i == 0 || adj_[u][i] != adj_[u][i - 1]);  // simple
-      ANONPATH_EXPECTS(weights_[u][i] > 0.0);
-      acc += weights_[u][i];
-      cum_[u][i] = acc;
-      if (uniform_weights_ && weights_[u][i] != weights_[u][0])
-        uniform_weights_ = false;
-    }
-    total_[u] = acc;
-    const auto deg = static_cast<std::uint32_t>(adj_[u].size());
-    directed += deg;
-    min_degree_ = std::min(min_degree_, deg);
-    max_degree_ = std::max(max_degree_, deg);
   }
-  edge_count_ = directed / 2;
-  ANONPATH_ENSURES(min_degree_ >= 1);
-  ANONPATH_ENSURES(connected());
+  ANONPATH_EXPECTS(!"unknown topology kind");
+  return 0;
 }
 
-void topology::finalize_csr(const std::vector<weighted_edge>& edges) {
-  // Expand each undirected edge into its two directed arcs, sort by
-  // (source, target), and lay the result out flat. The per-node segments
-  // come out ascending by construction — the same element order
-  // finalize()'s per-node sort produces.
-  struct arc {
-    std::uint64_t key;  // source << 32 | target
-    double w;
-  };
-  std::vector<arc> arcs;
-  arcs.reserve(edges.size() * 2);
+topology::topology(std::uint32_t n, topology_config cfg,
+                   std::vector<weighted_edge> edges)
+    : n_(n), cfg_(cfg), total_(n, 0.0), off_(std::size_t{n} + 1, 0) {
   for (const weighted_edge& e : edges) {
     ANONPATH_EXPECTS(e.u < n_ && e.v < n_);
     ANONPATH_EXPECTS(e.u != e.v);  // no self-loops
     ANONPATH_EXPECTS(e.w > 0.0);
-    arcs.push_back({(static_cast<std::uint64_t>(e.u) << 32) | e.v, e.w});
-    arcs.push_back({(static_cast<std::uint64_t>(e.v) << 32) | e.u, e.w});
+    ++off_[e.u + 1];
+    ++off_[e.v + 1];
   }
-  std::sort(arcs.begin(), arcs.end(),
-            [](const arc& a, const arc& b) { return a.key < b.key; });
+  for (std::size_t u = 0; u < n_; ++u) off_[u + 1] += off_[u];
+  edge_count_ = edges.size();
 
-  csr_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  csr_nbr_.resize(arcs.size());
-  csr_w_.resize(arcs.size());
-  csr_cum_.resize(arcs.size());
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    ANONPATH_EXPECTS(i == 0 || arcs[i].key != arcs[i - 1].key);  // simple
-    csr_off_[static_cast<std::size_t>(arcs[i].key >> 32) + 1] += 1;
-    csr_nbr_[i] = static_cast<node_id>(arcs[i].key & 0xFFFFFFFFull);
-    csr_w_[i] = arcs[i].w;
+  // Scatter both arcs of every edge into their sources' segments, in
+  // edge-list order. Shifted down one slot, off_[u + 1] holds u's start and
+  // serves as u's fill cursor; once filled it holds u's end, which is
+  // u + 1's start, so the offsets come out right with no cursor array.
+  nbr_.resize(off_[n_]);
+  w_.resize(off_[n_]);
+  for (std::size_t u = n_; u > 0; --u) off_[u] = off_[u - 1];
+  for (const weighted_edge& e : edges) {
+    const std::uint64_t a = off_[e.u + 1]++;
+    nbr_[a] = e.v;
+    w_[a] = e.w;
+    const std::uint64_t b = off_[e.v + 1]++;
+    nbr_[b] = e.u;
+    w_[b] = e.w;
   }
-  for (std::size_t u = 0; u < n_; ++u) csr_off_[u + 1] += csr_off_[u];
+  std::vector<weighted_edge>().swap(edges);  // free before cum_ exists
 
+  // The generators emit most segments ascending already; the rest (the
+  // wrap-around nodes of a ring, every node of a random regular graph)
+  // are sorted by neighbour id, carrying weights along. Ids are distinct
+  // in a simple graph, so the order is unique.
+  std::vector<std::pair<node_id, double>> scratch;
+  cum_.resize(nbr_.size());
   min_degree_ = ~0u;
   max_degree_ = 0;
   for (node_id u = 0; u < n_; ++u) {
+    const std::uint64_t b = off_[u];
+    const std::uint64_t e = off_[u + 1];
+    node_id* ids = nbr_.data() + b;
+    double* w = w_.data() + b;
+    const auto deg = static_cast<std::uint32_t>(e - b);
+    if (!std::is_sorted(ids, ids + deg)) {
+      scratch.clear();
+      for (std::uint32_t i = 0; i < deg; ++i)
+        scratch.emplace_back(ids[i], w[i]);
+      std::sort(scratch.begin(), scratch.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (std::uint32_t i = 0; i < deg; ++i)
+        std::tie(ids[i], w[i]) = scratch[i];
+    }
     double acc = 0.0;
-    for (std::uint64_t i = csr_off_[u]; i < csr_off_[u + 1]; ++i) {
-      acc += csr_w_[i];
-      csr_cum_[i] = acc;
-      // Per-node uniformity, exactly as finalize() detects it: uniform
-      // weights within each node's list are what let the sampler take the
-      // single next_below draw.
-      if (uniform_weights_ && csr_w_[i] != csr_w_[csr_off_[u]])
-        uniform_weights_ = false;
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      ANONPATH_EXPECTS(i == 0 || ids[i] != ids[i - 1]);  // simple
+      acc += w[i];
+      cum_[b + i] = acc;
+      // Uniform weights within every node's list are what let the sampler
+      // take the single next_below draw.
+      if (uniform_weights_ && w[i] != w[0]) uniform_weights_ = false;
     }
     total_[u] = acc;
-    const auto deg = static_cast<std::uint32_t>(csr_off_[u + 1] - csr_off_[u]);
     min_degree_ = std::min(min_degree_, deg);
     max_degree_ = std::max(max_degree_, deg);
   }
-  edge_count_ = edges.size();
   ANONPATH_ENSURES(min_degree_ >= 1);
   ANONPATH_ENSURES(connected());
 }
@@ -420,48 +404,19 @@ topology topology::trust_weighted(std::uint32_t node_count, double decay) {
 }
 
 topology topology::make(std::uint32_t node_count, const topology_config& cfg) {
-  const std::vector<weighted_edge> edges = generate_edges(node_count, cfg);
-  topology t(node_count, cfg, /*csr=*/false);
-  for (const weighted_edge& e : edges) t.add_edge(e.u, e.v, e.w);
-  t.finalize();
-  return t;
-}
-
-topology topology::make_csr(std::uint32_t node_count,
-                            const topology_config& cfg) {
-  topology t(node_count, cfg, /*csr=*/true);
-  t.finalize_csr(generate_edges(node_count, cfg));
-  return t;
+  return topology(node_count, cfg, generate_edges(node_count, cfg));
 }
 
 neighbor_view topology::adjacency(node_id u) const {
   ANONPATH_EXPECTS(u < n_);
-  if (csr_) {
-    const std::uint64_t b = csr_off_[u];
-    const std::uint64_t e = csr_off_[u + 1];
-    return {csr_nbr_.data() + b, csr_w_.data() + b, csr_cum_.data() + b,
-            static_cast<std::uint32_t>(e - b)};
-  }
-  return {adj_[u].data(), weights_[u].data(), cum_[u].data(),
-          static_cast<std::uint32_t>(adj_[u].size())};
+  const std::uint64_t b = off_[u];
+  return {nbr_.data() + b, w_.data() + b, cum_.data() + b,
+          static_cast<std::uint32_t>(off_[u + 1] - b)};
 }
 
 std::uint32_t topology::degree(node_id u) const {
   ANONPATH_EXPECTS(u < n_);
-  if (csr_) return static_cast<std::uint32_t>(csr_off_[u + 1] - csr_off_[u]);
-  return static_cast<std::uint32_t>(adj_[u].size());
-}
-
-const std::vector<node_id>& topology::neighbors(node_id u) const {
-  ANONPATH_EXPECTS(u < n_);
-  ANONPATH_EXPECTS(!csr_);  // vector-mode accessor; CSR uses adjacency()
-  return adj_[u];
-}
-
-const std::vector<double>& topology::neighbor_weights(node_id u) const {
-  ANONPATH_EXPECTS(u < n_);
-  ANONPATH_EXPECTS(!csr_);  // vector-mode accessor; CSR uses adjacency()
-  return weights_[u];
+  return static_cast<std::uint32_t>(off_[u + 1] - off_[u]);
 }
 
 bool topology::has_edge(node_id u, node_id v) const {

@@ -225,6 +225,12 @@ const char* invalid_reason(const sim_config& c) {
   const bool timing = c.adversary.kind == adversary_kind::timing_correlator;
   if (!c.topology.valid_for(n))
     return "--topology parameters out of range for --n";
+  // A restricted graph and planned routes both build the graph.
+  if ((c.topology.kind != net::topology_kind::complete ||
+       c.routing.planned()) &&
+      net::edge_count(n, c.topology) > net::max_graph_edges)
+    return "the graph --topology wires on --n nodes is too large (at most "
+           "40000000 edges)";
   if (c.topology.kind != net::topology_kind::complete && timing)
     return "--adversary timing is not supported on a restricted --topology";
   if (!c.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";

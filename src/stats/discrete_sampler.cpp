@@ -9,16 +9,16 @@
 namespace anonpath::stats {
 
 discrete_sampler::discrete_sampler(std::vector<double> weights)
-    : pmf_(std::move(weights)) {
-  ANONPATH_EXPECTS(!pmf_.empty());
+    : prob_(std::move(weights)) {
+  ANONPATH_EXPECTS(!prob_.empty());
   kahan_sum total;
-  for (double w : pmf_) {
+  for (double w : prob_) {
     ANONPATH_EXPECTS(w >= 0.0 && std::isfinite(w));
     total.add(w);
   }
   ANONPATH_EXPECTS(total.value() > 0.0);
 
-  const std::size_t n = pmf_.size();
+  const std::size_t n = prob_.size();
 
   // Vose's algorithm: split scaled probabilities into "small" (< 1) and
   // "large" (>= 1) stacks, pairing each small column with a large donor.
@@ -28,12 +28,10 @@ discrete_sampler::discrete_sampler(std::vector<double> weights)
   // alias becomes final. Columns left on a stack at the end get
   // probability 1 and alias 0, as sample() never reads their alias.
   constexpr std::uint32_t none = ~std::uint32_t{0};
-  prob_.resize(n);
   alias_.resize(n);
   std::uint32_t small = none, large = none;  // stack tops
   for (std::size_t i = 0; i < n; ++i) {
-    pmf_[i] /= total.value();
-    prob_[i] = pmf_[i] * static_cast<double>(n);
+    prob_[i] = (prob_[i] / total.value()) * static_cast<double>(n);
     std::uint32_t& top = prob_[i] < 1.0 ? small : large;
     alias_[i] = top;
     top = static_cast<std::uint32_t>(i);
@@ -64,11 +62,6 @@ discrete_sampler::discrete_sampler(std::vector<double> weights)
 std::size_t discrete_sampler::sample(rng& gen) const {
   const std::size_t col = static_cast<std::size_t>(gen.next_below(prob_.size()));
   return gen.next_double() < prob_[col] ? col : alias_[col];
-}
-
-double discrete_sampler::probability(std::size_t i) const {
-  ANONPATH_EXPECTS(i < pmf_.size());
-  return pmf_[i];
 }
 
 }  // namespace anonpath::stats

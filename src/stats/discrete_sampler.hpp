@@ -24,13 +24,9 @@ class discrete_sampler {
   /// Draws one index with probability proportional to its weight.
   [[nodiscard]] std::size_t sample(rng& gen) const;
 
-  /// Normalized probability of category i (for tests / introspection).
-  [[nodiscard]] double probability(std::size_t i) const;
-
  private:
   std::vector<double> prob_;         // acceptance probability per column
   std::vector<std::uint32_t> alias_; // alias target per column
-  std::vector<double> pmf_;          // normalized input, kept for inspection
 };
 
 }  // namespace anonpath::stats

@@ -292,8 +292,8 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "simulate --n 4294967295",
       "capture --n 4294967295 --out /dev/null",
       "campaign --n 30,4294967295 --c 1 --messages 10 --replicas 1",
-      "plan --n 4294967295 --csr --topology regular:2",
-      "plan --n 100000000 --csr --topology regular:2",
+      "plan --n 4294967295 --topology regular:2",
+      "plan --n 100000000 --topology regular:2",
       // Population-sized state and workload length have caps of their own.
       "campaign --n 20 --population 4000000000 --rounds 10 --attack sda",
       "simulate --n 20 --population 10000001 --rounds 10 --attack sda",
@@ -322,6 +322,13 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "campaign --n 24 --c 2 --messages 50 --retry 0,100000 --replicas 1",
       "merge --n 24 --c 2 --messages 50 --churn 1e9:1e-9 --replicas 1 "
       "--input /nonexistent.ckpt",
+      // And a graph's edge count (net::max_graph_edges): each of these
+      // would ask for about 80 GB of edges.
+      "plan --n 100000 --topology complete",
+      "simulate --n 100000 --topology trust:0.5 --messages 10",
+      "simulate --n 100000 --routing kpaths:2 --messages 10",
+      "estimate --n 100000 --topology trust:0.5 --samples 10",
+      "campaign --n 100000 --topology tiered:2 --messages 10 --replicas 1",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)
@@ -426,8 +433,7 @@ TEST_F(CliParse, RoutingFlagValidation) {
         "simulate --n 20 --c 2 --adversary timing --routing kpaths",
         // estimate/replay are clique-analytic surfaces: no planned routes.
         "estimate --n 50 --c 2 --routing kpaths",
-        // The walk-model engine behind a restricted --topology has no
-        // dedup setting to turn off.
+        // There is no dedup setting to turn off, on any engine.
         "estimate --n 50 --c 2 --topology ring:2 --no-dedup"}) {
     const run_result r = run_cli(args);
     EXPECT_NE(r.exit_code, 0) << "accepted: anonpath " << args;
@@ -1032,7 +1038,7 @@ TEST_F(CliParse, PositiveControls) {
   EXPECT_EQ(run_cli("estimate --n 50 --c 2 --samples 20000").exit_code, 0);
   EXPECT_EQ(
       run_cli("simulate --n 12 --c 2 --messages 20 --seed 3").exit_code, 0);
-  EXPECT_EQ(run_cli("plan --n 200 --topology regular:4 --csr --routes 10 "
+  EXPECT_EQ(run_cli("plan --n 200 --topology regular:4 --routes 10 "
                     "--routing kpaths:2")
                 .exit_code,
             0);
@@ -1069,7 +1075,7 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
       {"degree", {"--n", "--dist", "--breakdown"}},
       {"estimate",
        {"--n", "--c", "--dist", "--topology", "--samples", "--seed",
-        "--threads", "--shards", "--no-dedup"}},
+        "--threads", "--shards"}},
       {"optimize", {"--n", "--mean"}},
       {"figures", {"--n"}},
       {"replay", {"--in"}},
@@ -1083,7 +1089,7 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
         "--round-size", "--send-rate", "--sender-law", "--receiver-law",
         "--metrics", "--progress"}},
       {"plan",
-       {"--n", "--topology", "--routing", "--seed", "--csr", "--components",
+       {"--n", "--topology", "--routing", "--seed", "--components",
         "--source", "--routes", "--metrics", "--progress"}},
   };
   const std::string tmp = ::testing::TempDir() + "anonpath_matrix." +
@@ -1103,9 +1109,9 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
       {"--metrics", "'" + tmp + "metrics.jsonl'"}, {"--progress", ""},
       {"--out", "/dev/null"}, {"--in", "'" + tmp + "in.trace'"},
       {"--breakdown", ""}, {"--samples", "100"}, {"--shards", "2"},
-      {"--no-dedup", ""}, {"--mean", "3"}, {"--every", "5"},
+      {"--mean", "3"}, {"--every", "5"},
       {"--users", "200"}, {"--pairs", "1"}, {"--round-size", "8"},
-      {"--send-rate", "0.5"}, {"--sender-law", "uniform"}, {"--csr", ""},
+      {"--send-rate", "0.5"}, {"--sender-law", "uniform"},
       {"--components", ""}, {"--source", "0"}, {"--routes", "5"},
   };
   // Keeps the in-row runs small.
@@ -1177,6 +1183,38 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
   }
   for (const char* file : {"ckpt", "metrics.jsonl"})
     std::remove((tmp + file).c_str());
+
+  // The storage-layout and scoring-path switches are gone: one graph
+  // storage, one Monte-Carlo scorer.
+  for (const char* args : {"plan --n 200 --csr", "estimate --no-dedup"}) {
+    const run_result r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
+    EXPECT_NE(r.stderr_text.find("unknown flag"), std::string::npos)
+        << "anonpath " << args << "\n" << r.stderr_text;
+  }
+}
+
+TEST_F(CliParse, MillionNodePlanBuildsAndRoutes) {
+  // The scale target: build a 1e6-node graph, prove it one component, run
+  // a full Dijkstra tree and extract 100 routes.
+  int rc = -1;
+  const std::string scale = cli_stdout(
+      "plan --n 1000000 --topology regular:2 --components --routes 100", &rc);
+  ASSERT_EQ(rc, 0);
+  EXPECT_NE(scale.find("N=1000000, 1000000 edges, csr storage"),
+            std::string::npos)
+      << scale;
+  EXPECT_NE(scale.find("components: 1,"), std::string::npos) << scale;
+  EXPECT_NE(scale.find("dijkstra from 0: 1000000 reachable"),
+            std::string::npos)
+      << scale;
+  // kpaths planning at 1e5 nodes, degree 4 (Yen pays ~40 masked Dijkstras
+  // per route here, so the route count stays low).
+  const std::string kpaths = cli_stdout(
+      "plan --n 100000 --topology regular:4 --routes 20 --routing kpaths:4",
+      &rc);
+  ASSERT_EQ(rc, 0);
+  EXPECT_NE(kpaths.find("kpaths(4) routes"), std::string::npos) << kpaths;
 }
 
 TEST_F(CliParse, ViaTraceShardsMergeToTheUnshardedCsv) {

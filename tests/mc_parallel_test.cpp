@@ -1,8 +1,8 @@
 // Determinism and correctness of the batched Monte-Carlo estimation engine:
-// thread-count invariance (the mc_config contract), dedup-vs-direct
-// agreement, the allocation-free route sampler's distribution, and a fuzz
-// pass pitting the memoized posterior fast path against the uncached
-// reference.
+// thread-count invariance (the mc_config contract), agreement with
+// per-sample scoring, the allocation-free route sampler's distribution,
+// and a fuzz pass pitting the memoized posterior fast path against the
+// uncached reference.
 
 #include "src/anonymity/monte_carlo.hpp"
 
@@ -14,6 +14,7 @@
 #include "src/anonymity/observation.hpp"
 #include "src/anonymity/posterior.hpp"
 #include "src/stats/rng.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath {
 namespace {
@@ -25,8 +26,8 @@ std::vector<bool> flags(std::uint32_t n, const std::vector<node_id>& set) {
 }
 
 TEST(McParallel, BitIdenticalAcrossThreadCounts) {
-  // The headline guarantee: for a fixed (seed, samples, shards, dedup),
-  // every thread count produces the same bits.
+  // The headline guarantee: for a fixed (seed, samples, shards), every
+  // thread count produces the same bits.
   const system_params sys{60, 4};
   const std::vector<node_id> comp{3, 17, 33, 49};
   const auto d = path_length_distribution::uniform(1, 12);
@@ -44,50 +45,19 @@ TEST(McParallel, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(McParallel, BitIdenticalAcrossThreadCountsWithoutDedup) {
-  const system_params sys{40, 2};
-  const std::vector<node_id> comp{5, 21};
-  const auto d = path_length_distribution::uniform(1, 8);
-  mc_config cfg;
-  cfg.shards = 8;
-  cfg.dedup = false;
-  cfg.threads = 1;
-  const auto base = estimate_anonymity_degree(sys, comp, d, 3000, 9, cfg);
-  for (unsigned threads : {2u, 8u}) {
-    cfg.threads = threads;
-    const auto est = estimate_anonymity_degree(sys, comp, d, 3000, 9, cfg);
-    EXPECT_EQ(base.degree, est.degree) << threads << " threads";
-    EXPECT_EQ(base.std_error, est.std_error) << threads << " threads";
-  }
-}
-
 TEST(McParallel, DedupMatchesDirectScoring) {
-  // Dedup reorders the accumulation (weighted, class order) but scores the
-  // same sampled routes; the estimates may differ only in rounding.
+  // Observation classes reorder the accumulation (weighted, class order)
+  // but score the same sampled routes as scoring every sample on its own
+  // (tests/pre_change_reference.hpp); the estimates may differ only in
+  // rounding.
   const system_params sys{50, 3};
   const std::vector<node_id> comp{2, 19, 41};
   const auto d = path_length_distribution::uniform(1, 10);
-  mc_config with, without;
-  with.dedup = true;
-  without.dedup = false;
-  const auto a = estimate_anonymity_degree(sys, comp, d, 8000, 13, with);
-  const auto b = estimate_anonymity_degree(sys, comp, d, 8000, 13, without);
+  const auto a = estimate_anonymity_degree(sys, comp, d, 8000, 13, mc_config{});
+  const auto b = pre_change::mc_per_sample(sys, comp, d, 8000, 13);
   EXPECT_NEAR(a.degree, b.degree, 1e-9);
   EXPECT_NEAR(a.std_error, b.std_error, 1e-9);
   EXPECT_LT(a.distinct_observations, b.distinct_observations);
-}
-
-TEST(McParallel, BatchSizeAffectsOnlyRounding) {
-  const system_params sys{50, 3};
-  const std::vector<node_id> comp{2, 19, 41};
-  const auto d = path_length_distribution::uniform(1, 10);
-  mc_config whole, windowed;
-  windowed.batch_size = 64;  // many dedup-index windows per shard
-  const auto a = estimate_anonymity_degree(sys, comp, d, 8000, 13, whole);
-  const auto b = estimate_anonymity_degree(sys, comp, d, 8000, 13, windowed);
-  EXPECT_NEAR(a.degree, b.degree, 1e-9);
-  // Split classes are re-folded globally: same distinct count either way.
-  EXPECT_EQ(a.distinct_observations, b.distinct_observations);
 }
 
 TEST(McParallel, ShardCountChangesStreamButNotDistribution) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <queue>
 #include <span>
@@ -18,14 +19,19 @@
 #include <vector>
 
 #include "src/anonymity/entropy.hpp"
+#include "src/anonymity/monte_carlo.hpp"
 #include "src/anonymity/observation.hpp"
 #include "src/anonymity/path_sampler.hpp"
+#include "src/anonymity/posterior.hpp"
+#include "src/net/route_plan.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/topology_mc.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/stats/bitmap.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/kahan.hpp"
 #include "src/stats/rng.hpp"
+#include "src/stats/summary.hpp"
 #include "src/stats/thread_pool.hpp"
 #include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
@@ -289,6 +295,159 @@ inline net::topology_mc_estimate walk_mc_per_shard(
                               static_cast<double>(count));
   }
   return est;
+}
+
+/// Reference for net::topology's counting-sort CSR builder: the per-node
+/// vector storage it replaced. Every edge is appended to both endpoints'
+/// lists in edge-list order; each list is then sorted through an index
+/// permutation and gets its cumulative weights, total and the per-node
+/// uniform-weight test.
+class vector_topology {
+ public:
+  vector_topology(std::uint32_t n, const net::topology_config& cfg)
+      : adj_(n), weights_(n), cum_(n), total_(n, 0.0) {
+    for (const net::weighted_edge& e : net::generate_edges(n, cfg)) {
+      adj_[e.u].push_back(e.v);
+      weights_[e.u].push_back(e.w);
+      adj_[e.v].push_back(e.u);
+      weights_[e.v].push_back(e.w);
+    }
+    min_degree_ = ~0u;
+    std::uint64_t directed = 0;
+    for (node_id u = 0; u < n; ++u) {
+      std::vector<std::size_t> order(adj_[u].size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return adj_[u][a] < adj_[u][b];
+                });
+      std::vector<node_id> nbr(adj_[u].size());
+      std::vector<double> w(adj_[u].size());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        nbr[i] = adj_[u][order[i]];
+        w[i] = weights_[u][order[i]];
+      }
+      adj_[u] = std::move(nbr);
+      weights_[u] = std::move(w);
+      cum_[u].resize(adj_[u].size());
+      double acc = 0.0;
+      for (std::size_t i = 0; i < adj_[u].size(); ++i) {
+        ANONPATH_EXPECTS(adj_[u][i] != u);
+        ANONPATH_EXPECTS(i == 0 || adj_[u][i] != adj_[u][i - 1]);
+        ANONPATH_EXPECTS(weights_[u][i] > 0.0);
+        acc += weights_[u][i];
+        cum_[u][i] = acc;
+        if (uniform_weights_ && weights_[u][i] != weights_[u][0])
+          uniform_weights_ = false;
+      }
+      total_[u] = acc;
+      const auto deg = static_cast<std::uint32_t>(adj_[u].size());
+      directed += deg;
+      min_degree_ = std::min(min_degree_, deg);
+      max_degree_ = std::max(max_degree_, deg);
+    }
+    edge_count_ = directed / 2;
+  }
+
+  [[nodiscard]] net::neighbor_view adjacency(node_id u) const {
+    return {adj_[u].data(), weights_[u].data(), cum_[u].data(),
+            static_cast<std::uint32_t>(adj_[u].size())};
+  }
+  [[nodiscard]] std::uint32_t degree(node_id u) const {
+    return static_cast<std::uint32_t>(adj_[u].size());
+  }
+  [[nodiscard]] double total_weight(node_id u) const { return total_[u]; }
+  [[nodiscard]] std::uint64_t edge_count() const { return edge_count_; }
+  [[nodiscard]] std::uint32_t min_degree() const { return min_degree_; }
+  [[nodiscard]] std::uint32_t max_degree() const { return max_degree_; }
+
+  [[nodiscard]] node_id sample_neighbor(node_id u, stats::rng& gen) const {
+    const net::neighbor_view a = adjacency(u);
+    if (uniform_weights_)
+      return a.ids[static_cast<std::size_t>(gen.next_below(a.size))];
+    const double x = gen.next_double() * total_[u];
+    auto idx = static_cast<std::size_t>(
+        std::upper_bound(a.cum, a.cum + a.size, x) - a.cum);
+    if (idx >= a.size) idx = a.size - 1;
+    return a.ids[idx];
+  }
+
+  /// Full Dijkstra tree under net::edge_cost, settling equal distances in
+  /// ascending node order (net::dijkstra's heap order).
+  [[nodiscard]] net::shortest_path_tree dijkstra(node_id source) const {
+    const auto n = static_cast<std::uint32_t>(adj_.size());
+    net::shortest_path_tree tree;
+    tree.source = source;
+    tree.dist.assign(n, std::numeric_limits<double>::infinity());
+    tree.parent.assign(n, net::no_vertex);
+    std::vector<char> settled(n, 0);
+    using item = std::pair<double, node_id>;
+    std::priority_queue<item, std::vector<item>, std::greater<item>> pq;
+    tree.dist[source] = 0.0;
+    pq.push({0.0, source});
+    while (!pq.empty()) {
+      const auto [d, u] = pq.top();
+      pq.pop();
+      if (settled[u]) continue;
+      settled[u] = 1;
+      for (std::size_t i = 0; i < adj_[u].size(); ++i) {
+        const node_id v = adj_[u][i];
+        if (settled[v]) continue;
+        const double nd = d + net::edge_cost(weights_[u][i]);
+        if (nd < tree.dist[v]) {
+          tree.dist[v] = nd;
+          tree.parent[v] = u;
+          pq.push({nd, v});
+        }
+      }
+    }
+    return tree;
+  }
+
+ private:
+  std::vector<std::vector<node_id>> adj_;
+  std::vector<std::vector<double>> weights_;
+  std::vector<std::vector<double>> cum_;
+  std::vector<double> total_;
+  bool uniform_weights_ = true;
+  std::uint32_t min_degree_ = 0;
+  std::uint32_t max_degree_ = 0;
+  std::uint64_t edge_count_ = 0;
+};
+
+/// Reference for estimate_anonymity_degree's observation classes: every
+/// sampled route scored on its own into one running summary per shard,
+/// the summaries merged in shard order.
+inline mc_estimate mc_per_sample(const system_params& sys,
+                                 const std::vector<node_id>& compromised,
+                                 const path_length_distribution& lengths,
+                                 std::uint64_t samples, std::uint64_t seed,
+                                 std::uint64_t shards = 16) {
+  const posterior_engine engine(sys, compromised, lengths);
+  std::vector<bool> flags(sys.node_count, false);
+  for (node_id c : compromised) flags[c] = true;
+  shards = std::min(samples, shards);
+  stats::running_summary acc;
+  for (std::uint64_t shard = 0; shard < shards; ++shard) {
+    const std::uint64_t count =
+        samples / shards + (shard < samples % shards ? 1 : 0);
+    stats::rng gen = stats::rng::stream(seed, shard);
+    route_sampler sampler(sys.node_count, lengths, path_model::simple);
+    observation obs;
+    stats::running_summary summary;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      observe_into(sampler.next(gen), flags, obs);
+      summary.add(entropy_bits(engine.sender_posterior(obs)));
+    }
+    acc.merge(summary);
+  }
+  mc_estimate out;
+  out.samples = samples;
+  out.shards = shards;
+  out.distinct_observations = samples;
+  out.degree = acc.mean();
+  out.std_error = acc.std_error();
+  return out;
 }
 
 }  // namespace anonpath::pre_change

@@ -163,8 +163,6 @@ TEST(Rng, SplitProducesIndependentStream) {
 TEST(DiscreteSampler, MatchesWeights) {
   const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
   discrete_sampler s(w);
-  EXPECT_DOUBLE_EQ(s.probability(0), 0.1);
-  EXPECT_DOUBLE_EQ(s.probability(3), 0.4);
   rng g(2024);
   int_histogram h(4);
   constexpr int n = 200000;

@@ -245,7 +245,8 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
   // churn and retry parameters set how many events replay runs. The
   // simulator's caps are rulebook rules, so read_trace refuses such a trace
   // as out_of_range before anything that size exists or runs — at each
-  // integer cap plus one (just past it for attempts) as well as far past it.
+  // integer cap plus one (just past it for attempts) as well as far past it,
+  // and for a graph past the edge cap.
   sim::sim_config cfg;
   cfg.sys = {20, 1};
   cfg.compromised = {0};
@@ -256,6 +257,15 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
   std::ostringstream os;
   sim::write_trace(sim::capture_trace(cfg), os);
   const std::string base = os.str();
+  // The same run on a trust graph, then at N = 1e5: about 5e9 edges, past
+  // net::max_graph_edges.
+  sim::sim_config trust = cfg;
+  trust.topology.kind = net::topology_kind::trust_weighted;
+  std::ostringstream trust_os;
+  sim::write_trace(sim::capture_trace(trust), trust_os);
+  std::string huge_trust = trust_os.str();
+  ASSERT_NE(huge_trust.find("\nsys 20 1\n"), std::string::npos);
+  huge_trust.replace(huge_trust.find("\nsys 20 1\n"), 10, "\nsys 100000 1\n");
   const auto hex = [](double x) {  // " <16 hex digits>"
     std::ostringstream text;
     stats::put_hex_double(text, x);
@@ -276,6 +286,7 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
       {"\nretry 2 ",
        "\nretry " + std::to_string(sim::max_attempts / 30) + " "},
       {"\nretry 2 ", "\nretry 1000000 "},
+      {base, huge_trust},  // the whole trace
   };
   const std::string trace_path = ::testing::TempDir() + "anonpath_huge." +
                                  std::to_string(::getpid()) + ".trace";

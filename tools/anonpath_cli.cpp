@@ -13,7 +13,7 @@
 //   anonpath campaign --n 24 --c 2 --topology complete,ring:2,tiered:3 \
 //                     --churn 0,0.5:0.5                 topology/churn axes
 //   anonpath simulate --n 60 --c 2 --topology regular:4 --routing kpaths:4
-//   anonpath plan     --n 1000000 --topology regular:2 --csr --routes 100
+//   anonpath plan     --n 1000000 --topology regular:2 --routes 100
 //   anonpath capture  --n 60 --c 2 --dist U:2,14 --out run.trace
 //   anonpath replay   --in run.trace                re-score a captured run
 //   anonpath attack   --users 100000 --rounds 10000 --round-size 12 \
@@ -109,7 +109,8 @@ using namespace anonpath;
       "  common:   --n <nodes>      (default 100; at most 1000000 for\n"
       "                      estimate and the simulator commands, 10000000\n"
       "                      for plan: larger runs cannot fit in 4 GB;\n"
-      "                      10000 for figures)\n"
+      "                      10000 for figures); a built graph (plan,\n"
+      "                      --topology, kpaths) at most 40000000 edges\n"
       "            integers are decimal digits only (no sign, no spaces)\n"
       "            --c <compromised> (default 1)\n"
       "            --dist F:l | U:a,b | G:pf,min,max | P:lambda,max\n"
@@ -126,7 +127,7 @@ using namespace anonpath;
       "            --crash <node>:<start>:<duration>  (repeatable)\n"
       "  degree:   [--breakdown]\n"
       "  estimate: [--samples k] [--seed s] [--threads t (0=all cores)]\n"
-      "            [--shards k] [--no-dedup]   Monte-Carlo H* for any C\n"
+      "            [--shards k]   Monte-Carlo H* for any C\n"
       "            (a restricted --topology uses the walk-model engine)\n"
       "  optimize: --mean <target expected length>\n"
       "  simulate: a one-cell campaign: every campaign axis flag, one value\n"
@@ -166,7 +167,7 @@ using namespace anonpath;
       "  replay:   --in file; re-scores a captured trace offline (same\n"
       "            output as simulate, no event-driven re-run)\n"
       "  plan:     graph construction & route-planning diagnostics at scale\n"
-      "            (CSR storage, Dijkstra, Yen k-shortest paths): [--csr]\n"
+      "            (CSR storage, Dijkstra, Yen k-shortest paths):\n"
       "            [--components] [--source u] [--routes r (default 100)]\n"
       "            [--routing kpaths[:<k>]] [--seed s]\n"
       "  figures:  (dumps fig3a/3b/4/5/6 series as CSV)\n"
@@ -215,7 +216,6 @@ struct options {
   std::uint64_t samples = 100000;
   unsigned threads = 0;
   std::uint64_t shards = 0;
-  bool dedup = true;
   std::string checkpoint_path;   ///< campaign: journal file ("" = off)
   bool resume = false;           ///< campaign: adopt the journal's prefix
   std::uint32_t shard_index = 0; ///< campaign: this process's shard
@@ -235,7 +235,6 @@ struct options {
   workload::popularity_law receiver_law{};
   std::uint32_t every = 0;            ///< attack: trajectory stride (0=auto)
   // Route-planning diagnostics surface (the 'plan' command).
-  bool plan_csr = false;              ///< plan: CSR storage mode
   bool plan_components = false;       ///< plan: run connected components
   std::uint32_t plan_source = 0;      ///< plan: Dijkstra source node
   std::uint32_t plan_routes = 100;    ///< plan: routes to extract/plan
@@ -382,8 +381,6 @@ constexpr flag_spec flag_table[] = {
      }},
     {"--shards", on::estimate, true,
      [](auto& o, auto f, auto& v) { o.shards = sim::parse_u64_token(v, f); }},
-    {"--no-dedup", on::estimate, false,
-     [](auto& o, auto, auto&) { o.dedup = false; }},
     {"--mean", on::optimize, true,
      [](auto& o, auto f, auto& v) { o.mean = sim::parse_finite_token(v, f); }},
     {"--users", on::attack, true, [](auto& o, auto f, auto& v) {
@@ -405,7 +402,6 @@ constexpr flag_spec flag_table[] = {
     {"--every", on::attack, true, [](auto& o, auto f, auto& v) {
        o.every = parse_u32_at_least(v, f, 1);
      }},
-    {"--csr", on::plan, false, [](auto& o, auto, auto&) { o.plan_csr = true; }},
     {"--components", on::plan, false,
      [](auto& o, auto, auto&) { o.plan_components = true; }},
     {"--source", on::plan, true, [](auto& o, auto f, auto& v) {
@@ -459,12 +455,12 @@ void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
 
 /// Size caps, checked before anything is allocated. The simulator's
 /// (sim::max_sim_nodes, sim::max_population, sim::max_messages,
-/// sim::max_mix_failures and the event-load caps) are rulebook rules,
-/// applied here to every axis value or grid cell so an oversized sweep
-/// value is refused instead of skipped as an infeasible cell. plan keeps a
-/// CSR graph of about 100 bytes per node; the attack workload's time grows
-/// with rounds times round size; the figures' closed forms grow
-/// quadratically in N.
+/// sim::max_mix_failures, the event-load caps and net::max_graph_edges)
+/// are rulebook rules, applied here to every axis value or grid cell so an
+/// oversized sweep value is refused instead of skipped as an infeasible
+/// cell. plan keeps about 100 bytes per node besides its graph's edges;
+/// the attack workload's time grows with rounds times round size; the
+/// figures' closed forms grow quadratically in N.
 constexpr std::uint32_t max_nodes_plan = 10'000'000;
 constexpr std::uint64_t max_attack_messages = 100'000'000;
 constexpr std::uint32_t max_nodes_figures = 10'000;
@@ -479,6 +475,19 @@ void require_cap(const options& opt, const std::string& what,
 void require_node_cap(const options& opt, std::uint32_t cap) {
   for (const std::uint32_t n : opt.grid.node_counts)
     require_cap(opt, "--n", n, cap);
+}
+
+/// A graph past net::max_graph_edges cannot be built in 4 GB; the closed
+/// form refuses it before any edge is generated. Precondition:
+/// topo.valid_for(n).
+void require_graph_cap(const options& opt, std::uint32_t n,
+                       const net::topology_config& topo) {
+  const std::uint64_t edges = net::edge_count(n, topo);
+  if (edges > net::max_graph_edges)
+    usage("--topology " + topo.label() + " at --n " + std::to_string(n) +
+          " wires " + std::to_string(edges) + " edges: too large for '" +
+          opt.command + "' (at most " +
+          std::to_string(net::max_graph_edges) + " edges)");
 }
 
 /// The C=1 closed form behind degree, optimize and figures needs N >= 5;
@@ -526,9 +535,7 @@ int cmd_estimate(const options& opt) {
     // Restricted graph: walk-model Monte Carlo on the topology engine.
     if (!topo.valid_for(n))
       usage("--topology parameters out of range for --n");
-    if (!opt.dedup)
-      usage("--no-dedup needs the clique engine; the walk-model engine of a "
-            "restricted --topology has no dedup setting");
+    require_graph_cap(opt, n, topo);
     const auto t0 = std::chrono::steady_clock::now();
     const auto est = net::estimate_topology_degree(
         sys, compromised, d, topo, opt.samples, opt.seed, opt.threads,
@@ -552,7 +559,6 @@ int cmd_estimate(const options& opt) {
   mc_config cfg;
   cfg.threads = opt.threads;
   cfg.shards = opt.shards;
-  cfg.dedup = opt.dedup;
   const auto t0 = std::chrono::steady_clock::now();
   const auto est = estimate_anonymity_degree(sys, compromised, d, opt.samples,
                                              opt.seed, cfg);
@@ -645,12 +651,17 @@ sim::campaign_grid build_campaign_grid(
             "per mix round)");
   // The event-load caps bound a run's time, not its feasibility: every
   // cell must pass them, where an infeasible cell would only be skipped.
+  // So does the graph-size cap, on every cell that builds a graph.
   for (std::uint64_t i = 0; i < grid.cell_count(); ++i) {
     const sim::scenario s = sim::grid_cell(grid, i);
     if (const char* why = sim::event_load_reason(
             s.node_count, grid.message_count, s.arrival_rate, s.churn,
             s.retry))
       usage(why);
+    if ((s.topology.kind != net::topology_kind::complete ||
+         s.routing.planned()) &&
+        s.topology.valid_for(s.node_count))
+      require_graph_cap(opt, s.node_count, s.topology);
   }
 
   // Surface an empty grid as a usage error naming why its first cell
@@ -1189,12 +1200,11 @@ int cmd_attack(const options& opt) {
   return 0;
 }
 
-/// Graph-scale diagnostics: builds the topology (CSR or adjacency-vector
-/// storage), runs one full Dijkstra tree, extracts --routes shortest routes
-/// to seeded random targets, and — when --routing kpaths is given — plans
-/// the same number of k-shortest-path routes through net::route_planner.
-/// This is the CI smoke for million-node CSR construction and route
-/// planning; all timings go to stdout so regressions are visible in logs.
+/// Graph-scale diagnostics: builds the topology, runs one full Dijkstra
+/// tree, extracts --routes shortest routes to seeded random targets, and —
+/// when --routing kpaths is given — plans the same number of
+/// k-shortest-path routes through net::route_planner. All timings go to
+/// stdout so regressions are visible in logs.
 int cmd_plan(const options& opt) {
   require_node_cap(opt, max_nodes_plan);
   const std::uint32_t n = opt.grid.node_counts.front();
@@ -1203,6 +1213,7 @@ int cmd_plan(const options& opt) {
   const net::topology_config& topo_cfg = opt.grid.topologies.front();
   if (!topo_cfg.valid_for(n))
     usage("--topology parameters out of range for --n");
+  require_graph_cap(opt, n, topo_cfg);
   // Planning work counters are pure functions of the graph and the query
   // sequence, so they land in the snapshot as stable metrics.
   net::plan_counters counters;
@@ -1215,14 +1226,12 @@ int cmd_plan(const options& opt) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  const net::topology topo = opt.plan_csr
-                                 ? net::topology::make_csr(n, topo_cfg)
-                                 : net::topology::make(n, topo_cfg);
+  const net::topology topo = net::topology::make(n, topo_cfg);
   const auto t1 = std::chrono::steady_clock::now();
-  std::printf("built %s: N=%u, %llu edges, %s storage, %.3f s\n",
+  std::printf("built %s: N=%u, %llu edges, csr storage, %.3f s\n",
               topo_cfg.label().c_str(), n,
               static_cast<unsigned long long>(topo.edge_count()),
-              opt.plan_csr ? "csr" : "adjacency", elapsed(t0, t1));
+              elapsed(t0, t1));
 
   if (opt.plan_components) {
     const auto tc0 = std::chrono::steady_clock::now();
