@@ -21,22 +21,44 @@ const char* topology_kind_name(topology_kind kind) noexcept {
   return "?";
 }
 
-bool topology_config::valid_for(std::uint32_t node_count) const noexcept {
-  if (node_count < 2) return false;
+namespace {
+
+/// The weight build_trust_edges gives the farthest ring distance N/2:
+/// decay^(N/2 - 1), by the same repeated products, so the two agree on
+/// exactly which (N, decay) pairs underflow to a zero-weight edge.
+double farthest_trust_weight(std::uint32_t n, double decay) noexcept {
+  double w = 1.0;
+  for (std::uint32_t d = 2; d <= n / 2 && w > 0.0; ++d) w *= decay;
+  return w;
+}
+
+}  // namespace
+
+const char* topology_config::invalid_reason(
+    std::uint32_t node_count) const noexcept {
+  const char* const out_of_range = "--topology parameters out of range for --n";
+  if (node_count < 2) return out_of_range;
   switch (kind) {
     case topology_kind::complete:
-      return true;
+      return nullptr;
     case topology_kind::ring:
-      return ring_k >= 1 && 2ull * ring_k <= node_count - 1;
+      return ring_k >= 1 && 2ull * ring_k <= node_count - 1 ? nullptr
+                                                            : out_of_range;
     case topology_kind::random_regular:
       return degree >= 2 && degree < node_count &&
-             (static_cast<std::uint64_t>(node_count) * degree) % 2 == 0;
+                     (static_cast<std::uint64_t>(node_count) * degree) % 2 == 0
+                 ? nullptr
+                 : out_of_range;
     case topology_kind::tiered:
-      return tiers >= 2 && tiers <= node_count;
+      return tiers >= 2 && tiers <= node_count ? nullptr : out_of_range;
     case topology_kind::trust_weighted:
-      return trust_decay > 0.0 && trust_decay <= 1.0;
+      if (!(trust_decay > 0.0 && trust_decay <= 1.0)) return out_of_range;
+      if (farthest_trust_weight(node_count, trust_decay) == 0.0)
+        return "--n is too large for the --topology trust decay: the "
+               "farthest weight, decay^(N/2 - 1), underflows to 0";
+      return nullptr;
   }
-  return false;
+  return out_of_range;
 }
 
 std::string topology_config::label() const {
@@ -212,7 +234,8 @@ void build_tiered_edges(std::uint32_t n, std::uint32_t tiers,
 void build_trust_edges(std::uint32_t n, double decay,
                        std::vector<weighted_edge>& out) {
   // decay^(d-1) by ring distance d, tabulated once so construction stays
-  // O(N^2) instead of O(N^3).
+  // O(N^2) instead of O(N^3). valid_for refuses the pairs whose last entry
+  // underflows to 0.
   std::vector<double> power(n / 2 + 1, 1.0);
   for (std::size_t d = 2; d < power.size(); ++d)
     power[d] = power[d - 1] * decay;

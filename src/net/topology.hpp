@@ -45,10 +45,19 @@ struct topology_config {
   std::uint32_t tiers = 3;       ///< tiered: number of layers
   double trust_decay = 0.5;      ///< trust_weighted: per-hop weight decay in (0,1]
 
-  /// Parameter ranges that admit a connected, self-loop-free graph on
-  /// `node_count` nodes; infeasible combinations are skipped by the
-  /// campaign expander and rejected (loudly) by the CLI and topology::make.
-  [[nodiscard]] bool valid_for(std::uint32_t node_count) const noexcept;
+  /// Parameter ranges that admit a connected, self-loop-free graph with
+  /// positive weights on `node_count` nodes (trust weights must not
+  /// underflow: decay 0.5 builds up to N = 2151); infeasible combinations are
+  /// skipped by the campaign expander and rejected (loudly) by the CLI and
+  /// topology::make.
+  [[nodiscard]] bool valid_for(std::uint32_t node_count) const noexcept {
+    return invalid_reason(node_count) == nullptr;
+  }
+
+  /// nullptr when valid_for(node_count), else why not, in words that name
+  /// the CLI flags (the sim::invalid_reason convention).
+  [[nodiscard]] const char* invalid_reason(
+      std::uint32_t node_count) const noexcept;
 
   /// Compact label, e.g. "complete", "ring(2)", "regular(4@1)",
   /// "tiered(3)", "trust(0.5)". Deterministic; used in CSV cells.

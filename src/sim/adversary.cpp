@@ -43,6 +43,20 @@ std::vector<node_id> adversary_model::compromised_ids() const {
   return out;
 }
 
+void adversary_model::note(const adversary_event& e) {
+  switch (e.type) {
+    case adversary_event::kind::origin:
+      note_origin(e.msg, e.reporter);
+      return;
+    case adversary_event::kind::relay:
+      note_relay(e.msg, e.at, e.reporter, e.predecessor, e.successor);
+      return;
+    case adversary_event::kind::receipt:
+      note_receipt(e.msg, e.at, e.predecessor);
+      return;
+  }
+}
+
 // ---- full coalition ---------------------------------------------------------
 
 full_coalition_model::full_coalition_model(std::vector<bool> compromised)

@@ -17,7 +17,7 @@ namespace anonpath::sim {
 /// Sec. 4 worst-case observability model is one point in this space:
 ///   * full_coalition — every configured compromised node reports, the
 ///     receiver is compromised, and the adversary holds the correlation
-///     handle (paper Sec. 4; the historical adversary_monitor).
+///     handle (paper Sec. 4).
 ///   * partial_coverage — each relay is independently corrupted with
 ///     probability `coverage_fraction` and the receiver may be honest
 ///     (Ando–Lysyanskaya–Upfal's fractional-corruption setting); reports
@@ -60,7 +60,8 @@ struct adversary_config {
 
 /// One adversary-visible event, in the order the collection apparatus saw
 /// it. This is the unit of the sim::trace capture format: feeding a model
-/// the recorded stream reproduces its post-run state exactly.
+/// the recorded stream (adversary_model::note) reproduces its post-run
+/// state exactly.
 struct adversary_event {
   enum class kind : std::uint8_t { origin, relay, receipt };
   kind type = kind::relay;
@@ -109,11 +110,9 @@ class adversary_model {
 
   [[nodiscard]] virtual adversary_kind kind() const noexcept = 0;
 
-  /// Historical name for observed_messages() (the full coalition completes
-  /// a message exactly on delivery).
-  [[nodiscard]] std::vector<std::uint64_t> delivered_messages() const {
-    return observed_messages();
-  }
+  /// Files one report: the one mapping from an adversary_event to the
+  /// note_* call above, shared by the live fabric and trace replay.
+  void note(const adversary_event& e);
 
   /// The flag vector (indexed by node id) of corrupted relays.
   [[nodiscard]] const std::vector<bool>& compromised() const noexcept {
@@ -167,9 +166,6 @@ class full_coalition_model : public adversary_model {
   /// Indexed by message id; ids nothing was filed for stay empty.
   std::vector<per_message> log_;
 };
-
-/// Historical name: the pre-refactor monitor *was* the full coalition.
-using adversary_monitor = full_coalition_model;
 
 /// Fractional corruption (Ando–Lysyanskaya–Upfal): the compromised set is
 /// whatever effective_compromised() drew; corrupted relays report exactly

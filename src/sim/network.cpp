@@ -13,35 +13,45 @@ network::network(std::uint32_t node_count, latency_params params,
       drop_rng_(seed ^ 0x5bf03635f0a5b1c5ULL),
       topology_(topology),
       churn_(node_count, faults.churn, seed ^ 0x94d049bb133111ebULL),
-      outages_(faults.materialize(node_count, seed, fault_horizon)),
-      sinks_(node_count, nullptr) {
+      outages_(faults.materialize(node_count, seed, fault_horizon)) {
   ANONPATH_EXPECTS(node_count >= 2);
   ANONPATH_EXPECTS(faults.valid_for(node_count));
   ANONPATH_EXPECTS(topology == nullptr ||
                    topology->node_count() == node_count);
 }
 
-void network::register_node(node_id id, message_sink& sink) {
-  ANONPATH_EXPECTS(id < node_count_);
-  ANONPATH_EXPECTS(sinks_[id] == nullptr);
-  sinks_[id] = &sink;
+void network::use_crowds(double forward_prob, stats::rng& master) {
+  ANONPATH_EXPECTS(forward_prob >= 0.0 && forward_prob <= 1.0);
+  forward_prob_ = forward_prob;
+  crowd_gens_.reserve(node_count_);
+  for (node_id i = 0; i < node_count_; ++i)
+    crowd_gens_.push_back(master.split());
 }
 
-void network::register_receiver(message_sink& sink) {
-  ANONPATH_EXPECTS(receiver_sink_ == nullptr);
-  receiver_sink_ = &sink;
+void network::attach(adversary_model& model,
+                     std::vector<adversary_event>* log) {
+  ANONPATH_EXPECTS(model.compromised().size() == node_count_);
+  model_ = &model;
+  log_ = log;
 }
 
-message_trace& network::trace_of(std::uint64_t msg) {
-  if (msg >= traces_.size()) traces_.resize(msg + 1);
-  return traces_[msg];
+void network::report(const adversary_event& e) {
+  if (log_ != nullptr) log_->push_back(e);
+  model_->note(e);
+}
+
+message_outcome& network::outcome_of(std::uint64_t msg) {
+  if (msg >= outcomes_.size()) outcomes_.resize(msg + 1);
+  return outcomes_[msg];
 }
 
 void network::originate(node_id origin, sim_time at, std::uint64_t msg_id) {
   ANONPATH_EXPECTS(origin < node_count_);
-  auto& trace = trace_of(msg_id);
-  trace.origin = origin;
-  trace.sent_at = at;
+  message_outcome& out = outcome_of(msg_id);
+  out.origin = origin;
+  out.sent_at = at;
+  if (compromised(origin))
+    report({adversary_event::kind::origin, msg_id, 0.0, origin, 0, 0});
 }
 
 void network::set_route(std::uint64_t msg_id,
@@ -61,10 +71,7 @@ node_id network::next_hop(std::uint64_t msg_id, node_id self) {
 
 void network::send(node_id from, node_id to, std::uint64_t msg) {
   ANONPATH_EXPECTS(from < node_count_);
-  ANONPATH_EXPECTS(sinks_[from] != nullptr);  // sender must be registered too
   ANONPATH_EXPECTS(to < node_count_ || to == receiver_node);
-  ANONPATH_EXPECTS((to == receiver_node ? receiver_sink_ : sinks_[to]) !=
-                   nullptr);
   // A restricted fabric only carries edges of its graph; the receiver is an
   // external party reachable from everywhere.
   if (topology_ != nullptr && to != receiver_node)
@@ -78,17 +85,17 @@ void network::send(node_id from, node_id to, std::uint64_t msg) {
   // plan leaves the drop rng stream untouched.
   if (to != receiver_node && outages_.enabled() &&
       outages_.is_down(to, queue_.now())) {
-    ++crashed_;  // journey ends; the trace stays undelivered
+    ++crashed_;  // journey ends; the outcome stays undelivered
     return;
   }
   if (to != receiver_node && churn_.enabled() &&
       !churn_.is_up(to, queue_.now())) {
-    ++stranded_;  // journey ends; the trace stays undelivered
+    ++stranded_;  // journey ends; the outcome stays undelivered
     return;
   }
 
   if (drop_probability_ > 0.0 && drop_rng_.next_bernoulli(drop_probability_)) {
-    ++dropped_;  // journey ends silently; the trace stays undelivered
+    ++dropped_;  // journey ends silently; the outcome stays undelivered
     return;
   }
 
@@ -96,21 +103,32 @@ void network::send(node_id from, node_id to, std::uint64_t msg) {
                      to);
 }
 
-void network::send_after(sim_time delay, node_id from, node_id to,
-                         std::uint64_t msg) {
-  queue_.schedule_in(delay, event_kind::relay_forward, msg, from, to);
+node_id network::crowds_hop(node_id self) {
+  stats::rng& gen = crowd_gens_[self];
+  if (!gen.next_bernoulli(forward_prob_)) return receiver_node;
+  if (topology_ != nullptr) return topology_->sample_neighbor(self, gen);
+  auto draw = static_cast<node_id>(gen.next_below(node_count_ - 1));
+  if (draw >= self) ++draw;
+  return draw;
 }
 
 void network::arrive(node_id from, node_id to, std::uint64_t msg) {
-  auto& trace = trace_of(msg);
+  message_outcome& out = outcome_of(msg);
+  const sim_time now = queue_.now();
   if (to == receiver_node) {
-    trace.delivered = true;
-    trace.delivered_at = queue_.now();
-    receiver_sink_->on_message(from, msg);
-  } else {
-    trace.visited.push_back(to);
-    sinks_[to]->on_message(from, msg);
+    out.delivered = true;
+    out.delivered_at = now;
+    if (model_ != nullptr)
+      report({adversary_event::kind::receipt, msg, now, 0, from, 0});
+    return;
   }
+  ++out.hops;
+  const node_id next =
+      crowd_gens_.empty() ? next_hop(msg, to) : crowds_hop(to);
+  if (compromised(to))
+    report({adversary_event::kind::relay, msg, now, to, from, next});
+  queue_.schedule_in(latency_.processing_delay(), event_kind::relay_forward,
+                     msg, to, next);
 }
 
 bool network::run() {

@@ -7,39 +7,45 @@
 #include "src/net/churn.hpp"
 #include "src/net/outage.hpp"
 #include "src/net/topology.hpp"
+#include "src/sim/adversary.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/fault_plan.hpp"
 #include "src/sim/latency.hpp"
+#include "src/stats/rng.hpp"
 
 namespace anonpath::sim {
 
-/// Interface of anything that can accept a message from the wire.
-class message_sink {
- public:
-  virtual ~message_sink() = default;
-  /// `from` is the transport-level immediate sender (what a real node's
-  /// network stack would see). Exactly the paper's observability model.
-  /// `msg` is the message id: the correlation handle the paper's
-  /// worst-case adversary is granted (Sec. 4). Honest parties never route
-  /// by it; an onion relay learns its successor from the source route.
-  virtual void on_message(node_id from, std::uint64_t msg) = 0;
-};
-
-/// Ground-truth record of one message's journey, kept by the network fabric
-/// (the "physics" of the simulation — never visible to the adversary).
-struct message_trace {
+/// Ground-truth summary of one message's journey, as the fabric records it
+/// and scoring consumes it (and as sim::trace persists it — identity of
+/// intermediate hops is deliberately absent; it is neither scored nor
+/// adversary-visible).
+struct message_outcome {
   node_id origin = 0;
-  std::vector<node_id> visited;   ///< nodes traversed after the origin
   sim_time sent_at = 0.0;
   sim_time delivered_at = 0.0;
   bool delivered = false;
+  std::uint32_t hops = 0;  ///< intermediate nodes traversed
+
+  friend bool operator==(const message_outcome&,
+                         const message_outcome&) = default;
 };
 
-/// The transport fabric. By default the clique of paper Sec. 3.1: every
-/// host can reach every other host directly; a hop costs a sampled link
-/// latency. A non-null `topology` restricts the wire to that graph — the
-/// fabric then *asserts* every transmission follows an edge, so a routing
-/// layer that ignores the graph fails fast instead of silently teleporting.
+/// The simulated fabric: the wire, every relay and the receiver R. By
+/// default the clique of paper Sec. 3.1: every host can reach every other
+/// host directly; a hop costs a sampled link latency. A non-null `topology`
+/// restricts the wire to that graph — the fabric then *asserts* every
+/// transmission follows an edge, so a routing layer that ignores the graph
+/// fails fast instead of silently teleporting.
+///
+/// Relays are roles of the fabric, not objects. A message reaching a node
+/// is forwarded after the latency_params processing delay, to the hop
+/// after the node on its source route (onion routing, the default: the
+/// node learns only predecessor and successor, as an onion layer would tell
+/// it, with no ciphertext) or, after use_crowds(), to the hop the Crowds
+/// coin picks. A message reaching R is delivered. With an adversary
+/// attached, compromised senders and relays and the receiver file the
+/// paper's Sec. 4 reports through one reporting path.
+///
 /// Implements the full sim::fault_plan (failure injection): each
 /// transmission is dropped independently with the plan's drop probability,
 /// in which case the message journey simply ends — exactly how a
@@ -48,10 +54,7 @@ struct message_trace {
 /// schedule (explicit outages plus seeded mix-failure episodes) takes
 /// specific nodes down on a deterministic timetable; a transmission whose
 /// destination is down at send time strands there, and the receiver R
-/// never fails. Also the keeper of ground-truth traces for validation, and
-/// of each source-routed message's route: a relay reads the hop after
-/// itself through a per-message cursor, so it learns only predecessor and
-/// successor, as an onion layer would tell it, with no ciphertext.
+/// never fails.
 class network {
  public:
   /// Preconditions: node_count >= 2, params.valid(),
@@ -65,13 +68,25 @@ class network {
           const net::topology* topology = nullptr,
           double fault_horizon = 0.0);
 
-  /// Registers the sink for a relay node (exactly once per id).
-  void register_node(node_id id, message_sink& sink);
+  /// Makes every node a hop-by-hop relay (Crowds / Onion Routing II /
+  /// Hordes): it flips a coin that forwards with `forward_prob`, to a
+  /// uniform other node — or, on a restricted fabric, to a weighted random
+  /// graph neighbour — and otherwise delivers to R. The message travels
+  /// unchanged, which is why Crowds messages are trivially correlatable.
+  /// Each node draws from its own generator, split from `master` in node
+  /// order.
+  void use_crowds(double forward_prob, stats::rng& master);
 
-  /// Registers the receiver endpoint R.
-  void register_receiver(message_sink& sink);
+  /// Attaches the adversary: nodes flagged in model.compromised() report
+  /// the messages they originate and relay, and R reports every delivery.
+  /// Each report is appended to `log` when non-null, then fed to `model`
+  /// (adversary_model::note). Without a model nobody reports. `model` and
+  /// `log` must outlive the network.
+  void attach(adversary_model& model,
+              std::vector<adversary_event>* log = nullptr);
 
-  /// Starts a message journey at `origin` (records the trace start).
+  /// Starts a message journey at `origin`: records the outcome's start and
+  /// reports the origination when `origin` is compromised.
   void originate(node_id origin, sim_time at, std::uint64_t msg_id);
 
   /// Records `hops` as the source route of `msg_id` (the intermediate
@@ -85,16 +100,10 @@ class network {
 
   /// Transmits message `msg` from `from` to `to` (`receiver_node` for R)
   /// after a sampled link delay. Preconditions (each asserted, a violation
-  /// throws contract_violation): `from` is a registered node id, `to` is a
-  /// registered node id or `receiver_node` with the receiver registered,
-  /// and — when the fabric carries a topology — (from, to) is a graph
-  /// edge. Unregistered endpoints are a programming error, never a silent
-  /// no-op or a crash on a null sink.
+  /// throws contract_violation): `from` is a node id, `to` is a node id or
+  /// `receiver_node`, and — when the fabric carries a topology — (from,
+  /// to) is a graph edge.
   void send(node_id from, node_id to, std::uint64_t msg);
-
-  /// Schedules `from` to send(from, to, msg) `delay` seconds from now (a
-  /// relay's processing delay).
-  void send_after(sim_time delay, node_id from, node_id to, std::uint64_t msg);
 
   /// Runs the queue until it drains. Hop arrivals and relay forwards are
   /// the fabric's own events; every other kind goes to `other`. Returns
@@ -120,8 +129,8 @@ class network {
 
   /// Ground truth for tests/metrics, indexed by message id (slots of ids
   /// never originated or sent stay default).
-  [[nodiscard]] const std::vector<message_trace>& traces() const noexcept {
-    return traces_;
+  [[nodiscard]] const std::vector<message_outcome>& outcomes() const noexcept {
+    return outcomes_;
   }
 
   /// Transmissions lost to failure injection so far.
@@ -155,8 +164,17 @@ class network {
     std::uint32_t next = 0;
   };
 
+  /// A hop arrival: R delivers; a relay picks its successor by its role
+  /// and forwards after the processing delay.
   void arrive(node_id from, node_id to, std::uint64_t msg);
-  message_trace& trace_of(std::uint64_t msg);
+  /// The Crowds coin and hop of relay `self`.
+  node_id crowds_hop(node_id self);
+  /// The one reporting path: log, then model.
+  void report(const adversary_event& e);
+  [[nodiscard]] bool compromised(node_id id) const {
+    return model_ != nullptr && model_->compromised()[id];
+  }
+  message_outcome& outcome_of(std::uint64_t msg);
 
   std::uint32_t node_count_;
   event_queue queue_;
@@ -169,9 +187,12 @@ class network {
   std::uint64_t dropped_ = 0;
   std::uint64_t stranded_ = 0;
   std::uint64_t crashed_ = 0;
-  std::vector<message_sink*> sinks_;
-  message_sink* receiver_sink_ = nullptr;
-  std::vector<message_trace> traces_;
+  /// Hop-by-hop relays' generators, one per node; empty for onion relays.
+  std::vector<stats::rng> crowd_gens_;
+  double forward_prob_ = 0.0;
+  adversary_model* model_ = nullptr;
+  std::vector<adversary_event>* log_ = nullptr;
+  std::vector<message_outcome> outcomes_;
   std::vector<node_id> route_slab_;
   std::vector<route_cursor> routes_;
 };

@@ -15,9 +15,6 @@
 #include "src/attack/noise.hpp"
 #include "src/attack/online.hpp"
 #include "src/net/topology_posterior.hpp"
-#include "src/sim/network.hpp"
-#include "src/sim/receiver.hpp"
-#include "src/sim/relay.hpp"
 #include "src/sim/workload.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/logspace.hpp"
@@ -25,53 +22,6 @@
 namespace anonpath::sim {
 
 namespace {
-
-/// Decorator that appends every adversary-visible event to a log, in
-/// arrival order, while forwarding to the wrapped model — the tap
-/// sim::trace captures through. Replaying the log into a fresh model of
-/// the same kind reproduces the wrapped model's post-run state exactly.
-class recording_model final : public adversary_model {
- public:
-  recording_model(std::unique_ptr<adversary_model> inner,
-                  std::vector<adversary_event>& log)
-      : adversary_model(inner->compromised()),
-        inner_(std::move(inner)),
-        log_(log) {}
-
-  void note_origin(std::uint64_t msg, node_id sender) override {
-    log_.push_back(adversary_event{adversary_event::kind::origin, msg, 0.0,
-                                   sender, 0, 0});
-    inner_->note_origin(msg, sender);
-  }
-  void note_relay(std::uint64_t msg, sim_time at, node_id reporter,
-                  node_id predecessor, node_id successor) override {
-    log_.push_back(adversary_event{adversary_event::kind::relay, msg, at,
-                                   reporter, predecessor, successor});
-    inner_->note_relay(msg, at, reporter, predecessor, successor);
-  }
-  void note_receipt(std::uint64_t msg, sim_time at,
-                    node_id predecessor) override {
-    log_.push_back(adversary_event{adversary_event::kind::receipt, msg, at, 0,
-                                   predecessor, 0});
-    inner_->note_receipt(msg, at, predecessor);
-  }
-  [[nodiscard]] bool complete(std::uint64_t msg) const override {
-    return inner_->complete(msg);
-  }
-  [[nodiscard]] observation assemble(std::uint64_t msg) const override {
-    return inner_->assemble(msg);
-  }
-  [[nodiscard]] std::vector<std::uint64_t> observed_messages() const override {
-    return inner_->observed_messages();
-  }
-  [[nodiscard]] adversary_kind kind() const noexcept override {
-    return inner_->kind();
-  }
-
- private:
-  std::unique_ptr<adversary_model> inner_;
-  std::vector<adversary_event>& log_;
-};
 
 /// Normalized pointwise product of independent per-attempt sender
 /// posteriors — the evidence fusion behind "every retransmission is one
@@ -159,6 +109,23 @@ std::unique_ptr<sender_inference> make_sender_inference(
       *graph);
 }
 
+/// max_scoring_work's rule: nullptr, or why scoring a source-routed run on
+/// its graph costs too much. Precondition: the graph passes the edge cap.
+const char* scoring_load_reason(const sim_config& c) {
+  const std::uint32_t n = c.sys.node_count;
+  const double attempts = static_cast<double>(c.message_count) *
+                          (static_cast<double>(c.retry.max_retries) + 1.0);
+  const double longest =
+      c.routing.planned() ? n - 1.0 : c.lengths.max_length();
+  const double arcs = 2.0 * net::edge_count(n, c.topology);
+  if (!(attempts * (longest + 1.0) * arcs <= max_scoring_work))
+    return "--messages is too large to score on this graph (at most 1.5e10 "
+           "= --messages x (retries + 1) x (longest route + 1) x 2 x "
+           "edges; the longest route is --n minus 1 under --routing "
+           "kpaths)";
+  return nullptr;
+}
+
 }  // namespace
 
 const char* system_infeasible_reason(const system_params& sys,
@@ -223,14 +190,16 @@ const char* invalid_reason(const sim_config& c) {
   // picks whole source-routed paths: neither has a gapped
   // (timing-correlator) likelihood, and planning has no hop-by-hop form.
   const bool timing = c.adversary.kind == adversary_kind::timing_correlator;
-  if (!c.topology.valid_for(n))
-    return "--topology parameters out of range for --n";
-  // A restricted graph and planned routes both build the graph.
-  if ((c.topology.kind != net::topology_kind::complete ||
-       c.routing.planned()) &&
-      net::edge_count(n, c.topology) > net::max_graph_edges)
+  if (const char* why = c.topology.invalid_reason(n)) return why;
+  // A restricted graph and planned routes both build the graph, and the
+  // topology engine scores source-routed runs on it.
+  const bool on_graph =
+      c.topology.kind != net::topology_kind::complete || c.routing.planned();
+  if (on_graph && net::edge_count(n, c.topology) > net::max_graph_edges)
     return "the graph --topology wires on --n nodes is too large (at most "
            "40000000 edges)";
+  if (on_graph && c.mode == routing_mode::source_routed)
+    if (const char* why = scoring_load_reason(c)) return why;
   if (c.topology.kind != net::topology_kind::complete && timing)
     return "--adversary timing is not supported on a restricted --topology";
   if (!c.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";
@@ -280,14 +249,11 @@ core_result run_core(const sim_config& config,
   std::optional<net::route_planner> planner;
   if (planned) planner.emplace(*graph, config.routing);
 
-  const std::vector<bool> compromised = effective_compromised(
-      config.adversary, n, config.compromised, config.seed);
-
-  std::unique_ptr<adversary_model> model =
-      make_adversary_model(config.adversary, compromised, config.latency);
-  if (event_log != nullptr)
-    model = std::make_unique<recording_model>(std::move(model), *event_log);
-  adversary_model& monitor = *model;
+  result.model = make_adversary_model(
+      config.adversary,
+      effective_compromised(config.adversary, n, config.compromised,
+                            config.seed),
+      config.latency);
 
   stats::rng master(config.seed);
   // Auto-horizon for seeded mix-failure episodes: the run's expected
@@ -299,23 +265,9 @@ core_result run_core(const sim_config& config,
   // This draw once seeded the onion key registry. Its value is unused, but
   // the draw stays so every later stream, and every output, keeps its bits.
   (void)master.next_u64();
-
-  // Build the relay fleet.
-  std::vector<std::unique_ptr<message_sink>> relays;
-  relays.reserve(n);
-  for (node_id i = 0; i < n; ++i) {
-    if (config.mode == routing_mode::source_routed) {
-      relays.push_back(std::make_unique<onion_relay>(
-          i, net, config.latency.processing, compromised[i], &monitor));
-    } else {
-      relays.push_back(std::make_unique<crowds_relay>(
-          i, net, config.latency.processing, config.forward_prob,
-          compromised[i], &monitor, master.split(), graph));
-    }
-    net.register_node(i, *relays.back());
-  }
-  receiver_endpoint receiver(net, &monitor);
-  net.register_receiver(receiver);
+  if (config.mode == routing_mode::hop_by_hop)
+    net.use_crowds(config.forward_prob, master);
+  net.attach(*result.model, event_log);
 
   // Schedule the workload.
   stats::rng traffic = master.split();
@@ -391,13 +343,12 @@ core_result run_core(const sim_config& config,
   const auto on_timer = [&](node_id sender, std::uint64_t original,
                             std::uint32_t retries_done) {
     for (const std::uint64_t id : attempts_of[original])
-      if (net.traces()[id].delivered) return;  // recovered — stand down
+      if (net.outcomes()[id].delivered) return;  // recovered — stand down
     if (retries_done >= config.retry.max_retries) return;  // budget spent
     const std::uint64_t id = next_attempt_id++;
     attempt_parent.push_back(original);
     attempts_of[original].push_back(id);
     net.originate(sender, net.queue().now(), id);
-    if (compromised[sender]) monitor.note_origin(id, sender);
     launch(sender, id, retry_routing, retry_plan_rng);
     arm_timer(sender, original, retries_done + 1,
               std::min(armed_timeout[original] * config.retry.backoff,
@@ -415,7 +366,6 @@ core_result run_core(const sim_config& config,
       return;
     }
     net.originate(e.a, e.at, e.msg);
-    if (compromised[e.a]) monitor.note_origin(e.msg, e.a);
     launch(e.a, e.msg, routing, plan_rng);
     if (retrying) {
       attempts_of[e.msg].push_back(e.msg);
@@ -428,23 +378,18 @@ core_result run_core(const sim_config& config,
   result.wire_dropped = net.dropped_count();
   result.wire_stranded = net.stranded_count();
   result.wire_crashed = net.crashed_count();
-  result.model = std::move(model);
   // Fold attempts into per-original outcomes: delivered if any attempt was,
   // timed from the original submission to the *earliest* delivering attempt
   // (end-to-end latency includes the waits the retry policy imposed), hops
   // from that attempt. Originals come first in id order, so the fold always
   // finds its base outcome.
-  const std::vector<message_trace>& traces = net.traces();
+  const std::vector<message_outcome>& outcomes = net.outcomes();
   result.truths.reserve(config.message_count);
-  for (std::uint64_t id = 1; id <= config.message_count; ++id) {
-    const message_trace& t = traces[id];
-    result.truths.push_back(message_truth{
-        id, message_outcome{t.origin, t.sent_at, t.delivered_at, t.delivered,
-                            static_cast<std::uint32_t>(t.visited.size())}});
-  }
+  for (std::uint64_t id = 1; id <= config.message_count; ++id)
+    result.truths.push_back(message_truth{id, outcomes[id]});
   for (std::uint64_t k = 0; k < attempt_parent.size(); ++k) {
     const std::uint64_t id = config.message_count + 1 + k;
-    const message_trace& t = traces[id];
+    const message_outcome& t = outcomes[id];
     result.attempt_parent.emplace_hint(result.attempt_parent.end(), id,
                                        attempt_parent[k]);
     if (!t.delivered) continue;
@@ -452,7 +397,7 @@ core_result run_core(const sim_config& config,
     if (!out.delivered || t.delivered_at < out.delivered_at) {
       out.delivered = true;
       out.delivered_at = t.delivered_at;
-      out.hops = static_cast<std::uint32_t>(t.visited.size());
+      out.hops = t.hops;
     }
   }
   return result;

@@ -17,6 +17,7 @@
 #include "src/sim/adversary.hpp"
 #include "src/sim/fault_plan.hpp"
 #include "src/sim/latency.hpp"
+#include "src/sim/network.hpp"
 #include "src/sim/session.hpp"
 #include "src/stats/summary.hpp"
 
@@ -115,6 +116,16 @@ inline constexpr double max_churn_transitions = 1e9;
 /// about 13 s at N = 24.
 inline constexpr std::uint64_t max_attempts = 2'000'000;
 
+/// Largest worst-case scoring work on a graph: worst-case attempts x
+/// (longest route + 1) x arcs (two per undirected edge). Scoring one
+/// observation with the topology posterior engine costs about
+/// (longest route + 1) honest-step sweeps over every arc, and each attempt
+/// may be a distinct observation. Planned (kpaths) runs score under
+/// uniform(1, N-1), so their longest route is N - 1. 2e10 of it took
+/// 17 s (N = 1000, kpaths:2, 20 messages on the complete graph), so the
+/// worst admitted run scores in about 13 s.
+inline constexpr double max_scoring_work = 1.5e10;
+
 /// The event-load rules: nullptr, or why a run's expected churn
 /// transitions or worst-case attempts pass the caps above. O(1), on valid
 /// churn and retry parameters and a positive arrival rate. invalid_reason
@@ -200,9 +211,9 @@ struct sim_report {
   std::uint64_t obs_memo_misses = 0;
 };
 
-/// Builds the network, relays, receiver, adversary and workload from the
-/// config, runs to completion, and post-processes the adversary's log with
-/// the exact posterior engine. Deterministic under the seed. `graph`, when
+/// Builds the fabric, adversary and workload from the config, runs to
+/// completion, and post-processes the adversary's log with the exact
+/// posterior engine. Deterministic under the seed. `graph`, when
 /// non-null, is the run's topology already built — it must equal
 /// net::topology::make(N, config.topology) — and is borrowed, read-only,
 /// for routing and scoring instead of being rebuilt; a campaign lends one
@@ -218,20 +229,6 @@ struct sim_report {
 /// those the built-in engines cannot explain.
 using posterior_fn = std::function<std::vector<double>(const observation&)>;
 
-/// Ground-truth summary of one message's journey, as scoring consumes it
-/// (and as sim::trace persists it — identity of intermediate hops is
-/// deliberately absent; it is neither scored nor adversary-visible).
-struct message_outcome {
-  node_id origin = 0;
-  sim_time sent_at = 0.0;
-  sim_time delivered_at = 0.0;
-  bool delivered = false;
-  std::uint32_t hops = 0;  ///< intermediate nodes traversed
-
-  friend bool operator==(const message_outcome&,
-                         const message_outcome&) = default;
-};
-
 /// One message's ground truth under its id.
 struct message_truth {
   std::uint64_t msg = 0;
@@ -242,13 +239,14 @@ struct message_truth {
 
 namespace detail {
 
-/// The event-driven half of run_simulation: builds the network, runs the
+/// The event-driven half of run_simulation: builds the fabric, runs the
 /// workload to completion, and returns the adversary model (post-run state)
 /// plus per-message ground truth. When `event_log` is non-null every
 /// adversary-visible event is also appended to it in arrival order — the
-/// tap sim::trace captures through. `graph` is run_simulation's borrowed
-/// topology (null: build it when needed). Shared plumbing for
-/// run_simulation and capture_trace; not a stable public surface.
+/// fabric's log (network::attach), which sim::trace captures. `graph` is
+/// run_simulation's borrowed topology (null: build it when needed). Shared
+/// plumbing for run_simulation and capture_trace; not a stable public
+/// surface.
 struct core_result {
   std::unique_ptr<adversary_model> model;
   /// One entry per original message, ascending by id (ids are dense

@@ -505,19 +505,7 @@ std::unique_ptr<adversary_model> rebuild_model(const sim_trace& trace) {
   }
   auto model = make_adversary_model(trace.config.adversary, std::move(flags),
                                     trace.config.latency);
-  for (const adversary_event& e : trace.events) {
-    switch (e.type) {
-      case adversary_event::kind::origin:
-        model->note_origin(e.msg, e.reporter);
-        break;
-      case adversary_event::kind::relay:
-        model->note_relay(e.msg, e.at, e.reporter, e.predecessor, e.successor);
-        break;
-      case adversary_event::kind::receipt:
-        model->note_receipt(e.msg, e.at, e.predecessor);
-        break;
-    }
-  }
+  for (const adversary_event& e : trace.events) model->note(e);
   return model;
 }
 

@@ -23,7 +23,7 @@ namespace anonpath::sim {
 ///                     `config.compromised`), so replay rebuilds the exact
 ///                     model without re-drawing;
 ///   * `events`      — every adversary-visible event in arrival order (the
-///                     recording tap of detail::run_core);
+///                     fabric's event log, see network::attach);
 ///   * `truths`      — per-message ground-truth outcomes, which replay uses
 ///                     for the delivery/latency metrics and top-1 scoring
 ///                     (they are the evaluator's key, never shown to the

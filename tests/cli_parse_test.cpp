@@ -329,6 +329,13 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "simulate --n 100000 --routing kpaths:2 --messages 10",
       "estimate --n 100000 --topology trust:0.5 --samples 10",
       "campaign --n 100000 --topology tiered:2 --messages 10 --replicas 1",
+      // And the scoring work on a graph (sim::max_scoring_work): worst-case
+      // attempts x (longest route + 1) x arcs, N - 1 the longest planned
+      // route.
+      "simulate --n 2000 --c 2 --routing kpaths:2 --messages 10",
+      "capture --n 1000 --c 2 --routing kpaths:2 --messages 16 --out /dev/null",
+      "simulate --n 100000 --c 2 --topology regular:4 --messages 100000",
+      "simulate --n 1000 --c 2 --routing kpaths:2 --messages 8 --retry 1",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)
@@ -1030,6 +1037,16 @@ TEST_F(CliParse, TopologyAndChurnAxesAreThreadAndTraceInvariant) {
   EXPECT_NE(run_cli("simulate --n 10 --topology ring:20 --messages 50")
                 .exit_code,
             0);
+  // So does a trust decay whose farthest weight underflows to 0 at this N
+  // (decay 0.5 stops at N = 2151), on every command that builds the graph.
+  expect_usage_errors({
+      "simulate --n 3000 --topology trust:0.5",
+      "simulate --n 2152 --topology trust:0.5 --messages 10",
+      "capture --n 3000 --topology trust:0.5 --out /dev/null",
+      "campaign --n 3000 --topology trust:0.5 --messages 10 --replicas 1",
+      "plan --n 4473 --topology trust:0.5",
+      "estimate --n 3000 --topology trust:0.5 --samples 10",
+  });
 }
 
 TEST_F(CliParse, PositiveControls) {
@@ -1192,6 +1209,46 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
     EXPECT_NE(r.stderr_text.find("unknown flag"), std::string::npos)
         << "anonpath " << args << "\n" << r.stderr_text;
   }
+}
+
+TEST_F(CliParse, PlanMetricsWriteThePhaseSpans) {
+  // plan times its phases with obs spans: --metrics writes them, and
+  // stdout is the same with or without --metrics up to the timing values.
+  const std::string args =
+      "plan --n 3000 --topology regular:4 --components --routes 20 "
+      "--routing kpaths:2 --seed 5";
+  const std::string metrics = ::testing::TempDir() + "anonpath_plan." +
+                              std::to_string(::getpid()) + ".jsonl";
+  int rc_plain = -1, rc_metrics = -1;
+  const std::string plain = cli_stdout(args, &rc_plain);
+  const std::string traced =
+      cli_stdout(args + " --metrics '" + metrics + "'", &rc_metrics);
+  ASSERT_EQ(rc_plain, 0);
+  ASSERT_EQ(rc_metrics, 0);
+  // Every stdout line ends in its phase's duration, ", <seconds> s".
+  const auto without_timing = [](const std::string& text) {
+    std::istringstream in(text);
+    std::string out, line;
+    while (std::getline(in, line)) {
+      const std::size_t comma = line.rfind(", ");
+      EXPECT_TRUE(comma != std::string::npos && line.back() == 's') << line;
+      out += line.substr(0, comma) + "\n";
+    }
+    return out;
+  };
+  EXPECT_EQ(without_timing(plain), without_timing(traced));
+  EXPECT_NE(plain.find("components: 1"), std::string::npos) << plain;
+
+  const obs::metrics_document doc = obs::read_metrics_file(metrics);
+  std::remove(metrics.c_str());
+  std::vector<std::string> names;
+  for (const obs::span_record& span : doc.spans) {
+    EXPECT_EQ(span.parent, 0u) << span.name;
+    names.push_back(span.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"net.build", "net.components",
+                                             "net.dijkstra", "net.routes",
+                                             "net.yen"}));
 }
 
 TEST_F(CliParse, MillionNodePlanBuildsAndRoutes) {

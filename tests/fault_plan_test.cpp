@@ -171,15 +171,9 @@ TEST(FaultPlan, MixFailureEpisodesAreSeededAndLossy) {
 }
 
 TEST(FaultPlan, NetworkCountsCrashStrandsSeparately) {
-  struct sink : sim::message_sink {
-    void on_message(node_id, std::uint64_t) override {}
-  };
-  sink s;
   sim::fault_plan plan;
   plan.outages = {{1, 0.0, 1e6}};
   sim::network net(4, {0.001, 0.0, 0.0}, 5, plan);
-  for (node_id i = 0; i < 4; ++i) net.register_node(i, s);
-  net.register_receiver(s);
   net.send(0, 1, 1);  // down: stranded, counted
   net.send(0, 2, 1);  // up: queued
   EXPECT_EQ(net.crashed_count(), 1u);

@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <cstdlib>
+#include <optional>
+#include <utility>
 
+#include "src/net/topology.hpp"
 #include "src/sim/adversary.hpp"
 #include "src/sim/latency.hpp"
 #include "src/sim/network.hpp"
-#include "src/sim/receiver.hpp"
-#include "src/sim/relay.hpp"
 #include "src/sim/workload.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/rng.hpp"
@@ -54,14 +55,6 @@ TEST(Workload, MeanInterArrivalMatchesRate) {
 
 TEST(Network, DeliversWithLatency) {
   network net(4, {0.010, 0.0, 0.0}, 7);
-  adversary_monitor monitor(std::vector<bool>(4, false));
-  receiver_endpoint recv(net, &monitor);
-  net.register_receiver(recv);
-
-  onion_relay r0(0, net, 0.0, false, &monitor);
-  net.register_node(0, r0);
-  onion_relay r1(1, net, 0.0, false, &monitor);
-  net.register_node(1, r1);  // send() requires the sender registered too
 
   // Single-hop onion: sender 1 -> relay 0 -> R.
   const route path{1, {0}};
@@ -69,32 +62,21 @@ TEST(Network, DeliversWithLatency) {
   net.set_route(42, path.hops);
   net.send(1, 0, 42);
   EXPECT_TRUE(net.run());
-  EXPECT_EQ(recv.delivered_count(), 1u);
+  const message_outcome& out = net.outcomes().at(42);
+  EXPECT_TRUE(out.delivered);
   // Two links of exactly 10ms each (no jitter, no processing).
-  EXPECT_NEAR(recv.deliveries().at(42).at, 0.020, 1e-12);
-  EXPECT_TRUE(net.traces().at(42).delivered);
-  EXPECT_EQ(net.traces().at(42).visited, (std::vector<node_id>{0}));
+  EXPECT_NEAR(out.delivered_at, 0.020, 1e-12);
+  EXPECT_EQ(out.hops, 1u);
 }
 
 TEST(Network, RejectsUnregisteredTargets) {
-  // Both endpoints of a transmission must be registered — send() asserts
-  // the documented precondition instead of dereferencing a null sink.
+  // Both endpoints of a transmission must be node ids (or R for the
+  // destination) — send() asserts the documented precondition instead of
+  // indexing past the fabric.
   network net(4, {}, 7);
-  onion_relay r0(0, net, 0.0, false, nullptr);
-  net.register_node(0, r0);
-  // Registered sender, unregistered destination.
-  EXPECT_THROW(net.send(0, 2, 1), contract_violation);
-  // Unregistered sender.
-  EXPECT_THROW(net.send(3, 0, 1), contract_violation);
-  // Registered sender, unregistered receiver endpoint.
-  EXPECT_THROW(net.send(0, receiver_node, 1), contract_violation);
-}
-
-TEST(Network, RejectsDuplicateRegistration) {
-  network net(4, {}, 7);
-  onion_relay r0(0, net, 0.0, false, nullptr);
-  net.register_node(0, r0);
-  EXPECT_THROW(net.register_node(0, r0), contract_violation);
+  EXPECT_THROW(net.send(0, 4, 1), contract_violation);  // destination
+  EXPECT_THROW(net.send(4, 0, 1), contract_violation);  // sender
+  EXPECT_THROW(net.send(receiver_node, 0, 1), contract_violation);
 }
 
 TEST(Network, RouteCursorRevealsOnlyEachSuccessor) {
@@ -111,7 +93,7 @@ TEST(Network, RouteCursorRevealsOnlyEachSuccessor) {
 }
 
 TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
-  adversary_monitor monitor({false, true, false, true, false});
+  full_coalition_model monitor({false, true, false, true, false});
   monitor.note_relay(9, 3.0, 3, 2, 4);   // later capture filed first
   monitor.note_relay(9, 1.0, 1, 0, 2);
   monitor.note_receipt(9, 5.0, 4);
@@ -125,7 +107,7 @@ TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
 }
 
 TEST(AdversaryMonitor, TracksOrigin) {
-  adversary_monitor monitor({true, false});
+  full_coalition_model monitor({true, false});
   monitor.note_origin(1, 0);
   monitor.note_receipt(1, 1.0, 0);
   const auto obs = monitor.assemble(1);
@@ -134,15 +116,15 @@ TEST(AdversaryMonitor, TracksOrigin) {
 }
 
 TEST(AdversaryMonitor, IncompleteMessagesRejected) {
-  adversary_monitor monitor({true, false});
+  full_coalition_model monitor({true, false});
   monitor.note_relay(5, 1.0, 0, 1, receiver_node);
   EXPECT_FALSE(monitor.complete(5));
   EXPECT_THROW((void)monitor.assemble(5), std::out_of_range);
-  EXPECT_TRUE(monitor.delivered_messages().empty());
+  EXPECT_TRUE(monitor.observed_messages().empty());
 }
 
 TEST(AdversaryMonitor, HonestNodeCannotReport) {
-  adversary_monitor monitor({false, true});
+  full_coalition_model monitor({false, true});
   EXPECT_THROW(monitor.note_relay(1, 0.0, 0, 1, receiver_node),
                contract_violation);
   EXPECT_THROW(monitor.note_origin(1, 0), contract_violation);
@@ -152,15 +134,8 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   // Route 2 -> 0 -> 1 -> 3 -> R with node 1 compromised.
   const std::vector<bool> comp{false, true, false, false};
   network net(4, {0.001, 0.0, 0.0}, 9);
-  adversary_monitor monitor(comp);
-  receiver_endpoint recv(net, &monitor);
-  net.register_receiver(recv);
-  std::vector<std::unique_ptr<onion_relay>> relays;
-  for (node_id i = 0; i < 4; ++i) {
-    relays.push_back(
-        std::make_unique<onion_relay>(i, net, 0.0, comp[i], &monitor));
-    net.register_node(i, *relays[i]);
-  }
+  full_coalition_model monitor(comp);
+  net.attach(monitor);
 
   const route path{2, {0, 1, 3}};
   net.originate(2, 0.0, 77);
@@ -168,7 +143,8 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   net.send(2, 0, 77);
   EXPECT_TRUE(net.run());
 
-  EXPECT_EQ(recv.delivered_count(), 1u);
+  EXPECT_TRUE(net.outcomes().at(77).delivered);
+  EXPECT_EQ(net.outcomes().at(77).hops, 3u);
   const auto obs = monitor.assemble(77);
   ASSERT_EQ(obs.reports.size(), 1u);
   EXPECT_EQ(obs.reports[0].reporter, 1u);
@@ -179,6 +155,81 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   // The monitor's observation must equal the oracle `observe` on the
   // ground-truth route — the simulation and the model agree.
   EXPECT_EQ(obs, observe(path, comp));
+}
+
+TEST(CrowdsRelay, HopByHopFabricLogsEachForwardWithItsSuccessor) {
+  // Crowds on ring(4, 1) = 0-1-2-3-0 with node 2 compromised. Every link
+  // costs exactly 1 ms and relays add no delay, so the time between two
+  // consecutive sightings of a message counts its links. Between node 2
+  // forwarding to successor s and the next sighting (node 2 again, or R)
+  // from predecessor p, the message walks the honest path 3-0-1 from s to
+  // p — possible only when the step count matches their distance. A
+  // successor that was not the hop actually taken breaks that sooner or
+  // later (a direct bounce 2 -> s -> 2 needs p == s).
+  const net::topology ring = net::topology::ring(4, 1);
+  network net(4, {0.001, 0.0, 0.0}, 11, {}, &ring);
+  stats::rng master(5);
+  net.use_crowds(0.75, master);
+  full_coalition_model monitor({false, false, true, false});
+  std::vector<adversary_event> log;
+  net.attach(monitor, &log);
+
+  constexpr std::uint64_t messages = 200;
+  for (std::uint64_t msg = 1; msg <= messages; ++msg) {
+    net.originate(1, 0.0, msg);
+    net.send(1, 2, msg);  // the first jondo is the compromised node
+  }
+  EXPECT_TRUE(net.run());
+
+  const auto pos = [](node_id v) { return v == 3 ? 0 : v == 0 ? 1 : 2; };
+  const auto links = [](sim_time from, sim_time to) {
+    return std::lround((to - from) / 0.001);
+  };
+  // Per message: the last forward by node 2 (time, successor).
+  std::vector<std::optional<std::pair<sim_time, node_id>>> last(messages + 1);
+  std::uint64_t forwards = 0, receipts = 0, bounces = 0;
+  for (const adversary_event& e : log) {
+    ASSERT_NE(e.type, adversary_event::kind::origin);  // sender 1 is honest
+    const bool receipt = e.type == adversary_event::kind::receipt;
+    if (!receipt) {
+      ++forwards;
+      EXPECT_EQ(e.reporter, 2u);
+      ASSERT_TRUE(e.successor == receiver_node ||
+                  ring.has_edge(2, e.successor))
+          << e.successor;
+    } else {
+      ++receipts;
+    }
+    auto& prev = last[e.msg];
+    if (!prev) {
+      // First sighting: node 2 receives from the sender 1 ms in.
+      ASSERT_FALSE(receipt);
+      EXPECT_EQ(e.predecessor, 1u);
+      EXPECT_EQ(links(0.0, e.at), 1);
+    } else if (prev->second == receiver_node) {
+      // Node 2 delivered: the receipt follows one link later, from 2.
+      ASSERT_TRUE(receipt);
+      EXPECT_EQ(e.predecessor, 2u);
+      EXPECT_EQ(links(prev->first, e.at), 1);
+    } else {
+      // 2 -> s, an honest walk s ~> p, then p -> here: two links plus the
+      // walk's steps.
+      const long steps = links(prev->first, e.at) - 2;
+      const long dist = std::labs(pos(prev->second) - pos(e.predecessor));
+      EXPECT_TRUE(steps >= dist && (steps - dist) % 2 == 0)
+          << "msg " << e.msg << ": successor " << prev->second
+          << " cannot reach " << e.predecessor << " in " << steps;
+      if (steps == 0) ++bounces;
+    }
+    if (!receipt) prev.emplace(e.at, e.successor);
+  }
+  EXPECT_EQ(receipts, messages);  // lossless fabric: everything delivers
+  EXPECT_GE(forwards, messages);  // node 2 relays every message
+  EXPECT_GT(bounces, 0u);         // the direct-bounce check was exercised
+  for (std::uint64_t msg = 1; msg <= messages; ++msg) {
+    EXPECT_TRUE(net.outcomes().at(msg).delivered);
+    EXPECT_GE(net.outcomes().at(msg).hops, 1u);
+  }
 }
 
 }  // namespace

@@ -73,42 +73,34 @@ TEST(TopologyProperty, SampledRoutesRespectAdjacency) {
 
 TEST(TopologyProperty, FabricAssertsEdgesAndRegistration) {
   // The network is the last line of defense: a send that ignores the graph
-  // (or an unregistered party) is a contract violation, not a silent hop.
+  // (or names a party outside the fabric) is a contract violation, not a
+  // silent hop.
   const net::topology topo = net::topology::ring(6, 1);
   sim::network net(6, {}, 3, {}, &topo);
-  struct sink : sim::message_sink {
-    void on_message(node_id, std::uint64_t) override {}
-  };
-  sink s;
-  for (node_id i = 0; i < 6; ++i) net.register_node(i, s);
-  net.register_receiver(s);
   EXPECT_THROW(net.send(0, 3, 1), contract_violation);
   net.send(0, 1, 1);   // a real edge is fine
   net.send(0, 5, 1);   // wrap-around edge too
   net.send(2, receiver_node, 1);  // R always reachable
 
   sim::network bare(4, {}, 3);
-  EXPECT_THROW(bare.send(0, 1, 1), contract_violation);
+  EXPECT_THROW(bare.send(0, 4, 1), contract_violation);
 }
 
 TEST(TopologyProperty, FabricCountsStrandsSeparatelyFromDrops) {
   // Churn strands are their own counter, distinct from random link drops;
   // the fabric's diagnostics must attribute undelivered messages to the
   // right cause.
-  struct sink : sim::message_sink {
-    void on_message(node_id, std::uint64_t) override {}
-  };
-  sink s;
   sim::network net(4, {0.001, 0.0, 0.0}, 5,
                    sim::fault_plan{.churn = net::churn_config{
                        50.0, 10.0}});  // fails fast, stays down
-  for (node_id i = 0; i < 4; ++i) net.register_node(i, s);
-  net.register_receiver(s);
   EXPECT_TRUE(net.churn().enabled());
   // March simulated time forward so the renewal schedules advance; once a
-  // destination is down at send time the message strands.
-  for (int i = 0; i < 200; ++i) {
-    net.send(0, 1 + static_cast<node_id>(i % 3), 1);
+  // destination is down at send time the message strands. Each message is
+  // a one-hop onion whose relay delivers to R.
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const auto hop = 1 + static_cast<node_id>(i % 3);
+    net.set_route(i + 1, {hop});
+    net.send(0, hop, i + 1);
     net.run();
   }
   EXPECT_GT(net.stranded_count(), 0u);

@@ -167,6 +167,26 @@ TEST(Topology, ConfigValidation) {
   EXPECT_TRUE(cfg.valid_for(10));
 }
 
+TEST(Topology, TrustWeightsThatUnderflowAreRefused) {
+  // decay^(N/2 - 1) is 2^-1074 (the least double) at N = 2151 and rounds
+  // to 0 one ring distance later: the zero-weight graph is refused up front
+  // instead of failing the builder's positive-weight check.
+  topology_config cfg;
+  cfg.kind = topology_kind::trust_weighted;
+  cfg.trust_decay = 0.5;
+  EXPECT_TRUE(cfg.valid_for(2151));
+  EXPECT_FALSE(cfg.valid_for(2152));
+  EXPECT_FALSE(cfg.valid_for(4473));
+  EXPECT_THROW((void)topology::make(2152, cfg), contract_violation);
+  const topology t = topology::make(2151, cfg);
+  EXPECT_EQ(t.edge_weight(0, 2151 / 2), 0x1p-1074);
+  // A decay whose products stall at a subnormal never reaches 0.
+  cfg.trust_decay = 0.9;
+  EXPECT_TRUE(cfg.valid_for(20000));
+  cfg.trust_decay = 1.0;
+  EXPECT_TRUE(cfg.valid_for(4000000));
+}
+
 TEST(Topology, MakeRejectsInvalidConfigLoudly) {
   topology_config cfg;
   cfg.kind = topology_kind::ring;

@@ -266,6 +266,14 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
   std::string huge_trust = trust_os.str();
   ASSERT_NE(huge_trust.find("\nsys 20 1\n"), std::string::npos);
   huge_trust.replace(huge_trust.find("\nsys 20 1\n"), 10, "\nsys 100000 1\n");
+  // Decay 0.5 also underflows at that N; decay 1 keeps every weight at 1,
+  // so only the edge count refuses this one.
+  trust.topology.trust_decay = 1.0;
+  std::ostringstream flat_os;
+  sim::write_trace(sim::capture_trace(trust), flat_os);
+  std::string huge_flat_trust = flat_os.str();
+  huge_flat_trust.replace(huge_flat_trust.find("\nsys 20 1\n"), 10,
+                          "\nsys 100000 1\n");
   const auto hex = [](double x) {  // " <16 hex digits>"
     std::ostringstream text;
     stats::put_hex_double(text, x);
@@ -287,6 +295,7 @@ TEST(TraceFuzz, HugeSystemsAreRefusedBeforeReplayAllocates) {
        "\nretry " + std::to_string(sim::max_attempts / 30) + " "},
       {"\nretry 2 ", "\nretry 1000000 "},
       {base, huge_trust},  // the whole trace
+      {base, huge_flat_trust},
   };
   const std::string trace_path = ::testing::TempDir() + "anonpath_huge." +
                                  std::to_string(::getpid()) + ".trace";

@@ -533,8 +533,7 @@ int cmd_estimate(const options& opt) {
   const net::topology_config& topo = opt.grid.topologies.front();
   if (topo.kind != net::topology_kind::complete) {
     // Restricted graph: walk-model Monte Carlo on the topology engine.
-    if (!topo.valid_for(n))
-      usage("--topology parameters out of range for --n");
+    if (const char* why = topo.invalid_reason(n)) usage(why);
     require_graph_cap(opt, n, topo);
     const auto t0 = std::chrono::steady_clock::now();
     const auto est = net::estimate_topology_degree(
@@ -1203,51 +1202,53 @@ int cmd_attack(const options& opt) {
 /// Graph-scale diagnostics: builds the topology, runs one full Dijkstra
 /// tree, extracts --routes shortest routes to seeded random targets, and —
 /// when --routing kpaths is given — plans the same number of
-/// k-shortest-path routes through net::route_planner. All timings go to
-/// stdout so regressions are visible in logs.
+/// k-shortest-path routes through net::route_planner. Each phase is an obs
+/// span (net.build, net.components, net.dijkstra, net.routes, net.yen);
+/// its duration goes to stdout so regressions are visible in logs, and
+/// --metrics writes the spans.
 int cmd_plan(const options& opt) {
   require_node_cap(opt, max_nodes_plan);
   const std::uint32_t n = opt.grid.node_counts.front();
   if (n < 2) usage("plan needs --n >= 2");
   if (opt.plan_source >= n) usage("--source out of range for --n");
   const net::topology_config& topo_cfg = opt.grid.topologies.front();
-  if (!topo_cfg.valid_for(n))
-    usage("--topology parameters out of range for --n");
+  if (const char* why = topo_cfg.invalid_reason(n)) usage(why);
   require_graph_cap(opt, n, topo_cfg);
   // Planning work counters are pure functions of the graph and the query
   // sequence, so they land in the snapshot as stable metrics.
   net::plan_counters counters;
   obs::metrics_registry reg;
   obs::progress_meter progress("plan routes", opt.plan_routes, opt.progress);
-  const auto elapsed = [](std::chrono::steady_clock::time_point a,
-                          std::chrono::steady_clock::time_point b) {
-    return std::chrono::duration_cast<std::chrono::duration<double>>(b - a)
-        .count();
+  obs::tracer tracer;
+  // The phases do not nest, so the last span record is the one just closed.
+  const auto span_s = [&tracer] {
+    return tracer.spans().back().duration_ms / 1e3;
   };
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const net::topology topo = net::topology::make(n, topo_cfg);
-  const auto t1 = std::chrono::steady_clock::now();
+  const net::topology topo = [&] {
+    const obs::span s(&tracer, "net.build");
+    return net::topology::make(n, topo_cfg);
+  }();
   std::printf("built %s: N=%u, %llu edges, csr storage, %.3f s\n",
               topo_cfg.label().c_str(), n,
-              static_cast<unsigned long long>(topo.edge_count()),
-              elapsed(t0, t1));
+              static_cast<unsigned long long>(topo.edge_count()), span_s());
 
   if (opt.plan_components) {
-    const auto tc0 = std::chrono::steady_clock::now();
-    const std::vector<std::uint32_t> comp = net::connected_components(topo);
-    const auto tc1 = std::chrono::steady_clock::now();
+    const std::vector<std::uint32_t> comp = [&] {
+      const obs::span s(&tracer, "net.components");
+      return net::connected_components(topo);
+    }();
     // Labels are 0-based in first-discovery order, so the count is one past
     // the largest label.
     std::uint32_t count = 0;
     for (std::uint32_t label : comp) count = std::max(count, label + 1);
-    std::printf("components: %u, %.3f s\n", count, elapsed(tc0, tc1));
+    std::printf("components: %u, %.3f s\n", count, span_s());
   }
 
-  const auto t2 = std::chrono::steady_clock::now();
-  const net::shortest_path_tree tree =
-      net::dijkstra(topo, opt.plan_source, &counters);
-  const auto t3 = std::chrono::steady_clock::now();
+  const net::shortest_path_tree tree = [&] {
+    const obs::span s(&tracer, "net.dijkstra");
+    return net::dijkstra(topo, opt.plan_source, &counters);
+  }();
   std::uint64_t reachable = 0;
   double eccentricity = 0.0;
   for (double d : tree.dist)
@@ -1258,43 +1259,45 @@ int cmd_plan(const options& opt) {
   std::printf("dijkstra from %u: %llu reachable, eccentricity cost %.6g, "
               "%.3f s\n",
               opt.plan_source, static_cast<unsigned long long>(reachable),
-              eccentricity, elapsed(t2, t3));
+              eccentricity, span_s());
 
   // Shortest routes to seeded random targets: O(path length) parent-chain
   // walks off the one tree, the way a source-routed sender would plan.
   stats::rng gen(opt.seed);
-  const auto t4 = std::chrono::steady_clock::now();
   std::uint64_t hop_total = 0;
-  progress.advance(0);
-  for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
-    auto target = static_cast<node_id>(gen.next_below(n - 1));
-    if (target >= opt.plan_source) ++target;
-    for (node_id v = target;
-         v != opt.plan_source && v != net::no_vertex; v = tree.parent[v])
-      ++hop_total;
-    progress.advance(i + 1);
+  {
+    const obs::span s(&tracer, "net.routes");
+    progress.advance(0);
+    for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
+      auto target = static_cast<node_id>(gen.next_below(n - 1));
+      if (target >= opt.plan_source) ++target;
+      for (node_id v = target;
+           v != opt.plan_source && v != net::no_vertex; v = tree.parent[v])
+        ++hop_total;
+      progress.advance(i + 1);
+    }
   }
-  const auto t5 = std::chrono::steady_clock::now();
   std::printf("%u shortest routes: mean hops %.2f, %.3f s\n", opt.plan_routes,
               static_cast<double>(hop_total) /
                   static_cast<double>(opt.plan_routes),
-              elapsed(t4, t5));
+              span_s());
 
   if (opt.grid.routings.front().planned()) {
     net::route_planner planner(topo, opt.grid.routings.front());
-    const auto t6 = std::chrono::steady_clock::now();
     std::uint64_t planned_hops = 0;
-    for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
-      const auto sender = static_cast<node_id>(gen.next_below(n));
-      const route r = sample_planned_route(planner, sender, gen);
-      planned_hops += r.hops.size();
+    {
+      const obs::span s(&tracer, "net.yen");
+      for (std::uint32_t i = 0; i < opt.plan_routes; ++i) {
+        const auto sender = static_cast<node_id>(gen.next_below(n));
+        const route r = sample_planned_route(planner, sender, gen);
+        planned_hops += r.hops.size();
+      }
     }
-    const auto t7 = std::chrono::steady_clock::now();
     std::printf("%u %s routes: mean hops %.2f, %.3f s\n", opt.plan_routes,
                 planner.config().label().c_str(),
                 static_cast<double>(planned_hops) /
                     static_cast<double>(opt.plan_routes),
-                elapsed(t6, t7));
+                span_s());
     const net::plan_counters& yen = planner.counters();
     counters.dijkstra_runs += yen.dijkstra_runs;
     counters.nodes_settled += yen.nodes_settled;
@@ -1306,7 +1309,7 @@ int cmd_plan(const options& opt) {
     reg.add_counter("plan.nodes_settled", counters.nodes_settled);
     reg.add_counter("plan.edges_scanned", counters.edges_scanned);
     reg.add_counter("plan.yen_spur_searches", counters.yen_spur_searches);
-    obs::write_metrics_file(opt.metrics_path, reg.snapshot(), {});
+    obs::write_metrics_file(opt.metrics_path, reg.snapshot(), tracer.spans());
   }
   return 0;
 }
