@@ -5,17 +5,17 @@
 // rounds-to-identification against background volume (the threshold-mix
 // batch size): more background per round means more cover per observation,
 // so identification should take monotonically more rounds as the batch
-// grows — the longitudinal analogue of the paper's entropy-vs-length
-// frontier.
+// grows, for every attack — the longitudinal analogue of the paper's
+// entropy-vs-length frontier.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
-#include <optional>
-
-#include "bench/bench_common.hpp"
+#include "bench/claim.hpp"
 #include "src/attack/disclosure.hpp"
-#include "src/attack/sda.hpp"
-#include "src/workload/cooccurrence.hpp"
 #include "src/workload/population.hpp"
 
 namespace {
@@ -38,7 +38,7 @@ workload::population_config sweep_config(std::uint32_t round_size,
   return cfg;
 }
 
-void emit(std::ostream& os) {
+bool emit(std::ostream& os) {
   os << "# ext_disclosure: rounds to identification vs background volume "
         "(U="
      << users << ", P=" << receivers << " receivers, <= " << max_rounds
@@ -48,12 +48,17 @@ void emit(std::ostream& os) {
   // population, so its operating point is a lower mass threshold.
   os << "# thresholds: intersection/bayes 0.99, sda 0.5\n";
   os << "round_size,intersection_rounds,sda_rounds,bayes_rounds\n";
+  const attack::attack_kind kinds[] = {attack::attack_kind::intersection,
+                                       attack::attack_kind::sda,
+                                       attack::attack_kind::sequential_bayes};
+  // Rounds to identification per attack, in batch-size order; a batch that
+  // is never identified counts as infinitely many rounds.
+  std::vector<double> rounds[std::size(kinds)];
   for (const std::uint32_t b : {4u, 8u, 16u, 32u, 64u}) {
     const workload::population pop(sweep_config(b, 97));
     os << b;
-    for (const attack::attack_kind kind :
-         {attack::attack_kind::intersection, attack::attack_kind::sda,
-          attack::attack_kind::sequential_bayes}) {
+    for (std::size_t k = 0; k < std::size(kinds); ++k) {
+      const attack::attack_kind kind = kinds[k];
       const double threshold = kind == attack::attack_kind::sda ? 0.5 : 0.99;
       auto engine = attack::make_attack(kind, receivers);
       const auto result =
@@ -62,51 +67,21 @@ void emit(std::ostream& os) {
         os << "," << *result.identified_round;
       else
         os << ",>" << max_rounds;
+      rounds[k].push_back(result.identified_round
+                              ? *result.identified_round
+                              : std::numeric_limits<double>::infinity());
     }
     os << "\n";
   }
   os << "\n";
+  bool ok = true;
+  for (std::size_t k = 0; k < std::size(kinds); ++k)
+    ok &= bench::claim(std::is_sorted(rounds[k].begin(), rounds[k].end()),
+                       std::string(attack::attack_kind_label(kinds[k])) +
+                           ": rounds to identify shrink as the batch grows");
+  return ok;
 }
-
-void BM_RoundGeneration(benchmark::State& state) {
-  const workload::population pop(
-      sweep_config(static_cast<std::uint32_t>(state.range(0)), 7));
-  std::uint32_t r = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pop.round(r));
-    r = (r + 1) % max_rounds;
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RoundGeneration)->Arg(16)->Arg(128);
-
-void BM_CooccurrenceAccumulate(benchmark::State& state) {
-  // The population-scale counting path, swept over worker threads;
-  // bit-identical results across the axis by construction.
-  const workload::population pop(sweep_config(16, 7));
-  workload::cooccurrence_config cfg;
-  cfg.threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(workload::accumulate_cooccurrence(pop, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * max_rounds);
-}
-BENCHMARK(BM_CooccurrenceAccumulate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SdaFromCounts(benchmark::State& state) {
-  // Scoring alone: counts accumulated once, estimator re-run per iteration.
-  const workload::population pop(sweep_config(16, 7));
-  const auto totals = workload::accumulate_cooccurrence(pop, {});
-  for (auto _ : state) {
-    const auto sda = attack::sda_attack::from_counts(totals, 0, receivers);
-    benchmark::DoNotOptimize(sda.posterior());
-  }
-}
-BENCHMARK(BM_SdaFromCounts);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return anonpath::bench::figure_main(argc, argv, emit);
-}
+int main() { return emit(std::cout) ? 0 : 1; }

@@ -4,11 +4,13 @@
 // cell of one scenario campaign: the campaign engine fans the replicas out
 // over all cores with deterministic per-run seeding, and the cross-replica
 // spread gives every frontier point a real confidence interval (the
-// hand-rolled loop this bench replaced ran each strategy once, serially).
+// hand-rolled loop this program replaced ran each strategy once, serially).
+// Latency climbs with the mean path length, and the mean-5 optimum is more
+// anonymous than every strategy that costs no more mean hops.
 
-#include <benchmark/benchmark.h>
+#include <string>
 
-#include "bench/bench_common.hpp"
+#include "bench/claim.hpp"
 #include "src/anonymity/optimizer.hpp"
 #include "src/sim/campaign.hpp"
 
@@ -36,7 +38,7 @@ sim::campaign_grid frontier_grid() {
   return grid;
 }
 
-void emit(std::ostream& os) {
+bool emit(std::ostream& os) {
   sim::campaign_config cfg;
   cfg.replicas = 4;
   cfg.master_seed = 2002;
@@ -54,43 +56,28 @@ void emit(std::ostream& os) {
        << "\n";
   }
   os << "\n";
-}
-
-void BM_SimulationThroughput(benchmark::State& state) {
-  sim::sim_config cfg;
-  cfg.sys = {100, 1};
-  cfg.compromised = {13};
-  cfg.arrival_rate = 200.0;
-  cfg.seed = 2002;
-  cfg.message_count = static_cast<std::uint32_t>(state.range(0));
-  cfg.lengths = path_length_distribution::fixed(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::run_simulation(cfg));
+  bool ok = true;
+  // Only the length axis varies, so the optimum, last on it, is last here.
+  // Means within 1e-9 of each other (the optimizer's realized mean) tie.
+  const sim::campaign_cell& opt = result.cells.back();
+  const auto shorter = [](const sim::campaign_cell& a,
+                          const sim::campaign_cell& b) {
+    return a.scene.lengths.mean() < b.scene.lengths.mean() - 1e-9;
+  };
+  for (const auto& a : result.cells) {
+    const std::string name = a.scene.lengths.label();
+    for (const auto& b : result.cells)
+      if (shorter(a, b))
+        ok &= bench::claim(
+            a.latency_seconds.mean() < b.latency_seconds.mean(),
+            name + " is not faster than the longer " + b.scene.lengths.label());
+    if (&a != &opt && !shorter(opt, a))
+      ok &= bench::claim(a.entropy_bits.mean() < opt.entropy_bits.mean(),
+                         name + " is as anonymous as the mean-5 optimum");
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  return ok;
 }
-BENCHMARK(BM_SimulationThroughput)->Arg(200)->Arg(1000);
-
-void BM_FrontierCampaign(benchmark::State& state) {
-  // Whole-frontier wall clock vs worker threads (replicas fan out too).
-  auto grid = frontier_grid();
-  grid.message_count = 200;
-  sim::campaign_config cfg;
-  cfg.replicas = 4;
-  cfg.threads = static_cast<unsigned>(state.range(0));
-  const auto cells =
-      static_cast<std::int64_t>(sim::expand_grid(grid).size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::run_campaign(grid, cfg));
-    ++cfg.master_seed;
-  }
-  state.SetItemsProcessed(state.iterations() * cells * cfg.replicas);
-}
-BENCHMARK(BM_FrontierCampaign)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return anonpath::bench::figure_main(argc, argv, emit);
-}
+int main() { return emit(std::cout) ? 0 : 1; }

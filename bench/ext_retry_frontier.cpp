@@ -15,11 +15,12 @@
 // weakly-observed messages into the scored set and its mean can rise even
 // as total uncertainty falls (a selection effect, not an anonymity gain).
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
 
-#include "bench/bench_common.hpp"
+#include "bench/claim.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/rng.hpp"
 #include "src/stats/summary.hpp"
@@ -49,7 +50,7 @@ sim_config frontier_config(std::uint32_t budget, std::uint64_t seed) {
   return cfg;
 }
 
-void emit(std::ostream& os) {
+bool emit(std::ostream& os) {
   os << "# ext_retry: reliability-vs-anonymity frontier at drop " << drop
      << " (N=" << node_count << ", C=" << compromised << ", U(1,6), "
      << replicas << " x " << messages << " msgs per point)\n";
@@ -59,6 +60,7 @@ void emit(std::ostream& os) {
         "entropy_stderr,retransmits_per_msg\n";
   const double prior =
       std::log2(static_cast<double>(node_count - compromised));
+  std::vector<double> delivery, uncertainty;  // per budget, in budget order
   for (const std::uint32_t budget : {0u, 1u, 2u, 3u, 4u, 6u}) {
     stats::running_summary delivered, entropy, retransmits;
     for (std::uint32_t rep = 0; rep < replicas; ++rep) {
@@ -80,22 +82,18 @@ void emit(std::ostream& os) {
     os << budget << "," << delivered.mean() << "," << delivered.std_error()
        << "," << entropy.mean() << "," << entropy.std_error() << ","
        << retransmits.mean() << "\n";
+    delivery.push_back(delivered.mean());
+    uncertainty.push_back(entropy.mean());
   }
   os << "\n";
+  bool ok = bench::claim(bench::rises(delivery),
+                         "delivery does not climb with the retry budget");
+  ok &= bench::claim(
+      std::is_sorted(uncertainty.begin(), uncertainty.end(), std::greater<>()),
+      "entropy grows with the retry budget");
+  return ok;
 }
-
-void BM_RetryRun(benchmark::State& state) {
-  const auto budget = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t seed = 5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_simulation(frontier_config(budget, seed++)));
-  }
-  state.SetItemsProcessed(state.iterations() * messages);
-}
-BENCHMARK(BM_RetryRun)->Arg(0)->Arg(2)->Arg(4);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return anonpath::bench::figure_main(argc, argv, emit);
-}
+int main() { return emit(std::cout) ? 0 : 1; }

@@ -6,15 +6,15 @@
 // session's memory independent of the population while the posterior stays
 // conformance-pinned to the exact engine. This sweep maps that trade-off:
 // engine memory and posterior agreement as the receiver population grows
-// with the observation stream held fixed.
-
-#include <benchmark/benchmark.h>
+// with the observation stream held fixed: the sketch's bytes stay constant
+// while the exact engine's grow, and both rank the same top receiver at
+// every population.
 
 #include <algorithm>
+#include <string>
 
-#include "bench/bench_common.hpp"
+#include "bench/claim.hpp"
 #include "src/attack/disclosure.hpp"
-#include "src/attack/online.hpp"
 #include "src/attack/sda.hpp"
 #include "src/attack/sketch_sda.hpp"
 #include "src/workload/population.hpp"
@@ -39,13 +39,15 @@ workload::population_config sweep_config(std::uint32_t receivers,
   return cfg;
 }
 
-void emit(std::ostream& os) {
+bool emit(std::ostream& os) {
+  bool ok = true;
   os << "# ext_streaming: online sda engine memory & posterior agreement vs "
         "receiver population (R="
      << sweep_rounds << " rounds, B=" << sweep_round_size
      << " msgs/round, exact vs count-min+bottom-k sketch)\n";
   os << "receivers,exact_bytes,sketch_bytes,memory_ratio,top_match,"
         "exact_entropy_bits,sketch_entropy_bits\n";
+  std::size_t first_sketch_bytes = 0, last_exact_bytes = 0;
   for (const std::uint32_t receivers : {1000u, 10000u, 100000u, 1000000u}) {
     const workload::population pop(sweep_config(receivers, 97));
     workload::cooccurrence_config ccfg;
@@ -73,58 +75,20 @@ void emit(std::ostream& os) {
        << ','
        << attack::summarize_posterior(ps, sweep_rounds, 0.99).entropy_bits
        << "\n";
+    const std::string at = " at " + std::to_string(receivers) + " receivers";
+    if (first_sketch_bytes == 0) first_sketch_bytes = sketched.memory_bytes();
+    ok &= bench::claim(sketched.memory_bytes() == first_sketch_bytes,
+                       "the sketch's memory changes" + at);
+    ok &= bench::claim(exact.memory_bytes() > last_exact_bytes,
+                       "the exact engine's memory does not grow" + at);
+    last_exact_bytes = exact.memory_bytes();
+    ok &= bench::claim(te == ts,
+                       "the engines rank different top receivers" + at);
   }
   os << "\n";
+  return ok;
 }
-
-void BM_StreamingAccumulate(benchmark::State& state) {
-  // The sharded streaming driver at population scale, exact vs sketch state
-  // over the worker-thread axis; bit-identical results across the axis by
-  // construction (per-worker states merge order-free).
-  const workload::population pop(sweep_config(100000, 7));
-  workload::streaming_config scfg;
-  scfg.backend = state.range(1) != 0 ? workload::stream_backend::sketch
-                                     : workload::stream_backend::exact;
-  workload::cooccurrence_config ccfg;
-  ccfg.threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        workload::accumulate_streaming(pop, 0, sweep_rounds, scfg, ccfg));
-  }
-  state.SetItemsProcessed(state.iterations() * sweep_rounds);
-}
-BENCHMARK(BM_StreamingAccumulate)
-    ->Args({1, 0})->Args({8, 0})->Args({1, 1})->Args({8, 1})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_OnlineSessionSnapshot(benchmark::State& state) {
-  // Cost of a mid-stream posterior query (the thing offline post-processing
-  // cannot do at all): one full posterior + summary at the current position.
-  const std::uint32_t receivers = 100000;
-  const workload::population pop(sweep_config(receivers, 7));
-  attack::online_config ocfg;
-  ocfg.backend = state.range(0) != 0 ? workload::stream_backend::sketch
-                                     : workload::stream_backend::exact;
-  ocfg.stride = sweep_rounds;  // no trajectory sampling inside the loop
-  attack::online_attack online(receivers, ocfg);
-  const node_id target = pop.pairs().front().sender;
-  for (std::uint32_t r = 0; r < 512; ++r) {
-    const workload::round_batch batch = pop.round(r);
-    attack::round_observation obs;
-    obs.target_present =
-        std::find(batch.senders.begin(), batch.senders.end(), target) !=
-        batch.senders.end();
-    obs.receivers = batch.receivers;
-    online.ingest(obs);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(online.snapshot());
-  }
-}
-BENCHMARK(BM_OnlineSessionSnapshot)->Arg(0)->Arg(1);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return anonpath::bench::figure_main(argc, argv, emit);
-}
+int main() { return emit(std::cout) ? 0 : 1; }

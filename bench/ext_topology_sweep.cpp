@@ -5,21 +5,15 @@
 // paths per observation. Sweeping ring connectivity k from nearest-neighbor
 // up to the clique maps how sender anonymity grows with graph degree and
 // converges, from below, to the complete-graph ceiling (the walk model's
-// exact H* on the clique). A tiered (Tor-like) and a trust-weighted series
+// exact H* on the clique): the ring series rises strictly with degree and
+// stays below the ceiling. A tiered (Tor-like) and a trust-weighted series
 // sit alongside for the same node budget.
-//
-// The timing section covers the two topology hot paths: walk-route
-// sampling and the restricted-path posterior engine inside a full
-// simulation run.
 
-#include <benchmark/benchmark.h>
+#include <vector>
 
-#include "bench/bench_common.hpp"
-#include "src/anonymity/path_sampler.hpp"
+#include "bench/claim.hpp"
 #include "src/net/topology.hpp"
 #include "src/net/topology_mc.hpp"
-#include "src/sim/simulator.hpp"
-#include "src/stats/rng.hpp"
 
 namespace {
 
@@ -39,7 +33,7 @@ net::topology_mc_estimate sweep_point(const net::topology_config& cfg) {
       lengths(), cfg, samples, /*seed=*/42, /*threads=*/0);
 }
 
-void emit(std::ostream& os) {
+bool emit(std::ostream& os) {
   os << "# ext_topology: walk-model H* vs graph degree (N=" << node_count
      << ", C=" << compromised << ", U(1,6), " << samples
      << " samples per point)\n";
@@ -48,12 +42,14 @@ void emit(std::ostream& os) {
      << ceiling.ci95() << " bits (degree " << node_count - 1 << ")\n";
   os << "# series: ring(k), k = 1.." << (node_count - 1) / 2 << "\n";
   os << "degree,entropy_bits,ci95\n";
+  std::vector<double> ring;  // per k, in k order
   for (std::uint32_t k = 1; 2 * k <= node_count - 1; ++k) {
     net::topology_config cfg;
     cfg.kind = net::topology_kind::ring;
     cfg.ring_k = k;
     const auto est = sweep_point(cfg);
     os << 2 * k << "," << est.degree << "," << est.ci95() << "\n";
+    ring.push_back(est.degree);
   }
   os << node_count - 1 << "," << ceiling.degree << "," << ceiling.ci95()
      << "\n";
@@ -75,56 +71,13 @@ void emit(std::ostream& os) {
     os << cfg.label() << "," << est.degree << "," << est.ci95() << "\n";
   }
   os << "\n";
+  bool ok = bench::claim(bench::rises(ring),
+                         "ring H* does not rise with degree");
+  ok &= bench::claim(ring.back() < ceiling.degree,
+                     "ring H* reaches the clique ceiling");
+  return ok;
 }
-
-void BM_TopologyRouteSample(benchmark::State& state) {
-  const net::topology topo =
-      net::topology::ring(node_count, static_cast<std::uint32_t>(state.range(0)));
-  const auto d = lengths();
-  stats::rng gen(7);
-  route r;
-  for (auto _ : state) {
-    const auto sender = static_cast<node_id>(gen.next_below(node_count));
-    sample_topology_route_into(topo, sender, d.sample(gen), gen, r);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TopologyRouteSample)->Arg(1)->Arg(4)->Arg(11);
-
-void BM_TopologySimulationRun(benchmark::State& state) {
-  sim::sim_config cfg;
-  cfg.sys = {node_count, compromised};
-  cfg.compromised = spread_compromised(node_count, compromised);
-  cfg.lengths = lengths();
-  cfg.message_count = 200;
-  cfg.topology.kind = net::topology_kind::tiered;
-  cfg.topology.tiers = 3;
-  std::uint64_t seed = 5;
-  for (auto _ : state) {
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(sim::run_simulation(cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * cfg.message_count);
-}
-BENCHMARK(BM_TopologySimulationRun);
-
-void BM_TopologyMonteCarlo(benchmark::State& state) {
-  net::topology_config cfg;
-  cfg.kind = net::topology_kind::ring;
-  cfg.ring_k = 4;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::estimate_topology_degree(
-        {node_count, compromised},
-        spread_compromised(node_count, compromised), lengths(), cfg, 5000,
-        11, 1));
-  }
-  state.SetItemsProcessed(state.iterations() * 5000);
-}
-BENCHMARK(BM_TopologyMonteCarlo);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  return anonpath::bench::figure_main(argc, argv, emit);
-}
+int main() { return emit(std::cout) ? 0 : 1; }

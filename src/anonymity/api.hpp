@@ -174,9 +174,9 @@
 /// real telemetry — the `_ms`/`_us`/`_ns` naming convention
 /// (obs::is_timing_metric) marks which histograms determinism comparisons
 /// reduce to totals (obs::stable_text). Snapshots and spans serialize as
-/// versioned "anonpath-metrics v1" JSONL through the obs::sink family
-/// (jsonl_file_sink with checked writes, stderr_summary_sink, null_sink);
-/// the reader rejects corruption with the same parse_error taxonomy as
+/// versioned "anonpath-metrics v1" JSONL through obs::write_metrics_file
+/// (checked writes: open or write failure is parse_error{io}); the reader
+/// rejects corruption with the same parse_error taxonomy as
 /// trace/checkpoint. Instrumented layers hold non-owning registry/tracer
 /// pointers defaulting to nullptr — no `--metrics`/`--progress`, no
 /// allocation, byte-identical outputs. obs::progress_meter is the

@@ -257,6 +257,14 @@ struct campaign_result {
 [[nodiscard]] campaign_result run_campaign(const campaign_grid& grid,
                                            const campaign_config& config);
 
+/// Folds one run's deterministic sim_report counters into `worker`'s slab
+/// of the registry, under the catalogued metric names (README
+/// "Observability"). run_campaign records every completed replica through
+/// it and `simulate --metrics` its one run, so a one-cell campaign and a
+/// simulate of that cell agree.
+void harvest_report(obs::metrics_registry& reg, unsigned worker,
+                    const sim_report& r);
+
 /// Renders a campaign as one CSV table (header + one row per cell).
 /// Inference columns are "nan" for hop-by-hop cells; the strategy label is
 /// double-quoted because it may contain commas. The rendering is

@@ -109,23 +109,6 @@ std::unique_ptr<sender_inference> make_sender_inference(
       *graph);
 }
 
-/// max_scoring_work's rule: nullptr, or why scoring a source-routed run on
-/// its graph costs too much. Precondition: the graph passes the edge cap.
-const char* scoring_load_reason(const sim_config& c) {
-  const std::uint32_t n = c.sys.node_count;
-  const double attempts = static_cast<double>(c.message_count) *
-                          (static_cast<double>(c.retry.max_retries) + 1.0);
-  const double longest =
-      c.routing.planned() ? n - 1.0 : c.lengths.max_length();
-  const double arcs = 2.0 * net::edge_count(n, c.topology);
-  if (!(attempts * (longest + 1.0) * arcs <= max_scoring_work))
-    return "--messages is too large to score on this graph (at most 1.5e10 "
-           "= --messages x (retries + 1) x (longest route + 1) x 2 x "
-           "edges; the longest route is --n minus 1 under --routing "
-           "kpaths)";
-  return nullptr;
-}
-
 }  // namespace
 
 const char* system_infeasible_reason(const system_params& sys,
@@ -153,6 +136,25 @@ const char* event_load_reason(std::uint32_t node_count,
       max_attempts)
     return "--retry is too large for --messages (at most 2000000 attempts, "
            "--messages x (retries + 1))";
+  return nullptr;
+}
+
+const char* scoring_load_reason(std::uint32_t node_count,
+                                std::uint32_t message_count,
+                                const retry_policy& retry,
+                                const path_length_distribution& lengths,
+                                const net::topology_config& topology,
+                                const net::routing_config& routing) {
+  const double attempts = static_cast<double>(message_count) *
+                          (static_cast<double>(retry.max_retries) + 1.0);
+  const double longest =
+      routing.planned() ? node_count - 1.0 : lengths.max_length();
+  const double arcs = 2.0 * net::edge_count(node_count, topology);
+  if (!(attempts * (longest + 1.0) * arcs <= max_scoring_work))
+    return "--messages is too large to score on this graph (at most 1.5e10 "
+           "= --messages x (retries + 1) x (longest route + 1) x 2 x "
+           "edges; the longest route is --n minus 1 under --routing "
+           "kpaths)";
   return nullptr;
 }
 
@@ -199,7 +201,10 @@ const char* invalid_reason(const sim_config& c) {
     return "the graph --topology wires on --n nodes is too large (at most "
            "40000000 edges)";
   if (on_graph && c.mode == routing_mode::source_routed)
-    if (const char* why = scoring_load_reason(c)) return why;
+    if (const char* why = scoring_load_reason(n, c.message_count, c.retry,
+                                              c.lengths, c.topology,
+                                              c.routing))
+      return why;
   if (c.topology.kind != net::topology_kind::complete && timing)
     return "--adversary timing is not supported on a restricted --topology";
   if (!c.routing.valid()) return "--routing kpaths:<k> needs k in [1, 64]";

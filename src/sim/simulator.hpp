@@ -137,6 +137,16 @@ inline constexpr double max_scoring_work = 1.5e10;
                                             const net::churn_config& churn,
                                             const retry_policy& retry);
 
+/// max_scoring_work's rule: nullptr, or why scoring a source-routed run on
+/// its graph costs too much. Precondition: the topology is valid for
+/// node_count and passes net::max_graph_edges. invalid_reason applies it to
+/// source-routed runs that build a graph; the CLI refuses every campaign
+/// cell whose first broken rule it is, instead of skipping the cell.
+[[nodiscard]] const char* scoring_load_reason(
+    std::uint32_t node_count, std::uint32_t message_count,
+    const retry_policy& retry, const path_length_distribution& lengths,
+    const net::topology_config& topology, const net::routing_config& routing);
+
 /// The rules on (N, C, path lengths) alone: nullptr when the anonymity
 /// engines accept them (C <= N, N >= 2, every length fits a simple path),
 /// else the reason. invalid_reason starts with them; the scalar commands

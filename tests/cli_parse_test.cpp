@@ -336,6 +336,10 @@ TEST_F(CliParse, HugeSystemsAreRefusedBeforeAllocating) {
       "capture --n 1000 --c 2 --routing kpaths:2 --messages 16 --out /dev/null",
       "simulate --n 100000 --c 2 --topology regular:4 --messages 100000",
       "simulate --n 1000 --c 2 --routing kpaths:2 --messages 8 --retry 1",
+      // A campaign refuses such a cell, as it does the event-load caps,
+      // instead of skipping it as infeasible.
+      "campaign --n 30,2000 --c 2 --routing kpaths:2 --messages 10 "
+      "--replicas 1",
   };
   expect_usage_errors(cases);
   for (const std::string& args : cases)

@@ -436,23 +436,6 @@ path_length_distribution dist_or(const options& opt,
   return opt.given("--dist") ? opt.grid.lengths.front() : fallback;
 }
 
-/// Folds one run's deterministic report telemetry into the registry under
-/// the catalogued metric names (README "Observability") — the same names
-/// run_campaign records per replica, so a one-cell campaign and a simulate
-/// of that cell agree.
-void harvest_report(obs::metrics_registry& reg, const sim::sim_report& r) {
-  reg.add_counter("sim.events_executed", r.events_executed);
-  reg.add_counter("sim.messages_submitted", r.submitted);
-  reg.add_counter("sim.messages_delivered", r.delivered);
-  reg.add_counter("sim.messages_dropped", r.wire_dropped);
-  reg.add_counter("sim.messages_stranded", r.wire_stranded + r.wire_crashed);
-  reg.add_counter("sim.retransmissions", r.retransmissions);
-  reg.add_counter("attack.memo_hits", r.memo_hits);
-  reg.add_counter("attack.memo_misses", r.memo_misses);
-  reg.add_counter("posterior.obs_memo_hits", r.obs_memo_hits);
-  reg.add_counter("posterior.obs_memo_misses", r.obs_memo_misses);
-}
-
 /// Size caps, checked before anything is allocated. The simulator's
 /// (sim::max_sim_nodes, sim::max_population, sim::max_messages,
 /// sim::max_mix_failures, the event-load caps and net::max_graph_edges)
@@ -650,17 +633,26 @@ sim::campaign_grid build_campaign_grid(
             "per mix round)");
   // The event-load caps bound a run's time, not its feasibility: every
   // cell must pass them, where an infeasible cell would only be skipped.
-  // So does the graph-size cap, on every cell that builds a graph.
+  // So does the graph-size cap, on every cell that builds a graph. The
+  // scoring-work cap is refused on every cell whose first broken rule it
+  // is, in the words a one-cell run refuses it with.
   for (std::uint64_t i = 0; i < grid.cell_count(); ++i) {
     const sim::scenario s = sim::grid_cell(grid, i);
     if (const char* why = sim::event_load_reason(
             s.node_count, grid.message_count, s.arrival_rate, s.churn,
             s.retry))
       usage(why);
-    if ((s.topology.kind != net::topology_kind::complete ||
-         s.routing.planned()) &&
-        s.topology.valid_for(s.node_count))
-      require_graph_cap(opt, s.node_count, s.topology);
+    if ((s.topology.kind == net::topology_kind::complete &&
+         !s.routing.planned()) ||
+        !s.topology.valid_for(s.node_count))
+      continue;
+    require_graph_cap(opt, s.node_count, s.topology);
+    const char* cost = sim::scoring_load_reason(
+        s.node_count, grid.message_count, s.retry, s.lengths, s.topology,
+        s.routing);
+    const char* first = cost ? sim::infeasible_reason(grid, s) : nullptr;
+    if (first != nullptr && std::string_view(first) == cost)
+      usage(std::string("infeasible scenario: ") + cost);
   }
 
   // Surface an empty grid as a usage error naming why its first cell
@@ -742,7 +734,7 @@ int cmd_simulate(const options& opt) {
   print_sim_report(cfg, r);
   if (!opt.metrics_path.empty()) {
     obs::metrics_registry reg;
-    harvest_report(reg, r);
+    sim::harvest_report(reg, 0, r);
     obs::write_metrics_file(opt.metrics_path, reg.snapshot(), tracer.spans());
   }
   return 0;
