@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -287,48 +288,109 @@ campaign_result run_campaign(const campaign_grid& grid,
   // from a deterministic per-ABSOLUTE-run rng stream (so resumed or
   // sharded campaigns rerun nothing differently: abs_run depends only on
   // the cell's place in the full grid) and its report lands in its own
-  // slot. A replica that throws becomes an error string instead of a dead
-  // process. Completed cells flush to the journal in cell order as their
-  // replicas finish, under the lock, so the reduction stays bit-identical
-  // for any thread count while a kill loses only in-flight cells. A
-  // journal write failure throws out of the worker; parallel_for rethrows
-  // it on the calling thread and the campaign exits nonzero.
+  // slot. A task runs only the event half of its run (run_core, or
+  // capture_trace under via_trace) and parks the result. Each cell scores
+  // its parked runs through one cell_scorer, strictly in replica order: the
+  // thread whose core makes the cell's next replica ready scores it and
+  // every ready replica after it, while no other thread holds the cell's
+  // cursor. No thread waits; only cores that finish out of order are
+  // parked. A replica that throws becomes an error string instead of a
+  // dead process. Completed cells flush to the journal in cell order, under
+  // the lock, so the reduction stays bit-identical for any thread count
+  // while a kill loses only in-flight cells. A journal write failure throws
+  // out of the worker; parallel_for rethrows it on the calling thread and
+  // the campaign exits nonzero.
   std::vector<sim_report> reports(pending_runs);
   std::vector<std::string> errors(pending_runs);
-  std::vector<std::uint32_t> completed(pending_cells, 0);
-  // One graph per cell that routes on one (a restricted topology or
-  // planned routes): the cell's first replica to start builds it, every
-  // replica borrows it read-only, and the cell's last replica to finish
-  // frees it. A build that throws leaves the flag unset, so each replica
-  // retries and fails into its own error slot, as it would building alone.
-  struct cell_graph {
+  // One run's event half, parked until its cell's cursor reaches it.
+  struct parked_run {
+    sim_config cfg;
+    std::optional<detail::core_result> core;
+    std::optional<sim_trace> trace;
+    double us = 0.0;     // wall time of the core, then of the scoring too
+    bool ready = false;  // the core ran (or threw); set under the lock
+  };
+  std::vector<parked_run> parked(pending_runs);
+  // Per cell: one graph for a cell that routes on one (a restricted
+  // topology or planned routes), which the cell's first replica to start
+  // builds and every replica and engine borrows read-only; the scorer; and
+  // the scoring cursor. A build that throws leaves the flag unset, so each
+  // replica retries and fails into its own error slot, as it would
+  // building alone. The cell's last scored replica frees graph and scorer.
+  struct cell_state {
     std::once_flag built;
     std::unique_ptr<const net::topology> graph;
+    std::unique_ptr<cell_scorer> scorer;
+    std::uint32_t scored = 0;  // replicas scored, in replica order
+    bool scoring = false;      // a thread holds the cursor
+    double us = 0.0;
   };
-  std::vector<cell_graph> graphs(pending_cells);
-  std::vector<double> cell_us(pending_cells, 0.0);
+  std::vector<cell_state> cells(pending_cells);
   std::uint64_t flushed = first_cell;
   std::mutex mu;
   if (config.metrics != nullptr) {
     // One slab per parallel_for worker.
     config.metrics->ensure_shards(stats::resolve_thread_count(config.threads));
   }
+  const auto elapsed_us = [](std::chrono::steady_clock::time_point since) {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - since)
+        .count();
+  };
+  // Scores one parked run through its cell's scorer and records its
+  // telemetry. Called only by the thread holding the cell's cursor. Slab
+  // writes are per-worker and lock-free. Every counter harvested here is a
+  // deterministic function of the run's seed and of the replicas scored
+  // before it in its cell, so the merged snapshot is identical for any
+  // thread count or shard split; the *_us histograms are wall-clock and
+  // excluded from stable comparisons by the timing-suffix convention.
+  const auto score = [&](std::uint64_t run, cell_state& cell,
+                         unsigned worker) {
+    parked_run& p = parked[run];
+    const auto started = std::chrono::steady_clock::now();
+    if (errors[run].empty()) {
+      try {
+        if (!cell.scorer)
+          cell.scorer = std::make_unique<cell_scorer>(cell.graph.get());
+        reports[run] = p.trace ? replay_trace(*p.trace, *cell.scorer)
+                               : detail::score_core(p.cfg, *p.core,
+                                                    *cell.scorer);
+      } catch (const std::exception& e) {
+        errors[run] = *e.what() ? e.what() : "unknown error";
+      } catch (...) {
+        errors[run] = "unknown error";
+      }
+    }
+    p.core.reset();
+    p.trace.reset();
+    p.us += elapsed_us(started);
+    if (config.metrics != nullptr) {
+      obs::metrics_registry& m = *config.metrics;
+      m.add_counter(worker, "campaign.runs_completed", 1);
+      if (errors[run].empty())
+        harvest_report(m, worker, reports[run]);
+      else
+        m.add_counter(worker, "campaign.runs_errored", 1);
+      m.observe(worker, "campaign.run_us", static_cast<std::uint64_t>(p.us));
+    }
+  };
   // Progress counts LOCAL cells (restored prefix included, shown as
   // already complete), so the caller sizes the meter from the grid alone.
   if (config.progress != nullptr) config.progress->advance(first_cell);
   stats::parallel_for(
       config.threads, pending_runs, [&](std::uint64_t run, unsigned worker) {
-        const std::uint64_t local_cell = first_cell + run / config.replicas;
-        const std::uint64_t abs_cell = local_to_abs[local_cell];
+        const std::uint64_t pending_cell = run / config.replicas;
+        const std::uint64_t abs_cell = local_to_abs[first_cell + pending_cell];
         const std::uint64_t abs_run =
             abs_cell * config.replicas + run % config.replicas;
         const scenario& s = scenarios[abs_cell];
         const std::uint64_t seed =
             stats::rng::stream(config.master_seed, abs_run).next_u64();
         const auto run_started = std::chrono::steady_clock::now();
-        cell_graph& cell = graphs[run / config.replicas];
+        cell_state& cell = cells[pending_cell];
+        parked_run& p = parked[run];
         try {
-          const sim_config cfg = scenario_config(s, grid, seed);
+          p.cfg = scenario_config(s, grid, seed);
           if (s.topology.kind != net::topology_kind::complete ||
               s.routing.planned())
             std::call_once(cell.built, [&] {
@@ -336,44 +398,43 @@ campaign_result run_campaign(const campaign_grid& grid,
                   net::topology::make(s.node_count, s.topology));
             });
           const net::topology* graph = cell.graph.get();
-          reports[run] = config.via_trace
-                             ? replay_trace(capture_trace(cfg, graph), graph)
-                             : run_simulation(cfg, graph);
+          if (config.via_trace)
+            p.trace = capture_trace(p.cfg, graph);
+          else
+            p.core = detail::run_core(p.cfg, nullptr, graph);
         } catch (const std::exception& e) {
           errors[run] = *e.what() ? e.what() : "unknown error";
         } catch (...) {
           errors[run] = "unknown error";
         }
-        const double run_us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() -
-                                  run_started)
-                                  .count();
-        // Slab writes are per-worker and lock-free; only the flush loop and
-        // the per-cell duration accumulator need the mutex. Every counter
-        // harvested here is a deterministic function of the run's seed, so
-        // the merged snapshot is identical for any thread count or shard
-        // split; the *_us histograms are wall-clock and excluded from
-        // stable comparisons by the timing-suffix convention.
-        if (config.metrics != nullptr) {
-          obs::metrics_registry& m = *config.metrics;
-          m.add_counter(worker, "campaign.runs_completed", 1);
-          if (errors[run].empty())
-            harvest_report(m, worker, reports[run]);
-          else
-            m.add_counter(worker, "campaign.runs_errored", 1);
-          m.observe(worker, "campaign.run_us",
-                    static_cast<std::uint64_t>(run_us));
+        p.us = elapsed_us(run_started);
+        const std::uint64_t base = pending_cell * config.replicas;
+        std::unique_lock<std::mutex> lock(mu);
+        p.ready = true;
+        while (!cell.scoring && cell.scored < config.replicas &&
+               parked[base + cell.scored].ready) {
+          const std::uint64_t next = base + cell.scored;
+          cell.scoring = true;
+          lock.unlock();
+          score(next, cell, worker);
+          lock.lock();
+          cell.scoring = false;
+          cell.us += parked[next].us;
+          ++cell.scored;
         }
-        std::lock_guard<std::mutex> lock(mu);
-        cell_us[run / config.replicas] += run_us;
-        if (++completed[run / config.replicas] < config.replicas) return;
+        if (cell.scored < config.replicas) return;
+        if (config.metrics != nullptr)
+          config.metrics->add_counter(
+              worker, "posterior.cell_memo_entries",
+              cell.scorer ? cell.scorer->memo_entries() : 0);
+        cell.scorer.reset();
         cell.graph.reset();
         while (flushed < local_total &&
-               completed[flushed - first_cell] == config.replicas) {
-          const std::uint64_t base = (flushed - first_cell) * config.replicas;
+               cells[flushed - first_cell].scored == config.replicas) {
+          const std::uint64_t done = (flushed - first_cell) * config.replicas;
           result.cells.push_back(reduce_cell(scenarios[local_to_abs[flushed]],
-                                             config.replicas, &reports[base],
-                                             &errors[base]));
+                                             config.replicas, &reports[done],
+                                             &errors[done]));
           if (journal.is_open()) {
             append_checkpoint_cell(journal, local_to_abs[flushed],
                                    result.cells.back());
@@ -384,7 +445,7 @@ campaign_result run_campaign(const campaign_grid& grid,
             config.metrics->add_counter(worker, "campaign.cells_completed", 1);
             config.metrics->observe(
                 worker, "campaign.cell_us",
-                static_cast<std::uint64_t>(cell_us[flushed - first_cell]));
+                static_cast<std::uint64_t>(cells[flushed - first_cell].us));
           }
           if (config.progress != nullptr)
             config.progress->advance(flushed + 1);

@@ -96,16 +96,18 @@ struct campaign_grid {
 /// and the CSV rendering byte for byte — is identical for EVERY value of
 /// `threads`. Each (cell, replica) run derives its simulator seed from
 /// `stats::rng::stream(master_seed, run_index)` where run_index depends
-/// only on the grid order, runs into its own report slot, and slots are
-/// reduced in run order on the calling thread.
+/// only on the grid order, and runs its event core into its own slot. A
+/// cell's replicas are then scored through one cell_scorer in replica
+/// order, and cells are reduced in cell order.
 struct campaign_config {
   std::uint32_t replicas = 8;     ///< independent runs per cell (>= 1)
   std::uint64_t master_seed = 1;
   unsigned threads = 1;           ///< worker threads; 0 = hardware concurrency
-  /// Run every (cell, replica) through the trace pipeline —
-  /// replay_trace(capture_trace(cfg)) — instead of inline run_simulation.
-  /// Identical results by the trace subsystem's contract; exercised by the
-  /// conformance tests and useful when the captured traces are also wanted.
+  /// Run every (cell, replica) through the trace pipeline — capture_trace,
+  /// then replay_trace through the cell's scorer — instead of run_core and
+  /// score_core. Identical results by the trace subsystem's contract;
+  /// exercised by the conformance tests and useful when the captured traces
+  /// are also wanted.
   bool via_trace = false;
   /// When non-empty, run_campaign journals every completed cell to this
   /// file (src/sim/checkpoint.hpp format) as the campaign progresses:
@@ -135,11 +137,12 @@ struct campaign_config {
   /// Optional observability hooks (src/obs): non-owning, default off, and
   /// deliberately NOT part of campaign_scope — telemetry never changes
   /// what a campaign computes, its rng streams, or which checkpoints
-  /// match. With `metrics` set, every completed run records its
+  /// match. With `metrics` set, every scored run records its
   /// deterministic sim_report counters into the registry (thread-sharded
   /// by worker id; run_campaign sizes the shards before fanning out) plus
   /// wall-clock run/cell duration histograms (campaign.run_us,
-  /// campaign.cell_us) and a campaign.cells_completed counter. With
+  /// campaign.cell_us), and every completed cell a campaign.cells_completed
+  /// count and its scorer's posterior.cell_memo_entries. With
   /// `progress` set, cell flushes drive its stderr heartbeat (one line at
   /// start, rate-limited updates, a guaranteed final line) counted over
   /// this shard's local cells — a resumed campaign's restored prefix shows
@@ -242,8 +245,10 @@ struct campaign_result {
                                          std::uint64_t seed);
 
 /// Runs the whole campaign — or, with shard_count > 1, this config's
-/// shard of it: expands the grid, fans every (cell, replica) run out over
-/// a stats::thread_pool, and reduces the reports into per-cell summaries
+/// shard of it: expands the grid, fans every (cell, replica) event core
+/// out over a stats::thread_pool, scores each cell's replicas in replica
+/// order through one cell_scorer (so each distinct observation of a cell
+/// pays its engine once), and reduces the reports into per-cell summaries
 /// in run order. See campaign_config for the thread-count invariance
 /// guarantee and the checkpoint/resume/shard behaviour; per-replica
 /// failures are isolated into campaign_cell::error. A sharded result
@@ -259,9 +264,9 @@ struct campaign_result {
 
 /// Folds one run's deterministic sim_report counters into `worker`'s slab
 /// of the registry, under the catalogued metric names (README
-/// "Observability"). run_campaign records every completed replica through
-/// it and `simulate --metrics` its one run, so a one-cell campaign and a
-/// simulate of that cell agree.
+/// "Observability"). run_campaign records every scored replica through
+/// it and `simulate --metrics` its one run, so a one-replica campaign and
+/// a simulate of that cell agree on these counters.
 void harvest_report(obs::metrics_registry& reg, unsigned worker,
                     const sim_report& r);
 

@@ -410,9 +410,10 @@ core_result run_core(const sim_config& config,
 
 sim_report score_run(const sim_config& config, const adversary_model& model,
                      std::span<const message_truth> truths,
-                     const posterior_fn* engine, const net::topology* graph,
+                     cell_scorer& scorer,
                      const std::map<std::uint64_t, std::uint64_t>* attempt_parent) {
   obs::span score_span(config.tracer, "sim.score");
+  const std::uint64_t run = ++scorer.runs_;
   sim_report report;
   report.submitted = config.message_count;
   const bool fused = attempt_parent != nullptr && !attempt_parent->empty();
@@ -438,16 +439,18 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
   }
 
   if (config.mode == routing_mode::source_routed) {
-    // The engine for the run's *effective* compromised set: the configured
-    // list for the full coalition (and the timing correlator, which taps
-    // the same nodes), the drawn set for partial coverage.
-    std::optional<net::topology> rebuilt;
-    const std::unique_ptr<sender_inference> inference = make_sender_inference(
-        config,
-        config.adversary.kind == adversary_kind::partial_coverage
-            ? model.compromised_ids()
-            : config.compromised,
-        graph, engine, rebuilt);
+    // The engine and memo for the run's *effective* compromised set: the
+    // configured list for the full coalition (and the timing correlator,
+    // which taps the same nodes), the drawn set for partial coverage.
+    cell_scorer::engine_slot& slot = scorer.slot_for(
+        config, config.adversary.kind == adversary_kind::partial_coverage
+                    ? model.compromised_ids()
+                    : config.compromised);
+    const sender_inference& inference = *slot.engine;
+    // The clique engine's layout-memo lookups that this run makes.
+    const auto* exact = dynamic_cast<const posterior_engine*>(&inference);
+    const std::uint64_t layout_hits = exact ? exact->memo_hits() : 0;
+    const std::uint64_t layout_misses = exact ? exact->memo_misses() : 0;
 
     stats::running_summary entropy_acc;
     std::uint64_t identified = 0;
@@ -456,21 +459,14 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
     // One posterior buffer for the whole loop: no per-message copy of the
     // N-double posterior.
     std::vector<double> post;
-    // All that the report needs of one posterior.
-    struct post_summary {
-      double bits;
-      std::size_t top;
-      double top_mass;
-      double target_mass;
-    };
     const auto summarize = [&](const std::vector<double>& p) {
       const entropy_summary e = summarize_entropy(p);
-      return post_summary{
+      return cell_scorer::summary{
           e.bits, e.argmax, p[e.argmax],
           want_target_mass ? p[config.session.target_sender] : 0.0};
     };
     const auto score_summary = [&](std::uint64_t original,
-                                   const post_summary& sum) {
+                                   const cell_scorer::summary& sum) {
       entropy_acc.add(sum.bits);
       if (want_target_mass && original >= 1 &&
           original <= config.message_count)
@@ -485,27 +481,34 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       ++scored;
     };
 
-    if (engine == nullptr && !fused && !config.collect_posteriors) {
-      // Built-in posteriors are a pure function of the observation, and
-      // runs repeat observations (57% of lookups hit across a 16-replica
-      // regular:4 campaign at N = 60 and 120), so each distinct one pays
-      // the engine once. The memo keeps only the summary — nullopt for an
-      // unexplainable observation — never the N-length posterior: its
-      // memory is O(distinct observations).
-      std::unordered_map<std::string, std::optional<post_summary>> memo;
+    if (scorer.custom_ == nullptr && !fused && !config.collect_posteriors) {
+      // Built-in posteriors are a pure function of the observation and
+      // the slot's effective set, and the runs of a cell repeat
+      // observations (study_grid's 48 cells hold 23,865 distinct ones in
+      // 192,000), so each distinct one pays the engine once per cell.
+      // The memo keeps only the summary — nullopt for an unexplainable
+      // observation — never the N-length posterior: its memory is
+      // O(distinct observations). An entry is added only once computed,
+      // so a throwing engine leaves no half-made entry behind.
       std::string key;
       for (const std::uint64_t id : model.observed_messages()) {
         const observation obs = model.assemble(id);
         obs.key_into(key);
-        const auto [it, fresh] = memo.try_emplace(key);
-        if (fresh) {
-          ++report.obs_memo_misses;
-          if (inference->try_sender_posterior(obs, post))
-            it->second = summarize(post);
-        } else {
-          ++report.obs_memo_hits;
+        auto it = slot.memo.find(key);
+        if (it == slot.memo.end()) {
+          std::optional<cell_scorer::summary> value;
+          if (inference.try_sender_posterior(obs, post))
+            value = summarize(post);
+          it = slot.memo.emplace(key, cell_scorer::memo_entry{value, 0})
+                   .first;
         }
-        if (it->second) score_summary(id, *it->second);
+        if (it->second.run == run) {
+          ++report.obs_memo_hits;
+        } else {
+          it->second.run = run;
+          ++report.obs_memo_misses;
+        }
+        if (it->second.value) score_summary(id, *it->second.value);
       }
     } else {
       // Group the observed attempts by their original and score each
@@ -521,7 +524,7 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       };
       std::map<std::uint64_t, std::vector<std::vector<double>>> groups;
       for (const std::uint64_t id : model.observed_messages())
-        if (inference->try_sender_posterior(model.assemble(id), post))
+        if (inference.try_sender_posterior(model.assemble(id), post))
           groups[original_of(id)].push_back(post);
       for (const auto& [original, factors] : groups) {
         const std::vector<double>& p = factors.size() == 1
@@ -548,10 +551,9 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       report.top1_accuracy =
           static_cast<double>(top1_hits) / static_cast<double>(scored);
     }
-    if (const auto* exact =
-            dynamic_cast<const posterior_engine*>(inference.get())) {
-      report.memo_hits = exact->memo_hits();
-      report.memo_misses = exact->memo_misses();
+    if (exact != nullptr) {
+      report.memo_hits = exact->memo_hits() - layout_hits;
+      report.memo_misses = exact->memo_misses() - layout_misses;
     }
   } else {
     report.empirical_entropy_bits = std::numeric_limits<double>::quiet_NaN();
@@ -642,7 +644,41 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
   return report;
 }
 
+sim_report score_core(const sim_config& config, const core_result& core,
+                      cell_scorer& scorer) {
+  sim_report report = score_run(config, *core.model, core.truths, scorer,
+                                &core.attempt_parent);
+  report.events_executed = core.events_executed;
+  report.wire_dropped = core.wire_dropped;
+  report.wire_stranded = core.wire_stranded;
+  report.wire_crashed = core.wire_crashed;
+  return report;
+}
+
 }  // namespace detail
+
+cell_scorer::cell_scorer(const net::topology* graph, const posterior_fn* custom)
+    : graph_(graph), custom_(custom) {}
+
+std::uint64_t cell_scorer::memo_entries() const noexcept {
+  std::uint64_t entries = 0;
+  for (const auto& [ids, slot] : slots_) entries += slot.memo.size();
+  return entries;
+}
+
+cell_scorer::engine_slot& cell_scorer::slot_for(const sim_config& config,
+                                                std::vector<node_id> ids) {
+  auto it = slots_.find(ids);
+  if (it == slots_.end()) {
+    std::unique_ptr<sender_inference> engine =
+        make_sender_inference(config, ids, graph_, custom_, rebuilt_);
+    // Later engines borrow the graph this one rebuilt, if any.
+    if (rebuilt_) graph_ = &*rebuilt_;
+    it = slots_.emplace(std::move(ids), engine_slot{std::move(engine), {}})
+             .first;
+  }
+  return it->second;
+}
 
 sim_report run_simulation(const sim_config& config,
                           const net::topology* graph) {
@@ -651,14 +687,8 @@ sim_report run_simulation(const sim_config& config,
     obs::span core_span(config.tracer, "sim.run_core");
     return detail::run_core(config, nullptr, graph);
   }();
-  sim_report report = detail::score_run(config, *core.model, core.truths,
-                                        nullptr, core.graph,
-                                        &core.attempt_parent);
-  report.events_executed = core.events_executed;
-  report.wire_dropped = core.wire_dropped;
-  report.wire_stranded = core.wire_stranded;
-  report.wire_crashed = core.wire_crashed;
-  return report;
+  cell_scorer scorer(core.graph);
+  return detail::score_core(config, core, scorer);
 }
 
 }  // namespace anonpath::sim

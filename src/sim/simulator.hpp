@@ -6,9 +6,12 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/anonymity/length_distribution.hpp"
+#include "src/anonymity/sender_inference.hpp"
 #include "src/anonymity/strategy.hpp"
 #include "src/anonymity/types.hpp"
 #include "src/net/route_plan.hpp"
@@ -204,13 +207,17 @@ struct sim_report {
   /// events_executed counts every discrete event the run's queue fired;
   /// the wire_* fields split undelivered transmissions by cause (failure
   /// injection, churned-down destination, crash-scheduled destination);
-  /// memo_hits/memo_misses mirror the clique posterior_engine's layout
-  /// memo when this run was scored by it (0 under the topology engine,
-  /// which has no layout memo, and under a caller-supplied posterior_fn);
-  /// obs_memo_hits/obs_memo_misses count the per-run observation memo in
-  /// front of every built-in engine: one lookup per observed message, or
-  /// 0 when retry fusion, collect_posteriors or a caller-supplied
-  /// posterior_fn needs every posterior vector.
+  /// memo_hits/memo_misses count the clique posterior_engine's layout-memo
+  /// lookups this run made, when it was scored by one (0 under the
+  /// topology engine, which has no layout memo, and under a caller-supplied
+  /// posterior_fn). A campaign replica counts the lookups it made through
+  /// its cell's shared engine and observation memo, so fewer than a fresh
+  /// run makes. obs_memo_hits/obs_memo_misses count the observation memo in
+  /// front of every built-in engine with its per-run meaning: one lookup
+  /// per observed message, a miss for each observation new to this run
+  /// (whether or not the cell's memo already held it), or 0 when retry
+  /// fusion, collect_posteriors or a caller-supplied posterior_fn needs
+  /// every posterior vector.
   std::uint64_t events_executed = 0;
   std::uint64_t wire_dropped = 0;
   std::uint64_t wire_stranded = 0;
@@ -246,6 +253,8 @@ struct message_truth {
 
   friend bool operator==(const message_truth&, const message_truth&) = default;
 };
+
+class cell_scorer;
 
 namespace detail {
 
@@ -286,28 +295,99 @@ struct core_result {
                                    const net::topology* graph = nullptr);
 
 /// The inference half: walks the model's observed messages, scores each
-/// with one sender_inference for the run's effective compromised set, and
-/// aggregates the sim_report. One factory picks the engine from the config
-/// (the clique posterior_engine, or topology_posterior_engine for a
-/// restricted graph or planned routes); `engine`, when non-null, replaces
-/// it. `truths` is the ground truth, ascending by message id. `graph`,
-/// when non-null, supplies the already-built topology of the run (borrowed
-/// for the call); when null it is rebuilt from the config. Unexplainable
-/// observations (possible only under the timing correlator or fuzzed logs)
-/// are skipped, not scored as zero. `attempt_parent`, when non-null, maps
-/// retry attempt ids to their original message: observations of the same
-/// original are scored as one message whose posterior is the normalized
-/// product of the per-attempt posteriors (independent evidence about the
-/// same sender) — the anonymity cost of retransmission. A built-in engine
-/// with no fusion and no collect_posteriors scores each distinct
-/// observation once through a per-run memo of posterior summaries; every
-/// other case scores every observed attempt.
+/// with the scorer's sender_inference for the run's effective compromised
+/// set, and aggregates the sim_report. The scorer picks the engine from the
+/// config (the clique posterior_engine, or topology_posterior_engine for a
+/// restricted graph or planned routes) unless it was given a caller's
+/// posterior_fn. `truths` is the ground truth, ascending by message id.
+/// Unexplainable observations (possible only under the timing correlator
+/// or fuzzed logs) are skipped, not scored as zero. `attempt_parent`, when
+/// non-null, maps retry attempt ids to their original message: observations
+/// of the same original are scored as one message whose posterior is the
+/// normalized product of the per-attempt posteriors (independent evidence
+/// about the same sender) — the anonymity cost of retransmission. A
+/// built-in engine with no fusion and no collect_posteriors scores each
+/// distinct observation once through the scorer's memo of posterior
+/// summaries, which every run scored through that scorer shares; every
+/// other case scores every observed attempt with the scorer's engine.
+/// Every report field but memo_hits/memo_misses is the same, bit for bit,
+/// whatever the scorer scored before.
 [[nodiscard]] sim_report score_run(
     const sim_config& config, const adversary_model& model,
-    std::span<const message_truth> truths, const posterior_fn* engine,
-    const net::topology* graph = nullptr,
+    std::span<const message_truth> truths, cell_scorer& scorer,
     const std::map<std::uint64_t, std::uint64_t>* attempt_parent = nullptr);
 
+/// run_simulation's second half: score_run over a run_core result, with
+/// the core's event and wire telemetry copied onto the report.
+[[nodiscard]] sim_report score_core(const sim_config& config,
+                                    const core_result& core,
+                                    cell_scorer& scorer);
+
 }  // namespace detail
+
+/// The scoring state the runs of one campaign cell share: one
+/// sender_inference engine per effective compromised set, and one memo of
+/// posterior summaries keyed by (effective compromised set,
+/// observation::key_into). Every summary is a pure function of that key
+/// and of the cell: the engine depends on the cell's N, path-length law,
+/// topology, routing and the set, and the sequential-Bayes target sender
+/// is the lowest honest node of the set. So a replica scored through a
+/// shared scorer reports what it reports through a fresh one (its
+/// layout-memo counters aside), while each distinct observation of the cell
+/// pays its engine once.
+/// Precondition: every run scored through one scorer shares those cell
+/// fields (a campaign cell's replicas do). Not thread-safe: a campaign
+/// scores a cell's replicas one at a time, in replica order, which keeps
+/// the engines' layout-memo counters deterministic. run_simulation and
+/// replay_trace score through a fresh scorer per run.
+class cell_scorer {
+ public:
+  /// `graph`, when non-null, is the cell's topology, borrowed by every
+  /// engine; otherwise an engine that needs it rebuilds it once from the
+  /// config. `custom`, when non-null, is a caller's posterior_fn that
+  /// replaces the built-in engine (borrowed, never memoized); on the
+  /// clique the built-in engine only screens gapped observations for it.
+  explicit cell_scorer(const net::topology* graph,
+                       const posterior_fn* custom = nullptr);
+  cell_scorer(const cell_scorer&) = delete;
+  cell_scorer& operator=(const cell_scorer&) = delete;
+
+  /// Summaries in the memo: one per distinct (effective set, observation)
+  /// that a memoized run looked up, the posterior evaluations it paid for.
+  [[nodiscard]] std::uint64_t memo_entries() const noexcept;
+
+ private:
+  friend sim_report detail::score_run(
+      const sim_config& config, const adversary_model& model,
+      std::span<const message_truth> truths, cell_scorer& scorer,
+      const std::map<std::uint64_t, std::uint64_t>* attempt_parent);
+
+  /// All that a report needs of one posterior.
+  struct summary {
+    double bits;
+    std::size_t top;
+    double top_mass;
+    double target_mass;
+  };
+  /// nullopt for an unexplainable observation. `run` stamps the last run
+  /// that looked the entry up, so each run still counts its own first
+  /// lookup of an observation as a miss (posterior.obs_memo_*).
+  struct memo_entry {
+    std::optional<summary> value;
+    std::uint64_t run = 0;
+  };
+  /// The engine and the memo for one effective compromised set.
+  struct engine_slot {
+    std::unique_ptr<sender_inference> engine;
+    std::unordered_map<std::string, memo_entry> memo;
+  };
+  engine_slot& slot_for(const sim_config& config, std::vector<node_id> ids);
+
+  const net::topology* graph_;
+  const posterior_fn* custom_;
+  std::optional<net::topology> rebuilt_;  ///< outlives the engines
+  std::map<std::vector<node_id>, engine_slot> slots_;
+  std::uint64_t runs_ = 0;
+};
 
 }  // namespace anonpath::sim

@@ -17,6 +17,7 @@
 
 #include "src/anonymity/api.hpp"
 #include "src/net/graph_oracle.hpp"
+#include "src/net/topology_mc.hpp"
 #include "src/net/topology_posterior.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
@@ -218,6 +219,54 @@ TEST(Conformance, TopologyEngineMatchesGraphOracleEventByEvent) {
               << " obs=" << event.obs.key() << " node=" << i;
       }
     }
+  }
+}
+
+TEST(Conformance, WalkMonteCarloMatchesGraphOracle) {
+  // The walk-model Monte-Carlo H* (net::estimate_topology_degree) against
+  // the exhaustive oracle's exact H*, within 4 standard errors: sparse and
+  // dense rings, a random regular graph and non-uniform trust weights.
+  struct oracle_case {
+    net::topology_config topo;
+    system_params sys;
+    path_length_distribution lengths;
+  };
+  const auto config = [](net::topology_kind kind) {
+    net::topology_config c;
+    c.kind = kind;
+    return c;
+  };
+  net::topology_config ring1 = config(net::topology_kind::ring);
+  ring1.ring_k = 1;
+  net::topology_config ring2 = config(net::topology_kind::ring);
+  ring2.ring_k = 2;
+  net::topology_config regular3 = config(net::topology_kind::random_regular);
+  regular3.degree = 3;
+  regular3.graph_seed = 5;
+  const net::topology_config trust = config(net::topology_kind::trust_weighted);
+  const oracle_case cases[] = {
+      {ring1, {8, 1}, path_length_distribution::uniform(1, 6)},
+      {ring2, {9, 2}, path_length_distribution::uniform(1, 5)},
+      {regular3, {10, 1}, path_length_distribution::fixed(4)},
+      {regular3, {8, 2}, path_length_distribution::uniform(2, 5)},
+      {trust, {8, 2}, path_length_distribution::uniform(1, 4)},
+  };
+  std::uint64_t seed = 31;
+  for (const oracle_case& c : cases) {
+    const std::vector<node_id> comp =
+        spread_compromised(c.sys.node_count, c.sys.compromised_count);
+    const double exact =
+        net::graph_oracle(c.sys, comp, c.lengths,
+                          net::topology::make(c.sys.node_count, c.topo))
+            .anonymity_degree();
+    const net::topology_mc_estimate mc = net::estimate_topology_degree(
+        c.sys, comp, c.lengths, c.topo, 400000, seed++, 2);
+    ASSERT_GT(mc.std_error, 0.0) << c.topo.label();
+    EXPECT_LE(std::abs(mc.degree - exact), 4.0 * mc.std_error)
+        << c.topo.label() << " N=" << c.sys.node_count
+        << " C=" << c.sys.compromised_count << " " << c.lengths.label()
+        << ": MC " << mc.degree << " +- " << mc.std_error << ", oracle "
+        << exact;
   }
 }
 

@@ -533,6 +533,10 @@ TEST(SdaAttack, ConfidenceIsFiniteUnderDegenerateBackground) {
 
 // --- Sparse SDA scoring against the dense loops it replaced ---------------
 
+using pre_change::dense_sda_posterior;
+using pre_change::dense_sketch_posterior;
+using pre_change::stream_totals;
+
 /// Element-wise `==` and bit-pattern equality (`==` alone accepts -0.0 for
 /// +0.0).
 void expect_same_bits(const std::vector<double>& got,
@@ -549,67 +553,6 @@ void expect_same_bits(const std::vector<double>& got,
                     << ", dense reference " << want[i];
   }
   EXPECT_EQ(bad, 0u) << what;
-}
-
-/// The dense normalization both SDA engines ran over the whole population
-/// before they scored only their support: clamp at 0, compensated sum,
-/// divide; uniform when nothing is positive.
-std::vector<double> normalize_dense(std::vector<double> post) {
-  stats::kahan_sum z;
-  for (double& p : post) {
-    if (p < 0.0) p = 0.0;
-    z.add(p);
-  }
-  if (z.value() <= 0.0) {
-    const double u = 1.0 / static_cast<double>(post.size());
-    for (double& p : post) p = u;
-    return post;
-  }
-  for (double& p : post) p /= z.value();
-  return post;
-}
-
-std::vector<double> dense_sda_posterior(const attack::sda_attack& atk) {
-  return normalize_dense(atk.signal());
-}
-
-/// What the test knows of the stream it fed a sketch engine.
-struct stream_totals {
-  std::uint64_t target_rounds = 0;
-  std::uint64_t target_messages = 0;
-  std::uint64_t messages = 0;
-
-  void add(const attack::round_observation& obs) {
-    if (obs.receivers.empty()) return;
-    messages += obs.receivers.size();
-    if (!obs.target_present) return;
-    ++target_rounds;
-    target_messages += obs.receivers.size();
-  }
-};
-
-/// sketch_sda_attack's pre-sparse posterior: the candidate-restricted
-/// signal written into a dense vector, then the dense normalization.
-std::vector<double> dense_sketch_posterior(
-    const attack::sketch_sda_attack& atk, const stream_totals& t) {
-  std::vector<double> signal(atk.receiver_count(), 0.0);
-  if (t.target_messages > 0) {
-    const std::uint64_t bm = t.messages - t.target_messages;
-    const double mbar = static_cast<double>(t.target_messages) /
-                        static_cast<double>(t.target_rounds);
-    for (node_id v : atk.candidates()) {
-      const std::uint64_t tc = atk.estimate_target(v);
-      const std::uint64_t gc = atk.estimate_global(v);
-      const std::uint64_t bc = std::min(gc > tc ? gc - tc : 0, bm);
-      const double p_target = static_cast<double>(tc) /
-                              static_cast<double>(t.target_messages);
-      const double q = bm > 0 ? static_cast<double>(bc) /
-                                    static_cast<double>(bm)
-                              : 1.0 / static_cast<double>(atk.receiver_count());
-      signal[v] = mbar * p_target - (mbar - 1.0) * q;
-    }
-  }
-  return normalize_dense(std::move(signal));
 }
 
 attack::round_observation round_of(bool target,

@@ -1,8 +1,9 @@
 // Differential layer for walk-model scoring. The restricted-path engine's
-// DP kernel runs on flat arc arrays; `reference_walk_engine` below keeps
-// the adjacency-walking kernel it replaced (the same posterior code around
-// it), and every observation of captured runs must score bit for bit the
-// same under both, masked and unmasked. score_run memoizes per-observation
+// DP kernel runs on flat arc arrays; `pre_change::reference_walk_engine`
+// (tests/pre_change_reference.hpp) keeps the adjacency-walking kernel it
+// replaced (the same posterior code around it), and every observation of
+// captured runs must score bit for bit the same under both, masked and
+// unmasked. score_run memoizes per-observation
 // summaries for every built-in engine (clique, restricted walk, planned
 // routes); run_simulation must equal a replay scored by a fresh,
 // unmemoized engine on every reported metric.
@@ -28,197 +29,12 @@
 #include "src/sim/simulator.hpp"
 #include "src/sim/trace.hpp"
 #include "src/stats/rng.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath {
 namespace {
 
-/// topology_posterior_engine::try_sender_posterior with the honest-interior
-/// step walking the topology's adjacency lists, as it did before the flat
-/// arc kernel: the honest/support test per arc, the weight division per
-/// arc on the transpose, and one vector per gs row.
-class reference_walk_engine {
- public:
-  reference_walk_engine(system_params sys, const std::vector<node_id>& comp,
-                        path_length_distribution lengths,
-                        const net::topology& topo, std::vector<bool> support)
-      : sys_(sys), lengths_(std::move(lengths)), topo_(topo) {
-    compromised_flag_.assign(sys_.node_count, false);
-    for (node_id c : comp) compromised_flag_[c] = true;
-    honest_interior_.assign(sys_.node_count, false);
-    for (node_id x = 0; x < sys_.node_count; ++x)
-      honest_interior_[x] =
-          !compromised_flag_[x] && (support.empty() || support[x]);
-  }
-
-  void honest_step(const std::vector<double>& in, std::vector<double>& out,
-                   bool forward) const {
-    out.assign(in.size(), 0.0);
-    for (node_id x = 0; x < in.size(); ++x) {
-      if (in[x] == 0.0) continue;
-      const net::neighbor_view a = topo_.adjacency(x);
-      if (forward) {
-        const double inv = in[x] / topo_.total_weight(x);
-        for (std::uint32_t i = 0; i < a.size; ++i)
-          if (honest_interior_[a.ids[i]]) out[a.ids[i]] += inv * a.weights[i];
-      } else {
-        if (!honest_interior_[x]) continue;
-        for (std::uint32_t i = 0; i < a.size; ++i) {
-          const node_id y = a.ids[i];
-          out[y] += in[x] * (a.weights[i] / topo_.total_weight(y));
-        }
-      }
-    }
-  }
-
-  bool try_sender_posterior(const observation& obs,
-                            std::vector<double>& out) const {
-    const auto n = sys_.node_count;
-    out.assign(n, 0.0);
-    if (obs.origin) {
-      if (*obs.origin >= n) return false;
-      out[*obs.origin] = 1.0;
-      return true;
-    }
-    std::vector<path_fragment> fragments;
-    try {
-      fragments = assemble_fragments(obs, compromised_flag_);
-    } catch (const std::invalid_argument&) {
-      return false;
-    }
-    for (const auto& f : fragments)
-      for (node_id x : f.nodes)
-        if (x != receiver_node && x >= n) return false;
-    const bool pinned =
-        !fragments.empty() && fragments.back().nodes.back() == receiver_node;
-    const bool v_known = obs.receiver_observed;
-    const node_id v = obs.receiver_predecessor;
-    for (std::size_t f = 0; f < fragments.size(); ++f)
-      for (std::size_t i = 0; i < fragments[f].nodes.size(); ++i)
-        if (fragments[f].nodes[i] == receiver_node &&
-            !(f + 1 == fragments.size() && i + 1 == fragments[f].nodes.size()))
-          return false;
-    if (v_known) {
-      if (pinned) {
-        const auto& last = fragments.back().nodes;
-        if (last.size() < 2 || last[last.size() - 2] != v) return false;
-      } else if (v >= n || compromised_flag_[v]) {
-        return false;
-      }
-    } else if (fragments.empty()) {
-      return false;
-    }
-    for (const auto& f : fragments)
-      for (std::size_t i = 0; i + 1 < f.nodes.size(); ++i) {
-        if (f.nodes[i + 1] == receiver_node) continue;
-        if (topo_.transition_prob(f.nodes[i], f.nodes[i + 1]) <= 0.0)
-          return false;
-      }
-
-    struct block {
-      node_id first;
-      node_id last;
-      std::size_t span;
-    };
-    std::vector<block> blocks;
-    blocks.push_back(block{0, 0, 1});
-    for (const auto& f : fragments)
-      blocks.push_back(block{f.nodes.front(), f.nodes.back(), f.nodes.size()});
-    const bool open = !pinned && !v_known;
-    if (!pinned && v_known) blocks.push_back(block{v, receiver_node, 2});
-    std::size_t intra = 0;
-    for (const block& b : blocks) intra += b.span - 1;
-    const path_length max_l = lengths_.max_length();
-    const std::size_t dmax = static_cast<std::size_t>(max_l) + 1;
-
-    std::vector<double> rest(dmax + 1, 0.0);
-    rest[0] = 1.0;
-    std::vector<double> cur, next, series, conv;
-    const auto fold_into_rest = [&] {
-      conv.assign(dmax + 1, 0.0);
-      for (std::size_t t = 0; t <= dmax; ++t) {
-        if (rest[t] == 0.0) continue;
-        for (std::size_t u = 0; t + u <= dmax; ++u)
-          conv[t + u] += rest[t] * series[u];
-      }
-      rest.swap(conv);
-    };
-    for (std::size_t j = 1; j + 1 < blocks.size(); ++j) {
-      const node_id a = blocks[j].last;
-      const node_id b = blocks[j + 1].first;
-      series.assign(dmax + 1, 0.0);
-      series[0] = (a == b) ? 1.0 : 0.0;
-      cur.assign(n, 0.0);
-      cur[a] = 1.0;
-      for (std::size_t t = 1; t <= dmax; ++t) {
-        honest_step(cur, next, /*forward=*/true);
-        cur.swap(next);
-        series[t] = b < n ? cur[b] : 0.0;
-      }
-      fold_into_rest();
-    }
-    if (open) {
-      const node_id a = blocks.back().last;
-      series.assign(dmax + 1, 0.0);
-      series[0] = 1.0;
-      cur.assign(n, 0.0);
-      cur[a] = 1.0;
-      for (std::size_t t = 1; t <= dmax; ++t) {
-        honest_step(cur, next, /*forward=*/true);
-        cur.swap(next);
-        double sum = 0.0;
-        for (double x : cur) sum += x;
-        series[t] = sum;
-      }
-      fold_into_rest();
-    }
-
-    const node_id b1 = blocks[1].first;
-    std::vector<std::vector<double>> gs(dmax + 1, std::vector<double>(n, 0.0));
-    if (b1 < n) gs[0][b1] = 1.0;
-    if (b1 < n && !compromised_flag_[b1]) {
-      cur.assign(n, 0.0);
-      cur[b1] = 1.0;
-      for (std::size_t t = 1; t <= dmax; ++t) {
-        honest_step(cur, next, /*forward=*/false);
-        cur.swap(next);
-        gs[t] = cur;
-      }
-    }
-    std::vector<double> coeff(dmax + 1, 0.0);
-    for (path_length l = lengths_.min_length(); l <= max_l; ++l) {
-      const double pl = lengths_.pmf(l);
-      if (pl <= 0.0) continue;
-      const long long budget = static_cast<long long>(l) + (open ? 0 : 1) -
-                               static_cast<long long>(intra);
-      if (budget < 0) continue;
-      const auto d = static_cast<std::size_t>(budget);
-      for (std::size_t t = 0; t <= d && t <= dmax; ++t)
-        if (rest[d - t] != 0.0) coeff[t] += pl * rest[d - t];
-    }
-    double z = 0.0;
-    for (node_id s = 0; s < n; ++s) {
-      if (compromised_flag_[s]) continue;
-      double acc = 0.0;
-      for (std::size_t t = 0; t <= dmax; ++t)
-        if (coeff[t] != 0.0) acc += coeff[t] * gs[t][s];
-      out[s] = acc;
-      z += acc;
-    }
-    if (!(z > 0.0) || !std::isfinite(z)) {
-      out.assign(n, 0.0);
-      return false;
-    }
-    for (node_id s = 0; s < n; ++s) out[s] /= z;
-    return true;
-  }
-
- private:
-  system_params sys_;
-  std::vector<bool> compromised_flag_;
-  std::vector<bool> honest_interior_;
-  path_length_distribution lengths_;
-  const net::topology& topo_;
-};
+using pre_change::reference_walk_engine;
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
