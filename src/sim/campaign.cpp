@@ -13,7 +13,6 @@
 
 #include "src/sim/campaign_axes.hpp"
 #include "src/sim/checkpoint.hpp"
-#include "src/sim/trace.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/error.hpp"
 #include "src/stats/rng.hpp"
@@ -285,16 +284,15 @@ campaign_result run_campaign(const campaign_grid& grid,
   result.cells.reserve(local_total);
 
   // Fan out: every (cell, replica) run is self-contained — its seed comes
-  // from a deterministic per-ABSOLUTE-run rng stream (so resumed or
-  // sharded campaigns rerun nothing differently: abs_run depends only on
-  // the cell's place in the full grid) and its report lands in its own
-  // slot. A task runs only the event half of its run (run_core, or
-  // capture_trace under via_trace) and parks the result. Each cell scores
-  // its parked runs through one cell_scorer, strictly in replica order: the
-  // thread whose core makes the cell's next replica ready scores it and
-  // every ready replica after it, while no other thread holds the cell's
-  // cursor. No thread waits; only cores that finish out of order are
-  // parked. A replica that throws becomes an error string instead of a
+  // from a deterministic per-ABSOLUTE-run rng stream (so resumed or sharded
+  // campaigns rerun nothing differently: abs_run depends only on the cell's
+  // place in the full grid) and its report lands in its own slot. A task
+  // runs only the event half of its run (run_core) and parks the result.
+  // Each cell scores its parked runs through one cell_scorer, strictly in
+  // replica order: the thread whose core makes the cell's next replica ready
+  // scores it and every ready replica after it, while no other thread holds
+  // the cell's cursor. No thread waits; only cores that finish out of order
+  // are parked. A replica that throws becomes an error string instead of a
   // dead process. Completed cells flush to the journal in cell order, under
   // the lock, so the reduction stays bit-identical for any thread count
   // while a kill loses only in-flight cells. A journal write failure throws
@@ -306,7 +304,6 @@ campaign_result run_campaign(const campaign_grid& grid,
   struct parked_run {
     sim_config cfg;
     std::optional<detail::core_result> core;
-    std::optional<sim_trace> trace;
     double us = 0.0;     // wall time of the core, then of the scoring too
     bool ready = false;  // the core ran (or threw); set under the lock
   };
@@ -352,9 +349,7 @@ campaign_result run_campaign(const campaign_grid& grid,
       try {
         if (!cell.scorer)
           cell.scorer = std::make_unique<cell_scorer>(cell.graph.get());
-        reports[run] = p.trace ? replay_trace(*p.trace, *cell.scorer)
-                               : detail::score_core(p.cfg, *p.core,
-                                                    *cell.scorer);
+        reports[run] = detail::score_core(p.cfg, *p.core, *cell.scorer);
       } catch (const std::exception& e) {
         errors[run] = *e.what() ? e.what() : "unknown error";
       } catch (...) {
@@ -362,7 +357,6 @@ campaign_result run_campaign(const campaign_grid& grid,
       }
     }
     p.core.reset();
-    p.trace.reset();
     p.us += elapsed_us(started);
     if (config.metrics != nullptr) {
       obs::metrics_registry& m = *config.metrics;
@@ -397,11 +391,7 @@ campaign_result run_campaign(const campaign_grid& grid,
               cell.graph = std::make_unique<const net::topology>(
                   net::topology::make(s.node_count, s.topology));
             });
-          const net::topology* graph = cell.graph.get();
-          if (config.via_trace)
-            p.trace = capture_trace(p.cfg, graph);
-          else
-            p.core = detail::run_core(p.cfg, nullptr, graph);
+          p.core = detail::run_core(p.cfg, nullptr, cell.graph.get());
         } catch (const std::exception& e) {
           errors[run] = *e.what() ? e.what() : "unknown error";
         } catch (...) {

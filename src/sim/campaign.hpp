@@ -103,12 +103,6 @@ struct campaign_config {
   std::uint32_t replicas = 8;     ///< independent runs per cell (>= 1)
   std::uint64_t master_seed = 1;
   unsigned threads = 1;           ///< worker threads; 0 = hardware concurrency
-  /// Run every (cell, replica) through the trace pipeline — capture_trace,
-  /// then replay_trace through the cell's scorer — instead of run_core and
-  /// score_core. Identical results by the trace subsystem's contract;
-  /// exercised by the conformance tests and useful when the captured traces
-  /// are also wanted.
-  bool via_trace = false;
   /// When non-empty, run_campaign journals every completed cell to this
   /// file (src/sim/checkpoint.hpp format) as the campaign progresses:
   /// header first, then one record per cell, flushed in cell order, so a
@@ -244,21 +238,22 @@ struct campaign_result {
                                          const campaign_grid& grid,
                                          std::uint64_t seed);
 
-/// Runs the whole campaign — or, with shard_count > 1, this config's
-/// shard of it: expands the grid, fans every (cell, replica) event core
-/// out over a stats::thread_pool, scores each cell's replicas in replica
-/// order through one cell_scorer (so each distinct observation of a cell
-/// pays its engine once), and reduces the reports into per-cell summaries
-/// in run order. See campaign_config for the thread-count invariance
-/// guarantee and the checkpoint/resume/shard behaviour; per-replica
-/// failures are isolated into campaign_cell::error. A sharded result
-/// holds only the shard's cells (in absolute grid order); its
-/// requested/skipped counts stay grid-global while `runs` counts what the
-/// shard executed. Every journal write is verified: a failed write or
-/// flush (disk full, I/O error) throws anonpath::parse_error{io} instead
-/// of silently dropping cells. Preconditions: replicas >= 1, at least one
-/// feasible cell, shard_index < shard_count, resume only with a
-/// checkpoint path, and shard_count > 1 only with a checkpoint path.
+/// Runs the whole campaign — or, with shard_count > 1, this config's shard
+/// of it: expands the grid, fans every (cell, replica) event core
+/// (detail::run_core) out over a stats::thread_pool, scores each cell's
+/// replicas in replica order through one cell_scorer (detail::score_core,
+/// so each distinct observation of a cell pays its engine once), and
+/// reduces the reports into per-cell summaries in run order. That is the
+/// campaign's only path; it captures no traces. See campaign_config for the
+/// thread-count invariance guarantee and the checkpoint/resume/shard
+/// behaviour; per-replica failures are isolated into campaign_cell::error.
+/// A sharded result holds only the shard's cells (in absolute grid order);
+/// its requested/skipped counts stay grid-global while `runs` counts what
+/// the shard executed. Every journal write is verified: a failed write or
+/// flush (disk full, I/O error) throws anonpath::parse_error{io} instead of
+/// silently dropping cells. Preconditions: replicas >= 1, at least one
+/// feasible cell, shard_index < shard_count, resume only with a checkpoint
+/// path, and shard_count > 1 only with a checkpoint path.
 [[nodiscard]] campaign_result run_campaign(const campaign_grid& grid,
                                            const campaign_config& config);
 

@@ -141,7 +141,8 @@ double parse_arrival_rate(const std::string& token, const char* flag) {
   return r;
 }
 
-/// full | partial[:<f>[:honest]] | timing.
+/// full | partial:<f>[:honest] | timing. The fraction is required: a bare
+/// `partial` would cover every node and ignore --c.
 adversary_config parse_adversary(const std::string& spec, const char* flag) {
   adversary_config cfg;
   if (spec == "full") return cfg;
@@ -150,13 +151,12 @@ adversary_config parse_adversary(const std::string& spec, const char* flag) {
     return cfg;
   }
   const std::vector<std::string> args = split_tokens(spec, ':', flag);
-  if (args[0] != "partial" || args.size() > 3 ||
+  if (args[0] != "partial" || args.size() < 2 || args.size() > 3 ||
       (args.size() == 3 && args[2] != "honest"))
     bad(parse_error_kind::malformed, flag,
         "values are full|partial:<f>[:honest]|timing");
   cfg.kind = adversary_kind::partial_coverage;
-  if (args.size() > 1)
-    cfg.coverage_fraction = parse_finite_token(args[1], flag);
+  cfg.coverage_fraction = parse_finite_token(args[1], flag);
   cfg.receiver_compromised = args.size() < 3;
   if (!cfg.valid())
     bad(parse_error_kind::out_of_range, flag,

@@ -200,8 +200,9 @@ std::uint64_t campaign_scope(const campaign_grid& grid,
     put_hex_double(ss, x);
   ss << ' ' << static_cast<int>(grid.session_receiver_law.kind);
   put_hex_double(ss, grid.session_receiver_law.exponent);
-  ss << " run " << config.replicas << ' ' << config.master_seed << ' '
-     << (config.via_trace ? 1 : 0);
+  // The trailing 0 stood for the retired via_trace flag; it stays so every
+  // existing journal keeps its scope (one written with it set now mismatches).
+  ss << " run " << config.replicas << ' ' << config.master_seed << " 0";
   return fnv1a(ss.str());
 }
 

@@ -34,9 +34,9 @@ namespace anonpath::sim {
 /// order, under an explicit `shard i n` header line; absolute indices make
 /// shard journals mergeable back into the unsharded cell list with no
 /// renumbering. The scope line fingerprints everything that defines the
-/// cell list and the per-run seeds (grid, replicas, master seed,
-/// via_trace) but NOT the shard split — all shards of one campaign share a
-/// scope, which is what lets merge_campaign verify they belong together.
+/// cell list and the per-run seeds (grid, replicas, master seed) but NOT
+/// the shard split — all shards of one campaign share a scope, which is
+/// what lets merge_campaign verify they belong together.
 /// The scenario itself is not serialized: the grid reconstructs it from
 /// the index.
 ///
@@ -55,8 +55,8 @@ struct checkpoint_file {
 /// Deterministic fingerprint of everything that defines a campaign's cell
 /// list and run seeds: FNV-1a over a canonical serialization of the grid
 /// (every axis element, every shared setting, the fault outage plan) and
-/// the config's replicas/master_seed/via_trace. Two campaigns share a
-/// fingerprint iff their checkpoints are interchangeable.
+/// the config's replicas/master_seed. Two campaigns share a fingerprint
+/// iff their checkpoints are interchangeable.
 [[nodiscard]] std::uint64_t campaign_scope(const campaign_grid& grid,
                                            const campaign_config& config);
 

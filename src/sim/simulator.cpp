@@ -221,6 +221,11 @@ const char* invalid_reason(const sim_config& c) {
            "<= --messages, --stream sketch only with --attack sda)";
   if (c.session.enabled() && c.mode != routing_mode::source_routed)
     return "session mode requires onion (source-routed) routing";
+  // The disclosure engines identify only at a threshold strictly inside
+  // (0, 1), as the attack command requires.
+  if (c.session.enabled() && c.session.attack != attack::attack_kind::none &&
+      !(c.identified_threshold > 0.0 && c.identified_threshold < 1.0))
+    return "--threshold must be in (0, 1) with a session --attack";
   return nullptr;
 }
 

@@ -511,20 +511,17 @@ std::unique_ptr<adversary_model> rebuild_model(const sim_trace& trace) {
 
 }  // namespace
 
-sim_report replay_trace(const sim_trace& trace, cell_scorer& scorer) {
-  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
-                           scorer, &trace.attempts);
-}
-
 sim_report replay_trace(const sim_trace& trace, const net::topology* graph) {
   cell_scorer scorer(graph);
-  return replay_trace(trace, scorer);
+  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
+                           scorer, &trace.attempts);
 }
 
 sim_report replay_trace(const sim_trace& trace, const posterior_fn& engine) {
   ANONPATH_EXPECTS(static_cast<bool>(engine));
   cell_scorer scorer(nullptr, &engine);
-  return replay_trace(trace, scorer);
+  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
+                           scorer, &trace.attempts);
 }
 
 }  // namespace anonpath::sim

@@ -68,13 +68,6 @@ struct sim_trace {
 [[nodiscard]] sim_report replay_trace(const sim_trace& trace,
                                       const net::topology* graph = nullptr);
 
-/// Same, through a scorer that the caller may share across the runs of one
-/// campaign cell (see cell_scorer), so each distinct observation of the
-/// cell pays its engine once. The report is the same as through a fresh
-/// scorer, its layout-memo counters aside.
-[[nodiscard]] sim_report replay_trace(const sim_trace& trace,
-                                      cell_scorer& scorer);
-
 /// Same, but scores each observed attempt with a caller-supplied inference
 /// engine instead of the built-in one: `engine` runs once per observed
 /// attempt, never memoized. On a clique config it sees only observations

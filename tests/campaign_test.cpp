@@ -130,7 +130,7 @@ TEST(CampaignDeterminism, ByteIdenticalAcrossThreadCounts) {
 TEST(CampaignDeterminism, SharedCellGraphsMatchIndependentRuns) {
   // Replicas of a restricted or planned cell borrow one graph the cell
   // builds once; every replica must still report what a run building its
-  // own graph reports, inline or through a trace, for any thread count.
+  // own graph reports, for any thread count.
   campaign_grid grid;
   grid.node_counts = {18, 30};
   grid.compromised_counts = {2};
@@ -160,21 +160,18 @@ TEST(CampaignDeterminism, SharedCellGraphsMatchIndependentRuns) {
       want[c].add(run_simulation(scenario_config(cells[c], grid, seed))
                       .empirical_entropy_bits);
     }
-  for (const bool via_trace : {false, true})
-    for (const unsigned threads : {1u, 4u}) {
-      cfg.via_trace = via_trace;
-      cfg.threads = threads;
-      const campaign_result r = run_campaign(grid, cfg);
-      ASSERT_EQ(r.cells.size(), cells.size());
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        EXPECT_TRUE(r.cells[c].error.empty()) << r.cells[c].error;
-        EXPECT_EQ(r.cells[c].entropy_bits.mean(), want[c].mean())
-            << "cell " << c << " threads " << threads << " trace "
-            << via_trace;
-        EXPECT_EQ(r.cells[c].entropy_bits.std_error(), want[c].std_error())
-            << "cell " << c;
-      }
+  for (const unsigned threads : {1u, 4u}) {
+    cfg.threads = threads;
+    const campaign_result r = run_campaign(grid, cfg);
+    ASSERT_EQ(r.cells.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      EXPECT_TRUE(r.cells[c].error.empty()) << r.cells[c].error;
+      EXPECT_EQ(r.cells[c].entropy_bits.mean(), want[c].mean())
+          << "cell " << c << " threads " << threads;
+      EXPECT_EQ(r.cells[c].entropy_bits.std_error(), want[c].std_error())
+          << "cell " << c;
     }
+  }
 }
 
 TEST(CampaignDeterminism, MasterSeedSelectsTheSample) {

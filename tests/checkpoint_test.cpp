@@ -62,9 +62,6 @@ TEST(CampaignScope, FingerprintsEveryRelevantKnob) {
   other = config;
   other.replicas = 3;
   EXPECT_NE(base, sim::campaign_scope(grid, other));
-  other = config;
-  other.via_trace = true;
-  EXPECT_NE(base, sim::campaign_scope(grid, other));
 
   sim::campaign_grid changed = small_grid();
   changed.drop_probabilities = {0.0, 0.151};
@@ -123,8 +120,7 @@ TEST(CampaignScope, PinnedFingerprintValues) {
       workload::popularity_law{workload::popularity_kind::zipf, 1.25};
   config.replicas = 5;
   config.master_seed = 42;
-  config.via_trace = true;
-  EXPECT_EQ(sim::campaign_scope(grid, config), 0x84785cfbd8cd3114ULL);
+  EXPECT_EQ(sim::campaign_scope(grid, config), 0x84785dfbd8cd32c7ULL);
 }
 
 TEST(Checkpoint, CellRecordsRoundTripBitExactly) {

@@ -170,6 +170,11 @@ TEST_F(CliParse, FloatFlagsRejectJunkTails) {
       "campaign --n 16 --c 1 --messages 20 --replicas 1 --drop 1e999",
       "simulate --n 16 --c 1 --messages 20 --threshold nan",
       "simulate --n 16 --c 1 --messages 20 --threshold inf",
+      // A session attack identifies only at a threshold inside (0, 1).
+      "simulate --n 16 --c 1 --messages 20 --population 10 --rounds 5 "
+      "--attack sda --threshold 1",
+      "capture --n 16 --c 1 --messages 20 --population 10 --rounds 5 "
+      "--attack bayes --threshold 0 --out /dev/null",
       "capture --n 16 --c 1 --messages 20 --churn inf",
       "capture --n 16 --c 1 --messages 20 --churn 0.5:inf",
       "simulate --n 16 --c 1 --messages 20 --retry 2:nan",
@@ -180,9 +185,10 @@ TEST_F(CliParse, FloatFlagsRejectJunkTails) {
 }
 
 TEST_F(CliParse, DistSpecsAreChecked) {
-  // Malformed, non-integral, out-of-order or oversized specs are usage
-  // errors: never a silent reinterpretation (F:2.7 as F(2)) and never a
-  // contract_violation escaping the distribution factories.
+  // Malformed, non-integral, out-of-order, out-of-range or oversized
+  // compound specs are usage errors: never a silent reinterpretation (F:2.7
+  // as F(2), a bare `partial` as full coverage) and never a
+  // contract_violation escaping the factories behind them.
   std::vector<std::string> cases;
   for (const char* spec :
        {"F:foo", "F:2.7", "U:5,2", "U:1,nan", "F:-1", "F:", "F:3,4", "X:3",
@@ -190,6 +196,28 @@ TEST_F(CliParse, DistSpecsAreChecked) {
         "P:1e6,5", "F:4000000000"})
     for (const char* command : {"degree --n 50", "simulate --n 20 --c 2"})
       cases.push_back(std::string(command) + " --dist '" + spec + "'");
+  const struct {
+    const char* flag;
+    std::vector<const char*> specs;
+  } compound[] = {
+      {"--adversary",
+       {"partial", "partial:1.5", "partial:0.3:foo", "partial::honest"}},
+      {"--topology",
+       {"ring:0", "regular:3:", "regular:1", "tiered:1", "trust:0",
+        "trust:1.5", "ring:2:3", "regular:4:99999999999999999999"}},
+      {"--routing", {"kpaths:0", "kpaths:65", "kpaths:", "walk:2"}},
+      {"--churn", {"-1", "1:0", "0.5:0.5:1"}},
+      {"--retry", {"2:0", "2:0.1:0.5", "2:0.1:2:0.05", "1:1:1:1:1"}},
+      {"--mix-failures", {"2:1:0", "2:-1", "1:1:1:1"}},
+      {"--crash", {"0:1", "0:-1:1", "0:1:0", "0:inf:1"}},
+  };
+  for (const auto& c : compound)
+    for (const char* spec : c.specs)
+      for (const char* command :
+           {"simulate --n 20 --c 2 --messages 20",
+            "campaign --n 20 --c 2 --messages 20 --replicas 1"})
+        cases.push_back(std::string(command) + " " + c.flag + " '" + spec +
+                        "'");
   expect_usage_errors(cases);
   EXPECT_EQ(run_cli("degree --n 50 --dist G:0.5,1,6").exit_code, 0);
   EXPECT_EQ(run_cli("degree --n 50 --dist P:2.5,8").exit_code, 0);
@@ -235,8 +263,8 @@ TEST_F(CliParse, CampaignAxisSmokesAreThreadAndTraceInvariant) {
       "campaign --n 20 --c 2 --dist U:1,4 --population 40 --rounds 30 "
       "--attack sda --stream exact,sketch --messages 300 --replicas 2 "
       "--seed 7";
-  // kpaths routing axis: thread- and trace-pipeline invariant like every
-  // other axis; the routing CSV column appears only here.
+  // kpaths routing axis: thread-invariant like every other axis; the
+  // routing CSV column appears only here.
   const std::string routed =
       "campaign --n 24 --c 2 --dist U:1,5 --topology regular:4 "
       "--routing walk,kpaths:3 --messages 150 --replicas 4 --seed 7";
@@ -244,8 +272,7 @@ TEST_F(CliParse, CampaignAxisSmokesAreThreadAndTraceInvariant) {
     std::string reference, variant, column;
   } cases[] = {
       {stream + " --threads 8", stream + " --threads 1", ",stream"},
-      {routed + " --threads 8", routed + " --threads 1 --via-trace",
-       ",routing"},
+      {routed + " --threads 8", routed + " --threads 1", ",routing"},
   };
   for (const auto& c : cases) {
     int rc_ref = -1, rc_var = -1;
@@ -522,7 +549,8 @@ TEST_F(CliParse, ShardAndMergeFlagValidation) {
 
 TEST_F(CliParse, ShardedCampaignMergesToUnshardedCsv) {
   // End-to-end through the real binary: 3 shard runs + merge reproduce the
-  // unsharded CSV byte for byte, and a merge missing a shard exits nonzero.
+  // unsharded CSV byte for byte, and a merge missing a shard or given
+  // another scope exits nonzero.
   const std::string dir = ::testing::TempDir();
   const std::string grid =
       "--n 16,24 --c 1,2 --messages 40 --replicas 1 --seed 11";
@@ -560,6 +588,13 @@ TEST_F(CliParse, ShardedCampaignMergesToUnshardedCsv) {
   EXPECT_NE(partial.exit_code, 0);
   EXPECT_NE(partial.stderr_text.find("missing shard"), std::string::npos)
       << partial.stderr_text;
+  // A merge whose flags rebuild another scope (here another --seed) is
+  // refused too: the shards belong to a different campaign.
+  const run_result reseeded = run_cli(
+      "merge --n 16,24 --c 1,2 --messages 40 --replicas 1 --seed 12" + inputs);
+  EXPECT_NE(reseeded.exit_code, 0);
+  EXPECT_NE(reseeded.stderr_text.find("scope mismatch"), std::string::npos)
+      << reseeded.stderr_text;
   for (int i = 0; i < 3; ++i)
     std::remove(
         (dir + "anonpath_cli_shard" + std::to_string(i) + ".ckpt").c_str());
@@ -932,19 +967,18 @@ TEST_F(CliParse, WriteFailurePathsFailLoudly) {
 }
 
 TEST_F(CliParse, AdversaryAxisIsTraceInvariantAndCaptureReplays) {
-  // The adversary axis sweeps (one row per model) identically inline and
-  // through the trace pipeline, and capture -> replay reproduces an inline
-  // simulate exactly.
+  // The adversary axis sweeps (one row per model) identically at 1 and 8
+  // threads, and capture -> replay reproduces an inline simulate exactly.
   const std::string sweep =
       "campaign --n 30 --c 2 --dist F:3 --adversary full,partial:0.2,timing "
-      "--messages 150 --replicas 4 --seed 7 --threads 8";
-  int rc_inline = -1, rc_trace = -1;
-  const std::string inline_csv = cli_stdout(sweep, &rc_inline);
-  const std::string trace_csv = cli_stdout(sweep + " --via-trace", &rc_trace);
-  ASSERT_EQ(rc_inline, 0);
-  ASSERT_EQ(rc_trace, 0);
-  EXPECT_EQ(std::count(inline_csv.begin(), inline_csv.end(), '\n'), 4);
-  EXPECT_EQ(inline_csv, trace_csv);
+      "--messages 150 --replicas 4 --seed 7";
+  int rc_eight = -1, rc_one = -1;
+  const std::string eight = cli_stdout(sweep + " --threads 8", &rc_eight);
+  const std::string one = cli_stdout(sweep + " --threads 1", &rc_one);
+  ASSERT_EQ(rc_eight, 0);
+  ASSERT_EQ(rc_one, 0);
+  EXPECT_EQ(std::count(eight.begin(), eight.end(), '\n'), 4);
+  EXPECT_EQ(eight, one);
 
   const std::string run = "--n 40 --c 3 --dist U:1,6 --messages 300 --seed 9";
   const std::string trace_path = ::testing::TempDir() + "anonpath_adv." +
@@ -991,19 +1025,17 @@ TEST_F(CliParse, CliAndMonteCarloAreThreadInvariant) {
 }
 
 TEST_F(CliParse, TopologyAndChurnAxesAreThreadAndTraceInvariant) {
-  // Topology x churn campaign sweeps, thread- and trace-invariant.
+  // Topology x churn campaign sweeps, thread-invariant.
   const std::string sweep =
       "campaign --n 24 --c 2 --dist F:3 --topology complete,ring:2,tiered:3 "
       "--churn 0,0.5:0.5 --messages 150 --replicas 4 --seed 7";
-  int rc_inline = -1, rc_trace = -1;
-  const std::string inline_csv = cli_stdout(sweep + " --threads 8",
-                                            &rc_inline);
-  const std::string trace_csv =
-      cli_stdout(sweep + " --threads 1 --via-trace", &rc_trace);
-  ASSERT_EQ(rc_inline, 0);
-  ASSERT_EQ(rc_trace, 0);
-  EXPECT_EQ(std::count(inline_csv.begin(), inline_csv.end(), '\n'), 7);
-  EXPECT_EQ(inline_csv, trace_csv);
+  int rc_csv8 = -1, rc_csv1 = -1;
+  const std::string csv8 = cli_stdout(sweep + " --threads 8", &rc_csv8);
+  const std::string csv1 = cli_stdout(sweep + " --threads 1", &rc_csv1);
+  ASSERT_EQ(rc_csv8, 0);
+  ASSERT_EQ(rc_csv1, 0);
+  EXPECT_EQ(std::count(csv8.begin(), csv8.end(), '\n'), 7);
+  EXPECT_EQ(csv8, csv1);
 
   // Restricted-graph capture -> replay reproduces inline simulate.
   const std::string run =
@@ -1090,8 +1122,8 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
       axes, {"--messages", "--seed", "--threshold", "--receiver-law",
              "--crash"});
   const std::vector<std::string> sweep =
-      with(simulator, {"--replicas", "--threads", "--via-trace",
-                       "--checkpoint", "--metrics", "--progress"});
+      with(simulator, {"--replicas", "--threads", "--checkpoint",
+                       "--metrics", "--progress"});
   const std::map<std::string, std::vector<std::string>> reads = {
       {"degree", {"--n", "--dist", "--breakdown"}},
       {"estimate",
@@ -1124,7 +1156,7 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
       {"--rounds", "0"}, {"--attack", "none"}, {"--stream", "exact"},
       {"--messages", "20"}, {"--seed", "5"}, {"--threshold", "0.5"},
       {"--receiver-law", "uniform"}, {"--crash", "0:1:1"},
-      {"--replicas", "1"}, {"--threads", "1"}, {"--via-trace", ""},
+      {"--replicas", "1"}, {"--threads", "1"},
       {"--checkpoint", "'" + tmp + "ckpt'"}, {"--resume", ""},
       {"--shard", "0/1"}, {"--input", "'" + tmp + "in.ckpt'"},
       {"--metrics", "'" + tmp + "metrics.jsonl'"}, {"--progress", ""},
@@ -1205,12 +1237,17 @@ TEST_F(CliParse, EveryFlagIsRefusedOutsideTheCommandsThatReadIt) {
   for (const char* file : {"ckpt", "metrics.jsonl"})
     std::remove((tmp + file).c_str());
 
-  // The storage-layout and scoring-path switches are gone: one graph
-  // storage, one Monte-Carlo scorer.
-  for (const char* args : {"plan --n 200 --csr", "estimate --no-dedup"}) {
+  // The storage-layout, scoring-path and campaign-pipeline switches are
+  // gone: one graph storage, one Monte-Carlo scorer, one campaign path.
+  for (const char* args :
+       {"plan --n 200 --csr", "estimate --no-dedup",
+        "campaign --n 12 --messages 20 --replicas 1 --via-trace",
+        "merge --n 12 --replicas 1 --via-trace"}) {
     const run_result r = run_cli(args);
+    const std::string flag = std::string(args).substr(
+        std::string(args).rfind(' ') + 1);
     EXPECT_EQ(r.exit_code, 2) << "anonpath " << args;
-    EXPECT_NE(r.stderr_text.find("unknown flag"), std::string::npos)
+    EXPECT_NE(r.stderr_text.find("unknown flag " + flag), std::string::npos)
         << "anonpath " << args << "\n" << r.stderr_text;
   }
 }
@@ -1276,38 +1313,6 @@ TEST_F(CliParse, MillionNodePlanBuildsAndRoutes) {
       &rc);
   ASSERT_EQ(rc, 0);
   EXPECT_NE(kpaths.find("kpaths(4) routes"), std::string::npos) << kpaths;
-}
-
-TEST_F(CliParse, ViaTraceShardsMergeToTheUnshardedCsv) {
-  // --via-trace is part of the campaign's scope fingerprint, so merge reads
-  // it: shards run with it merge to the unsharded --via-trace CSV byte for
-  // byte, and the same merge without it is refused as a scope mismatch.
-  const std::string dir = ::testing::TempDir() + "anonpath_via_trace." +
-                          std::to_string(::getpid()) + ".";
-  const std::string grid =
-      "--n 16,24 --c 1,2 --messages 40 --replicas 1 --seed 11";
-  int rc = -1;
-  const std::string clean = cli_stdout("campaign " + grid + " --via-trace",
-                                       &rc);
-  ASSERT_EQ(rc, 0);
-  ASSERT_EQ(std::count(clean.begin(), clean.end(), '\n'), 5);
-  std::string inputs;
-  for (int i = 0; i < 2; ++i) {
-    const std::string ckpt = dir + "shard" + std::to_string(i) + ".ckpt";
-    inputs += " --input '" + ckpt + "'";
-    EXPECT_EQ(run_cli("campaign " + grid + " --via-trace --shard " +
-                      std::to_string(i) + "/2 --checkpoint '" + ckpt + "'")
-                  .exit_code,
-              0);
-  }
-  EXPECT_EQ(cli_stdout("merge " + grid + " --via-trace" + inputs, &rc), clean);
-  EXPECT_EQ(rc, 0);
-  const run_result inline_merge = run_cli("merge " + grid + inputs);
-  EXPECT_NE(inline_merge.exit_code, 0);
-  EXPECT_NE(inline_merge.stderr_text.find("scope mismatch"), std::string::npos)
-      << inline_merge.stderr_text;
-  for (int i = 0; i < 2; ++i)
-    std::remove((dir + "shard" + std::to_string(i) + ".ckpt").c_str());
 }
 
 TEST_F(CliParse, CampaignIsThreadInvariantAndTelemetryIsAWriteOnlyTap) {
@@ -1419,19 +1424,18 @@ TEST_F(CliParse, DisclosureAttacksScaleAndIdentify) {
   EXPECT_NE(bayes.stderr_text.find("correct"), std::string::npos)
       << bayes.stderr_text;
 
-  // Session axes sweep thread- and trace-pipeline invariantly: 4 coherent
-  // cells (session off, and 15 x 25 under each attack).
+  // Session axes sweep thread-invariantly: 4 coherent cells (session off,
+  // and 15 x 25 under each attack).
   const std::string sessions =
       "campaign --n 20 --c 2 --dist U:1,4 --population 0,15 --rounds 0,25 "
       "--attack none,sda,bayes --messages 300 --replicas 2 --seed 7";
-  int rc_eight = -1, rc_trace = -1;
+  int rc_eight = -1, rc_one = -1;
   const std::string eight = cli_stdout(sessions + " --threads 8", &rc_eight);
-  const std::string traced =
-      cli_stdout(sessions + " --threads 1 --via-trace", &rc_trace);
+  const std::string one = cli_stdout(sessions + " --threads 1", &rc_one);
   ASSERT_EQ(rc_eight, 0);
-  ASSERT_EQ(rc_trace, 0);
+  ASSERT_EQ(rc_one, 0);
   EXPECT_EQ(std::count(eight.begin(), eight.end(), '\n'), 5);
-  EXPECT_EQ(eight, traced);
+  EXPECT_EQ(eight, one);
 
   // Unknown attack kinds and incoherent session axes fail loudly.
   EXPECT_NE(run_cli("attack --users 100 --attack frequency").exit_code, 0);

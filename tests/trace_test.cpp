@@ -52,6 +52,21 @@ void expect_reports_identical(const sim_report& a, const sim_report& b) {
   EXPECT_EQ(a.posteriors, b.posteriors);
 }
 
+void expect_sessions_identical(const session_report& a,
+                               const session_report& b) {
+  EXPECT_TRUE(bit_equal(a.entropy_bits, b.entropy_bits));
+  EXPECT_EQ(a.identified_round, b.identified_round);
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+  for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
+    const attack::trajectory_point &p = a.trajectory[i], &q = b.trajectory[i];
+    EXPECT_EQ(p.round, q.round) << "point " << i;
+    EXPECT_TRUE(bit_equal(p.entropy_bits, q.entropy_bits)) << "point " << i;
+    EXPECT_TRUE(bit_equal(p.top_mass, q.top_mass)) << "point " << i;
+    EXPECT_EQ(p.top_receiver, q.top_receiver) << "point " << i;
+    EXPECT_EQ(p.identified, q.identified) << "point " << i;
+  }
+}
+
 std::vector<sim_config> preset_configs() {
   std::vector<sim_config> out;
   const path_length_distribution presets[] = {
@@ -349,6 +364,13 @@ TEST(Rulebook, EveryRuleRefusesTheTraceAndTheRun) {
          c.session.receiver_count = 20;
          c.mode = routing_mode::hop_by_hop;
        }},
+      {"session attack threshold",
+       [](sim_config& c) {
+         c.session.rounds = 10;
+         c.session.receiver_count = 20;
+         c.session.attack = attack::attack_kind::sda;
+         c.identified_threshold = 1.0;
+       }},
   };
   std::set<std::string> reasons;
   for (const auto& rule : cases) {
@@ -384,8 +406,8 @@ TEST(Rulebook, EveryRuleRefusesTheTraceAndTheRun) {
 
 /// capture never writes a trace replay refuses: every value of every axis
 /// in the CLI's axis table, alone and inside a session cell, at the
-/// threshold extremes the CLI accepts, captures a trace that reads back
-/// and rewrites byte for byte.
+/// threshold extremes the CLI accepts, captures a trace that reads back,
+/// rewrites byte for byte, and replays bit-equal to the inline run.
 TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
   const std::map<std::string, std::vector<std::string>> values = {
       {"--n", {"12", "24"}},
@@ -406,7 +428,7 @@ TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
       {"--attack", {"none", "intersection", "sda", "bayes"}},
       {"--stream", {"exact", "sketch"}},
   };
-  std::size_t captured = 0;
+  std::size_t captured = 0, sessions = 0;
   for (const bool session : {false, true}) {
     for_each_axis([&](const auto& axis) {
       ASSERT_EQ(values.count(axis.flag), 1u) << axis.flag << " has no values";
@@ -421,7 +443,10 @@ TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
           grid.attacks = {attack::attack_kind::sda};
         }
         grid.*axis.values = {axis.parse(token, axis.flag)};
-        for (const double threshold : {0.0, 1.0}) {
+        // A session attack takes only thresholds strictly inside (0, 1).
+        const double lo = session ? std::nextafter(0.0, 1.0) : 0.0;
+        const double hi = session ? std::nextafter(1.0, 0.0) : 1.0;
+        for (const double threshold : {lo, hi}) {
           grid.identified_threshold = threshold;
           for (const scenario& s : expand_grid(grid)) {
             const sim_config cfg = scenario_config(s, grid, 7);
@@ -430,9 +455,22 @@ TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
             write_trace(capture_trace(cfg), os);
             std::istringstream is(os.str());
             try {
+              const sim_trace reread = read_trace(is);
               std::ostringstream again;
-              write_trace(read_trace(is), again);
+              write_trace(reread, again);
               EXPECT_EQ(again.str(), os.str()) << axis.flag << ' ' << token;
+              // Replaying what was read back is the inline run, bit for bit.
+              SCOPED_TRACE(std::string(axis.flag) + ' ' + token);
+              const sim_report inline_run = run_simulation(cfg);
+              const sim_report replayed = replay_trace(reread);
+              expect_reports_identical(replayed, inline_run);
+              ASSERT_EQ(replayed.session.has_value(),
+                        inline_run.session.has_value());
+              if (inline_run.session) {
+                expect_sessions_identical(*replayed.session,
+                                          *inline_run.session);
+                ++sessions;
+              }
             } catch (const parse_error& e) {
               ADD_FAILURE() << axis.flag << ' ' << token << ": " << e.what();
             }
@@ -443,6 +481,7 @@ TEST(Rulebook, EveryAcceptedAxisValueCapturesAReadableTrace) {
     });
   }
   EXPECT_GT(captured, 100u);
+  EXPECT_GT(sessions, 50u);  // the session half replays too
 }
 
 }  // namespace

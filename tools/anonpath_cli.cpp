@@ -25,7 +25,8 @@
 //
 // Distribution syntax: F:l | U:a,b | G:pf,min,max (geometric) | P:lambda,max.
 // Adversary syntax: full | partial:<f>[:honest] | timing (the coverage
-// fraction f in [0,1]; ":honest" leaves the receiver uncompromised).
+// fraction f in [0,1] is required; ":honest" leaves the receiver
+// uncompromised).
 // Topology syntax: complete | ring:<k> | regular:<d>[:<seed>] | tiered:<t>
 // | trust:<decay>; out-of-range parameters (for the given --n) are a hard
 // error, never a silent fallback to the clique.
@@ -115,6 +116,7 @@ using namespace anonpath;
       "            --c <compromised> (default 1)\n"
       "            --dist F:l | U:a,b | G:pf,min,max | P:lambda,max\n"
       "            --adversary full | partial:<f>[:honest] | timing\n"
+      "                      (the coverage fraction f in [0, 1] is required)\n"
       "            --topology complete | ring:<k> | regular:<d>[:<seed>]\n"
       "                       | tiered:<t> | trust:<decay>\n"
       "            --routing walk | kpaths[:<k>]  planned k-shortest-path\n"
@@ -132,8 +134,9 @@ using namespace anonpath;
       "  optimize: --mean <target expected length>\n"
       "  simulate: a one-cell campaign: every campaign axis flag, one value\n"
       "            each, plus [--messages k (at most 1000000)] [--seed s]\n"
-      "            [--threshold x in [0, 1]]; session mode: --population P\n"
-      "            (at most 10000000) --rounds R [--attack a]\n"
+      "            [--threshold x in [0, 1]; (0, 1) with --attack]; session\n"
+      "            mode: --population P (at most 10000000) --rounds R\n"
+      "            [--attack a]\n"
       "            [--stream exact|sketch]  sda accumulator backend\n"
       "  campaign: scenario-grid sweep on the simulator; CSV to stdout.\n"
       "            axes (comma lists): --n --c --drop --rate --adversary\n"
@@ -141,14 +144,14 @@ using namespace anonpath;
       "            --population --rounds --attack --stream; --mode\n"
       "            onion,crowds; --dist may repeat (one spec each)\n"
       "            [--replicas r (default 8)] [--messages k (default 500)]\n"
-      "            [--seed s] [--threads t (0=all cores)] [--via-trace]\n"
+      "            [--seed s] [--threads t (0=all cores)]\n"
       "            [--receiver-law uniform|zipf:<s>]\n"
       "            [--checkpoint file [--resume]]  crash-resumable journal\n"
       "            [--shard i/n]  run only cells with index = i mod n\n"
       "            (requires --checkpoint; combine shards with 'merge')\n"
       "  merge:    combine completed shard journals into the unsharded\n"
-      "            result: the campaign's grid/config flags, --via-trace\n"
-      "            included (they rebuild the scope fingerprint), plus\n"
+      "            result: the campaign's grid/config flags (they\n"
+      "            rebuild the scope fingerprint), plus\n"
       "            --input file (repeatable, one per shard)\n"
       "            [--checkpoint file  also write the merged\n"
       "            journal]; CSV to stdout, bit-identical to an unsharded\n"
@@ -223,7 +226,6 @@ struct options {
   std::vector<std::string> input_paths;  ///< merge: shard journals
   std::uint32_t replicas = 8;
   double threshold = 0.99;
-  bool via_trace = false;
   std::string out_path;  ///< capture: trace destination ("" = stdout)
   std::string in_path;   ///< replay: trace source
   // Longitudinal-attack workload surface (the 'attack' command).
@@ -360,8 +362,6 @@ constexpr flag_spec flag_table[] = {
      }},
     {"--threads", on::sweep | on::estimate | on::attack, true,
      [](auto& o, auto f, auto& v) { o.threads = sim::parse_u32_token(v, f); }},
-    {"--via-trace", on::sweep, false,
-     [](auto& o, auto, auto&) { o.via_trace = true; }},
     {"--checkpoint", on::sweep, true,
      [](auto& o, auto, auto& v) { o.checkpoint_path = v; }},
     {"--resume", on::campaign, false,
@@ -782,7 +782,6 @@ sim::campaign_config build_campaign_config(const options& opt) {
   cfg.replicas = opt.replicas;
   cfg.master_seed = opt.seed;
   cfg.threads = opt.threads;
-  cfg.via_trace = opt.via_trace;
   cfg.checkpoint_path = opt.checkpoint_path;
   cfg.resume = opt.resume;
   return cfg;
