@@ -60,8 +60,8 @@
 /// materialized in full (1e5 users x 1e4 rounds streams in well under a
 /// second). workload::accumulate_cooccurrence shards the rounds over a
 /// stats::thread_pool into one accumulator per worker and merges them
-/// order-free — bit-identical for every thread count. attack::disclosure_attack is the inference family
-/// over those rounds (mirroring sim::adversary_model):
+/// order-free — bit-identical for every thread count.
+/// attack::disclosure_attack is the inference family over those rounds:
 /// attack::intersection_attack (exact candidate-set intersection, plus the
 /// minimum_hitting_sets oracle the statistical attacks are
 /// conformance-pinned against), attack::sda_attack (background-subtracted
@@ -99,16 +99,20 @@
 /// can corrupt the posterior.
 ///
 /// The discrete-event simulator lives in src/sim (include
-/// "src/sim/simulator.hpp"). Its threat model is pluggable
-/// (src/sim/adversary.hpp): full_coalition (the paper's Sec. 4 worst
-/// case), partial_coverage (iid fractional corruption, optionally honest
-/// receiver — observations with receiver_observed == false), and
-/// timing_correlator (timestamp-only linking via sim::timing_correlation
-/// — gapped observations); the posterior engine marginalizes over both
-/// weakened observation shapes. sim::trace (src/sim/trace.hpp) captures a
-/// run's adversary-visible events into a versioned, exactly-serializable
-/// trace and replays it through any inference engine offline, bit-for-bit
-/// equal to inline scoring. sim::session_config (src/sim/session.hpp)
+/// "src/sim/simulator.hpp"). Its fabric only logs the adversary's
+/// reports; after the run, sim::adversary_view (src/sim/adversary.hpp)
+/// builds the adversary's view from that event log under one of three
+/// threat models: full_coalition (the paper's Sec. 4 worst case),
+/// partial_coverage (iid fractional corruption, optionally honest receiver
+/// — observations with receiver_observed == false), and timing_correlator
+/// (timestamp-only linking via sim::timing_correlation — gapped
+/// observations); the posterior engine marginalizes over both weakened
+/// observation shapes. Every run is scored from its sim_trace (config,
+/// effective compromised set, event log, ground truth). sim::trace
+/// (src/sim/trace.hpp) serializes that trace into a versioned, exact
+/// format and replays it through any inference engine offline; replay and
+/// inline runs share one scoring function, so they agree bit for bit by
+/// construction. sim::session_config (src/sim/session.hpp)
 /// opens the time axis inside the simulator: the workload batches into mix
 /// rounds, every message carries a pseudonymous destination (the tracked
 /// sender always writes to their partner), and scoring runs a longitudinal

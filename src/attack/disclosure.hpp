@@ -19,8 +19,8 @@ namespace anonpath::attack {
 /// enough: the target's partner is in every round she participates in, so
 /// set intersection (exact), receiver-frequency subtraction (statistical
 /// disclosure), and sequential Bayesian fusion all converge on the partner
-/// as rounds accumulate. Mirrors the sim::adversary_model pattern: one
-/// virtual family, concrete subclasses per inference style.
+/// as rounds accumulate. One virtual family, concrete subclasses per
+/// inference style.
 
 enum class attack_kind : std::uint8_t {
   none,              ///< placeholder for "no longitudinal attack" axes

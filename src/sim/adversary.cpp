@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "src/sim/correlation.hpp"
 #include "src/stats/contract.hpp"
@@ -29,232 +31,150 @@ std::string adversary_config::label() const {
   return adversary_kind_label(kind);
 }
 
-// ---- base -------------------------------------------------------------------
+namespace {
 
-adversary_model::adversary_model(std::vector<bool> compromised)
-    : compromised_(std::move(compromised)) {
-  ANONPATH_EXPECTS(!compromised_.empty());
-}
+/// Observations indexed by message id; ids without one stay disengaged.
+using observation_log = std::vector<std::optional<observation>>;
 
-std::vector<node_id> adversary_model::compromised_ids() const {
-  std::vector<node_id> out;
-  for (node_id i = 0; i < compromised_.size(); ++i)
-    if (compromised_[i]) out.push_back(i);
-  return out;
-}
-
-void adversary_model::note(const adversary_event& e) {
-  switch (e.type) {
-    case adversary_event::kind::origin:
-      note_origin(e.msg, e.reporter);
-      return;
-    case adversary_event::kind::relay:
-      note_relay(e.msg, e.at, e.reporter, e.predecessor, e.successor);
-      return;
-    case adversary_event::kind::receipt:
-      note_receipt(e.msg, e.at, e.predecessor);
-      return;
+/// The full and partial coalitions: reports fused per message id.
+observation_log fuse_by_message(std::span<const adversary_event> events,
+                                bool receiver_reports) {
+  // One message's reports in filing order; a later origin or receipt
+  // report of the same id replaces an earlier one.
+  struct filed {
+    std::optional<node_id> origin;
+    std::vector<std::pair<sim_time, hop_report>> captures;
+    std::optional<node_id> receiver_predecessor;
+  };
+  std::vector<filed> log;
+  for (const adversary_event& e : events) {
+    if (e.msg >= log.size()) log.resize(e.msg + 1);
+    filed& f = log[e.msg];
+    switch (e.type) {
+      case adversary_event::kind::origin:
+        f.origin = e.reporter;
+        break;
+      case adversary_event::kind::relay:
+        f.captures.emplace_back(
+            e.at, hop_report{e.reporter, e.predecessor, e.successor});
+        break;
+      case adversary_event::kind::receipt:
+        // An honest receiver leaks nothing; the fabric still logs the
+        // delivery because it cannot know which threat model it lives under.
+        if (receiver_reports) f.receiver_predecessor = e.predecessor;
+        break;
+    }
   }
+  observation_log observed(log.size());
+  for (std::uint64_t id = 0; id < log.size(); ++id) {
+    filed& f = log[id];
+    if (receiver_reports ? !f.receiver_predecessor
+                         : !f.origin && f.captures.empty())
+      continue;
+    std::stable_sort(
+        f.captures.begin(), f.captures.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    observation& obs = observed[id].emplace();
+    obs.origin = f.origin;
+    obs.reports.reserve(f.captures.size());
+    for (const auto& c : f.captures) obs.reports.push_back(c.second);
+    if (receiver_reports)
+      obs.receiver_predecessor = *f.receiver_predecessor;
+    else
+      obs.receiver_observed = false;
+  }
+  return observed;
 }
 
-// ---- full coalition ---------------------------------------------------------
-
-full_coalition_model::full_coalition_model(std::vector<bool> compromised)
-    : adversary_model(std::move(compromised)) {}
-
-full_coalition_model::per_message& full_coalition_model::entry(
-    std::uint64_t msg) {
-  if (msg >= log_.size()) log_.resize(msg + 1);
-  return log_[msg];
-}
-
-const full_coalition_model::per_message* full_coalition_model::find(
-    std::uint64_t msg) const {
-  return msg < log_.size() ? &log_[msg] : nullptr;
-}
-
-void full_coalition_model::note_origin(std::uint64_t msg, node_id sender) {
-  ANONPATH_EXPECTS(sender < compromised_.size() && compromised_[sender]);
-  entry(msg).origin = sender;
-}
-
-void full_coalition_model::note_relay(std::uint64_t msg, sim_time at,
-                                      node_id reporter, node_id predecessor,
-                                      node_id successor) {
-  ANONPATH_EXPECTS(reporter < compromised_.size() && compromised_[reporter]);
-  entry(msg).captures.push_back(
-      capture{at, {reporter, predecessor, successor}});
-}
-
-void full_coalition_model::note_receipt(std::uint64_t msg, sim_time /*at*/,
-                                        node_id predecessor) {
-  entry(msg).receiver_predecessor = predecessor;
-}
-
-bool full_coalition_model::complete(std::uint64_t msg) const {
-  const per_message* pm = find(msg);
-  return pm != nullptr && pm->receiver_predecessor.has_value();
-}
-
-observation full_coalition_model::assemble(std::uint64_t msg) const {
-  if (!full_coalition_model::complete(msg))
-    throw std::out_of_range("adversary: message not (fully) observed");
-  const per_message& pm = log_[msg];
-
-  observation obs;
-  obs.origin = pm.origin;
-  std::vector<capture> sorted = pm.captures;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const capture& a, const capture& b) { return a.at < b.at; });
-  obs.reports.reserve(sorted.size());
-  for (const auto& c : sorted) obs.reports.push_back(c.report);
-  obs.receiver_predecessor = *pm.receiver_predecessor;
-  return obs;
-}
-
-std::vector<std::uint64_t> full_coalition_model::observed_messages() const {
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t id = 0; id < log_.size(); ++id)
-    if (log_[id].receiver_predecessor) out.push_back(id);
-  return out;
-}
-
-// ---- partial coverage -------------------------------------------------------
-
-partial_coverage_model::partial_coverage_model(std::vector<bool> compromised,
-                                               bool receiver_compromised)
-    : full_coalition_model(std::move(compromised)),
-      receiver_compromised_(receiver_compromised) {}
-
-void partial_coverage_model::note_receipt(std::uint64_t msg, sim_time at,
-                                          node_id predecessor) {
-  // An honest receiver leaks nothing; the hook still fires because the
-  // endpoint cannot know which threat model it lives under.
-  if (receiver_compromised_)
-    full_coalition_model::note_receipt(msg, at, predecessor);
-}
-
-bool partial_coverage_model::complete(std::uint64_t msg) const {
-  if (receiver_compromised_) return full_coalition_model::complete(msg);
-  const per_message* pm = find(msg);
-  return pm != nullptr && (pm->origin.has_value() || !pm->captures.empty());
-}
-
-observation partial_coverage_model::assemble(std::uint64_t msg) const {
-  if (receiver_compromised_) return full_coalition_model::assemble(msg);
-  if (!partial_coverage_model::complete(msg))
-    throw std::out_of_range("adversary: message not observed");
-  const per_message& pm = log_[msg];
-
-  observation obs;
-  obs.origin = pm.origin;
-  std::vector<capture> sorted = pm.captures;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const capture& a, const capture& b) { return a.at < b.at; });
-  obs.reports.reserve(sorted.size());
-  for (const auto& c : sorted) obs.reports.push_back(c.report);
-  obs.receiver_observed = false;
-  return obs;
-}
-
-std::vector<std::uint64_t> partial_coverage_model::observed_messages() const {
-  if (receiver_compromised_) return full_coalition_model::observed_messages();
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t id = 0; id < log_.size(); ++id)
-    if (log_[id].origin || !log_[id].captures.empty()) out.push_back(id);
-  return out;
-}
-
-// ---- timing correlator ------------------------------------------------------
-
-timing_correlator_model::timing_correlator_model(std::vector<bool> compromised,
-                                                 latency_params link)
-    : adversary_model(std::move(compromised)), link_(link) {
-  ANONPATH_EXPECTS(link_.valid());
-}
-
-void timing_correlator_model::note_origin(std::uint64_t /*msg*/,
-                                          node_id /*sender*/) {
-  // An origination event cannot be tied to any delivery without the
-  // correlation handle; the correlator discards it.
-}
-
-void timing_correlator_model::note_relay(std::uint64_t /*msg*/, sim_time at,
-                                         node_id reporter, node_id predecessor,
-                                         node_id successor) {
-  ANONPATH_EXPECTS(reporter < compromised_.size() && compromised_[reporter]);
-  ANONPATH_EXPECTS(!linked_);  // collection must precede analysis
-  captures_.push_back(capture{at, reporter, predecessor, successor});
-}
-
-void timing_correlator_model::note_receipt(std::uint64_t msg, sim_time at,
-                                           node_id predecessor) {
-  ANONPATH_EXPECTS(!linked_);
-  receipts_.push_back(receipt{at, predecessor, msg});
-}
-
-void timing_correlator_model::link() const {
-  if (linked_) return;
-  linked_ = true;
-
+/// The timing correlator: captures linked backwards from each delivery.
+observation_log link_by_timing(const std::vector<bool>& compromised,
+                               const latency_params& link,
+                               std::span<const adversary_event> events) {
   // One forwarding step = relay processing + one link traversal.
-  const double lo = link_.processing + link_.base;
-  const double hi = lo + link_.jitter;
+  const double lo = link.processing + link.base;
+  const double hi = lo + link.jitter;
 
-  std::vector<bool> used(captures_.size(), false);
+  struct capture {
+    sim_time at = 0.0;
+    node_id reporter = 0;
+    node_id predecessor = 0;
+    node_id successor = 0;
+  };
+  struct receipt {
+    sim_time at = 0.0;
+    node_id predecessor = 0;
+    std::uint64_t msg = 0;
+  };
+  std::vector<capture> captures;  // filing order (== time order)
+  std::vector<receipt> receipts;  // delivery order
+  for (const adversary_event& e : events) {
+    if (e.type == adversary_event::kind::relay)
+      captures.push_back({e.at, e.reporter, e.predecessor, e.successor});
+    else if (e.type == adversary_event::kind::receipt)
+      receipts.push_back({e.at, e.predecessor, e.msg});
+  }
+  // Captures by wire endpoints (reporter, successor), each bucket in
+  // filing order: a link step visits exactly the captures whose endpoints
+  // chain, in the order a scan of the whole log would.
+  const auto wire = [](node_id reporter, node_id successor) {
+    return std::uint64_t{reporter} << 32 | successor;
+  };
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_wire;
+  for (std::size_t ci = 0; ci < captures.size(); ++ci)
+    by_wire[wire(captures[ci].reporter, captures[ci].successor)].push_back(ci);
 
   // Deliveries in time order (receipt order IS time order — the event queue
   // is causal — but sort defensively with the id as a deterministic tie
-  // break so replayed logs behave identically).
-  std::vector<std::size_t> order(receipts_.size());
+  // break so any logged stream behaves identically).
+  std::vector<std::size_t> order(receipts.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     if (receipts_[a].at != receipts_[b].at)
-                       return receipts_[a].at < receipts_[b].at;
-                     return receipts_[a].msg < receipts_[b].msg;
+                     if (receipts[a].at != receipts[b].at)
+                       return receipts[a].at < receipts[b].at;
+                     return receipts[a].msg < receipts[b].msg;
                    });
 
-  std::vector<bool> in_chain(compromised_.size(), false);
+  observation_log observed;
+  std::vector<bool> used(captures.size(), false);
+  std::vector<bool> in_chain(compromised.size(), false);
+  std::vector<std::size_t> chain;  // backwards: delivery-adjacent first
   for (const std::size_t ri : order) {
-    const receipt& r = receipts_[ri];
-    std::vector<std::size_t> chain;  // backwards: delivery-adjacent first
-
+    const receipt& r = receipts[ri];
+    chain.clear();
     // Seed: the capture whose reporter handed the message to R.
-    std::fill(in_chain.begin(), in_chain.end(), false);
     node_id want_reporter = r.predecessor;
     node_id want_successor = receiver_node;
     sim_time later_at = r.at;
     for (;;) {
       double best_score = 0.0;
-      std::size_t best = captures_.size();
-      for (std::size_t ci = 0; ci < captures_.size(); ++ci) {
-        if (used[ci]) continue;
-        const capture& c = captures_[ci];
-        if (c.reporter != want_reporter || c.successor != want_successor)
-          continue;
-        // A chain mixing messages could revisit a node; no simple path
-        // does, so the correlator refuses such a link outright.
-        if (in_chain[c.reporter] ||
-            (c.predecessor < in_chain.size() && in_chain[c.predecessor]))
-          continue;
-        const double score =
-            timing_correlation(c.at, later_at, lo, hi);
-        if (score > best_score) {
-          best_score = score;
-          best = ci;
+      std::size_t best = captures.size();
+      const auto bucket = by_wire.find(wire(want_reporter, want_successor));
+      if (bucket != by_wire.end()) {
+        for (const std::size_t ci : bucket->second) {
+          if (used[ci]) continue;
+          const capture& c = captures[ci];
+          // A chain mixing messages could revisit a node; no simple path
+          // does, so the correlator refuses such a link outright.
+          if (in_chain[c.reporter] ||
+              (c.predecessor < in_chain.size() && in_chain[c.predecessor]))
+            continue;
+          const double score = timing_correlation(c.at, later_at, lo, hi);
+          if (score > best_score) {
+            best_score = score;
+            best = ci;
+          }
         }
       }
-      if (best == captures_.size()) break;
+      if (best == captures.size()) break;
       used[best] = true;
       chain.push_back(best);
-      const capture& c = captures_[best];
+      const capture& c = captures[best];
       in_chain[c.reporter] = true;
       want_reporter = c.predecessor;
       want_successor = c.reporter;
       later_at = c.at;
-      if (want_reporter >= compromised_.size() ||
-          !compromised_[want_reporter])
+      if (want_reporter >= compromised.size() || !compromised[want_reporter])
         break;  // the next hop back is honest: nothing more to link
     }
 
@@ -263,32 +183,48 @@ void timing_correlator_model::link() const {
     obs.receiver_predecessor = r.predecessor;
     obs.reports.reserve(chain.size());
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const capture& c = captures_[*it];
+      const capture& c = captures[*it];
+      in_chain[c.reporter] = false;
       obs.reports.push_back(hop_report{c.reporter, c.predecessor, c.successor});
     }
-    if (r.msg >= assembled_.size()) assembled_.resize(r.msg + 1);
-    if (!assembled_[r.msg]) assembled_[r.msg] = std::move(obs);
+    if (r.msg >= observed.size()) observed.resize(r.msg + 1);
+    if (!observed[r.msg]) observed[r.msg] = std::move(obs);
   }
+  return observed;
 }
 
-bool timing_correlator_model::complete(std::uint64_t msg) const {
-  link();
-  return msg < assembled_.size() && assembled_[msg].has_value();
+}  // namespace
+
+adversary_view::adversary_view(const adversary_config& config,
+                               const std::vector<bool>& compromised,
+                               const latency_params& link,
+                               std::span<const adversary_event> events) {
+  ANONPATH_EXPECTS(config.valid());
+  ANONPATH_EXPECTS(!compromised.empty());
+  ANONPATH_EXPECTS(link.valid());
+  for (const adversary_event& e : events)
+    if (e.type != adversary_event::kind::receipt)
+      ANONPATH_EXPECTS(e.reporter < compromised.size() &&
+                       compromised[e.reporter]);
+  const bool receiver_reports =
+      config.kind != adversary_kind::partial_coverage ||
+      config.receiver_compromised;
+  observed_ = config.kind == adversary_kind::timing_correlator
+                  ? link_by_timing(compromised, link, events)
+                  : fuse_by_message(events, receiver_reports);
 }
 
-observation timing_correlator_model::assemble(std::uint64_t msg) const {
-  link();
-  if (!complete(msg))
-    throw std::out_of_range("adversary: delivery not observed");
-  return *assembled_[msg];
-}
-
-std::vector<std::uint64_t> timing_correlator_model::observed_messages() const {
-  link();
+std::vector<std::uint64_t> adversary_view::observed_messages() const {
   std::vector<std::uint64_t> out;
-  for (std::uint64_t id = 0; id < assembled_.size(); ++id)
-    if (assembled_[id]) out.push_back(id);
+  for (std::uint64_t id = 0; id < observed_.size(); ++id)
+    if (observed_[id]) out.push_back(id);
   return out;
+}
+
+const observation& adversary_view::assemble(std::uint64_t msg) const {
+  if (msg >= observed_.size() || !observed_[msg])
+    throw std::out_of_range("adversary: message not observed");
+  return *observed_[msg];
 }
 
 // ---- configuration plumbing -------------------------------------------------
@@ -313,23 +249,6 @@ std::vector<bool> effective_compromised(const adversary_config& config,
     flags[c] = true;
   }
   return flags;
-}
-
-std::unique_ptr<adversary_model> make_adversary_model(
-    const adversary_config& config, std::vector<bool> compromised,
-    const latency_params& link) {
-  ANONPATH_EXPECTS(config.valid());
-  switch (config.kind) {
-    case adversary_kind::full_coalition:
-      return std::make_unique<full_coalition_model>(std::move(compromised));
-    case adversary_kind::partial_coverage:
-      return std::make_unique<partial_coverage_model>(
-          std::move(compromised), config.receiver_compromised);
-    case adversary_kind::timing_correlator:
-      return std::make_unique<timing_correlator_model>(std::move(compromised),
-                                                       link);
-  }
-  throw std::invalid_argument("unknown adversary kind");
 }
 
 }  // namespace anonpath::sim

@@ -302,7 +302,6 @@ campaign_result run_campaign(const campaign_grid& grid,
   std::vector<std::string> errors(pending_runs);
   // One run's event half, parked until its cell's cursor reaches it.
   struct parked_run {
-    sim_config cfg;
     std::optional<detail::core_result> core;
     double us = 0.0;     // wall time of the core, then of the scoring too
     bool ready = false;  // the core ran (or threw); set under the lock
@@ -349,7 +348,7 @@ campaign_result run_campaign(const campaign_grid& grid,
       try {
         if (!cell.scorer)
           cell.scorer = std::make_unique<cell_scorer>(cell.graph.get());
-        reports[run] = detail::score_core(p.cfg, *p.core, *cell.scorer);
+        reports[run] = detail::score_core(*p.core, *cell.scorer);
       } catch (const std::exception& e) {
         errors[run] = *e.what() ? e.what() : "unknown error";
       } catch (...) {
@@ -384,14 +383,13 @@ campaign_result run_campaign(const campaign_grid& grid,
         cell_state& cell = cells[pending_cell];
         parked_run& p = parked[run];
         try {
-          p.cfg = scenario_config(s, grid, seed);
-          if (s.topology.kind != net::topology_kind::complete ||
-              s.routing.planned())
+          const sim_config cfg = scenario_config(s, grid, seed);
+          if (routes_on_graph(s.topology, s.routing))
             std::call_once(cell.built, [&] {
               cell.graph = std::make_unique<const net::topology>(
                   net::topology::make(s.node_count, s.topology));
             });
-          p.core = detail::run_core(p.cfg, nullptr, cell.graph.get());
+          p.core = detail::run_core(cfg, cell.graph.get());
         } catch (const std::exception& e) {
           errors[run] = *e.what() ? e.what() : "unknown error";
         } catch (...) {

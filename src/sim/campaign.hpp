@@ -241,10 +241,10 @@ struct campaign_result {
 /// Runs the whole campaign — or, with shard_count > 1, this config's shard
 /// of it: expands the grid, fans every (cell, replica) event core
 /// (detail::run_core) out over a stats::thread_pool, scores each cell's
-/// replicas in replica order through one cell_scorer (detail::score_core,
-/// so each distinct observation of a cell pays its engine once), and
-/// reduces the reports into per-cell summaries in run order. That is the
-/// campaign's only path; it captures no traces. See campaign_config for the
+/// replicas in replica order through one cell_scorer (detail::score_core
+/// over each run's in-memory trace, so each distinct observation of a cell
+/// pays its engine once), and reduces the reports into per-cell summaries
+/// in run order. That is the campaign's only path; it writes no traces. See campaign_config for the
 /// thread-count invariance guarantee and the checkpoint/resume/shard
 /// behaviour; per-replica failures are isolated into campaign_cell::error.
 /// A sharded result holds only the shard's cells (in absolute grid order);

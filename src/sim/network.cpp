@@ -1,5 +1,7 @@
 #include "src/sim/network.hpp"
 
+#include <utility>
+
 #include "src/stats/contract.hpp"
 
 namespace anonpath::sim {
@@ -28,16 +30,11 @@ void network::use_crowds(double forward_prob, stats::rng& master) {
     crowd_gens_.push_back(master.split());
 }
 
-void network::attach(adversary_model& model,
-                     std::vector<adversary_event>* log) {
-  ANONPATH_EXPECTS(model.compromised().size() == node_count_);
-  model_ = &model;
-  log_ = log;
-}
-
-void network::report(const adversary_event& e) {
-  if (log_ != nullptr) log_->push_back(e);
-  model_->note(e);
+void network::attach(std::vector<bool> compromised,
+                     std::vector<adversary_event>& log) {
+  ANONPATH_EXPECTS(compromised.size() == node_count_);
+  compromised_ = std::move(compromised);
+  log_ = &log;
 }
 
 message_outcome& network::outcome_of(std::uint64_t msg) {
@@ -51,7 +48,8 @@ void network::originate(node_id origin, sim_time at, std::uint64_t msg_id) {
   out.origin = origin;
   out.sent_at = at;
   if (compromised(origin))
-    report({adversary_event::kind::origin, msg_id, 0.0, origin, 0, 0});
+    log_->push_back(
+        {adversary_event::kind::origin, msg_id, 0.0, origin, 0, 0});
 }
 
 void network::set_route(std::uint64_t msg_id,
@@ -118,15 +116,15 @@ void network::arrive(node_id from, node_id to, std::uint64_t msg) {
   if (to == receiver_node) {
     out.delivered = true;
     out.delivered_at = now;
-    if (model_ != nullptr)
-      report({adversary_event::kind::receipt, msg, now, 0, from, 0});
+    if (log_ != nullptr)
+      log_->push_back({adversary_event::kind::receipt, msg, now, 0, from, 0});
     return;
   }
   ++out.hops;
   const node_id next =
       crowd_gens_.empty() ? next_hop(msg, to) : crowds_hop(to);
   if (compromised(to))
-    report({adversary_event::kind::relay, msg, now, to, from, next});
+    log_->push_back({adversary_event::kind::relay, msg, now, to, from, next});
   queue_.schedule_in(latency_.processing_delay(), event_kind::relay_forward,
                      msg, to, next);
 }

@@ -43,8 +43,8 @@ struct message_outcome {
 /// node learns only predecessor and successor, as an onion layer would tell
 /// it, with no ciphertext) or, after use_crowds(), to the hop the Crowds
 /// coin picks. A message reaching R is delivered. With an adversary
-/// attached, compromised senders and relays and the receiver file the
-/// paper's Sec. 4 reports through one reporting path.
+/// attached, compromised senders and relays and the receiver log the
+/// paper's Sec. 4 reports.
 ///
 /// Implements the full sim::fault_plan (failure injection): each
 /// transmission is dropped independently with the plan's drop probability,
@@ -77,13 +77,14 @@ class network {
   /// order.
   void use_crowds(double forward_prob, stats::rng& master);
 
-  /// Attaches the adversary: nodes flagged in model.compromised() report
-  /// the messages they originate and relay, and R reports every delivery.
-  /// Each report is appended to `log` when non-null, then fed to `model`
-  /// (adversary_model::note). Without a model nobody reports. `model` and
-  /// `log` must outlive the network.
-  void attach(adversary_model& model,
-              std::vector<adversary_event>* log = nullptr);
+  /// Attaches the adversary's collection apparatus: nodes flagged in
+  /// `compromised` (indexed by node id, size node_count) report the
+  /// messages they originate and relay, and R reports every delivery; each
+  /// report is appended to `log`, which must outlive the network. Nothing
+  /// reads the log during the run: the adversary's view is built from it
+  /// afterwards (adversary_view). Unattached, nobody reports.
+  void attach(std::vector<bool> compromised,
+              std::vector<adversary_event>& log);
 
   /// Starts a message journey at `origin`: records the outcome's start and
   /// reports the origination when `origin` is compromised.
@@ -169,10 +170,8 @@ class network {
   void arrive(node_id from, node_id to, std::uint64_t msg);
   /// The Crowds coin and hop of relay `self`.
   node_id crowds_hop(node_id self);
-  /// The one reporting path: log, then model.
-  void report(const adversary_event& e);
   [[nodiscard]] bool compromised(node_id id) const {
-    return model_ != nullptr && model_->compromised()[id];
+    return !compromised_.empty() && compromised_[id];
   }
   message_outcome& outcome_of(std::uint64_t msg);
 
@@ -190,7 +189,7 @@ class network {
   /// Hop-by-hop relays' generators, one per node; empty for onion relays.
   std::vector<stats::rng> crowd_gens_;
   double forward_prob_ = 0.0;
-  adversary_model* model_ = nullptr;
+  std::vector<bool> compromised_;  ///< empty until attach()
   std::vector<adversary_event>* log_ = nullptr;
   std::vector<message_outcome> outcomes_;
   std::vector<node_id> route_slab_;

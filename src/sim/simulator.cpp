@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -79,20 +80,16 @@ class custom_inference final : public sender_inference {
 /// (kpaths) routes are loopless graph paths, scored by the same engine
 /// under a diffuse uniform(1, N-1) prior that covers every realizable
 /// planned length; its mask stays full, because under the uniform exit
-/// law net::kpath_support spans every node. `graph`, when non-null, is the
-/// topology the run routed on, borrowed by the engine; otherwise it is
-/// rebuilt from the config into `rebuilt`, which must outlive the engine.
-/// A caller-supplied `custom` function replaces the built-in engine: no
-/// graph is built for it, and on the clique the built-in engine only
-/// screens gapped observations.
+/// law net::kpath_support spans every node. `graph` is the topology the
+/// run routed on, borrowed by the engine. A caller-supplied `custom`
+/// function replaces the built-in engine: it needs no graph, and on the
+/// clique the built-in engine only screens gapped observations.
 std::unique_ptr<sender_inference> make_sender_inference(
     const sim_config& config, std::vector<node_id> ids,
-    const net::topology* graph, const posterior_fn* custom,
-    std::optional<net::topology>& rebuilt) {
+    const net::topology* graph, const posterior_fn* custom) {
   const std::uint32_t n = config.sys.node_count;
   const system_params sys{n, static_cast<std::uint32_t>(ids.size())};
-  if (config.topology.kind == net::topology_kind::complete &&
-      !config.routing.planned()) {
+  if (!routes_on_graph(config.topology, config.routing)) {
     auto exact =
         std::make_unique<posterior_engine>(sys, std::move(ids), config.lengths);
     if (custom == nullptr) return exact;
@@ -100,8 +97,7 @@ std::unique_ptr<sender_inference> make_sender_inference(
   }
   if (custom != nullptr)
     return std::make_unique<custom_inference>(*custom, nullptr);
-  if (graph == nullptr)
-    graph = &rebuilt.emplace(net::topology::make(n, config.topology));
+  ANONPATH_EXPECTS(graph != nullptr);
   return std::make_unique<net::topology_posterior_engine>(
       sys, std::move(ids),
       config.routing.planned() ? path_length_distribution::uniform(1, n - 1)
@@ -193,10 +189,9 @@ const char* invalid_reason(const sim_config& c) {
   // (timing-correlator) likelihood, and planning has no hop-by-hop form.
   const bool timing = c.adversary.kind == adversary_kind::timing_correlator;
   if (const char* why = c.topology.invalid_reason(n)) return why;
-  // A restricted graph and planned routes both build the graph, and the
-  // topology engine scores source-routed runs on it.
-  const bool on_graph =
-      c.topology.kind != net::topology_kind::complete || c.routing.planned();
+  // The topology engine scores source-routed runs on the graph they route
+  // on.
+  const bool on_graph = routes_on_graph(c.topology, c.routing);
   if (on_graph && net::edge_count(n, c.topology) > net::max_graph_edges)
     return "the graph --topology wires on --n nodes is too large (at most "
            "40000000 edges)";
@@ -229,41 +224,56 @@ const char* invalid_reason(const sim_config& c) {
   return nullptr;
 }
 
+bool routes_on_graph(const net::topology_config& topology,
+                     const net::routing_config& routing) {
+  return topology.kind != net::topology_kind::complete || routing.planned();
+}
+
 namespace detail {
 
-core_result run_core(const sim_config& config,
-                     std::vector<adversary_event>* event_log,
-                     const net::topology* graph) {
+namespace {
+
+/// Asserts the rulebook, naming the broken rule.
+void expect_valid(const sim_config& config) {
   if (const char* why = invalid_reason(config))
     ::anonpath::detail::contract_fail("precondition", why, __FILE__,
                                       __LINE__);
+}
+
+}  // namespace
+
+const net::topology* graph_for(const sim_config& config,
+                               const net::topology* lent,
+                               std::optional<net::topology>& owned) {
+  if (!routes_on_graph(config.topology, config.routing)) return nullptr;
+  if (lent != nullptr) return lent;
+  // A config the rulebook refuses fails in its words, before a graph is
+  // built for it.
+  expect_valid(config);
+  return &owned.emplace(
+      net::topology::make(config.sys.node_count, config.topology));
+}
+
+core_result run_core(const sim_config& config, const net::topology* graph) {
+  expect_valid(config);
 
   const auto n = config.sys.node_count;
-  core_result result;
-  // A restricted topology switches routing to the walk model; `complete`
-  // must stay byte-for-byte the historical clique path, so it never even
-  // builds a graph object — unless routing is planned, in which case the
-  // planner needs a materialized graph even for the clique (the fabric then
-  // also asserts every planned hop follows an edge).
-  const bool restricted = config.topology.kind != net::topology_kind::complete;
-  const bool planned = config.routing.planned();
-  if (!restricted && !planned) {
-    graph = nullptr;
-  } else if (graph == nullptr) {
-    result.owned_graph = std::make_unique<const net::topology>(
-        net::topology::make(n, config.topology));
-    graph = result.owned_graph.get();
-  }
-  ANONPATH_EXPECTS(graph == nullptr || graph->node_count() == n);
-  result.graph = graph;
+  // The plain clique routes on no graph, so it stays byte-for-byte the
+  // historical clique path. On a graph, the fabric asserts every hop
+  // follows an edge.
+  ANONPATH_EXPECTS(routes_on_graph(config.topology, config.routing)
+                       ? graph != nullptr && graph->node_count() == n
+                       : graph == nullptr);
   std::optional<net::route_planner> planner;
-  if (planned) planner.emplace(*graph, config.routing);
+  if (config.routing.planned()) planner.emplace(*graph, config.routing);
 
-  result.model = make_adversary_model(
-      config.adversary,
-      effective_compromised(config.adversary, n, config.compromised,
-                            config.seed),
-      config.latency);
+  core_result result;
+  sim_trace& trace = result.trace;
+  trace.config = config;
+  std::vector<bool> flags = effective_compromised(
+      config.adversary, n, config.compromised, config.seed);
+  for (node_id i = 0; i < n; ++i)
+    if (flags[i]) trace.compromised.push_back(i);
 
   stats::rng master(config.seed);
   // Auto-horizon for seeded mix-failure episodes: the run's expected
@@ -277,7 +287,7 @@ core_result run_core(const sim_config& config,
   (void)master.next_u64();
   if (config.mode == routing_mode::hop_by_hop)
     net.use_crowds(config.forward_prob, master);
-  net.attach(*result.model, event_log);
+  net.attach(std::move(flags), trace.events);
 
   // Schedule the workload.
   stats::rng traffic = master.split();
@@ -394,16 +404,15 @@ core_result run_core(const sim_config& config,
   // from that attempt. Originals come first in id order, so the fold always
   // finds its base outcome.
   const std::vector<message_outcome>& outcomes = net.outcomes();
-  result.truths.reserve(config.message_count);
+  trace.truths.reserve(config.message_count);
   for (std::uint64_t id = 1; id <= config.message_count; ++id)
-    result.truths.push_back(message_truth{id, outcomes[id]});
+    trace.truths.push_back(message_truth{id, outcomes[id]});
   for (std::uint64_t k = 0; k < attempt_parent.size(); ++k) {
     const std::uint64_t id = config.message_count + 1 + k;
     const message_outcome& t = outcomes[id];
-    result.attempt_parent.emplace_hint(result.attempt_parent.end(), id,
-                                       attempt_parent[k]);
+    trace.attempts.emplace_hint(trace.attempts.end(), id, attempt_parent[k]);
     if (!t.delivered) continue;
-    message_outcome& out = result.truths[attempt_parent[k] - 1].outcome;
+    message_outcome& out = trace.truths[attempt_parent[k] - 1].outcome;
     if (!out.delivered || t.delivered_at < out.delivered_at) {
       out.delivered = true;
       out.delivered_at = t.delivered_at;
@@ -413,16 +422,15 @@ core_result run_core(const sim_config& config,
   return result;
 }
 
-sim_report score_run(const sim_config& config, const adversary_model& model,
-                     std::span<const message_truth> truths,
-                     cell_scorer& scorer,
-                     const std::map<std::uint64_t, std::uint64_t>* attempt_parent) {
+sim_report score_run(const sim_trace& trace, cell_scorer& scorer) {
+  const sim_config& config = trace.config;
+  const std::span<const message_truth> truths = trace.truths;
   obs::span score_span(config.tracer, "sim.score");
   const std::uint64_t run = ++scorer.runs_;
   sim_report report;
   report.submitted = config.message_count;
-  const bool fused = attempt_parent != nullptr && !attempt_parent->empty();
-  report.retransmissions = fused ? attempt_parent->size() : 0;
+  const bool fused = !trace.attempts.empty();
+  report.retransmissions = trace.attempts.size();
   // Per-message Pr(sender == target) for the sequential-Bayes fusion: the
   // rerouting layer's evidence about who originated each delivery, fed to
   // the longitudinal attack as soft round membership. Indexed by id - 1
@@ -444,12 +452,19 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
   }
 
   if (config.mode == routing_mode::source_routed) {
+    std::vector<bool> flags(config.sys.node_count, false);
+    for (const node_id id : trace.compromised) {
+      ANONPATH_EXPECTS(id < flags.size());
+      flags[id] = true;
+    }
+    const adversary_view view(config.adversary, flags, config.latency,
+                              trace.events);
     // The engine and memo for the run's *effective* compromised set: the
     // configured list for the full coalition (and the timing correlator,
     // which taps the same nodes), the drawn set for partial coverage.
     cell_scorer::engine_slot& slot = scorer.slot_for(
         config, config.adversary.kind == adversary_kind::partial_coverage
-                    ? model.compromised_ids()
+                    ? trace.compromised
                     : config.compromised);
     const sender_inference& inference = *slot.engine;
     // The clique engine's layout-memo lookups that this run makes.
@@ -496,8 +511,8 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       // O(distinct observations). An entry is added only once computed,
       // so a throwing engine leaves no half-made entry behind.
       std::string key;
-      for (const std::uint64_t id : model.observed_messages()) {
-        const observation obs = model.assemble(id);
+      for (const std::uint64_t id : view.observed_messages()) {
+        const observation& obs = view.assemble(id);
         obs.key_into(key);
         auto it = slot.memo.find(key);
         if (it == slot.memo.end()) {
@@ -523,13 +538,12 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
       // id is its own group, and observed_messages() is ascending, so the
       // scoring order is the observation order.
       const auto original_of = [&](std::uint64_t id) {
-        if (!fused) return id;
-        const auto pit = attempt_parent->find(id);
-        return pit == attempt_parent->end() ? id : pit->second;
+        const auto pit = trace.attempts.find(id);
+        return pit == trace.attempts.end() ? id : pit->second;
       };
       std::map<std::uint64_t, std::vector<std::vector<double>>> groups;
-      for (const std::uint64_t id : model.observed_messages())
-        if (inference.try_sender_posterior(model.assemble(id), post))
+      for (const std::uint64_t id : view.observed_messages())
+        if (inference.try_sender_posterior(view.assemble(id), post))
           groups[original_of(id)].push_back(post);
       for (const auto& [original, factors] : groups) {
         const std::vector<double>& p = factors.size() == 1
@@ -649,10 +663,8 @@ sim_report score_run(const sim_config& config, const adversary_model& model,
   return report;
 }
 
-sim_report score_core(const sim_config& config, const core_result& core,
-                      cell_scorer& scorer) {
-  sim_report report = score_run(config, *core.model, core.truths, scorer,
-                                &core.attempt_parent);
+sim_report score_core(const core_result& core, cell_scorer& scorer) {
+  sim_report report = score_run(core.trace, scorer);
   report.events_executed = core.events_executed;
   report.wire_dropped = core.wire_dropped;
   report.wire_stranded = core.wire_stranded;
@@ -676,9 +688,7 @@ cell_scorer::engine_slot& cell_scorer::slot_for(const sim_config& config,
   auto it = slots_.find(ids);
   if (it == slots_.end()) {
     std::unique_ptr<sender_inference> engine =
-        make_sender_inference(config, ids, graph_, custom_, rebuilt_);
-    // Later engines borrow the graph this one rebuilt, if any.
-    if (rebuilt_) graph_ = &*rebuilt_;
+        make_sender_inference(config, ids, graph_, custom_);
     it = slots_.emplace(std::move(ids), engine_slot{std::move(engine), {}})
              .first;
   }
@@ -688,12 +698,14 @@ cell_scorer::engine_slot& cell_scorer::slot_for(const sim_config& config,
 sim_report run_simulation(const sim_config& config,
                           const net::topology* graph) {
   obs::span run_span(config.tracer, "sim.run");
+  std::optional<net::topology> owned;
   const detail::core_result core = [&] {
     obs::span core_span(config.tracer, "sim.run_core");
-    return detail::run_core(config, nullptr, graph);
+    graph = detail::graph_for(config, graph, owned);
+    return detail::run_core(config, graph);
   }();
-  cell_scorer scorer(core.graph);
-  return detail::score_core(config, core, scorer);
+  cell_scorer scorer(graph);
+  return detail::score_core(core, scorer);
 }
 
 }  // namespace anonpath::sim

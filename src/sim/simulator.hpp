@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -254,56 +253,95 @@ struct message_truth {
   friend bool operator==(const message_truth&, const message_truth&) = default;
 };
 
+/// A run as its event log: everything needed to score the adversary's view
+/// of a simulation after the fact, inline or offline. run_simulation scores
+/// the trace its event half returns; sim::trace (src/sim/trace.hpp)
+/// captures one, serializes it, and replays it — so one captured run can be
+/// scored by any number of inference engines without re-running the
+/// discrete-event engine.
+///
+/// Contents:
+///   * `config`      — the full sim_config that produced the run (seed
+///                     included), so a trace is also a reproduction recipe;
+///   * `compromised` — the *effective* corrupted set (for partial_coverage
+///                     this is the realized Bernoulli draw, not the list in
+///                     `config.compromised`), so scoring never re-draws;
+///   * `events`      — every adversary-visible event in arrival order (the
+///                     fabric's event log, see network::attach), from which
+///                     scoring builds the adversary_view;
+///   * `truths`      — per-message ground-truth outcomes, which scoring uses
+///                     for the delivery/latency metrics and top-1 scoring
+///                     (they are the evaluator's key, never shown to the
+///                     inference engine).
+struct sim_trace {
+  /// Bump on any change to the serialized layout that alters bytes a v1
+  /// writer could have produced; read_trace refuses mismatched versions
+  /// (no silent misparse), and the golden-file regression test pins the
+  /// committed fixture to the current value. Purely *additive* optional
+  /// lines (topology/churn/fault-plan/retry sections, written only for
+  /// non-default configs) extend the v1 grammar without a bump: every v1
+  /// trace still parses to the same run, every pre-extension config still
+  /// serializes byte-identically, and an older reader rejects extended
+  /// traces loudly at the unknown keyword rather than misparsing them.
+  static constexpr std::uint32_t format_version = 1;
+
+  sim_config config;
+  std::vector<node_id> compromised;  ///< effective corrupted set, ascending
+  std::vector<adversary_event> events;
+  /// One entry per original message, ascending by id (ids are dense
+  /// 1..message_count, so entry i holds id i + 1).
+  std::vector<message_truth> truths;
+  /// Retry attempt id -> original message id, one entry per retransmission
+  /// (empty when the retry policy is disabled). Attempt ids continue past
+  /// message_count, so original ids keep their dense 1..message_count range.
+  /// Scoring fuses the observations of one original's attempts.
+  std::map<std::uint64_t, std::uint64_t> attempts;
+};
+
+/// True when a run routes on a materialized graph: a restricted topology,
+/// or planned (kpaths) routes, which are planned on a graph even for the
+/// clique. The plain clique builds no graph, so it keeps the historical
+/// simple-path sampler and engine bit for bit.
+[[nodiscard]] bool routes_on_graph(const net::topology_config& topology,
+                                   const net::routing_config& routing);
+
 class cell_scorer;
 
 namespace detail {
 
+/// The graph a run of `config` routes on: null when it routes on none
+/// (routes_on_graph), else `lent` when non-null, else one built into
+/// `owned`, which must outlive every use of the result.
+[[nodiscard]] const net::topology* graph_for(
+    const sim_config& config, const net::topology* lent,
+    std::optional<net::topology>& owned);
+
 /// The event-driven half of run_simulation: builds the fabric, runs the
-/// workload to completion, and returns the adversary model (post-run state)
-/// plus per-message ground truth. When `event_log` is non-null every
-/// adversary-visible event is also appended to it in arrival order — the
-/// fabric's log (network::attach), which sim::trace captures. `graph` is
-/// run_simulation's borrowed topology (null: build it when needed). Shared
-/// plumbing for run_simulation and capture_trace; not a stable public
-/// surface.
+/// workload to completion, and returns the run's trace plus its event and
+/// wire telemetry (see sim_report). `graph` is graph_for(config, ...): the
+/// graph the run routes on, borrowed read-only, or null when it routes on
+/// none. Shared plumbing for run_simulation, capture_trace and the
+/// campaign; not a stable public surface.
 struct core_result {
-  std::unique_ptr<adversary_model> model;
-  /// One entry per original message, ascending by id (ids are dense
-  /// 1..message_count, so entry i holds id i + 1).
-  std::vector<message_truth> truths;
-  /// The graph the run routed on: the borrowed one, or `owned_graph`. Set
-  /// for restricted topologies and for planned (kpaths) runs — which
-  /// materialize even the clique — so scoring reuses it instead of
-  /// rebuilding (random_regular construction runs a whole swap-chain
-  /// randomization); null on the plain clique.
-  const net::topology* graph = nullptr;
-  std::unique_ptr<const net::topology> owned_graph;
-  /// Retry attempt id -> original message id, one entry per retransmission
-  /// (empty when the retry policy is disabled). Attempt ids continue past
-  /// message_count, so original ids keep their dense 1..message_count range
-  /// and every pre-retry consumer is unaffected.
-  std::map<std::uint64_t, std::uint64_t> attempt_parent;
-  /// Event/fabric telemetry harvested from the run (see sim_report);
-  /// run_simulation copies these onto the report it returns.
+  sim_trace trace;
   std::uint64_t events_executed = 0;
   std::uint64_t wire_dropped = 0;
   std::uint64_t wire_stranded = 0;
   std::uint64_t wire_crashed = 0;
 };
 [[nodiscard]] core_result run_core(const sim_config& config,
-                                   std::vector<adversary_event>* event_log,
-                                   const net::topology* graph = nullptr);
+                                   const net::topology* graph);
 
-/// The inference half: walks the model's observed messages, scores each
-/// with the scorer's sender_inference for the run's effective compromised
-/// set, and aggregates the sim_report. The scorer picks the engine from the
-/// config (the clique posterior_engine, or topology_posterior_engine for a
-/// restricted graph or planned routes) unless it was given a caller's
-/// posterior_fn. `truths` is the ground truth, ascending by message id.
-/// Unexplainable observations (possible only under the timing correlator
-/// or fuzzed logs) are skipped, not scored as zero. `attempt_parent`, when
-/// non-null, maps retry attempt ids to their original message: observations
-/// of the same original are scored as one message whose posterior is the
+/// The inference half, shared by run_simulation, replay and the campaign:
+/// builds the adversary_view from the trace's event log, scores each
+/// observed message with the scorer's sender_inference for the run's
+/// effective compromised set, and aggregates the sim_report. The scorer
+/// picks the engine from the config (the clique posterior_engine, or
+/// topology_posterior_engine for a restricted graph or planned routes)
+/// unless it was given a caller's posterior_fn. Unexplainable observations
+/// (possible only under the timing correlator or fuzzed logs) are skipped,
+/// not scored as zero. With retry attempts in the trace, observations of
+/// the same original are scored as one message whose posterior is the
 /// normalized product of the per-attempt posteriors (independent evidence
 /// about the same sender) — the anonymity cost of retransmission. A
 /// built-in engine with no fusion and no collect_posteriors scores each
@@ -311,16 +349,12 @@ struct core_result {
 /// summaries, which every run scored through that scorer shares; every
 /// other case scores every observed attempt with the scorer's engine.
 /// Every report field but memo_hits/memo_misses is the same, bit for bit,
-/// whatever the scorer scored before.
-[[nodiscard]] sim_report score_run(
-    const sim_config& config, const adversary_model& model,
-    std::span<const message_truth> truths, cell_scorer& scorer,
-    const std::map<std::uint64_t, std::uint64_t>* attempt_parent = nullptr);
+/// whatever the scorer scored before. The event and wire telemetry stay 0.
+[[nodiscard]] sim_report score_run(const sim_trace& trace, cell_scorer& scorer);
 
 /// run_simulation's second half: score_run over a run_core result, with
 /// the core's event and wire telemetry copied onto the report.
-[[nodiscard]] sim_report score_core(const sim_config& config,
-                                    const core_result& core,
+[[nodiscard]] sim_report score_core(const core_result& core,
                                     cell_scorer& scorer);
 
 }  // namespace detail
@@ -342,9 +376,9 @@ struct core_result {
 /// replay_trace score through a fresh scorer per run.
 class cell_scorer {
  public:
-  /// `graph`, when non-null, is the cell's topology, borrowed by every
-  /// engine; otherwise an engine that needs it rebuilds it once from the
-  /// config. `custom`, when non-null, is a caller's posterior_fn that
+  /// `graph` is the cell's topology (graph_for), borrowed by every engine;
+  /// it must be non-null when the cell routes on a graph, unless `custom`
+  /// is given. `custom`, when non-null, is a caller's posterior_fn that
   /// replaces the built-in engine (borrowed, never memoized); on the
   /// clique the built-in engine only screens gapped observations for it.
   explicit cell_scorer(const net::topology* graph,
@@ -357,10 +391,8 @@ class cell_scorer {
   [[nodiscard]] std::uint64_t memo_entries() const noexcept;
 
  private:
-  friend sim_report detail::score_run(
-      const sim_config& config, const adversary_model& model,
-      std::span<const message_truth> truths, cell_scorer& scorer,
-      const std::map<std::uint64_t, std::uint64_t>* attempt_parent);
+  friend sim_report detail::score_run(const sim_trace& trace,
+                                      cell_scorer& scorer);
 
   /// All that a report needs of one posterior.
   struct summary {
@@ -383,9 +415,8 @@ class cell_scorer {
   };
   engine_slot& slot_for(const sim_config& config, std::vector<node_id> ids);
 
-  const net::topology* graph_;
-  const posterior_fn* custom_;
-  std::optional<net::topology> rebuilt_;  ///< outlives the engines
+  const net::topology* const graph_;
+  const posterior_fn* const custom_;
   std::map<std::vector<node_id>, engine_slot> slots_;
   std::uint64_t runs_ = 0;
 };

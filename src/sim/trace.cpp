@@ -4,6 +4,7 @@
 #include <cmath>
 #include <initializer_list>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -369,10 +370,16 @@ sim_trace read_trace(std::istream& is) {
   if (effective_comp > c.sys.node_count)
     out_of_range("effective compromised size > N");
   trace.compromised.reserve(std::min(effective_comp, max_reserve));
+  std::vector<bool> effective(c.sys.node_count, false);
   for (std::uint32_t i = 0; i < effective_comp; ++i) {
     const node_id id = in.u32("effective compromised id");
     if (id >= c.sys.node_count) out_of_range("compromised id out of range");
+    // Strictly ascending, like the writer emits: scoring keys its engine
+    // by this list.
+    if (!trace.compromised.empty() && id <= trace.compromised.back())
+      out_of_range("effective compromised ids must ascend");
     trace.compromised.push_back(id);
+    effective[id] = true;
   }
 
   // The attempt map rides exactly when the retry policy is on: ids are
@@ -413,6 +420,12 @@ sim_trace read_trace(std::istream& is) {
     if (v >= c.sys.node_count)
       out_of_range(std::string(what) + " out of range");
   };
+  // Only a compromised node originates or relays a report.
+  const auto check_reporter = [&](node_id v, const char* what) {
+    check_node(v, what);
+    if (!effective[v])
+      out_of_range(std::string(what) + " is not in the compromised set");
+  };
   const auto check_msg = [&](std::uint64_t msg) {
     if (msg >= 1 && msg <= c.message_count) return;
     if (trace.attempts.find(msg) != trace.attempts.end()) return;
@@ -426,14 +439,14 @@ sim_trace read_trace(std::istream& is) {
     if (tag == "O") {
       e.type = adversary_event::kind::origin;
       e.reporter = in.u32("origin sender");
-      check_node(e.reporter, "origin sender");
+      check_reporter(e.reporter, "origin sender");
     } else if (tag == "T") {
       e.type = adversary_event::kind::relay;
       e.at = in.hex_double("relay capture time");
       e.reporter = in.u32("relay reporter");
       e.predecessor = in.u32("relay predecessor");
       e.successor = in.u32("relay successor");
-      check_node(e.reporter, "relay reporter");
+      check_reporter(e.reporter, "relay reporter");
       check_node(e.predecessor, "relay predecessor");
       if (e.successor != receiver_node)
         check_node(e.successor, "relay successor");
@@ -482,46 +495,24 @@ sim_trace read_trace(std::istream& is) {
 }
 
 sim_trace capture_trace(const sim_config& config, const net::topology* graph) {
-  sim_trace trace;
-  trace.config = config;
-  detail::core_result core = detail::run_core(config, &trace.events, graph);
-  trace.compromised = core.model->compromised_ids();
-  trace.truths = std::move(core.truths);
-  trace.attempts = std::move(core.attempt_parent);
-  return trace;
+  std::optional<net::topology> owned;
+  return detail::run_core(config, detail::graph_for(config, graph, owned))
+      .trace;
 }
-
-namespace {
-
-/// Rebuilds the adversary model a trace captured and feeds it the recorded
-/// event stream: post-run state is reproduced exactly, so scoring sees
-/// byte-identical observations.
-std::unique_ptr<adversary_model> rebuild_model(const sim_trace& trace) {
-  ANONPATH_EXPECTS(trace.config.sys.valid());
-  std::vector<bool> flags(trace.config.sys.node_count, false);
-  for (node_id id : trace.compromised) {
-    ANONPATH_EXPECTS(id < flags.size());
-    flags[id] = true;
-  }
-  auto model = make_adversary_model(trace.config.adversary, std::move(flags),
-                                    trace.config.latency);
-  for (const adversary_event& e : trace.events) model->note(e);
-  return model;
-}
-
-}  // namespace
 
 sim_report replay_trace(const sim_trace& trace, const net::topology* graph) {
+  // Only source-routed runs score on their graph.
+  std::optional<net::topology> owned;
+  if (trace.config.mode == routing_mode::source_routed)
+    graph = detail::graph_for(trace.config, graph, owned);
   cell_scorer scorer(graph);
-  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
-                           scorer, &trace.attempts);
+  return detail::score_run(trace, scorer);
 }
 
 sim_report replay_trace(const sim_trace& trace, const posterior_fn& engine) {
   ANONPATH_EXPECTS(static_cast<bool>(engine));
   cell_scorer scorer(nullptr, &engine);
-  return detail::score_run(trace.config, *rebuild_model(trace), trace.truths,
-                           scorer, &trace.attempts);
+  return detail::score_run(trace, scorer);
 }
 
 }  // namespace anonpath::sim

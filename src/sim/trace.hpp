@@ -1,70 +1,25 @@
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <vector>
 
 #include "src/sim/adversary.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace anonpath::sim {
 
-/// A captured run: everything needed to re-score the adversary's view of a
-/// simulation offline, without re-running the discrete-event engine —
-/// decoupling simulation cost from inference cost, and letting one
-/// captured run be scored by any number of inference engines.
-///
-/// Contents:
-///   * `config`      — the full sim_config that produced the run (seed
-///                     included), so a trace is also a reproduction recipe;
-///   * `compromised` — the *effective* corrupted set (for partial_coverage
-///                     this is the realized Bernoulli draw, not the list in
-///                     `config.compromised`), so replay rebuilds the exact
-///                     model without re-drawing;
-///   * `events`      — every adversary-visible event in arrival order (the
-///                     fabric's event log, see network::attach);
-///   * `truths`      — per-message ground-truth outcomes, which replay uses
-///                     for the delivery/latency metrics and top-1 scoring
-///                     (they are the evaluator's key, never shown to the
-///                     inference engine).
-struct sim_trace {
-  /// Bump on any change to the serialized layout that alters bytes a v1
-  /// writer could have produced; read_trace refuses mismatched versions
-  /// (no silent misparse), and the golden-file regression test pins the
-  /// committed fixture to the current value. Purely *additive* optional
-  /// lines (topology/churn/fault-plan/retry sections, written only for
-  /// non-default configs) extend the v1 grammar without a bump: every v1
-  /// trace still parses to the same run, every pre-extension config still
-  /// serializes byte-identically, and an older reader rejects extended
-  /// traces loudly at the unknown keyword rather than misparsing them.
-  static constexpr std::uint32_t format_version = 1;
-
-  sim_config config;
-  std::vector<node_id> compromised;  ///< effective corrupted set, ascending
-  std::vector<adversary_event> events;
-  std::vector<message_truth> truths;
-  /// Retry attempt id -> original message id (detail::core_result's map),
-  /// serialized only when the config enables the retry policy; replay
-  /// hands it to scoring so retransmitted observations fuse exactly as
-  /// they did inline.
-  std::map<std::uint64_t, std::uint64_t> attempts;
-};
-
-/// Runs the discrete-event half of `run_simulation(config)` and captures
-/// the adversary's event stream plus ground truth. No inference happens
-/// here — that is replay's job.
+/// Runs the discrete-event half of `run_simulation(config)` and returns its
+/// trace (sim_trace, src/sim/simulator.hpp): the adversary's event stream
+/// plus ground truth. No inference happens here — that is replay's job.
 /// `graph` is run_simulation's borrowed topology (null: build it when the
-/// run needs one).
+/// run routes on one).
 [[nodiscard]] sim_trace capture_trace(const sim_config& config,
                                       const net::topology* graph = nullptr);
 
-/// Re-scores a captured run with the run's built-in engine: rebuilds the
-/// adversary model from the trace, feeds it the recorded events, and runs
-/// the same aggregation as run_simulation. For any config,
-/// replay_trace(capture_trace(cfg)) == run_simulation(cfg) bit for bit.
-/// `graph`, when non-null, is the run's topology, borrowed for scoring
-/// instead of rebuilt (see run_simulation).
+/// Re-scores a captured run with the run's built-in engine, through the
+/// same scoring as run_simulation (detail::score_run over the trace), so
+/// replay_trace(capture_trace(cfg)) == run_simulation(cfg) bit for bit by
+/// construction. `graph`, when non-null, is the run's topology, borrowed
+/// for scoring instead of rebuilt (see run_simulation).
 [[nodiscard]] sim_report replay_trace(const sim_trace& trace,
                                       const net::topology* graph = nullptr);
 
@@ -89,7 +44,9 @@ void write_trace(const sim_trace& trace, std::ostream& os);
 /// offending field) — never a contract violation, crash, or unbounded
 /// allocation. A returned trace satisfies every precondition of
 /// replay_trace and of run_simulation(trace.config): a config the rulebook
-/// (invalid_reason) rejects is out_of_range, with the rule as the message.
+/// (invalid_reason) rejects is out_of_range, with the rule as the message,
+/// and so is an origin or relay event whose reporter is outside the
+/// effective compromised set (adversary_view's precondition).
 [[nodiscard]] sim_trace read_trace(std::istream& is);
 
 }  // namespace anonpath::sim

@@ -1,10 +1,11 @@
-// Fuzz/property layer for the adversary models' assembly paths: seeded
-// random report streams with out-of-order capture times, duplicate relay
+// Fuzz/property layer for the adversary view's assembly paths: seeded
+// random event logs with out-of-order capture times, duplicate relay
 // reports and incomplete messages must never crash, corrupt state, or
-// produce unscreened unexplainable posteriors; and the partial-coverage
-// model must obey its core structural invariant — observed hop reporters
-// form exactly the order-preserving compromised subsequence of the
-// ground-truth route.
+// produce unscreened unexplainable posteriors; the partial-coverage view
+// must obey its core structural invariant — observed hop reporters form
+// exactly the order-preserving compromised subsequence of the ground-truth
+// route; and the timing correlator's bucketed linker must link exactly as
+// the whole-log scan it replaced (tests/pre_change_reference.hpp).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "src/anonymity/path_sampler.hpp"
 #include "src/anonymity/posterior.hpp"
 #include "src/sim/adversary.hpp"
+#include "src/sim/trace.hpp"
 #include "src/stats/rng.hpp"
+#include "tests/pre_change_reference.hpp"
 
 namespace anonpath::sim {
 namespace {
@@ -28,14 +31,37 @@ std::vector<bool> random_flags(std::uint32_t n, double f, stats::rng& gen) {
   return flags;
 }
 
-/// Feeds the model every report the threat model grants for `r` under
-/// `flags`, at the given per-position capture times (times.size() >=
-/// r.length()); returns whether the receiver report was delivered too.
-void feed_route(adversary_model& model, std::uint64_t msg, const route& r,
-                const std::vector<bool>& flags,
-                const std::vector<double>& times,
-                const std::vector<std::size_t>& order, bool deliver) {
-  if (flags[r.sender]) model.note_origin(msg, r.sender);
+using event = adversary_event;
+constexpr auto origin = adversary_event::kind::origin;
+constexpr auto relay = adversary_event::kind::relay;
+constexpr auto receipt = adversary_event::kind::receipt;
+
+adversary_config partial_config(bool receiver_compromised) {
+  adversary_config cfg;
+  cfg.kind = adversary_kind::partial_coverage;
+  cfg.receiver_compromised = receiver_compromised;
+  return cfg;
+}
+
+adversary_config timing_config() {
+  adversary_config cfg;
+  cfg.kind = adversary_kind::timing_correlator;
+  return cfg;
+}
+
+bool observed(const adversary_view& view, std::uint64_t msg) {
+  const auto ids = view.observed_messages();
+  return std::find(ids.begin(), ids.end(), msg) != ids.end();
+}
+
+/// Logs every report the threat model grants for `r` under `flags`, at the
+/// given per-position capture times (times.size() >= r.length()), plus the
+/// receiver report when `deliver`.
+void log_route(std::vector<event>& log, std::uint64_t msg, const route& r,
+               const std::vector<bool>& flags,
+               const std::vector<double>& times,
+               const std::vector<std::size_t>& order, bool deliver) {
+  if (flags[r.sender]) log.push_back({origin, msg, 0.0, r.sender, 0, 0});
   const auto l = r.length();
   for (const std::size_t i : order) {
     if (i >= l) continue;
@@ -43,11 +69,26 @@ void feed_route(adversary_model& model, std::uint64_t msg, const route& r,
     if (!flags[here]) continue;
     const node_id pred = i == 0 ? r.sender : r.hops[i - 1];
     const node_id succ = i + 1 == l ? receiver_node : r.hops[i + 1];
-    model.note_relay(msg, times[i], here, pred, succ);
+    log.push_back({relay, msg, times[i], here, pred, succ});
   }
   if (deliver)
-    model.note_receipt(msg, times.empty() ? 1.0 : times.back() + 1.0,
-                       l == 0 ? r.sender : r.hops[l - 1]);
+    log.push_back({receipt, msg, times.empty() ? 1.0 : times.back() + 1.0, 0,
+                   l == 0 ? r.sender : r.hops[l - 1], 0});
+}
+
+/// Pins the view's timing linker to the whole-log scan it replaced.
+void expect_links_like_reference(const std::vector<bool>& flags,
+                                 const latency_params& lat,
+                                 const std::vector<event>& log) {
+  const adversary_view view(timing_config(), flags, lat, log);
+  const auto reference = pre_change::timing_link(flags, lat, log);
+  std::vector<std::uint64_t> linked;
+  for (std::uint64_t id = 0; id < reference.size(); ++id) {
+    if (!reference[id]) continue;
+    linked.push_back(id);
+    EXPECT_EQ(view.assemble(id), *reference[id]) << "message " << id;
+  }
+  EXPECT_EQ(view.observed_messages(), linked);
 }
 
 TEST(AdversaryFuzz, OutOfOrderCaptureTimesStillAssembleInTimeOrder) {
@@ -61,7 +102,6 @@ TEST(AdversaryFuzz, OutOfOrderCaptureTimesStillAssembleInTimeOrder) {
         0, std::min<path_length>(8, n - 1));
     const route r = sample_route(n, lengths, path_model::simple, gen);
 
-    full_coalition_model model(flags);
     std::vector<double> times(r.length());
     for (std::size_t i = 0; i < times.size(); ++i)
       times[i] = 0.010 * static_cast<double>(i + 1);
@@ -71,15 +111,17 @@ TEST(AdversaryFuzz, OutOfOrderCaptureTimesStillAssembleInTimeOrder) {
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[gen.next_below(i)]);
 
-    feed_route(model, 1, r, flags, times, order, true);
-    ASSERT_TRUE(model.complete(1));
-    EXPECT_EQ(model.assemble(1), observe(r, flags)) << "iteration " << iter;
+    std::vector<event> log;
+    log_route(log, 1, r, flags, times, order, true);
+    const adversary_view view(adversary_config{}, flags, {}, log);
+    ASSERT_TRUE(observed(view, 1));
+    EXPECT_EQ(view.assemble(1), observe(r, flags)) << "iteration " << iter;
   }
 }
 
 TEST(AdversaryFuzz, DuplicateAndIncompleteStreamsNeverCrash) {
-  // Arbitrary within-contract call sequences: duplicates of the same
-  // report, messages that never complete, ties in capture time. assemble()
+  // Arbitrary within-contract event logs: duplicates of the same report,
+  // messages that never complete, ties in capture time. assemble()
   // must throw for incomplete ids, return for complete ones, and the
   // fragment assembler must either produce fragments or reject with
   // invalid_argument — nothing else.
@@ -92,7 +134,7 @@ TEST(AdversaryFuzz, DuplicateAndIncompleteStreamsNeverCrash) {
       if (flags[i]) compromised.push_back(i);
     if (compromised.empty()) continue;
 
-    full_coalition_model model(flags);
+    std::vector<event> log;
     const std::uint32_t calls = 1 + static_cast<std::uint32_t>(gen.next_below(12));
     for (std::uint32_t k = 0; k < calls; ++k) {
       const std::uint64_t msg = gen.next_below(3);
@@ -104,25 +146,27 @@ TEST(AdversaryFuzz, DuplicateAndIncompleteStreamsNeverCrash) {
         const auto x = gen.next_below(n + 2);
         return x == n ? receiver_node : static_cast<node_id>(x);
       };
+      // A braced list draws its entries left to right.
       if (roll < 6) {
-        model.note_relay(msg, gen.next_double(), reporter, any_node(),
-                         any_node());
+        log.push_back(
+            {relay, msg, gen.next_double(), reporter, any_node(), any_node()});
         if (roll == 0)  // exact duplicate, same capture time
-          model.note_relay(msg, gen.next_double(), reporter, any_node(),
-                           any_node());
+          log.push_back({relay, msg, gen.next_double(), reporter, any_node(),
+                         any_node()});
       } else if (roll < 8) {
-        model.note_origin(msg, reporter);
+        log.push_back({origin, msg, 0.0, reporter, 0, 0});
       } else {
-        model.note_receipt(msg, gen.next_double(), any_node());
+        log.push_back({receipt, msg, gen.next_double(), 0, any_node(), 0});
       }
     }
 
+    const adversary_view view(adversary_config{}, flags, {}, log);
     for (std::uint64_t msg = 0; msg < 3; ++msg) {
-      if (!model.complete(msg)) {
-        EXPECT_THROW((void)model.assemble(msg), std::out_of_range);
+      if (!observed(view, msg)) {
+        EXPECT_THROW((void)view.assemble(msg), std::out_of_range);
         continue;
       }
-      const observation obs = model.assemble(msg);
+      const observation& obs = view.assemble(msg);
       // Time-sorted, and every capture survives (duplicates included).
       try {
         const auto fragments = assemble_fragments(obs, flags);
@@ -151,13 +195,14 @@ TEST(AdversaryFuzz, PartialCoverageObservedHopsAreOrderPreservingSubsequence) {
         0, std::min<path_length>(9, n - 1));
     const route r = sample_route(n, lengths, path_model::simple, gen);
 
-    partial_coverage_model model(flags, receiver);
     std::vector<double> times(r.length());
     for (std::size_t i = 0; i < times.size(); ++i)
       times[i] = 0.010 * static_cast<double>(i + 1);
     std::vector<std::size_t> order(r.length());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    feed_route(model, 1, r, flags, times, order, true);
+    std::vector<event> log;
+    log_route(log, 1, r, flags, times, order, true);
+    const adversary_view view(partial_config(receiver), flags, {}, log);
 
     // The invariant's reference: the compromised subsequence of the route.
     std::vector<node_id> expected;
@@ -166,10 +211,10 @@ TEST(AdversaryFuzz, PartialCoverageObservedHopsAreOrderPreservingSubsequence) {
 
     const bool observable =
         receiver || flags[r.sender] || !expected.empty();
-    ASSERT_EQ(model.complete(1), observable);
+    ASSERT_EQ(observed(view, 1), observable);
     if (!observable) continue;
 
-    const observation obs = model.assemble(1);
+    const observation& obs = view.assemble(1);
     std::vector<node_id> reported;
     for (const auto& rep : obs.reports) reported.push_back(rep.reporter);
     EXPECT_EQ(reported, expected)
@@ -202,7 +247,8 @@ TEST(AdversaryFuzz, PartialCoverageObservedHopsAreOrderPreservingSubsequence) {
 
 TEST(AdversaryFuzz, TimingCorrelatorToleratesArbitraryStreams) {
   // Random capture soups: linking must stay deterministic, never crash,
-  // and every produced observation must be screenable by explainable().
+  // link exactly as the reference linker, and every produced observation
+  // must be screenable by explainable().
   stats::rng gen(404);
   for (int iter = 0; iter < 150; ++iter) {
     const std::uint32_t n = 6 + static_cast<std::uint32_t>(gen.next_below(10));
@@ -213,31 +259,33 @@ TEST(AdversaryFuzz, TimingCorrelatorToleratesArbitraryStreams) {
     if (compromised.empty()) continue;
 
     const latency_params lat{0.010, 0.004, 0.002};
-    timing_correlator_model model(flags, lat);
+    std::vector<event> log;
     const std::uint32_t captures =
         static_cast<std::uint32_t>(gen.next_below(20));
     for (std::uint32_t k = 0; k < captures; ++k) {
       const node_id reporter =
           compromised[gen.next_below(compromised.size())];
       const auto succ_roll = gen.next_below(n + 1);
-      model.note_relay(gen.next_below(5), gen.next_double() * 0.2, reporter,
-                       static_cast<node_id>(gen.next_below(n)),
-                       succ_roll == n ? receiver_node
-                                      : static_cast<node_id>(succ_roll));
+      log.push_back({relay, gen.next_below(5), gen.next_double() * 0.2,
+                     reporter, static_cast<node_id>(gen.next_below(n)),
+                     succ_roll == n ? receiver_node
+                                    : static_cast<node_id>(succ_roll)});
     }
     const std::uint32_t receipts =
         1 + static_cast<std::uint32_t>(gen.next_below(5));
     for (std::uint32_t k = 0; k < receipts; ++k)
-      model.note_receipt(k, gen.next_double() * 0.25,
-                         static_cast<node_id>(gen.next_below(n)));
+      log.push_back({receipt, k, gen.next_double() * 0.25, 0,
+                     static_cast<node_id>(gen.next_below(n)), 0});
 
-    const auto observed = model.observed_messages();
-    EXPECT_EQ(observed.size(), receipts);
+    const adversary_view view(timing_config(), flags, lat, log);
+    const auto ids = view.observed_messages();
+    EXPECT_EQ(ids.size(), receipts);
+    expect_links_like_reference(flags, lat, log);
     const posterior_engine engine(
         {n, static_cast<std::uint32_t>(compromised.size())}, compromised,
         path_length_distribution::uniform(0, std::min<path_length>(6, n - 1)));
-    for (const std::uint64_t msg : observed) {
-      const observation obs = model.assemble(msg);
+    for (const std::uint64_t msg : ids) {
+      const observation& obs = view.assemble(msg);
       EXPECT_TRUE(obs.gapped);
       if (engine.explainable(obs)) {
         const auto post = engine.sender_posterior(obs);
@@ -246,6 +294,25 @@ TEST(AdversaryFuzz, TimingCorrelatorToleratesArbitraryStreams) {
         EXPECT_NEAR(total, 1.0, 1e-9);
       }
     }
+  }
+}
+
+TEST(AdversaryFuzz, TimingCorrelatorLinksSimulatedRunsLikeReference) {
+  // Simulated logs: many interleaved deliveries on few wires, where the
+  // tie-break among equal-endpoint captures decides every chain.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim_config cfg;
+    cfg.sys = {16, 5};
+    cfg.compromised = {1, 4, 7, 10, 13};
+    cfg.lengths = path_length_distribution::uniform(1, 6);
+    cfg.message_count = 400;
+    cfg.arrival_rate = 2000.0;
+    cfg.seed = seed;
+    cfg.adversary = timing_config();
+    const sim_trace trace = capture_trace(cfg);
+    std::vector<bool> flags(cfg.sys.node_count, false);
+    for (const node_id id : trace.compromised) flags[id] = true;
+    expect_links_like_reference(flags, cfg.latency, trace.events);
   }
 }
 

@@ -1,13 +1,15 @@
-// The pluggable adversary-model family: full_coalition must reproduce the
-// historical monitor bit for bit, partial_coverage must honor its coverage
-// draw and honest-receiver mode, the timing correlator must reconstruct
-// chains from timestamps alone, and the campaign's adversary axis must stay
-// thread-count invariant. Plus the identified-threshold boundary.
+// The adversary's view of a run under each threat model: full_coalition
+// must reproduce the historical monitor bit for bit, partial_coverage must
+// honor its coverage draw and honest-receiver mode, the timing correlator
+// must reconstruct chains from timestamps alone, and the campaign's
+// adversary axis must stay thread-count invariant. Plus the
+// identified-threshold boundary.
 
 #include "src/sim/adversary.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -20,6 +22,28 @@
 
 namespace anonpath::sim {
 namespace {
+
+using event = adversary_event;
+constexpr auto relay = adversary_event::kind::relay;
+constexpr auto receipt = adversary_event::kind::receipt;
+
+adversary_config partial_config(bool receiver_compromised) {
+  adversary_config cfg;
+  cfg.kind = adversary_kind::partial_coverage;
+  cfg.receiver_compromised = receiver_compromised;
+  return cfg;
+}
+
+adversary_config timing_config() {
+  adversary_config cfg;
+  cfg.kind = adversary_kind::timing_correlator;
+  return cfg;
+}
+
+bool observed(const adversary_view& view, std::uint64_t msg) {
+  const auto ids = view.observed_messages();
+  return std::find(ids.begin(), ids.end(), msg) != ids.end();
+}
 
 sim_config small_config(adversary_kind kind) {
   sim_config cfg;
@@ -82,30 +106,28 @@ TEST(EffectiveCompromised, PartialDrawIsSeededAndMatchesFraction) {
 
 TEST(PartialCoverage, HonestReceiverYieldsReceiverlessObservations) {
   // Path 3 -> 1(comp) -> 0 -> R, receiver honest: only node 1's capture.
-  partial_coverage_model model({false, true, false, false}, false);
-  model.note_relay(7, 1.0, 1, 3, 0);
-  model.note_receipt(7, 2.0, 0);  // honest receiver: ignored
-  ASSERT_TRUE(model.complete(7));
-  const auto obs = model.assemble(7);
+  // A message that touched no compromised relay (8) is invisible.
+  const std::vector<event> log{{relay, 7, 1.0, 1, 3, 0},
+                               {receipt, 7, 2.0, 0, 0, 0},  // honest R
+                               {receipt, 8, 3.0, 0, 2, 0}};
+  const adversary_view view(partial_config(false),
+                            {false, true, false, false}, {}, log);
+  ASSERT_TRUE(observed(view, 7));
+  const auto obs = view.assemble(7);
   EXPECT_FALSE(obs.receiver_observed);
   ASSERT_EQ(obs.reports.size(), 1u);
   EXPECT_EQ(obs.reports[0].reporter, 1u);
-  // A message that touched no compromised relay is invisible.
-  model.note_receipt(8, 3.0, 2);
-  EXPECT_FALSE(model.complete(8));
-  EXPECT_THROW((void)model.assemble(8), std::out_of_range);
-  EXPECT_EQ(model.observed_messages(), std::vector<std::uint64_t>{7});
+  EXPECT_FALSE(observed(view, 8));
+  EXPECT_THROW((void)view.assemble(8), std::out_of_range);
+  EXPECT_EQ(view.observed_messages(), std::vector<std::uint64_t>{7});
 }
 
 TEST(PartialCoverage, CompromisedReceiverBehavesLikeFullCoalition) {
   const std::vector<bool> flags{false, true, false, false};
-  partial_coverage_model partial(flags, true);
-  full_coalition_model full(flags);
-  for (auto* m : {static_cast<adversary_model*>(&partial),
-                  static_cast<adversary_model*>(&full)}) {
-    m->note_relay(7, 1.0, 1, 3, 0);
-    m->note_receipt(7, 2.0, 0);
-  }
+  const std::vector<event> log{{relay, 7, 1.0, 1, 3, 0},
+                               {receipt, 7, 2.0, 0, 0, 0}};
+  const adversary_view partial(partial_config(true), flags, {}, log);
+  const adversary_view full(adversary_config{}, flags, {}, log);
   EXPECT_EQ(partial.assemble(7), full.assemble(7));
   EXPECT_EQ(partial.observed_messages(), full.observed_messages());
 }
@@ -139,13 +161,14 @@ TEST(TimingCorrelator, LinksAnAdjacentChainByTimestampsAlone) {
   // Path s=4 -> 1 -> 2 -> R with 1, 2 compromised; per-step delay =
   // processing + base = 0.01, no jitter. The correlator must rebuild
   // [4, 1, 2, R] without ever using the message id for linking.
-  latency_params lat{0.008, 0.0, 0.002};
-  timing_correlator_model model({false, true, true, false, false}, lat);
-  model.note_relay(42, 0.010, 1, 4, 2);
-  model.note_relay(42, 0.020, 2, 1, receiver_node);
-  model.note_receipt(42, 0.030, 2);
-  ASSERT_TRUE(model.complete(42));
-  const auto obs = model.assemble(42);
+  const latency_params lat{0.008, 0.0, 0.002};
+  const std::vector<event> log{{relay, 42, 0.010, 1, 4, 2},
+                               {relay, 42, 0.020, 2, 1, receiver_node},
+                               {receipt, 42, 0.030, 0, 2, 0}};
+  const adversary_view view(timing_config(), {false, true, true, false, false},
+                            lat, log);
+  ASSERT_TRUE(observed(view, 42));
+  const auto obs = view.assemble(42);
   EXPECT_TRUE(obs.gapped);
   EXPECT_TRUE(obs.receiver_observed);
   EXPECT_EQ(obs.receiver_predecessor, 2u);
@@ -157,12 +180,14 @@ TEST(TimingCorrelator, LinksAnAdjacentChainByTimestampsAlone) {
 TEST(TimingCorrelator, DistantCapturesStayUnlinked) {
   // Same topology but the capture is far outside the delay window: the
   // chain must stop at the receiver-adjacent capture.
-  latency_params lat{0.008, 0.0, 0.002};
-  timing_correlator_model model({false, true, true, false, false}, lat);
-  model.note_relay(42, 0.010, 1, 4, 2);
-  model.note_relay(42, 0.500, 2, 1, receiver_node);  // 490ms gap: unlinkable
-  model.note_receipt(42, 0.510, 2);
-  const auto obs = model.assemble(42);
+  const latency_params lat{0.008, 0.0, 0.002};
+  const std::vector<event> log{
+      {relay, 42, 0.010, 1, 4, 2},
+      {relay, 42, 0.500, 2, 1, receiver_node},  // 490ms gap: unlinkable
+      {receipt, 42, 0.510, 0, 2, 0}};
+  const adversary_view view(timing_config(), {false, true, true, false, false},
+                            lat, log);
+  const auto obs = view.assemble(42);
   ASSERT_EQ(obs.reports.size(), 1u);
   EXPECT_EQ(obs.reports[0].reporter, 2u);
 }

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/obs/jsonl.hpp"
@@ -407,6 +408,41 @@ std::string slurp(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+TEST_F(CliParse, ReplayRefusesReportsFromHonestNodes) {
+  // The run's compromised set is {0, 5}. A trace whose relay or origin
+  // event names another node is refused as a trace error, never as an
+  // internal precondition.
+  const std::string path = ::testing::TempDir() + "anonpath_honest." +
+                           std::to_string(::getpid()) + ".trace";
+  int rc = -1;
+  (void)cli_stdout("capture --n 10 --c 2 --messages 3 --seed 3 --dist F:2 "
+                   "--out '" + path + "'",
+                   &rc);
+  ASSERT_EQ(rc, 0);
+  const std::string text = slurp(path);
+  const std::pair<std::string, std::string> forgeries[] = {
+      {"\nT 2 3fb0bd0f9da72cd6 0 7 6\n", "\nT 2 3fb0bd0f9da72cd6 3 7 6\n"},
+      {"\nO 1 5\n", "\nO 1 4\n"}};
+  for (const auto& [from, to] : forgeries) {
+    std::string bad = text;
+    const auto at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bad;
+    }
+    const run_result r = run_cli("replay --in '" + path + "'");
+    EXPECT_EQ(r.exit_code, 1) << to;
+    EXPECT_NE(r.stderr_text.find("is not in the compromised set"),
+              std::string::npos)
+        << r.stderr_text;
+    EXPECT_EQ(r.stderr_text.find("precondition failed"), std::string::npos)
+        << r.stderr_text;
+  }
+  std::remove(path.c_str());
 }
 
 /// The decimal number that follows `label` in `text` (0 when absent).

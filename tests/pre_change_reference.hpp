@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -30,6 +31,8 @@
 #include "src/net/topology.hpp"
 #include "src/net/topology_mc.hpp"
 #include "src/net/topology_posterior.hpp"
+#include "src/sim/adversary.hpp"
+#include "src/sim/correlation.hpp"
 #include "src/stats/bitmap.hpp"
 #include "src/stats/contract.hpp"
 #include "src/stats/kahan.hpp"
@@ -703,6 +706,105 @@ std::vector<double> dense_sketch_posterior(
     }
   }
   return normalize_dense(std::move(signal));
+}
+
+/// Reference for sim::adversary_view's timing correlator: the linker that
+/// scanned every capture for every link step and cleared an N-length
+/// in-chain mask per delivery. Returns the linked observation per
+/// delivered message id (the first receipt of an id wins); ids without a
+/// receipt stay disengaged. Origin events are discarded, as there.
+inline std::vector<std::optional<observation>> timing_link(
+    const std::vector<bool>& compromised_, const sim::latency_params& link_,
+    const std::vector<sim::adversary_event>& events) {
+  struct capture {
+    sim::sim_time at = 0.0;
+    node_id reporter = 0;
+    node_id predecessor = 0;
+    node_id successor = 0;
+  };
+  struct receipt {
+    sim::sim_time at = 0.0;
+    node_id predecessor = 0;
+    std::uint64_t msg = 0;
+  };
+  std::vector<capture> captures_;
+  std::vector<receipt> receipts_;
+  for (const sim::adversary_event& e : events) {
+    if (e.type == sim::adversary_event::kind::relay)
+      captures_.push_back(capture{e.at, e.reporter, e.predecessor, e.successor});
+    else if (e.type == sim::adversary_event::kind::receipt)
+      receipts_.push_back(receipt{e.at, e.predecessor, e.msg});
+  }
+  std::vector<std::optional<observation>> assembled_;
+
+  // One forwarding step = relay processing + one link traversal.
+  const double lo = link_.processing + link_.base;
+  const double hi = lo + link_.jitter;
+
+  std::vector<bool> used(captures_.size(), false);
+
+  std::vector<std::size_t> order(receipts_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (receipts_[a].at != receipts_[b].at)
+                       return receipts_[a].at < receipts_[b].at;
+                     return receipts_[a].msg < receipts_[b].msg;
+                   });
+
+  std::vector<bool> in_chain(compromised_.size(), false);
+  for (const std::size_t ri : order) {
+    const receipt& r = receipts_[ri];
+    std::vector<std::size_t> chain;  // backwards: delivery-adjacent first
+
+    // Seed: the capture whose reporter handed the message to R.
+    std::fill(in_chain.begin(), in_chain.end(), false);
+    node_id want_reporter = r.predecessor;
+    node_id want_successor = receiver_node;
+    sim::sim_time later_at = r.at;
+    for (;;) {
+      double best_score = 0.0;
+      std::size_t best = captures_.size();
+      for (std::size_t ci = 0; ci < captures_.size(); ++ci) {
+        if (used[ci]) continue;
+        const capture& c = captures_[ci];
+        if (c.reporter != want_reporter || c.successor != want_successor)
+          continue;
+        if (in_chain[c.reporter] ||
+            (c.predecessor < in_chain.size() && in_chain[c.predecessor]))
+          continue;
+        const double score =
+            sim::timing_correlation(c.at, later_at, lo, hi);
+        if (score > best_score) {
+          best_score = score;
+          best = ci;
+        }
+      }
+      if (best == captures_.size()) break;
+      used[best] = true;
+      chain.push_back(best);
+      const capture& c = captures_[best];
+      in_chain[c.reporter] = true;
+      want_reporter = c.predecessor;
+      want_successor = c.reporter;
+      later_at = c.at;
+      if (want_reporter >= compromised_.size() ||
+          !compromised_[want_reporter])
+        break;  // the next hop back is honest: nothing more to link
+    }
+
+    observation obs;
+    obs.gapped = true;
+    obs.receiver_predecessor = r.predecessor;
+    obs.reports.reserve(chain.size());
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const capture& c = captures_[*it];
+      obs.reports.push_back(hop_report{c.reporter, c.predecessor, c.successor});
+    }
+    if (r.msg >= assembled_.size()) assembled_.resize(r.msg + 1);
+    if (!assembled_[r.msg]) assembled_[r.msg] = std::move(obs);
+  }
+  return assembled_;
 }
 
 }  // namespace anonpath::pre_change

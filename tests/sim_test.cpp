@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -92,13 +93,29 @@ TEST(Network, RouteCursorRevealsOnlyEachSuccessor) {
   EXPECT_THROW((void)net.next_hop(9, 3), contract_violation);  // no route
 }
 
+constexpr auto origin_event = adversary_event::kind::origin;
+constexpr auto relay_event = adversary_event::kind::relay;
+constexpr auto receipt_event = adversary_event::kind::receipt;
+
+/// The full coalition's view of `log` under `flags`.
+adversary_view full_view(const std::vector<bool>& flags,
+                         const std::vector<adversary_event>& log) {
+  return adversary_view(adversary_config{}, flags, latency_params{}, log);
+}
+
+bool observed(const adversary_view& view, std::uint64_t msg) {
+  const auto ids = view.observed_messages();
+  return std::find(ids.begin(), ids.end(), msg) != ids.end();
+}
+
 TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
-  full_coalition_model monitor({false, true, false, true, false});
-  monitor.note_relay(9, 3.0, 3, 2, 4);   // later capture filed first
-  monitor.note_relay(9, 1.0, 1, 0, 2);
-  monitor.note_receipt(9, 5.0, 4);
-  ASSERT_TRUE(monitor.complete(9));
-  const auto obs = monitor.assemble(9);
+  const adversary_view view = full_view(
+      {false, true, false, true, false},
+      {{relay_event, 9, 3.0, 3, 2, 4},  // later capture filed first
+       {relay_event, 9, 1.0, 1, 0, 2},
+       {receipt_event, 9, 5.0, 0, 4, 0}});
+  ASSERT_TRUE(observed(view, 9));
+  const auto obs = view.assemble(9);
   ASSERT_EQ(obs.reports.size(), 2u);
   EXPECT_EQ(obs.reports[0].reporter, 1u);  // time-sorted
   EXPECT_EQ(obs.reports[1].reporter, 3u);
@@ -107,35 +124,36 @@ TEST(AdversaryMonitor, AssemblesTimeSortedObservation) {
 }
 
 TEST(AdversaryMonitor, TracksOrigin) {
-  full_coalition_model monitor({true, false});
-  monitor.note_origin(1, 0);
-  monitor.note_receipt(1, 1.0, 0);
-  const auto obs = monitor.assemble(1);
+  const adversary_view view = full_view(
+      {true, false},
+      {{origin_event, 1, 0.0, 0, 0, 0}, {receipt_event, 1, 1.0, 0, 0, 0}});
+  const auto obs = view.assemble(1);
   ASSERT_TRUE(obs.origin.has_value());
   EXPECT_EQ(*obs.origin, 0u);
 }
 
 TEST(AdversaryMonitor, IncompleteMessagesRejected) {
-  full_coalition_model monitor({true, false});
-  monitor.note_relay(5, 1.0, 0, 1, receiver_node);
-  EXPECT_FALSE(monitor.complete(5));
-  EXPECT_THROW((void)monitor.assemble(5), std::out_of_range);
-  EXPECT_TRUE(monitor.observed_messages().empty());
+  const adversary_view view =
+      full_view({true, false}, {{relay_event, 5, 1.0, 0, 1, receiver_node}});
+  EXPECT_FALSE(observed(view, 5));
+  EXPECT_THROW((void)view.assemble(5), std::out_of_range);
+  EXPECT_TRUE(view.observed_messages().empty());
 }
 
 TEST(AdversaryMonitor, HonestNodeCannotReport) {
-  full_coalition_model monitor({false, true});
-  EXPECT_THROW(monitor.note_relay(1, 0.0, 0, 1, receiver_node),
+  EXPECT_THROW((void)full_view({false, true},
+                               {{relay_event, 1, 0.0, 0, 1, receiver_node}}),
                contract_violation);
-  EXPECT_THROW(monitor.note_origin(1, 0), contract_violation);
+  EXPECT_THROW((void)full_view({false, true}, {{origin_event, 1, 0.0, 0, 0, 0}}),
+               contract_violation);
 }
 
 TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
   // Route 2 -> 0 -> 1 -> 3 -> R with node 1 compromised.
   const std::vector<bool> comp{false, true, false, false};
   network net(4, {0.001, 0.0, 0.0}, 9);
-  full_coalition_model monitor(comp);
-  net.attach(monitor);
+  std::vector<adversary_event> log;
+  net.attach(comp, log);
 
   const route path{2, {0, 1, 3}};
   net.originate(2, 0.0, 77);
@@ -145,15 +163,15 @@ TEST(OnionRelayChain, FullRouteDeliversAndLogsCompromisedHops) {
 
   EXPECT_TRUE(net.outcomes().at(77).delivered);
   EXPECT_EQ(net.outcomes().at(77).hops, 3u);
-  const auto obs = monitor.assemble(77);
+  const auto obs = full_view(comp, log).assemble(77);
   ASSERT_EQ(obs.reports.size(), 1u);
   EXPECT_EQ(obs.reports[0].reporter, 1u);
   EXPECT_EQ(obs.reports[0].predecessor, 0u);
   EXPECT_EQ(obs.reports[0].successor, 3u);
   EXPECT_EQ(obs.receiver_predecessor, 3u);
 
-  // The monitor's observation must equal the oracle `observe` on the
-  // ground-truth route — the simulation and the model agree.
+  // The view's observation must equal the oracle `observe` on the
+  // ground-truth route — the simulation and the view agree.
   EXPECT_EQ(obs, observe(path, comp));
 }
 
@@ -170,9 +188,8 @@ TEST(CrowdsRelay, HopByHopFabricLogsEachForwardWithItsSuccessor) {
   network net(4, {0.001, 0.0, 0.0}, 11, {}, &ring);
   stats::rng master(5);
   net.use_crowds(0.75, master);
-  full_coalition_model monitor({false, false, true, false});
   std::vector<adversary_event> log;
-  net.attach(monitor, &log);
+  net.attach({false, false, true, false}, log);
 
   constexpr std::uint64_t messages = 200;
   for (std::uint64_t msg = 1; msg <= messages; ++msg) {

@@ -19,6 +19,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "src/anonymity/entropy.hpp"
 #include "src/sim/campaign_axes.hpp"
@@ -230,6 +231,76 @@ TEST(TraceFormat, RejectsNonFiniteChurn) {
       FAIL() << "accepted " << forged + 1;
     } catch (const parse_error& e) {
       EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+    }
+  }
+}
+
+TEST(TraceFormat, RejectsReportsFromHonestNodes) {
+  // Only a compromised node files origin and relay reports. A trace that
+  // says otherwise is refused as out_of_range naming the field, never
+  // handed to replay as a broken precondition of the adversary view.
+  sim_config cfg;
+  cfg.sys = {10, 2};
+  cfg.compromised = {0, 5};
+  cfg.lengths = path_length_distribution::fixed(2);
+  cfg.message_count = 3;
+  cfg.seed = 3;
+  std::ostringstream os;
+  write_trace(capture_trace(cfg), os);
+  const std::string text = os.str();
+  // The reporter's token on "O <msg> <sender>" and on
+  // "T <msg> <at> <reporter> <predecessor> <successor>".
+  const std::tuple<const char*, std::size_t, const char*> forgeries[] = {
+      {"\nO ", 2, "origin sender"}, {"\nT ", 3, "relay reporter"}};
+  for (const auto& [tag, field, what] : forgeries) {
+    const auto at = text.find(tag);
+    ASSERT_NE(at, std::string::npos) << "no event " << tag + 1;
+    const auto end = text.find('\n', at + 1);
+    std::istringstream line(text.substr(at + 1, end - at - 1));
+    std::string forged;
+    std::size_t i = 0;
+    for (std::string token; line >> token; ++i)
+      forged += " " + (i == field ? std::string("3") : token);  // 3 is honest
+    std::string bad = text;
+    bad.replace(at + 1, end - at - 1, forged.substr(1));
+    std::istringstream in(bad);
+    try {
+      (void)read_trace(in);
+      FAIL() << "accepted " << forged;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TraceFormat, RejectsUnorderedEffectiveSet) {
+  // The writer emits the effective set ascending; a duplicate or a
+  // descending id is forged, and scoring keys its engine by this list.
+  const sim_trace trace = capture_trace(preset_configs()[0]);
+  std::ostringstream os;
+  write_trace(trace, os);
+  const std::string text = os.str();
+  ASSERT_EQ(trace.compromised.size(), 3u);
+  const auto at = text.find("\ncompromised 3 ");
+  ASSERT_NE(at, std::string::npos);
+  const auto end = text.find('\n', at + 1);
+  const std::string a = std::to_string(trace.compromised[0]);
+  const std::string b = std::to_string(trace.compromised[1]);
+  for (const std::string& forged :
+       {"compromised 3 " + b + " " + a + " " + a,
+        "compromised 3 " + a + " " + a + " " + b}) {
+    std::string bad = text;
+    bad.replace(at + 1, end - at - 1, forged);
+    std::istringstream in(bad);
+    try {
+      (void)read_trace(in);
+      FAIL() << "accepted " << forged;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(e.kind(), parse_error_kind::out_of_range) << e.what();
+      EXPECT_NE(std::string(e.what()).find("must ascend"), std::string::npos)
+          << e.what();
     }
   }
 }

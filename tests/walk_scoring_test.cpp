@@ -166,22 +166,9 @@ sim::posterior_fn fresh_scorer(const sim::sim_trace& trace,
 std::size_t observed_count(const sim::sim_trace& trace) {
   std::vector<bool> flags(trace.config.sys.node_count, false);
   for (const node_id id : trace.compromised) flags[id] = true;
-  const auto model = sim::make_adversary_model(
-      trace.config.adversary, std::move(flags), trace.config.latency);
-  for (const sim::adversary_event& e : trace.events) {
-    switch (e.type) {
-      case sim::adversary_event::kind::origin:
-        model->note_origin(e.msg, e.reporter);
-        break;
-      case sim::adversary_event::kind::relay:
-        model->note_relay(e.msg, e.at, e.reporter, e.predecessor, e.successor);
-        break;
-      case sim::adversary_event::kind::receipt:
-        model->note_receipt(e.msg, e.at, e.predecessor);
-        break;
-    }
-  }
-  return model->observed_messages().size();
+  const sim::adversary_view view(trace.config.adversary, flags,
+                                 trace.config.latency, trace.events);
+  return view.observed_messages().size();
 }
 
 void expect_same_report(const sim::sim_report& got,

@@ -72,7 +72,6 @@
 #include "src/anonymity/optimizer.hpp"
 #include "src/anonymity/path_sampler.hpp"
 #include "src/attack/disclosure.hpp"
-#include "src/attack/online.hpp"
 #include "src/attack/sda.hpp"
 #include "src/attack/sketch_sda.hpp"
 #include "src/net/churn.hpp"
@@ -642,8 +641,7 @@ sim::campaign_grid build_campaign_grid(
             s.node_count, grid.message_count, s.arrival_rate, s.churn,
             s.retry))
       usage(why);
-    if ((s.topology.kind == net::topology_kind::complete &&
-         !s.routing.planned()) ||
+    if (!sim::routes_on_graph(s.topology, s.routing) ||
         !s.topology.valid_for(s.node_count))
       continue;
     require_graph_cap(opt, s.node_count, s.topology);
@@ -1075,26 +1073,12 @@ int cmd_attack(const options& opt) {
 
     if (stream == workload::stream_backend::sketch) {
       // Online sketched session over the same round stream.
-      attack::online_config ocfg;
-      ocfg.kind = kind;
-      ocfg.backend = workload::stream_backend::sketch;
-      ocfg.identified_threshold = opt.threshold;
-      ocfg.stride = stride;
-      attack::online_attack online(cfg.receiver_count, ocfg);
-      {
+      attack::sketch_sda_attack online_sketch(cfg.receiver_count);
+      const attack::attack_result sres = [&] {
         obs::span ingest_span(tp, "attack.ingest");
-        attack::round_observation round_obs;
-        const node_id target_sender = pop.pairs().front().sender;
-        for (std::uint32_t r = 0; r < cfg.round_count; ++r) {
-          const workload::round_batch batch = pop.round(r);
-          round_obs.target_present =
-              std::find(batch.senders.begin(), batch.senders.end(),
-                        target_sender) != batch.senders.end();
-          round_obs.receivers = batch.receivers;
-          online.ingest(round_obs);
-        }
-      }
-      const attack::attack_result sres = online.result();
+        return attack::run_workload_attack(pop, 0, online_sketch,
+                                           opt.threshold, stride);
+      }();
 
       // The sharded sketch accumulation must reproduce online ingestion
       // bit for bit — same contract as the exact path above.
@@ -1115,11 +1099,9 @@ int cmd_attack(const options& opt) {
                      "online ingestion\n");
         return 1;
       }
-      const auto& online_sketch =
-          static_cast<const attack::sketch_sda_attack&>(online.engine());
       if (tp != nullptr) {
         reg.set_gauge("stream.memory_bytes",
-                      static_cast<double>(online.memory_bytes()));
+                      static_cast<double>(online_sketch.memory_bytes()));
         reg.set_gauge("stream.sketch_occupied_cells",
                       static_cast<double>(online_sketch.occupied_cells()));
         reg.set_gauge("stream.candidates_retained",
@@ -1180,9 +1162,9 @@ int cmd_attack(const options& opt) {
       std::fprintf(stderr,
                    "# memory: sketch engine %zu bytes, exact accumulator "
                    "%zu bytes (exact/sketch ratio %.2f)\n",
-                   online.memory_bytes(), exact_acc.memory_bytes(),
+                   online_sketch.memory_bytes(), exact_acc.memory_bytes(),
                    static_cast<double>(exact_acc.memory_bytes()) /
-                       static_cast<double>(online.memory_bytes()));
+                       static_cast<double>(online_sketch.memory_bytes()));
     }
   }
   if (tp != nullptr)
